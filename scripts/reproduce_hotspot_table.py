@@ -17,12 +17,11 @@ import argparse
 import sys
 
 from cct_lens import workload
-from cct_lens.cct import build_forest
+from cct_lens.cct import ingest
 from cct_lens.components import component_utilization, default_hr_catalog
 from cct_lens.metrics import hotspots, total_time_table
 from cct_lens.report import REPORT_FORMATS, AnalysisTables, render_analysis
 from cct_lens.snapshot import trace_digest
-from cct_lens.trace import iter_trace
 
 
 def main(argv=None) -> int:
@@ -39,7 +38,7 @@ def main(argv=None) -> int:
           f"events, sha256={trace_digest(text.encode('utf-8'))[:16]}...",
           file=sys.stderr)
 
-    merged = build_forest(iter_trace(text.splitlines())).merged()
+    merged = ingest(text.splitlines()).merged()
     hot = hotspots(merged)
     tables = AnalysisTables(
         hot_spots=hot,

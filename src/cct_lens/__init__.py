@@ -7,12 +7,12 @@ workload traces.
 """
 
 from .cct import (CctForest, CctNode, build_cct, build_forest, folded_stacks,
-                  merge_ccts, project_call_graph, self_time)
+                  ingest, merge_ccts, project_call_graph, self_time)
 from .components import ComponentCatalog, Tier, component_utilization, default_hr_catalog
 from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, apply_filter
 from .metrics import HotSpotRow, avg_per_invocation, hotspots, total_time_table
 from .snapshot import Snapshot, diff, take_snapshot
-from .trace import TraceEvent, parse_trace_line, read_trace, validate_trace
+from .trace import TraceEvent, parse_trace_line
 from .workload import (FIGURE8_TABLE, CallChain, LatencyModel, WorkloadSpec,
                        figure8_preset, hr_scenarios, load_preset, simulate)
 
@@ -44,14 +44,13 @@ __all__ = [
     "folded_stacks",
     "hotspots",
     "hr_scenarios",
+    "ingest",
     "load_preset",
     "merge_ccts",
     "parse_trace_line",
     "project_call_graph",
-    "read_trace",
     "self_time",
     "simulate",
     "take_snapshot",
     "total_time_table",
-    "validate_trace",
 ]

@@ -15,11 +15,13 @@ time conservation holds exactly on every tree.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .trace import ENTER, EXIT, TraceEvent, TraceStructureError
+from .trace import (ENTER, EXIT, TraceEvent, TraceStructureError, format_trace_line,
+                    parse_trace_line)
 
 MERGED_ROOT = "<root>"
 
@@ -99,19 +101,20 @@ class CctForest:
 
 
 class _ThreadState:
-    __slots__ = ("root", "stack", "last_ts", "count")
+    __slots__ = ("tid", "root", "stack", "last_ts")
 
-    def __init__(self, tid: int):
+    def __init__(self, tid: int, ts: int):
+        self.tid = tid
         self.root = CctNode(root_label(tid), invocations=1)
         # frames as (node, enter_ts); root is not on the stack
         self.stack: list[tuple[CctNode, int]] = []
-        # None until the first event: origins may be negative
-        self.last_ts: int | None = None
-        self.count = 0
+        # running maximum of the thread's timestamps; origins may be negative
+        self.last_ts = ts
 
 
-def _finish_thread(state: _ThreadState, tid: int, lenient: bool,
+def _finish_thread(state: _ThreadState, lineno: int, lenient: bool,
                    warn: Callable[[str], None] | None) -> CctNode:
+    tid = state.tid
     if state.stack:
         if not lenient:
             top = state.stack[-1][0]
@@ -119,9 +122,10 @@ def _finish_thread(state: _ThreadState, tid: int, lenient: bool,
                 f"{len(state.stack)} frame(s) still open at end of trace "
                 f"(innermost: {top.method})",
                 tid=tid,
+                lineno=lineno,
             )
         if warn is not None:
-            warn(f"tid {tid}: closed {len(state.stack)} frame(s) left open "
+            warn(f"tid {tid}, line {lineno}: closed {len(state.stack)} frame(s) left open "
                  f"at end of trace (ts {state.last_ts})")
         # close open frames at the last observed timestamp, innermost first
         for node, enter_ts in reversed(state.stack):
@@ -132,39 +136,66 @@ def _finish_thread(state: _ThreadState, tid: int, lenient: bool,
     return state.root
 
 
-def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
-                 max_depth: int | None = None,
-                 warn: Callable[[str], None] | None = None) -> CctForest:
-    """Build per-thread CCTs from an interleaved event stream in one pass.
+def ingest(lines: Iterable[str], lenient: bool = False,
+           max_depth: int | None = None,
+           warn: Callable[[str], None] | None = None) -> CctForest:
+    """Parse, check and build per-thread CCTs from trace text in one pass.
 
-    Events must be in file order (per-thread subsequences ordered).  Memory
-    is proportional to the number of distinct calling contexts plus open
-    stack depth, not to the event count.
+    ``lines`` is canonical trace text, one line per item (an open file
+    works).  Memory is proportional to the number of distinct calling
+    contexts plus open stack depth, not to the event count.
+
+    Every line passes the grammar of ``parse_trace_line`` and fails with
+    its ``line N: ...`` message: the first line of each thread, the first
+    enter of each method name, every exit of a name that never entered,
+    and any line the loop's quick checks refuse go through
+    ``parse_trace_line`` itself.
 
     Strict mode raises TraceStructureError on orphan exits, mismatched
     exits, frames left open at end of input, or per-thread timestamp
     regressions.  Lenient mode drops orphan and mismatched exits, clamps
     regressing timestamps to the running maximum, and closes frames left
     open at the thread's last observed timestamp, marking them truncated.
+    Errors and warnings name the thread and the 1-based line; frames left
+    open are reported at the last line.
 
     ``max_depth`` caps the open-frame depth per thread and aborts when
     exceeded; it guards against pathological or corrupt inputs.
     """
-    states: dict[int, _ThreadState] = {}
-    for index, event in enumerate(events):
-        ts, tid, kind, method = event
-        state = states.get(tid)
-        if state is None:
-            state = states[tid] = _ThreadState(tid)
-        if state.last_ts is not None and ts < state.last_ts:
+    # threads by the canonical text of their id, and method names that
+    # passed the grammar check on an enter: every such name labels a
+    # context, so both are bounded by the trees built
+    threads: dict[str, _ThreadState] = {}
+    checked: set[str] = set()
+    lineno = 0
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip()
+        if not line or line[0] == "#":
+            continue
+        try:
+            raw_ts, raw_tid, kind, method = line.split("\t")
+            ts = int(raw_ts)
+            state = threads[raw_tid]
+            known = method in checked and (kind == ENTER or kind == EXIT)
+        except (ValueError, KeyError):
+            known = False
+        if not known:
+            # raises the grammar error, or admits a new thread or method name
+            ts, tid, kind, method = parse_trace_line(line, lineno)
+            if kind == ENTER:
+                # an exit whose name never entered cannot match a frame
+                checked.add(method)
+            state = threads.get(str(tid))
+            if state is None:
+                state = threads[str(tid)] = _ThreadState(tid, ts)
+        tid = state.tid
+        if ts < state.last_ts:
             if not lenient:
                 raise TraceStructureError(
-                    f"timestamp regression {state.last_ts} -> {ts} at event {index}",
-                    tid=tid,
-                )
+                    f"timestamp regression {state.last_ts} -> {ts}", tid=tid, lineno=lineno)
             if warn is not None:
-                warn(f"tid {tid}: clamped timestamp regression "
-                     f"{state.last_ts} -> {ts} at event {index}")
+                warn(f"tid {tid}, line {lineno}: clamped timestamp regression "
+                     f"{state.last_ts} -> {ts}")
             ts = state.last_ts
         else:
             state.last_ts = ts
@@ -178,37 +209,46 @@ def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
             stack.append((node, ts))
             if max_depth is not None and len(stack) > max_depth:
                 raise TraceStructureError(
-                    f"call depth exceeded cap of {max_depth} at event {index}",
-                    tid=tid,
-                )
+                    f"call depth exceeded cap of {max_depth}", tid=tid, lineno=lineno)
         else:
             if not stack:
                 if not lenient:
                     raise TraceStructureError(
-                        f"orphan exit for {method} at event {index} (empty stack)",
-                        tid=tid,
-                    )
+                        f"orphan exit for {method} (empty stack)", tid=tid, lineno=lineno)
                 if warn is not None:
-                    warn(f"tid {tid}: dropped orphan exit for {method} at event {index}")
+                    warn(f"tid {tid}, line {lineno}: dropped orphan exit for {method}")
                 continue
             node, enter_ts = stack[-1]
             if node.method != method:
                 if not lenient:
                     raise TraceStructureError(
-                        f"mismatched exit at event {index}: got {method}, "
-                        f"innermost open frame is {node.method}",
-                        tid=tid,
-                    )
+                        f"mismatched exit: got {method}, innermost open frame is {node.method}",
+                        tid=tid, lineno=lineno)
                 if warn is not None:
-                    warn(f"tid {tid}: dropped mismatched exit for {method} at "
-                         f"event {index} (innermost open frame: {node.method})")
+                    warn(f"tid {tid}, line {lineno}: dropped mismatched exit for {method} "
+                         f"(innermost open frame: {node.method})")
                 continue
             stack.pop()
             node.total_time += ts - enter_ts
     forest = CctForest()
-    for tid in states:
-        forest.roots[tid] = _finish_thread(states[tid], tid, lenient, warn)
+    for state in threads.values():
+        forest.roots[state.tid] = _finish_thread(state, lineno, lenient, warn)
     return forest
+
+
+def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
+                 max_depth: int | None = None,
+                 warn: Callable[[str], None] | None = None) -> CctForest:
+    """Build per-thread CCTs from an interleaved event stream: ``ingest`` on its lines.
+
+    Events must be in file order (per-thread subsequences ordered).  Each
+    is rendered with ``format_trace_line``, so it must meet the line
+    grammar (kind ``E`` or ``X``, tid >= 0, a non-empty method without
+    whitespace) or TraceParseError is raised.  Messages count the events
+    from 1 as lines.
+    """
+    return ingest(map(format_trace_line, events), lenient=lenient,
+                  max_depth=max_depth, warn=warn)
 
 
 def build_cct(events: Iterable[TraceEvent], tid: int | None = None,
@@ -218,12 +258,14 @@ def build_cct(events: Iterable[TraceEvent], tid: int | None = None,
     ``tid`` names the synthetic root; when omitted it is taken from the
     first event (0 for an empty sequence).
     """
-    events = list(events)
+    events = iter(events)
+    first = next(events, None)
+    if first is None:
+        return CctNode(root_label(tid or 0), invocations=1)
     if tid is None:
-        tid = events[0].tid if events else 0
-    forest = build_forest(events, lenient=lenient, max_depth=max_depth)
-    if not forest.roots:
-        return CctNode(root_label(tid), invocations=1)
+        tid = first.tid
+    forest = build_forest(itertools.chain((first,), events), lenient=lenient,
+                          max_depth=max_depth)
     if list(forest.roots) != [tid]:
         raise ValueError(f"expected events for tid {tid} only, saw tids {forest.tids()}")
     return forest.roots[tid]

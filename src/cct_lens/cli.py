@@ -57,8 +57,7 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
 
 def _build_forest_from_file(path: str, lenient: bool) -> cct.CctForest:
     with open(path, "r", encoding="utf-8") as fh:
-        return cct.build_forest(iter_trace(fh), lenient=lenient,
-                                warn=_warn if lenient else None)
+        return cct.ingest(fh, lenient=lenient, warn=_warn if lenient else None)
 
 
 def cmd_simulate(args) -> int:
@@ -114,9 +113,8 @@ def cmd_analyze(args) -> int:
         )
         snapshot.save_snapshot(snap, args.snapshot_out)
         print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
-        forest = cct.build_forest(iter_trace(data.decode("utf-8").splitlines()),
-                                  lenient=args.lenient,
-                                  warn=_warn if args.lenient else None)
+        forest = cct.ingest(data.decode("utf-8").splitlines(), lenient=args.lenient,
+                            warn=_warn if args.lenient else None)
     else:
         forest = _build_forest_from_file(args.trace, args.lenient)
     if args.per_thread:

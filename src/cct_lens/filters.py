@@ -43,10 +43,6 @@ class FilterPattern:
         if not self.text:
             raise ValueError("empty filter pattern")
 
-    @property
-    def is_prefix(self) -> bool:
-        return self.text.endswith("*")
-
     def matches(self, method: str) -> bool:
         if self.text.endswith("*"):
             return method.startswith(self.text[:-1])

@@ -18,12 +18,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cct import build_forest
+from .cct import ingest
 from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
                          component_utilization, default_hr_catalog)
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import HotSpotRow, hotspots
-from .trace import iter_trace
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -49,7 +48,7 @@ def analyze_trace_text(text: str, filter_set: FilterSet | None = None,
                        filter_mode: str = ATTRIBUTE_TO_PARENT,
                        lenient: bool = False):
     """Parse, build, filter, and merge; returns the merged tree."""
-    forest = build_forest(iter_trace(text.splitlines()), lenient=lenient)
+    forest = ingest(text.splitlines(), lenient=lenient)
     merged = forest.merged()
     if filter_set is not None and not filter_set.is_identity():
         merged = apply_filter(merged, filter_set, filter_mode)

@@ -11,6 +11,10 @@ contains no whitespace.  Lines starting with ``#`` are comments; blank
 lines are ignored.  Per thread, timestamps must be non-decreasing and
 enters/exits must nest like a stack.
 
+This module owns the line grammar (``parse_trace_line``).  The
+structural checks, nesting and per-thread timestamp order, live in
+``cct.ingest``, which parses, checks and builds a tree in one pass.
+
 A JSON-lines rendering with keys ``ts``/``tid``/``ev``/``m`` is supported
 as an interchange convenience; the tab-separated form is canonical.
 """
@@ -18,8 +22,7 @@ as an interchange convenience; the tab-separated form is canonical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 ENTER = "E"
 EXIT = "X"
@@ -110,52 +113,13 @@ def format_trace_line(event: TraceEvent) -> str:
 def iter_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
     """Yield events from trace text, skipping comments and blank lines.
 
-    Streams: suitable for arbitrarily large inputs.  Structural checks
-    (nesting, timestamp order) are left to the consumer.
+    Streams: suitable for arbitrarily large inputs.  Only the line grammar
+    is checked; nesting and timestamp order are checked by ``cct.ingest``.
     """
     for lineno, line in enumerate(lines, 1):
         event = parse_trace_line(line, lineno)
         if event is not None:
             yield event
-
-
-def read_trace(
-    lines: Iterable[str],
-    lenient: bool = False,
-    warn: Callable[[str], None] | None = None,
-) -> dict[int, list[TraceEvent]]:
-    """Read trace text into per-thread event sequences, preserving file order.
-
-    Threads appear in the returned dict in order of first appearance.  A
-    per-thread timestamp regression raises TraceStructureError in strict
-    mode; in lenient mode it is reported through ``warn`` and the event is
-    kept as-is (the tree builder clamps it during construction).
-    """
-    by_tid: dict[int, list[TraceEvent]] = {}
-    last_ts: dict[int, int] = {}
-    for lineno, line in enumerate(lines, 1):
-        event = parse_trace_line(line, lineno)
-        if event is None:
-            continue
-        prev = last_ts.get(event.tid)
-        if prev is not None and event.ts < prev:
-            if not lenient:
-                raise TraceStructureError(
-                    f"timestamp regression {prev} -> {event.ts}",
-                    tid=event.tid,
-                    lineno=lineno,
-                )
-            if warn is not None:
-                warn(f"tid {event.tid}, line {lineno}: timestamp regression {prev} -> {event.ts}")
-        else:
-            last_ts[event.tid] = event.ts
-        by_tid.setdefault(event.tid, []).append(event)
-    return by_tid
-
-
-def read_trace_file(path, lenient: bool = False, warn: Callable[[str], None] | None = None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_trace(fh, lenient=lenient, warn=warn)
 
 
 def write_trace(events: Iterable[TraceEvent], fh) -> int:
@@ -166,61 +130,6 @@ def write_trace(events: Iterable[TraceEvent], fh) -> int:
         fh.write("\n")
         n += 1
     return n
-
-
-@dataclass
-class TraceValidationReport:
-    """Defect counts from a structural scan of a parsed trace."""
-
-    event_count: int = 0
-    thread_count: int = 0
-    orphan_exits: dict[int, int] = field(default_factory=dict)
-    unmatched_enters: dict[int, int] = field(default_factory=dict)
-    ordering_violations: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def well_formed(self) -> bool:
-        return not (self.orphan_exits or self.unmatched_enters or self.ordering_violations)
-
-    def summary(self) -> str:
-        if self.well_formed:
-            return f"well-formed: {self.event_count} events on {self.thread_count} thread(s)"
-        parts = [f"{self.event_count} events on {self.thread_count} thread(s)"]
-        if self.orphan_exits:
-            parts.append(f"orphan exits: {dict(sorted(self.orphan_exits.items()))}")
-        if self.unmatched_enters:
-            parts.append(f"unmatched enters: {dict(sorted(self.unmatched_enters.items()))}")
-        if self.ordering_violations:
-            parts.append(f"ordering violations: {dict(sorted(self.ordering_violations.items()))}")
-        return "; ".join(parts)
-
-
-def validate_trace(by_tid: dict[int, list[TraceEvent]]) -> TraceValidationReport:
-    """Scan per-thread sequences for stack and ordering defects.
-
-    An exit that does not match the innermost open frame counts as an
-    orphan exit and is ignored for matching purposes, so the frames it
-    failed to close surface as unmatched enters as well.
-    """
-    report = TraceValidationReport(thread_count=len(by_tid))
-    for tid, events in by_tid.items():
-        stack: list[str] = []
-        prev_ts: int | None = None
-        for event in events:
-            report.event_count += 1
-            if prev_ts is not None and event.ts < prev_ts:
-                report.ordering_violations[tid] = report.ordering_violations.get(tid, 0) + 1
-            else:
-                prev_ts = event.ts
-            if event.kind == ENTER:
-                stack.append(event.method)
-            elif not stack or stack[-1] != event.method:
-                report.orphan_exits[tid] = report.orphan_exits.get(tid, 0) + 1
-            else:
-                stack.pop()
-        if stack:
-            report.unmatched_enters[tid] = len(stack)
-    return report
 
 
 def events_to_jsonl(events: Iterable[TraceEvent]) -> Iterator[str]:

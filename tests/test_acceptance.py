@@ -18,7 +18,7 @@ import pytest
 
 from conftest import random_trace, replay_totals
 from cct_lens import workload as wl
-from cct_lens.cct import CctNode, build_cct, build_forest
+from cct_lens.cct import CctNode, build_cct, build_forest, ingest
 from cct_lens.components import component_utilization, default_hr_catalog
 from cct_lens.filters import (ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet,
                               apply_filter)
@@ -26,7 +26,7 @@ from cct_lens.metrics import (avg_per_invocation, format_avg_ms, format_ms,
                               format_pct, hotspots)
 from cct_lens.report import AnalysisTables, render_analysis
 from cct_lens.snapshot import SHARED, diff, take_snapshot
-from cct_lens.trace import TraceEvent, iter_trace
+from cct_lens.trace import TraceEvent
 from test_filters import random_filter
 
 
@@ -45,14 +45,14 @@ def _tree_self_sum(root: CctNode) -> int:
 @pytest.fixture(scope="module")
 def fig8_rows():
     text = wl.simulate(wl.figure8_preset())
-    merged = build_forest(iter_trace(text.splitlines())).merged()
+    merged = ingest(text.splitlines()).merged()
     return text, merged, hotspots(merged)
 
 
 def test_criterion_1_figure8_invocations(capsys):
     start = time.perf_counter()
     text = wl.simulate(wl.figure8_preset())
-    merged = build_forest(iter_trace(text.splitlines())).merged()
+    merged = ingest(text.splitlines()).merged()
     rows = {r.method: r for r in hotspots(merged)}
     elapsed = time.perf_counter() - start
     expected = {
@@ -236,7 +236,7 @@ def test_criterion_8_determinism(capsys):
 
     reports = []
     for text in traces:
-        merged = build_forest(iter_trace(text.splitlines())).merged()
+        merged = ingest(text.splitlines()).merged()
         hot = hotspots(merged)
         tables = AnalysisTables(
             hot_spots=hot,
@@ -257,7 +257,7 @@ def test_criterion_9_scale(capsys):
     assert len(data) == 1_000_000
 
     start = time.perf_counter()
-    merged = build_forest(iter_trace(lines)).merged()
+    merged = ingest(lines).merged()
     hot = hotspots(merged)
     components = component_utilization(hot, default_hr_catalog())
     elapsed = time.perf_counter() - start
@@ -269,7 +269,7 @@ def test_criterion_9_scale(capsys):
 
     tracemalloc.start()
     before, _ = tracemalloc.get_traced_memory()
-    forest = build_forest(iter_trace(lines))
+    forest = ingest(lines)
     node_count = forest.merged().node_count()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -15,6 +15,7 @@ from cct_lens.cct import (
     deserialize_cct,
     deserialize_forest,
     folded_stacks,
+    ingest,
     merge_ccts,
     project_call_graph,
     root_label,
@@ -22,7 +23,7 @@ from cct_lens.cct import (
     serialize_cct,
     serialize_forest,
 )
-from cct_lens.trace import ENTER, EXIT, TraceEvent, TraceStructureError
+from cct_lens.trace import ENTER, EXIT, TraceEvent, TraceParseError, TraceStructureError
 
 from conftest import events_1tid, random_trace, replay_totals
 
@@ -116,9 +117,24 @@ class TestStrictErrors:
         events = events_1tid(
             (0, E, "a"), (1, E, "b"), (2, E, "c"), (3, X, "c"), (4, X, "b"), (5, X, "a")
         )
-        with pytest.raises(TraceStructureError, match="depth"):
+        with pytest.raises(TraceStructureError, match="tid 1, line 3: call depth"):
             build_cct(events, max_depth=2)
         assert build_cct(events, max_depth=3) is not None
+
+    def test_events_are_numbered_as_lines(self):
+        # events have no file, so the n-th event is reported as line n
+        with pytest.raises(TraceStructureError, match="tid 1, line 2: timestamp regression"):
+            build_forest(events_1tid((5, E, "a"), (3, X, "a")))
+
+    def test_events_must_meet_the_line_grammar(self):
+        with pytest.raises(TraceParseError, match="line 2: bad event kind"):
+            build_forest(events_1tid((0, E, "a"), (1, "e", "a")))
+        with pytest.raises(TraceParseError, match="line 1: method name contains whitespace"):
+            build_forest([TraceEvent(0, 1, E, "a b")])
+
+    def test_open_frames_reported_at_last_line(self):
+        with pytest.raises(TraceStructureError, match="tid 1, line 3: 2 frame"):
+            ingest(["0\t1\tE\ta", "1\t1\tE\tb", "# end"])
 
 
 class TestLenientRecovery:
@@ -157,6 +173,15 @@ class TestLenientRecovery:
         a = child(forest.roots[1], "a")
         # exit clamped up to the enter ts
         assert a.total_time == 0
+
+    def test_warnings_name_thread_and_line(self):
+        warnings: list[str] = []
+        ingest(["0\t2\tX\tghost", "1\t2\tE\ta", "0\t2\tX\tb", "2\t2\tE\tc"],
+               lenient=True, warn=warnings.append)
+        assert [w.split(":")[0] for w in warnings] == [
+            "tid 2, line 1", "tid 2, line 3", "tid 2, line 3", "tid 2, line 4"]
+        assert "orphan" in warnings[0] and "regression" in warnings[1]
+        assert "mismatched" in warnings[2] and "left open" in warnings[3]
 
     def test_closed_frames_not_flagged(self):
         forest = build_forest(events_1tid((0, E, "a"), (4, X, "a"), (5, E, "b")), lenient=True)

@@ -210,6 +210,22 @@ class TestAnalyze:
         assert "warning" in stderr
         assert "warning" not in stdout
 
+    def test_structural_error_names_thread_and_file_line(self, capsys, tmp_path):
+        trace = tmp_path / "mismatch.tsv"
+        # the exit on file line 4 closes a, but b is the innermost open frame
+        trace.write_text("# header\n0\t1\tE\ta\n1\t1\tE\tb\n2\t1\tX\ta\n"
+                         "3\t1\tX\tb\n4\t1\tX\ta\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "analyze", str(trace))
+        assert code == 1 and stdout == ""
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "tid 1, line 4" in errors[0]
+        code, _, stderr = run(capsys, "analyze", str(trace), "--lenient")
+        assert code == 0
+        warnings = [line for line in stderr.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "line 4" in warnings[0] and "mismatched" in warnings[0]
+
     def test_strict_rejects_truncated(self, capsys, tmp_path):
         trace = tmp_path / "trunc.tsv"
         trace.write_text("0\t1\tE\ta\n", encoding="utf-8")

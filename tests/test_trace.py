@@ -1,4 +1,4 @@
-"""Trace line grammar, per-thread partitioning, validation, JSONL interchange."""
+"""Trace line grammar, structural checks in ``ingest``, JSONL interchange."""
 
 import io
 import random
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cct_lens.cct import ingest, serialize_forest
 from cct_lens.trace import (
     ENTER,
     EXIT,
@@ -18,9 +19,6 @@ from cct_lens.trace import (
     format_trace_line,
     iter_trace,
     parse_trace_line,
-    read_trace,
-    read_trace_file,
-    validate_trace,
     write_trace,
 )
 
@@ -105,88 +103,106 @@ class TestRoundTrip:
 
 
 class TestReadTrace:
+    """Reading trace text into per-thread trees through ``ingest``."""
+
     def test_single_thread_partition(self):
         lines = ["0\t1\tE\ta", "1\t1\tE\tb", "2\t1\tX\tb", "3\t1\tX\ta"]
-        by_tid = read_trace(lines)
-        assert list(by_tid) == [1]
-        assert len(by_tid[1]) == 4
+        forest = ingest(lines)
+        assert list(forest.roots) == [1]
+        assert forest.roots[1].node_count() == 3
 
     def test_interleaved_partition_keeps_file_order(self):
         lines = ["0\t1\tE\ta", "1\t2\tE\tb", "5\t1\tX\ta", "6\t2\tX\tb"]
-        by_tid = read_trace(lines)
-        assert list(by_tid) == [1, 2]
-        assert [e.method for e in by_tid[1]] == ["a", "a"]
-        assert [e.ts for e in by_tid[2]] == [1, 6]
+        forest = ingest(lines)
+        assert list(forest.roots) == [1, 2]
+        assert list(forest.roots[1].children) == ["a"]
+        assert forest.roots[2].children["b"].total_time == 5
 
     def test_timestamp_regression_strict(self):
         lines = ["5\t1\tE\ta", "3\t1\tX\ta"]
         with pytest.raises(TraceStructureError, match="tid 1, line 2"):
-            read_trace(lines)
+            ingest(lines)
         try:
-            read_trace(lines)
+            ingest(lines)
         except TraceStructureError as exc:
             assert exc.tid == 1 and exc.lineno == 2
 
     def test_timestamp_regression_lenient_warns(self):
         lines = ["5\t1\tE\ta", "3\t1\tX\ta"]
         warnings: list[str] = []
-        by_tid = read_trace(lines, lenient=True, warn=warnings.append)
-        assert len(by_tid[1]) == 2
+        forest = ingest(lines, lenient=True, warn=warnings.append)
+        assert forest.roots[1].children["a"].invocations == 1
         assert len(warnings) == 1 and "regression" in warnings[0]
+        assert warnings[0].startswith("tid 1, line 2:")
 
     def test_cross_thread_regression_is_fine(self):
         # per-tid clocks are independent
         lines = ["100\t1\tE\ta", "5\t2\tE\tb", "110\t1\tX\ta", "9\t2\tX\tb"]
-        by_tid = read_trace(lines)
-        assert len(by_tid) == 2
+        forest = ingest(lines)
+        assert len(forest.roots) == 2
 
     def test_parse_error_carries_line_number(self):
         lines = ["0\t1\tE\ta", "broken line"]
         with pytest.raises(TraceParseError, match="line 2"):
-            read_trace(lines)
+            ingest(lines)
 
     def test_comments_do_not_shift_line_numbers(self):
         lines = ["# header", "", "0\t1\tQ\ta"]
         with pytest.raises(TraceParseError, match="line 3"):
-            read_trace(lines)
+            ingest(lines)
+        lines = ["# header", "", "0\t1\tE\ta", "1\t1\tX\tb"]
+        with pytest.raises(TraceStructureError, match="tid 1, line 4"):
+            ingest(lines)
 
     def test_file_reader(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("# c\n0\t1\tE\ta\n2\t1\tX\ta\n", encoding="utf-8")
-        by_tid = read_trace_file(path)
-        assert [e.kind for e in by_tid[1]] == [ENTER, EXIT]
+        with open(path, encoding="utf-8") as fh:
+            forest = ingest(fh)
+        assert forest.roots[1].children["a"].total_time == 2
 
 
 class TestValidateTrace:
+    """The structural rules ``ingest`` enforces, strict and lenient."""
+
     def test_balanced_trace_all_zero(self):
-        by_tid = read_trace(["0\t1\tE\ta", "1\t1\tE\tb", "2\t1\tX\tb", "3\t1\tX\ta"])
-        report = validate_trace(by_tid)
-        assert report.well_formed
-        assert report.event_count == 4
-        assert report.thread_count == 1
-        assert "well-formed" in report.summary()
+        warnings: list[str] = []
+        lines = ["0\t1\tE\ta", "1\t1\tE\tb", "2\t1\tX\tb", "3\t1\tX\ta"]
+        assert ingest(lines, lenient=True, warn=warnings.append) == ingest(lines)
+        assert warnings == []
 
     def test_mismatched_exit_is_orphan(self):
-        by_tid = read_trace(["0\t1\tE\ta", "1\t1\tE\tb", "2\t1\tX\ta"])
-        report = validate_trace(by_tid)
-        assert report.orphan_exits == {1: 1}
-        # the ignored exit leaves both enters open
-        assert report.unmatched_enters == {1: 2}
-        assert not report.well_formed
+        lines = ["0\t1\tE\ta", "1\t1\tE\tb", "2\t1\tX\ta"]
+        with pytest.raises(TraceStructureError, match="tid 1, line 3: mismatched exit"):
+            ingest(lines)
+        warnings: list[str] = []
+        forest = ingest(lines, lenient=True, warn=warnings.append)
+        # the dropped exit leaves both enters open, closed at the end
+        assert len(warnings) == 2
+        assert "line 3" in warnings[0] and "mismatched" in warnings[0]
+        assert "closed 2 frame(s)" in warnings[1]
+        a = forest.roots[1].children["a"]
+        assert a.truncated and a.children["b"].truncated
 
     def test_unmatched_enter(self):
-        report = validate_trace(read_trace(["0\t1\tE\ta"]))
-        assert report.unmatched_enters == {1: 1}
+        with pytest.raises(TraceStructureError, match="tid 1, line 2: 1 frame"):
+            ingest(["0\t1\tE\ta", "# trailer"])
 
     def test_exit_on_empty_stack(self):
-        report = validate_trace(read_trace(["0\t1\tX\ta"]))
-        assert report.orphan_exits == {1: 1}
-        assert report.unmatched_enters == {}
+        with pytest.raises(TraceStructureError, match="tid 1, line 1: orphan exit"):
+            ingest(["0\t1\tX\ta"])
+        warnings: list[str] = []
+        forest = ingest(["0\t1\tX\ta"], lenient=True, warn=warnings.append)
+        assert len(warnings) == 1 and "orphan" in warnings[0]
+        assert not forest.roots[1].children
 
     def test_ordering_violation_counted(self):
-        by_tid = read_trace(["5\t1\tE\ta", "3\t1\tX\ta"], lenient=True)
-        report = validate_trace(by_tid)
-        assert report.ordering_violations == {1: 1}
+        warnings: list[str] = []
+        ingest(["5\t1\tE\ta", "3\t1\tX\ta", "4\t1\tE\tb", "9\t1\tX\tb"],
+               lenient=True, warn=warnings.append)
+        # clamped to the running maximum 5, so 4 regresses too
+        assert len(warnings) == 2
+        assert all("regression" in w for w in warnings)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_interleaving_insensitive(self, seed):
@@ -195,15 +211,11 @@ class TestValidateTrace:
         by_tid: dict[int, list[TraceEvent]] = {}
         for event in events:
             by_tid.setdefault(event.tid, []).append(event)
-        baseline = validate_trace(by_tid)
         # same per-tid groups presented in reversed thread order
-        shuffled = {tid: by_tid[tid] for tid in reversed(list(by_tid))}
-        report = validate_trace(shuffled)
-        assert report.orphan_exits == baseline.orphan_exits
-        assert report.unmatched_enters == baseline.unmatched_enters
-        assert report.ordering_violations == baseline.ordering_violations
-        assert report.event_count == baseline.event_count
-        assert baseline.well_formed
+        shuffled = [line for tid in reversed(list(by_tid)) for line in trace_lines(by_tid[tid])]
+        baseline = ingest(trace_lines(events))
+        assert ingest(shuffled) == baseline
+        assert serialize_forest(ingest(shuffled)) == serialize_forest(baseline)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_random_interleavings_read_identically(self, seed):
@@ -213,13 +225,88 @@ class TestValidateTrace:
         by_tid_order: dict[int, list[TraceEvent]] = {}
         for event in events:
             by_tid_order.setdefault(event.tid, []).append(event)
-        # a second interleaving: thread groups concatenated wholesale
-        lines_b = [
-            line for tid in by_tid_order for line in trace_lines(by_tid_order[tid])
-        ]
-        # per-tid content is what matters, not dict order
-        a, b = read_trace(lines_a), read_trace(lines_b)
-        assert {t: tuple(v) for t, v in a.items()} == {t: tuple(v) for t, v in b.items()}
+        # a second interleaving: thread groups concatenated wholesale, with
+        # comments and blank lines between them
+        lines_b = ["# second interleaving"]
+        for tid in by_tid_order:
+            lines_b += trace_lines(by_tid_order[tid]) + [""]
+        warn_a: list[str] = []
+        warn_b: list[str] = []
+        a = ingest(lines_a, lenient=True, warn=warn_a.append)
+        b = ingest(lines_b, lenient=True, warn=warn_b.append)
+        assert serialize_forest(a) == serialize_forest(b)
+        assert warn_a == warn_b == []
+
+
+def _mutations(line: str):
+    """Ways to damage a valid line, each a function of the line."""
+    ts, tid, kind, method = line.split("\t")
+    return [
+        lambda: line + "\textra",
+        lambda: "\t".join((ts, tid, kind)),
+        lambda: "\t".join((ts, tid, kind + method)),
+        lambda: line + "  ",
+        lambda: line + "\t\t",
+        lambda: line + " \t ",
+        lambda: "\t".join((ts, tid, kind, method[:1] + " " + method[1:])),
+        lambda: "\t".join((ts, tid, kind, " " + method)),
+        lambda: "\t".join(("+5", tid, kind, method)),
+        lambda: "\t".join(("1_0", tid, kind, method)),
+        lambda: "\t".join(("x", tid, kind, method)),
+        lambda: "\t".join((ts, "+5", kind, method)),
+        lambda: "\t".join((ts, "1_0", kind, method)),
+        lambda: "\t".join((ts, "x", kind, method)),
+        lambda: "\t".join((ts, "-" + tid, kind, method)),
+        lambda: "\t".join((ts, tid, "Q", method)),
+        lambda: "\t".join((ts, tid, kind.lower(), method)),
+        lambda: "\t".join((ts, tid, "", method)),
+        lambda: "\t".join((ts, tid, kind, "")),
+        lambda: "#" + line,
+        lambda: "   ",
+        lambda: "",
+        lambda: line,
+    ]
+
+
+def _outcome(parse):
+    """What a grammar check made of a line: the error text, or None."""
+    try:
+        parse()
+    except TraceParseError as exc:
+        return str(exc)
+    return None
+
+
+class TestIngestGrammar:
+    """``ingest`` keeps every line check of ``parse_trace_line``, word for word."""
+
+    @given(
+        ts=st.integers(min_value=-(10**12), max_value=10**15),
+        tid=st.integers(min_value=0, max_value=999),
+        kind=st.sampled_from([ENTER, EXIT]),
+        method=valid_methods,
+        which=st.integers(min_value=0, max_value=22),
+    )
+    def test_same_verdict_as_parse_trace_line(self, ts, tid, kind, method, which):
+        valid = format_trace_line(TraceEvent(ts, tid, kind, method))
+        line = _mutations(valid)[which]()
+        expected = _outcome(lambda: parse_trace_line(line, 1))
+        assert _outcome(lambda: ingest([line], lenient=True)) == expected
+        # with the thread and method name already admitted, only the quick
+        # checks run
+        primer = format_trace_line(TraceEvent(ts, tid, ENTER, method))
+        expected = _outcome(lambda: parse_trace_line(line, 2))
+        assert _outcome(lambda: ingest([primer, line], lenient=True)) == expected
+
+    def test_accepted_line_builds_its_event(self):
+        forest = ingest(["7\t3\tE\ta", "9\t3\tX\ta"])
+        assert forest.roots[3].children["a"].total_time == 2
+
+    def test_thread_id_spellings_name_one_thread(self):
+        forest = ingest(["7\t3\tE\ta", "8\t03\tE\tb", "9\t+3\tX\tb", "9\t 3\tX\ta"])
+        assert list(forest.roots) == [3]
+        a = forest.roots[3].children["a"]
+        assert (a.total_time, a.children["b"].total_time) == (2, 1)
 
 
 class TestJsonl:

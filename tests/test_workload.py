@@ -7,15 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cct_lens import workload as wl
-from cct_lens.cct import build_forest, merge_ccts
+from cct_lens.cct import ingest
 from cct_lens.metrics import format_ms, hotspots
-from cct_lens.trace import read_trace, validate_trace
+from cct_lens.trace import iter_trace
 
 
 def analyze(text: str):
-    by_tid = read_trace(text.splitlines())
-    events = [e for evs in by_tid.values() for e in evs]
-    return merge_ccts(build_forest(events))
+    return ingest(text.splitlines()).merged()
+
+
+def events_by_tid(text: str):
+    """Per-thread event lists in file order."""
+    by_tid: dict = {}
+    for event in iter_trace(text.splitlines()):
+        by_tid.setdefault(event.tid, []).append(event)
+    return by_tid
 
 
 class TestChains:
@@ -143,8 +149,8 @@ class TestSimulate:
             wl.load_preset(3, jitter=0.1),
             wl.WorkloadSpec(executions={"recruit": 5, "view_result": 2}, thread_count=2),
         ):
-            report = validate_trace(read_trace(wl.simulate(spec).splitlines()))
-            assert report.well_formed, report.summary()
+            # strict ingest rejects any nesting or timestamp-order defect
+            ingest(wl.simulate(spec).splitlines())
 
     def test_linearity_of_invocation_counts(self):
         def counts(n):
@@ -161,15 +167,15 @@ class TestSimulate:
 
     def test_round_robin_uses_all_threads(self):
         spec = wl.WorkloadSpec(executions={"login": 8}, thread_count=4)
-        by_tid = read_trace(wl.simulate(spec).splitlines())
-        assert sorted(by_tid) == [1, 2, 3, 4]
+        forest = ingest(wl.simulate(spec).splitlines())
+        assert sorted(forest.roots) == [1, 2, 3, 4]
 
     def test_per_tid_timestamps_nondecreasing_and_nested(self):
         spec = wl.load_preset(5, jitter=0.3, seed=2)
-        by_tid = read_trace(wl.simulate(spec).splitlines())
-        for events in by_tid.values():
+        text = wl.simulate(spec)
+        for events in events_by_tid(text).values():
             assert all(a.ts <= b.ts for a, b in zip(events, events[1:]))
-        assert validate_trace(by_tid).well_formed
+        ingest(text.splitlines())
 
     def test_executions_on_one_tid_do_not_overlap(self):
         spec = wl.WorkloadSpec(
@@ -177,7 +183,7 @@ class TestSimulate:
             thread_count=2,
             latency=wl.LatencyModel(base_ns={}, default_base_ns=1000),
         )
-        by_tid = read_trace(wl.simulate(spec).splitlines())
+        by_tid = events_by_tid(wl.simulate(spec))
         for events in by_tid.values():
             depth = 0
             spans = []
@@ -223,8 +229,9 @@ class TestSimulate:
                 latency=wl.calibrated_latency(jitter),
                 thread_count=threads,
             )
-            by_tid = read_trace(wl.simulate(spec).splitlines())
-            assert validate_trace(by_tid).well_formed
+            text = wl.simulate(spec)
+            ingest(text.splitlines())
+            by_tid = events_by_tid(text)
             return {
                 tid: [(e.kind, e.method) for e in events] for tid, events in by_tid.items()
             }
