@@ -14,14 +14,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from cct_lens import workload
-from cct_lens.cct import ingest
-from cct_lens.components import component_utilization, default_hr_catalog
-from cct_lens.metrics import hotspots, total_time_table
-from cct_lens.report import REPORT_FORMATS, AnalysisTables, render_analysis
-from cct_lens.snapshot import trace_digest
+from cct_lens.report import REPORT_FORMATS, render_analysis
+from cct_lens.snapshot import ingest_hashed, tabulate
 
 
 def main(argv=None) -> int:
@@ -34,18 +32,11 @@ def main(argv=None) -> int:
 
     spec = workload.PRESETS[args.preset]()
     text = workload.simulate(spec)
+    forest, digest = ingest_hashed(io.BytesIO(text.encode("utf-8")))
     print(f"trace: {sum(1 for l in text.splitlines() if not l.startswith('#'))} "
-          f"events, sha256={trace_digest(text.encode('utf-8'))[:16]}...",
-          file=sys.stderr)
+          f"events, sha256={digest[:16]}...", file=sys.stderr)
 
-    merged = ingest(text.splitlines()).merged()
-    hot = hotspots(merged)
-    tables = AnalysisTables(
-        hot_spots=hot,
-        total_time=total_time_table(merged),
-        components=component_utilization(hot, default_hr_catalog()),
-    )
-    report = render_analysis({"merged": tables}, args.format)
+    report = render_analysis({"merged": tabulate(forest.merged())}, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report)

@@ -271,8 +271,9 @@ def build_cct(events: Iterable[TraceEvent], tid: int | None = None,
     return forest.roots[tid]
 
 
-def _merge_child_into(dst: CctNode, src: CctNode) -> None:
-    # iterative overlay: counts and times add, children unite by method
+def merge_into(dst: CctNode, src: CctNode) -> None:
+    """Overlay ``src`` onto ``dst``, iteratively: counts and times add,
+    children unite by method.  ``src`` is left unchanged and unshared."""
     work = [(dst, src)]
     while work:
         d, s = work.pop()
@@ -299,7 +300,7 @@ def merge_ccts(forest: CctForest) -> CctNode:
             target = merged.children.get(method)
             if target is None:
                 target = merged.children[method] = CctNode(method)
-            _merge_child_into(target, child)
+            merge_into(target, child)
     merged.total_time = sum(c.total_time for c in merged.children.values())
     return merged
 

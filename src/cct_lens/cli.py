@@ -11,11 +11,8 @@ import argparse
 import sys
 
 from . import cct, report, snapshot, workload
-from .components import (component_utilization, default_hr_catalog,
-                         load_catalog_file)
-from .filters import (ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet,
-                      apply_filter, apply_filter_forest)
-from .metrics import hotspots, total_time_table
+from .components import default_hr_catalog, load_catalog_file
+from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, apply_filter
 from .trace import TraceError, events_to_jsonl, iter_trace
 
 _FILTER_MODES = {"attribute": ATTRIBUTE_TO_PARENT, "drop": DROP_SUBTREE}
@@ -85,52 +82,34 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _analysis_tables(root, catalog) -> report.AnalysisTables:
-    hot = hotspots(root)
-    return report.AnalysisTables(
-        hot_spots=hot,
-        total_time=total_time_table(root),
-        components=component_utilization(hot, catalog),
-    )
-
-
 def cmd_analyze(args) -> int:
     catalog = _catalog(args)
     filter_set = _filter_set(args)
     mode = _FILTER_MODES[args.filter_mode]
     if args.snapshot_out:
-        # snapshot wants the raw bytes for its provenance digest
+        # the snapshot records the sha256 of the bytes the tables came from
         with open(args.trace, "rb") as fh:
-            data = fh.read()
-        snap = snapshot.take_snapshot(
-            label=args.label or args.trace,
-            user_count=args.user_count,
-            trace_bytes=data,
-            filter_set=filter_set,
-            catalog=catalog,
-            filter_mode=mode,
-            lenient=args.lenient,
-        )
-        snapshot.save_snapshot(snap, args.snapshot_out)
-        print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
-        forest = cct.ingest(data.decode("utf-8").splitlines(), lenient=args.lenient,
-                            warn=_warn if args.lenient else None)
+            forest, digest = snapshot.ingest_hashed(fh, args.lenient,
+                                                    _warn if args.lenient else None)
     else:
         forest = _build_forest_from_file(args.trace, args.lenient)
-    if args.per_thread:
-        if not filter_set.is_identity():
-            forest = apply_filter_forest(forest, filter_set, mode)
+    # a trace without threads gets the merged view even with --per-thread
+    per_thread = args.per_thread and forest.roots
+    # a snapshot holds the merged view whatever the report shows
+    if args.snapshot_out or not per_thread:
+        merged_tables = snapshot.tabulate(forest.merged(), catalog, filter_set, mode)
+    if args.snapshot_out:
+        snap = snapshot.Snapshot(args.label or args.trace, args.user_count,
+                                 merged_tables.hot_spots, merged_tables.components, digest)
+        snapshot.save_snapshot(snap, args.snapshot_out)
+        print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
+    if per_thread:
         sections = {
-            f"thread {tid}": _analysis_tables(forest.roots[tid], catalog)
+            f"thread {tid}": snapshot.tabulate(forest.roots[tid], catalog, filter_set, mode)
             for tid in forest.tids()
         }
-        if not sections:
-            sections = {"merged": _analysis_tables(forest.merged(), catalog)}
     else:
-        merged = forest.merged()
-        if not filter_set.is_identity():
-            merged = apply_filter(merged, filter_set, mode)
-        sections = {"merged": _analysis_tables(merged, catalog)}
+        sections = {"merged": merged_tables}
     _write_output(report.render_analysis(sections, args.format), args.output)
     return 0
 
@@ -234,10 +213,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TraceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TraceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .cct import merge_into
+
 ATTRIBUTE_TO_PARENT = "attribute_to_parent"
 DROP_SUBTREE = "drop_subtree"
 FILTER_MODES = (ATTRIBUTE_TO_PARENT, DROP_SUBTREE)
@@ -100,19 +102,6 @@ def _clone(node):
     return fresh
 
 
-def _absorb(dst, src) -> None:
-    # same-method siblings produced by splicing collapse into one node
-    dst.invocations += src.invocations
-    dst.total_time += src.total_time
-    dst.truncated = dst.truncated or src.truncated
-    for child in src.children.values():
-        existing = dst.children.get(child.method)
-        if existing is None:
-            dst.children[child.method] = child
-        else:
-            _absorb(existing, child)
-
-
 def _attribute(node, keep, is_root: bool):
     """Return the replacement list for this node: itself, or its spliced children."""
     replacements = []
@@ -124,7 +113,8 @@ def _attribute(node, keep, is_root: bool):
             index[child.method] = child
             replacements.append(child)
         else:
-            _absorb(existing, child)
+            # same-method siblings produced by splicing collapse into one node
+            merge_into(existing, child)
 
     for child in node.children.values():
         for repl in _attribute(child, keep, False):
@@ -169,13 +159,3 @@ def apply_filter(root, filter_set: FilterSet, mode: str = ATTRIBUTE_TO_PARENT):
         fresh, _ = _drop(root, keep, True)
         return fresh
     raise ValueError(f"unknown filter mode {mode!r} (expected one of {FILTER_MODES})")
-
-
-def apply_filter_forest(forest, filter_set: FilterSet, mode: str = ATTRIBUTE_TO_PARENT):
-    """Apply a filter to every per-thread tree, returning a new forest."""
-    from .cct import CctForest
-
-    result = CctForest()
-    for tid, root in forest.roots.items():
-        result.roots[tid] = apply_filter(root, filter_set, mode)
-    return result

@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 from .components import ComponentUtilizationRow
 from .metrics import (HotSpotRow, TotalTimeRow, format_avg_ms, format_ms,
                       format_pct)
-from .snapshot import Snapshot, SnapshotDiffRow
+# AnalysisTables is also imported from here by callers that build sections
+from .snapshot import AnalysisTables, Snapshot, SnapshotDiffRow
 
 TEXT, CSV, JSON = "text", "csv", "json"
 REPORT_FORMATS = (TEXT, CSV, JSON)
@@ -93,21 +94,12 @@ def _component_obj(r: ComponentUtilizationRow) -> dict:
     }
 
 
-class AnalysisTables:
-    """The three per-trace report tables, renderable in any format."""
-
-    def __init__(self, hot_spots: list[HotSpotRow], total_time: list[TotalTimeRow],
-                 components: list[ComponentUtilizationRow]):
-        self.hot_spots = hot_spots
-        self.total_time = total_time
-        self.components = components
-
-    def to_obj(self) -> dict:
-        return {
-            "hot_spots": [_hotspot_obj(r) for r in self.hot_spots],
-            "total_time": [_total_obj(r) for r in self.total_time],
-            "components": [_component_obj(r) for r in self.components],
-        }
+def _tables_obj(tables: AnalysisTables) -> dict:
+    return {
+        "hot_spots": [_hotspot_obj(r) for r in tables.hot_spots],
+        "total_time": [_total_obj(r) for r in tables.total_time],
+        "components": [_component_obj(r) for r in tables.components],
+    }
 
 
 def _csv_block(out, title: str, headers: Sequence[str], rows: Iterable[Sequence]):
@@ -158,9 +150,9 @@ def render_analysis(sections: dict[str, AnalysisTables], fmt: str = TEXT) -> str
         return buf.getvalue()
     if fmt == JSON:
         if len(sections) == 1:
-            obj = next(iter(sections.values())).to_obj()
+            obj = _tables_obj(next(iter(sections.values())))
         else:
-            obj = {"sections": {label: t.to_obj() for label, t in sections.items()}}
+            obj = {"sections": {label: _tables_obj(t) for label, t in sections.items()}}
         return json.dumps(obj, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
 

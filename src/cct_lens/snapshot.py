@@ -1,9 +1,11 @@
-"""Labeled analysis snapshots and load-level diffs.
+"""The analysis pipeline, labeled snapshots and load-level diffs.
 
-A snapshot freezes the full pipeline result for one trace: hot-spot
-table, component-utilization table, a label (e.g. "20-user"), and a
-sha256 digest of the analyzed trace for provenance.  Snapshots persist
-as JSON so two load levels can be compared without keeping the traces.
+``ingest_hashed`` reads a trace once into per-thread trees and the sha256
+of its bytes; ``tabulate`` filters a tree and builds its tables.  Every
+report and snapshot comes from these two steps.  A snapshot freezes the
+hot-spot and component tables with a label (e.g. "20-user") and the
+trace digest, and persists as JSON so two load levels can be compared
+without keeping the traces.
 
 The diff joins two snapshots per method and compares average self time
 per invocation as a ratio b/a.  Methods with zero average on both sides
@@ -14,21 +16,32 @@ ratio undefined.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import BinaryIO, Callable
 
-from .cct import ingest
+from .cct import CctForest, CctNode, ingest
 from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
                          component_utilization, default_hr_catalog)
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
-from .metrics import HotSpotRow, hotspots
+from .metrics import HotSpotRow, TotalTimeRow, hotspots, total_time_table
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
 SHARED = "shared"
 ADDED = "added"
 REMOVED = "removed"
+
+
+@dataclass(frozen=True)
+class AnalysisTables:
+    """The three per-trace report tables, renderable in any format."""
+
+    hot_spots: tuple[HotSpotRow, ...]
+    total_time: tuple[TotalTimeRow, ...]
+    components: tuple[ComponentUtilizationRow, ...]
 
 
 @dataclass(frozen=True)
@@ -44,15 +57,50 @@ def trace_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def analyze_trace_text(text: str, filter_set: FilterSet | None = None,
-                       filter_mode: str = ATTRIBUTE_TO_PARENT,
-                       lenient: bool = False):
-    """Parse, build, filter, and merge; returns the merged tree."""
-    forest = ingest(text.splitlines(), lenient=lenient)
-    merged = forest.merged()
+class _HashingReader(io.RawIOBase):
+    """A binary stream that feeds every byte read through it to sha256."""
+
+    def __init__(self, stream: BinaryIO):
+        self._stream = stream
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._stream.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+
+def ingest_hashed(stream: BinaryIO, lenient: bool = False,
+                  warn: Callable[[str], None] | None = None) -> tuple[CctForest, str]:
+    """Per-thread trees and the sha256 hex digest of a binary trace stream, read once.
+
+    Lines split as in a file opened with ``open(path, encoding="utf-8")``.
+    """
+    raw = _HashingReader(stream)
+    with io.TextIOWrapper(raw, encoding="utf-8") as text:
+        forest = ingest(text, lenient=lenient, warn=warn)
+    return forest, raw.sha256.hexdigest()
+
+
+def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
+             filter_set: FilterSet | None = None,
+             filter_mode: str = ATTRIBUTE_TO_PARENT) -> AnalysisTables:
+    """Filter a tree, then build its hot-spot, total-time and component tables.
+
+    The catalog defaults to the built-in HR one; a filter that keeps every
+    method is not applied.
+    """
     if filter_set is not None and not filter_set.is_identity():
-        merged = apply_filter(merged, filter_set, filter_mode)
-    return merged
+        root = apply_filter(root, filter_set, filter_mode)
+    hot = hotspots(root)
+    return AnalysisTables(
+        hot_spots=tuple(hot),
+        total_time=tuple(total_time_table(root)),
+        components=tuple(component_utilization(hot, catalog or default_hr_catalog())),
+    )
 
 
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
@@ -61,22 +109,9 @@ def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
                   filter_mode: str = ATTRIBUTE_TO_PARENT,
                   lenient: bool = False) -> Snapshot:
     """Run the full pipeline over trace content and freeze the tables."""
-    merged = analyze_trace_text(trace_bytes.decode("utf-8"), filter_set,
-                                filter_mode, lenient)
-    rows = hotspots(merged)
-    comp = component_utilization(rows, catalog or default_hr_catalog())
-    return Snapshot(
-        label=label,
-        user_count=user_count,
-        hotspot_table=tuple(rows),
-        component_table=tuple(comp),
-        source_trace_digest=trace_digest(trace_bytes),
-    )
-
-
-def take_snapshot_file(label: str, user_count: int, path, **kwargs) -> Snapshot:
-    with open(path, "rb") as fh:
-        return take_snapshot(label, user_count, fh.read(), **kwargs)
+    forest, digest = ingest_hashed(io.BytesIO(trace_bytes), lenient)
+    tables = tabulate(forest.merged(), catalog, filter_set, filter_mode)
+    return Snapshot(label, user_count, tables.hot_spots, tables.components, digest)
 
 
 @dataclass(frozen=True)
@@ -164,43 +199,60 @@ def dump_snapshot(snapshot: Snapshot) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# (field, type, minimum) per row; diff divides by hot-spot invocations
+_HOT_FIELDS = (("method", str, None), ("self_ns", int, 0), ("invocations", int, 1))
+_COMPONENT_FIELDS = (("component", str, None), ("tier", str, None),
+                     ("self_ns", int, 0), ("invocations", int, 0))
+
+
+def _field(obj, key: str, kind: type, minimum: int | None = None, where: str = ""):
+    """``obj[key]`` if it has type ``kind`` (and is at least ``minimum``)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where}missing field {key!r}")
+    value = obj[key]
+    # bool is an int subclass; reject it explicitly
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{where}{key!r} must be a {kind.__name__}{bound}, got {value!r}")
+    return value
+
+
+def _rows(doc: dict, key: str, fields) -> list[tuple]:
+    rows = _field(doc, key, list)
+    return [tuple(_field(row, *field, where=f"{key}[{i}]: ") for field in fields)
+            for i, row in enumerate(rows)]
+
+
 def load_snapshot(text: str) -> Snapshot:
+    """Parse a snapshot document; raises ValueError on any missing or mistyped field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad snapshot document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != _SNAPSHOT_FORMAT:
         raise ValueError(f"not a {_SNAPSHOT_FORMAT} document")
-    hot_objs = doc.get("hot_spots", [])
-    denom = sum(int(r["self_ns"]) for r in hot_objs)
+    hot = _rows(doc, "hot_spots", _HOT_FIELDS)
+    denom = sum(self_ns for _, self_ns, _ in hot)
     hot_rows = tuple(
-        HotSpotRow(
-            method=r["method"],
-            self_time=int(r["self_ns"]),
-            self_pct=Fraction(int(r["self_ns"]), denom) if denom else Fraction(0),
-            invocations=int(r["invocations"]),
-        )
-        for r in hot_objs
+        HotSpotRow(method, self_ns, Fraction(self_ns, denom) if denom else Fraction(0),
+                   invocations)
+        for method, self_ns, invocations in hot
     )
-    comp_objs = doc.get("components", [])
-    comp_denom = sum(int(r["self_ns"]) for r in comp_objs)
+    comps = _rows(doc, "components", _COMPONENT_FIELDS)
+    comp_denom = sum(self_ns for _, _, self_ns, _ in comps)
     comp_rows = tuple(
-        ComponentUtilizationRow(
-            component=r["component"],
-            tier=Tier(r["tier"]),
-            self_time=int(r["self_ns"]),
-            utilization_pct=(Fraction(int(r["self_ns"]), comp_denom)
-                             if comp_denom else Fraction(0)),
-            invocations=int(r["invocations"]),
-        )
-        for r in comp_objs
+        ComponentUtilizationRow(component, Tier(tier), self_ns,
+                                Fraction(self_ns, comp_denom) if comp_denom else Fraction(0),
+                                invocations)
+        for component, tier, self_ns, invocations in comps
     )
     return Snapshot(
-        label=str(doc.get("label", "")),
-        user_count=int(doc.get("user_count", 0)),
+        label=_field(doc, "label", str),
+        user_count=_field(doc, "user_count", int),
         hotspot_table=hot_rows,
         component_table=comp_rows,
-        source_trace_digest=str(doc.get("source_trace_digest", "")),
+        source_trace_digest=_field(doc, "source_trace_digest", str),
     )
 
 
@@ -210,5 +262,9 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
 
 
 def load_snapshot_file(path) -> Snapshot:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_snapshot(fh.read())
+    """Load a snapshot file; a ValueError names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_snapshot(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -7,9 +7,10 @@ The on-disk format is UTF-8 text, tab separated, four fields per line::
 ``ts`` is integer nanoseconds on a monotonic clock with an arbitrary
 per-run origin, ``tid`` is a non-negative thread id, ``E``/``X`` marks
 method enter/exit, and ``method`` is a fully qualified method name that
-contains no whitespace.  Lines starting with ``#`` are comments; blank
-lines are ignored.  Per thread, timestamps must be non-decreasing and
-enters/exits must nest like a stack.
+contains no whitespace: no character for which ``str.isspace()`` holds.
+Lines starting with ``#`` are comments; blank lines are ignored.  Per
+thread, timestamps must be non-decreasing and enters/exits must nest
+like a stack.
 
 This module owns the line grammar (``parse_trace_line``).  The
 structural checks, nesting and per-thread timestamp order, live in
@@ -72,7 +73,8 @@ class TraceEvent(NamedTuple):
 def _check_method(method: str, lineno: int | None) -> None:
     if not method:
         raise TraceParseError("empty method name", lineno)
-    if " " in method or "\t" in method or "\n" in method:
+    # str.split() cuts at exactly the characters for which str.isspace() holds
+    if method.split() != [method]:
         raise TraceParseError(f"method name contains whitespace: {method!r}", lineno)
 
 

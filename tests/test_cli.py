@@ -1,14 +1,16 @@
 """End-to-end command-line behavior over real files."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from cct_lens import cct, snapshot
 from cct_lens import workload as wl
 from cct_lens.cli import main
-from cct_lens.snapshot import load_snapshot_file
+from cct_lens.snapshot import dump_snapshot, load_snapshot_file, take_snapshot
 
 
 def run(capsys, *argv):
@@ -190,6 +192,51 @@ class TestAnalyze:
         assert snap.user_count == 20
         assert snap.hotspot_table[0].method == wl.GET_CONNECTION
 
+    def test_snapshot_out_splits_lines_as_plain_analyze(self, capsys, tmp_path):
+        # a form feed ends a line for str.splitlines(), not for a text file
+        trace = tmp_path / "ff.tsv"
+        trace.write_bytes(b"# a\x0cb\n0\t1\tE\tm\n5\t1\tX\tm\n")
+        code, plain, _ = run(capsys, "analyze", str(trace))
+        assert code == 0
+        code, stdout, stderr = run(capsys, "analyze", str(trace),
+                                   "--snapshot-out", str(tmp_path / "s.json"))
+        assert code == 0, stderr
+        assert stdout == plain
+
+    def test_snapshot_digest_is_sha256_of_raw_bytes(self, capsys, tmp_path):
+        data = b"# crlf\r\n0\t1\tE\tm\r\n5\t1\tX\tm\r\n"
+        trace = tmp_path / "crlf.tsv"
+        trace.write_bytes(data)
+        snap_path = tmp_path / "s.json"
+        code, _, _ = run(capsys, "analyze", str(trace), "--snapshot-out", str(snap_path))
+        assert code == 0
+        digest = load_snapshot_file(snap_path).source_trace_digest
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("flags, tables", [
+        ([], 1),
+        (["--per-thread"], 4),
+        (["--snapshot-out", "SNAP"], 1),
+        (["--per-thread", "--snapshot-out", "SNAP"], 5),
+    ])
+    def test_reads_once_and_builds_only_written_tables(self, capsys, fig8_trace, tmp_path,
+                                                       monkeypatch, flags, tables):
+        calls = {"ingest": 0, "tabulate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cct, "ingest", counted("ingest", cct.ingest))
+        monkeypatch.setattr(snapshot, "ingest", counted("ingest", snapshot.ingest))
+        monkeypatch.setattr(snapshot, "tabulate", counted("tabulate", snapshot.tabulate))
+        argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]
+        code, _, _ = run(capsys, "analyze", str(fig8_trace), *argv)
+        assert code == 0
+        assert calls == {"ingest": 1, "tabulate": tables}
+
     def test_output_file_matches_stdout(self, capsys, fig8_trace, tmp_path):
         out = tmp_path / "report.txt"
         _, stdout, _ = run(capsys, "analyze", str(fig8_trace))
@@ -311,6 +358,57 @@ class TestDiff:
         code, _, stderr = run(capsys, "diff", str(bogus), str(bogus))
         assert code == 1
         assert "error:" in stderr
+
+
+_DELETE = object()
+
+
+class TestMalformedSnapshot:
+    """``diff`` on a damaged snapshot exits 1 with one error naming the file.
+
+    ``main`` runs in-process, so a traceback would fail the test itself.
+    """
+
+    GOOD = dump_snapshot(take_snapshot("good", 1, b"0\t1\tE\tm\n5\t1\tX\tm\n"))
+
+    def check(self, capsys, tmp_path, data: bytes):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(self.GOOD, encoding="utf-8")
+        bad.write_bytes(data)
+        code, stdout, stderr = run(capsys, "diff", str(good), str(bad))
+        assert code == 1 and stdout == ""
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(bad) in errors[0], stderr
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("hot_spots", "self_ns", _DELETE),
+        ("hot_spots", "method", 7),
+        ("hot_spots", "invocations", "1"),
+        ("hot_spots", "invocations", 0),
+        ("hot_spots", "self_ns", True),
+        ("components", "tier", "cloud"),
+        ("components", "self_ns", None),
+        (None, "hot_spots", 5),
+        (None, "hot_spots", ["row"]),
+        (None, "components", _DELETE),
+        (None, "user_count", "20"),
+        (None, "label", _DELETE),
+    ], ids=["no-self_ns", "int-method", "str-invocations", "zero-invocations",
+            "bool-self_ns", "unknown-tier", "null-self_ns", "int-hot_spots",
+            "str-row", "no-components", "str-user_count", "no-label"])
+    def test_bad_field(self, capsys, tmp_path, section, key, value):
+        doc = json.loads(self.GOOD)
+        target = doc if section is None else doc[section][0]
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        self.check(capsys, tmp_path, json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("data", [b"{", b"[]", b"\xff{}"],
+                             ids=["not-json", "not-an-object", "not-utf8"])
+    def test_bad_document(self, capsys, tmp_path, data):
+        self.check(capsys, tmp_path, data)
 
 
 class TestCallgraph:

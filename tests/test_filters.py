@@ -13,7 +13,6 @@ from cct_lens.filters import (
     FilterPattern,
     FilterSet,
     apply_filter,
-    apply_filter_forest,
     matches,
 )
 from cct_lens.trace import ENTER as E, EXIT as X, TraceEvent
@@ -283,18 +282,10 @@ class TestForestFiltering:
             TraceEvent(0, 2, E, "b"), TraceEvent(4, 2, X, "b"),
         ]
         forest = build_forest(events)
-        out = apply_filter_forest(forest, FilterSet.from_patterns(excludes=["b"]))
-        assert sorted(out.roots) == [1, 2]
-        assert list(out.roots[1].children) == ["a"]
-        assert not out.roots[2].children
+        fs = FilterSet.from_patterns(excludes=["b"])
+        out = {tid: apply_filter(root, fs) for tid, root in forest.roots.items()}
+        assert sorted(out) == [1, 2]
+        assert list(out[1].children) == ["a"]
+        assert not out[2].children
         # dropped top-level method's time surfaces as root self time
-        assert out.roots[2].total_time == 4
-
-    def test_merged_view_of_filtered_forest(self):
-        events = [
-            TraceEvent(0, 1, E, "a"), TraceEvent(3, 1, X, "a"),
-            TraceEvent(0, 2, E, "a"), TraceEvent(5, 2, X, "a"),
-        ]
-        out = apply_filter_forest(build_forest(events), FilterSet.from_patterns())
-        merged = out.merged()
-        assert merged.children["a"].total_time == 8
+        assert out[2].total_time == 4

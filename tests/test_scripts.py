@@ -1,0 +1,36 @@
+"""The scripts under ``scripts/``, run as their users run them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from cct_lens import workload as wl
+from cct_lens.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, str(REPO / "scripts" / name), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_reproduce_hotspot_table_matches_analyze(capsys, tmp_path):
+    trace = tmp_path / "fig8.tsv"
+    trace.write_text(wl.simulate(wl.figure8_preset()), encoding="utf-8")
+    assert main(["analyze", str(trace), "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    result = run_script("reproduce_hotspot_table.py", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected
+
+
+def test_load_level_comparison_unit_ratios_at_zero_jitter():
+    result = run_script("load_level_comparison.py", "--jitter", "0")
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    # columns end with: ratio, invocations a, invocations b, status
+    shared = [row for row in rows if row and row[-1] == "shared"]
+    assert shared and all(row[-4] == "1.000" for row in shared)

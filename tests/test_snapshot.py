@@ -1,11 +1,13 @@
 """Labeled analysis snapshots and cross-load diffs."""
 
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from cct_lens import workload as wl
+from cct_lens.cct import ingest, serialize_forest
 from cct_lens.filters import FilterSet
 from cct_lens.snapshot import (
     ADDED,
@@ -17,8 +19,8 @@ from cct_lens.snapshot import (
     load_snapshot,
     load_snapshot_file,
     save_snapshot,
+    ingest_hashed,
     take_snapshot,
-    take_snapshot_file,
     trace_digest,
 )
 from cct_lens.trace import TraceParseError
@@ -65,11 +67,25 @@ class TestTakeSnapshot:
         with pytest.raises(TraceParseError):
             take_snapshot("bad", 1, b"not a trace line\n")
 
-    def test_file_variant(self, tmp_path):
+
+class TestIngestHashed:
+    def test_file_digest_and_forest(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_bytes(trace_bytes_for(3))
-        snap = take_snapshot_file("f", 2, path)
-        assert snap.source_trace_digest == trace_digest(path.read_bytes())
+        with open(path, "rb") as fh:
+            forest, digest = ingest_hashed(fh)
+        assert digest == trace_digest(path.read_bytes())
+        with open(path, encoding="utf-8") as fh:
+            assert serialize_forest(forest) == serialize_forest(ingest(fh))
+
+    def test_splits_lines_as_text_files_do(self):
+        # str.splitlines() would also cut at the form feed and the \x1e
+        data = b"# a\x0cb\r\n# c\x1ed\r0\t1\tE\tm\n5\t1\tX\tm"
+        forest, digest = ingest_hashed(io.BytesIO(data))
+        assert forest.roots[1].children["m"].total_time == 5
+        assert digest == trace_digest(data)
+        with pytest.raises(TraceParseError, match="^line 5: "):
+            ingest_hashed(io.BytesIO(data + b"\r\nbad"))
 
 
 class TestDiff:

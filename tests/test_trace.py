@@ -58,8 +58,10 @@ class TestParseTraceLine:
             parse_trace_line("0\t-1\tE\ta")
 
     def test_bad_method(self):
-        with pytest.raises(TraceParseError, match="method"):
-            parse_trace_line("0\t1\tE\ta b")
+        # any character for which str.isspace() holds, not only space
+        for method in ("a b", "a\x0cb", "a\xa0b", "a\u2028b", "\x1fa"):
+            with pytest.raises(TraceParseError, match="whitespace"):
+                parse_trace_line(f"0\t1\tE\t{method}")
 
     def test_error_names_line_number(self):
         with pytest.raises(TraceParseError, match="line 7"):
@@ -277,6 +279,13 @@ def _outcome(parse):
     return None
 
 
+# names that may also hold whitespace beyond space, tab and newline:
+# form feed, no-break space, line separator
+any_methods = st.text(
+    alphabet="abcdefghijklmnop._()<>$0123456789,\x0c\xa0\u2028", min_size=1, max_size=40
+)
+
+
 class TestIngestGrammar:
     """``ingest`` keeps every line check of ``parse_trace_line``, word for word."""
 
@@ -284,7 +293,7 @@ class TestIngestGrammar:
         ts=st.integers(min_value=-(10**12), max_value=10**15),
         tid=st.integers(min_value=0, max_value=999),
         kind=st.sampled_from([ENTER, EXIT]),
-        method=valid_methods,
+        method=any_methods,
         which=st.integers(min_value=0, max_value=22),
     )
     def test_same_verdict_as_parse_trace_line(self, ts, tid, kind, method, which):
@@ -292,10 +301,11 @@ class TestIngestGrammar:
         line = _mutations(valid)[which]()
         expected = _outcome(lambda: parse_trace_line(line, 1))
         assert _outcome(lambda: ingest([line], lenient=True)) == expected
-        # with the thread and method name already admitted, only the quick
-        # checks run
+        # once a valid primer admits the thread and the method name, only
+        # the quick checks run
         primer = format_trace_line(TraceEvent(ts, tid, ENTER, method))
-        expected = _outcome(lambda: parse_trace_line(line, 2))
+        expected = (_outcome(lambda: parse_trace_line(primer, 1))
+                    or _outcome(lambda: parse_trace_line(line, 2)))
         assert _outcome(lambda: ingest([primer, line], lenient=True)) == expected
 
     def test_accepted_line_builds_its_event(self):
