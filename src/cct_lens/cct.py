@@ -294,13 +294,10 @@ def merge_ccts(forest: CctForest) -> CctNode:
     merged tree is deterministic.  The merged root's total is the summed
     busy time of all threads.
     """
-    merged = CctNode(MERGED_ROOT, invocations=1)
+    merged = CctNode(MERGED_ROOT)
     for tid in sorted(forest.roots):
-        for method, child in forest.roots[tid].children.items():
-            target = merged.children.get(method)
-            if target is None:
-                target = merged.children[method] = CctNode(method)
-            merge_into(target, child)
+        merge_into(merged, forest.roots[tid])
+    merged.invocations, merged.truncated = 1, False
     merged.total_time = sum(c.total_time for c in merged.children.values())
     return merged
 

@@ -8,10 +8,11 @@ usage errors exit 2; everything else exits 1 with a message.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import cct, report, snapshot, workload
-from .components import default_hr_catalog, load_catalog_file
+from .components import load_catalog_file
 from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, apply_filter
 from .trace import TraceError, events_to_jsonl, iter_trace
 
@@ -37,12 +38,6 @@ def _filter_set(args) -> FilterSet:
                                    excludes=args.exclude or ())
 
 
-def _catalog(args):
-    if getattr(args, "catalog", None):
-        return load_catalog_file(args.catalog)
-    return default_hr_catalog()
-
-
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--include", action="append", metavar="PATTERN",
                    help="keep only methods matching PATTERN (repeatable; trailing * = prefix)")
@@ -52,8 +47,29 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
                    help="attribute: splice filtered frames into parents; drop: remove subtrees")
 
 
+@contextlib.contextmanager
+def _decoding(path: str):
+    """Name the file and the line of a trace's first byte that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        line = 1
+        # surrogateescape turns each such byte into a lone surrogate, which
+        # cannot be encoded; reads of fixed size bound the memory
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            while chunk := fh.read(1 << 16):
+                try:
+                    chunk.encode("utf-8")
+                except UnicodeEncodeError as bad:
+                    line += chunk.count("\n", 0, bad.start)
+                    break
+                line += chunk.count("\n")
+        raise ValueError(f"{path}: line {line}: byte 0x{exc.object[exc.start]:02x} "
+                         f"is not UTF-8 ({exc.reason})") from None
+
+
 def _build_forest_from_file(path: str, lenient: bool) -> cct.CctForest:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _decoding(path), open(path, "r", encoding="utf-8") as fh:
         return cct.ingest(fh, lenient=lenient, warn=_warn if lenient else None)
 
 
@@ -83,12 +99,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    catalog = _catalog(args)
+    catalog = load_catalog_file(args.catalog) if args.catalog else None
     filter_set = _filter_set(args)
     mode = _FILTER_MODES[args.filter_mode]
     if args.snapshot_out:
         # the snapshot records the sha256 of the bytes the tables came from
-        with open(args.trace, "rb") as fh:
+        with _decoding(args.trace), open(args.trace, "rb") as fh:
             forest, digest = snapshot.ingest_hashed(fh, args.lenient,
                                                     _warn if args.lenient else None)
     else:
@@ -124,10 +140,7 @@ def cmd_diff(args) -> int:
 
 def cmd_callgraph(args) -> int:
     forest = _build_forest_from_file(args.trace, args.lenient)
-    merged = forest.merged()
-    filter_set = _filter_set(args)
-    if not filter_set.is_identity():
-        merged = apply_filter(merged, filter_set, _FILTER_MODES[args.filter_mode])
+    merged = apply_filter(forest.merged(), _filter_set(args), _FILTER_MODES[args.filter_mode])
     if args.format == "edges":
         text = report.render_edges(cct.project_call_graph(merged))
     else:
@@ -139,7 +152,7 @@ def cmd_callgraph(args) -> int:
 def cmd_export(args) -> int:
     if args.format == "jsonl":
         # stream events straight through without building a tree
-        with open(args.trace, "r", encoding="utf-8") as fh:
+        with _decoding(args.trace), open(args.trace, "r", encoding="utf-8") as fh:
             text = "\n".join(events_to_jsonl(iter_trace(fh)))
         _write_output(text, args.output)
         return 0

@@ -166,25 +166,28 @@ def load_catalog(lines: Iterable[str]) -> ComponentCatalog:
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"catalog line {lineno}: expected 3 tab-separated fields")
-        tier_text, component, pattern = parts
         try:
-            tier = Tier(tier_text.lower())
-        except ValueError:
-            valid = ", ".join(t.value for t in Tier)
-            raise ValueError(
-                f"catalog line {lineno}: unknown tier {tier_text!r} (expected {valid})"
-            ) from None
-        if not component:
-            raise ValueError(f"catalog line {lineno}: empty component")
-        rules.append(ComponentRule.of(pattern, component, tier))
+            if len(parts) != 3:
+                raise ValueError("expected 3 tab-separated fields")
+            tier_text, component, pattern = parts
+            valid = [t.value for t in Tier]
+            if tier_text.lower() not in valid:
+                raise ValueError(f"unknown tier {tier_text!r} (expected {', '.join(valid)})")
+            if not component:
+                raise ValueError("empty component")
+            rules.append(ComponentRule.of(pattern, component, Tier(tier_text.lower())))
+        except ValueError as exc:
+            raise ValueError(f"catalog line {lineno}: {exc}") from None
     return ComponentCatalog(tuple(rules))
 
 
 def load_catalog_file(path) -> ComponentCatalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_catalog(fh)
+    """Load a catalog file; a ValueError names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_catalog(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_catalog(catalog: ComponentCatalog) -> str:

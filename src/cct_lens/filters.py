@@ -3,8 +3,8 @@
 Patterns are method-name prefixes with an optional single trailing ``*``
 wildcard; no other wildcard position is allowed.  A pattern without ``*``
 matches exactly.  A FilterSet combines include and exclude pattern lists:
-excludes always win, and an empty include list falls back to the set's
-default verdict.
+a method is kept when it matches an include pattern, or the include list
+is empty, and it matches no exclude pattern.
 
 Applying a filter to a CCT models what the profiler would have produced
 had the rejected methods never been instrumented:
@@ -19,17 +19,15 @@ had the rejected methods never been instrumented:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cct import merge_into
+from .cct import CctNode, merge_into
 
 ATTRIBUTE_TO_PARENT = "attribute_to_parent"
 DROP_SUBTREE = "drop_subtree"
 FILTER_MODES = (ATTRIBUTE_TO_PARENT, DROP_SUBTREE)
-
-INCLUDE = "include"
-EXCLUDE = "exclude"
 
 
 @dataclass(frozen=True)
@@ -53,109 +51,83 @@ class FilterPattern:
 
 @dataclass(frozen=True)
 class FilterSet:
-    """Include/exclude pattern lists with a default verdict.
-
-    A method is kept when it matches an include pattern (or the include
-    list is empty and the default verdict is ``include``) and matches no
-    exclude pattern.
-    """
+    """Include and exclude pattern lists; see ``keeps``."""
 
     includes: tuple[FilterPattern, ...] = ()
     excludes: tuple[FilterPattern, ...] = ()
-    default_verdict: str = INCLUDE
-
-    def __post_init__(self):
-        if self.default_verdict not in (INCLUDE, EXCLUDE):
-            raise ValueError(f"bad default verdict {self.default_verdict!r}")
 
     @classmethod
-    def from_patterns(cls, includes: Iterable[str] = (), excludes: Iterable[str] = (),
-                      default_verdict: str = INCLUDE) -> "FilterSet":
+    def from_patterns(cls, includes: Iterable[str] = (),
+                      excludes: Iterable[str] = ()) -> "FilterSet":
         return cls(
             includes=tuple(FilterPattern(p) for p in includes),
             excludes=tuple(FilterPattern(p) for p in excludes),
-            default_verdict=default_verdict,
         )
 
     def keeps(self, method: str) -> bool:
-        if self.includes:
-            kept = any(p.matches(method) for p in self.includes)
-        else:
-            kept = self.default_verdict == INCLUDE
-        if kept and any(p.matches(method) for p in self.excludes):
-            kept = False
-        return kept
-
-    def is_identity(self) -> bool:
-        return not self.excludes and (
-            not self.includes and self.default_verdict == INCLUDE
-        )
+        """True when the method matches an include pattern, or there are
+        none, and matches no exclude pattern."""
+        if self.includes and not any(p.matches(method) for p in self.includes):
+            return False
+        return not any(p.matches(method) for p in self.excludes)
 
 
-def matches(pattern: str, method: str) -> bool:
-    """Convenience: does a single pattern string match a method name?"""
-    return FilterPattern(pattern).matches(method)
-
-
-def _clone(node):
-    fresh = node.__class__(node.method, node.invocations, node.total_time, node.truncated)
-    return fresh
-
-
-def _attribute(node, keep, is_root: bool):
-    """Return the replacement list for this node: itself, or its spliced children."""
-    replacements = []
-    index = {}
-
-    def add(child):
-        existing = index.get(child.method)
-        if existing is None:
-            index[child.method] = child
-            replacements.append(child)
-        else:
-            # same-method siblings produced by splicing collapse into one node
-            merge_into(existing, child)
-
-    for child in node.children.values():
-        for repl in _attribute(child, keep, False):
-            add(repl)
-    if is_root or keep(node.method):
-        fresh = _clone(node)
-        fresh.children = {c.method: c for c in replacements}
-        return [fresh]
-    # rejected: children bubble up; this node's time stays inside the
-    # parent's total and therefore lands in the parent's self time
-    return replacements
-
-
-def _drop(node, keep, is_root: bool):
-    """Return (surviving clone or None, total time removed from this subtree)."""
-    if not is_root and not keep(node.method):
-        return None, node.total_time
-    removed = 0
-    fresh = _clone(node)
-    for child in node.children.values():
-        kept_child, sub = _drop(child, keep, False)
-        removed += sub
-        if kept_child is not None:
-            fresh.children[kept_child.method] = kept_child
-    fresh.total_time -= removed
-    return fresh, removed
-
-
-def apply_filter(root, filter_set: FilterSet, mode: str = ATTRIBUTE_TO_PARENT):
+def apply_filter(root: CctNode, filter_set: FilterSet,
+                 mode: str = ATTRIBUTE_TO_PARENT) -> CctNode:
     """Rewrite a tree as if filtered methods had never been instrumented.
 
-    The input tree is never mutated; the synthetic root always survives.
-    In ``attribute_to_parent`` mode the root's total time is preserved;
-    in ``drop_subtree`` mode it shrinks by exactly the removed time.
-    Applying the same filter twice gives the same tree as applying it
-    once.
+    The input tree is never mutated; a filter without patterns keeps
+    every method and returns the input itself, any other filter a fresh
+    tree.  The synthetic root always survives.  In ``attribute_to_parent``
+    mode the root's total time is preserved; in ``drop_subtree`` mode it
+    shrinks by exactly the removed time.  Applying the same filter twice
+    gives the same tree as applying it once.  Works at any tree depth.
     """
-    keep = filter_set.keeps
-    if mode == ATTRIBUTE_TO_PARENT:
-        return _attribute(root, keep, True)[0]
-    if mode == DROP_SUBTREE:
-        fresh, _ = _drop(root, keep, True)
-        return fresh
-    raise ValueError(f"unknown filter mode {mode!r} (expected one of {FILTER_MODES})")
+    if mode not in FILTER_MODES:
+        raise ValueError(f"unknown filter mode {mode!r} (expected one of {FILTER_MODES})")
+    if not filter_set.includes and not filter_set.excludes:
+        return root
+    # a verdict depends only on the method name: match each name once
+    keep = functools.cache(filter_set.keeps)
+    splice = mode == ATTRIBUTE_TO_PARENT
+    # preorder with each node's verdict; drop mode never goes below a
+    # rejected node.  The stack hands out a node's last child first, so
+    # the reversed order visits children before parents, in child order.
+    order = []
+    stack = [(root, True)]
+    while stack:
+        item = stack.pop()
+        order.append(item)
+        node, kept = item
+        if kept or splice:
+            for child in node.children.values():
+                stack.append((child, keep(child.method)))
+    # per visited node, children first: the time drop mode removed below
+    # it and the nodes it hands its parent, its own rewrite or, rejected
+    # in attribute mode, its spliced children
+    handed: list[tuple[int, list[CctNode]]] = []
+    for node, kept in reversed(order):
+        children: dict[str, CctNode] = {}
+        removed = 0
+        if kept or splice:
+            cut = len(handed) - len(node.children)
+            for lost, part in handed[cut:]:
+                removed += lost
+                for fresh in part:
+                    existing = children.setdefault(fresh.method, fresh)
+                    if existing is not fresh:
+                        # same-method siblings produced by splicing collapse into one node
+                        merge_into(existing, fresh)
+            del handed[cut:]
+        if kept:
+            fresh = CctNode(node.method, node.invocations, node.total_time - removed,
+                            node.truncated)
+            fresh.children = children
+            handed.append((removed, [fresh]))
+        elif splice:
+            # the rejected node's time stays inside the parent's total and
+            # therefore lands in the parent's self time
+            handed.append((0, list(children.values())))
+        else:
+            handed.append((node.total_time, []))
+    return handed[0][1][0]

@@ -69,6 +69,11 @@ def aggregate_methods(root: CctNode) -> dict[str, MethodTotals]:
 
 
 def hotspots(root: CctNode) -> list[HotSpotRow]:
+    """The hot-spot table of a tree; see ``hotspot_rows``."""
+    return hotspot_rows(aggregate_methods(root))
+
+
+def hotspot_rows(totals: dict[str, MethodTotals]) -> list[HotSpotRow]:
     """Hot-spot table: per-method self time, share of total self, invocations.
 
     Sorted by descending self time, ties broken by method name.  The
@@ -76,7 +81,6 @@ def hotspots(root: CctNode) -> list[HotSpotRow]:
     which equals the root's total time; an all-zero table gets zero
     percentages.
     """
-    totals = aggregate_methods(root)
     denom = sum(t.self_time for t in totals.values())
     rows = [
         HotSpotRow(
@@ -92,8 +96,12 @@ def hotspots(root: CctNode) -> list[HotSpotRow]:
 
 
 def total_time_table(root: CctNode) -> list[TotalTimeRow]:
+    """The inclusive-time table of a tree; see ``total_time_rows``."""
+    return total_time_rows(aggregate_methods(root))
+
+
+def total_time_rows(totals: dict[str, MethodTotals]) -> list[TotalTimeRow]:
     """Inclusive-time table, sorted by descending total time then name."""
-    totals = aggregate_methods(root)
     rows = [
         TotalTimeRow(method=m, total_time=t.total_time, invocations=t.invocations)
         for m, t in totals.items()

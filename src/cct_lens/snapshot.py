@@ -26,7 +26,8 @@ from .cct import CctForest, CctNode, ingest
 from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
                          component_utilization, default_hr_catalog)
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
-from .metrics import HotSpotRow, TotalTimeRow, hotspots, total_time_table
+from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
+                      total_time_rows)
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -86,31 +87,27 @@ def ingest_hashed(stream: BinaryIO, lenient: bool = False,
 
 
 def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
-             filter_set: FilterSet | None = None,
+             filter_set: FilterSet = FilterSet(),
              filter_mode: str = ATTRIBUTE_TO_PARENT) -> AnalysisTables:
     """Filter a tree, then build its hot-spot, total-time and component tables.
 
-    The catalog defaults to the built-in HR one; a filter that keeps every
-    method is not applied.
+    The tables come from one walk of the tree; the catalog defaults to the
+    built-in HR one.
     """
-    if filter_set is not None and not filter_set.is_identity():
-        root = apply_filter(root, filter_set, filter_mode)
-    hot = hotspots(root)
+    totals = aggregate_methods(apply_filter(root, filter_set, filter_mode))
+    hot = hotspot_rows(totals)
     return AnalysisTables(
         hot_spots=tuple(hot),
-        total_time=tuple(total_time_table(root)),
+        total_time=tuple(total_time_rows(totals)),
         components=tuple(component_utilization(hot, catalog or default_hr_catalog())),
     )
 
 
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
-                  filter_set: FilterSet | None = None,
-                  catalog: ComponentCatalog | None = None,
-                  filter_mode: str = ATTRIBUTE_TO_PARENT,
-                  lenient: bool = False) -> Snapshot:
+                  filter_set: FilterSet = FilterSet(), lenient: bool = False) -> Snapshot:
     """Run the full pipeline over trace content and freeze the tables."""
     forest, digest = ingest_hashed(io.BytesIO(trace_bytes), lenient)
-    tables = tabulate(forest.merged(), catalog, filter_set, filter_mode)
+    tables = tabulate(forest.merged(), filter_set=filter_set)
     return Snapshot(label, user_count, tables.hot_spots, tables.components, digest)
 
 
@@ -205,8 +202,9 @@ _COMPONENT_FIELDS = (("component", str, None), ("tier", str, None),
                      ("self_ns", int, 0), ("invocations", int, 0))
 
 
-def _field(obj, key: str, kind: type, minimum: int | None = None, where: str = ""):
-    """``obj[key]`` if it has type ``kind`` (and is at least ``minimum``)."""
+def _field(obj, key: str, kind: type | tuple, minimum: int | None = None, where: str = ""):
+    """``obj[key]`` if it has type ``kind``, or a type in a tuple ``kind``
+    (and is at least ``minimum``)."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{where}missing field {key!r}")
     value = obj[key]
@@ -214,7 +212,8 @@ def _field(obj, key: str, kind: type, minimum: int | None = None, where: str = "
     if (not isinstance(value, kind) or isinstance(value, bool)
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{where}{key!r} must be a {kind.__name__}{bound}, got {value!r}")
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"{where}{key!r} must be a {names}{bound}, got {value!r}")
     return value
 
 

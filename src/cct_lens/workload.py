@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Mapping
 
+from .snapshot import _field
 from .trace import ENTER, EXIT
 
 SERVLET_ARGS = ("javax.servlet.http.HttpServletRequest,"
@@ -488,7 +489,8 @@ def load_workload_spec(text: str) -> WorkloadSpec:
     """Parse a spec document; chain templates come from standard_chains().
 
     Expected keys: executions (required), seed, thread_count, jitter,
-    default_base_ns, base_ns.  Unknown keys are rejected to catch typos.
+    default_base_ns, base_ns.  Unknown keys are rejected to catch typos;
+    counts, seeds and nanoseconds must be integers and jitter a number.
     """
     try:
         doc = json.loads(text)
@@ -496,34 +498,37 @@ def load_workload_spec(text: str) -> WorkloadSpec:
         raise ValueError(f"bad workload spec: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("workload spec must be a JSON object")
-    known = {"executions", "seed", "thread_count", "jitter", "default_base_ns", "base_ns"}
-    unknown = set(doc) - known
+    defaults = {"seed": 0, "thread_count": 1, "jitter": 0.0, "default_base_ns": 1_000_000,
+                "base_ns": {}}
+    unknown = set(doc) - defaults.keys() - {"executions"}
     if unknown:
         raise ValueError(f"unknown workload spec keys: {', '.join(sorted(unknown))}")
-    executions = doc.get("executions")
-    if not isinstance(executions, dict):
-        raise ValueError("workload spec needs an 'executions' object")
+    executions = _field(doc, "executions", dict)
     for name, count in executions.items():
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValueError(f"execution count for {name!r} must be an integer")
-    base_ns = doc.get("base_ns", {})
-    if not isinstance(base_ns, dict):
-        raise ValueError("'base_ns' must be an object")
+    doc = {**defaults, **doc}
+    base_ns = _field(doc, "base_ns", dict)
     latency = LatencyModel(
-        base_ns={m: int(v) for m, v in base_ns.items()},
-        default_base_ns=int(doc.get("default_base_ns", 1_000_000)),
-        jitter=float(doc.get("jitter", 0.0)),
+        base_ns={m: _field(base_ns, m, int, where="base_ns: ") for m in base_ns},
+        default_base_ns=_field(doc, "default_base_ns", int),
+        # a float, so trace headers read the same for 0 and 0.0
+        jitter=float(_field(doc, "jitter", (int, float))),
     )
     spec = WorkloadSpec(
-        executions={n: c for n, c in executions.items()},
-        seed=int(doc.get("seed", 0)),
+        executions=dict(executions),
+        seed=_field(doc, "seed", int),
         latency=latency,
-        thread_count=int(doc.get("thread_count", 1)),
+        thread_count=_field(doc, "thread_count", int),
     )
     spec.validate()
     return spec
 
 
 def load_workload_spec_file(path) -> WorkloadSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_workload_spec(fh.read())
+    """Load a spec file; a ValueError names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_workload_spec(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -78,25 +78,47 @@ def trace_lines(events) -> list[str]:
     return [f"{e.ts}\t{e.tid}\t{e.kind}\t{e.method}" for e in events]
 
 
-def replay_totals(events):
-    """Stack-replay oracle: method -> self ns / total ns / invocation count."""
+def replay_totals(events, keep=None, mode="attribute_to_parent"):
+    """Stack-replay oracle: method -> self ns / total ns / invocation count.
+
+    With a ``keep`` predicate, only frames of kept methods are recorded,
+    as if the rest had never been instrumented.  In ``attribute_to_parent``
+    mode a rejected frame's time goes to the innermost kept frame around
+    it; in ``drop_subtree`` mode everything inside a rejected frame is
+    discarded and its time is subtracted from the totals of the kept
+    frames around it.
+    """
+    drop = mode == "drop_subtree"
     self_ns: dict[str, int] = defaultdict(int)
     total_ns: dict[str, int] = defaultdict(int)
     calls: dict[str, int] = defaultdict(int)
+    # frames: [method, enter ts, recorded?, time of recorded frames inside, time removed inside]
     stacks: dict[int, list[list]] = {}
     for event in events:
         stack = stacks.setdefault(event.tid, [])
         if event.kind == ENTER:
-            stack.append([event.method, event.ts, 0])
-        else:
-            method, entered, child_time = stack.pop()
-            assert method == event.method, "oracle requires well-formed input"
-            duration = event.ts - entered
-            self_ns[method] += duration - child_time
-            total_ns[method] += duration
+            kept = keep is None or keep(event.method)
+            if drop and stack and not stack[-1][2]:
+                kept = False
+            stack.append([event.method, event.ts, kept, 0, 0])
+            continue
+        method, entered, recorded, inner, removed = stack.pop()
+        assert method == event.method, "oracle requires well-formed input"
+        duration = event.ts - entered
+        if recorded:
+            self_ns[method] += duration - inner
+            total_ns[method] += duration - removed
             calls[method] += 1
-            if stack:
-                stack[-1][2] += duration
+        # the innermost recorded frame around this one, if any
+        outer = next((f for f in reversed(stack) if f[2]), None)
+        if outer is None:
+            continue
+        if recorded:
+            outer[3] += duration
+            outer[4] += removed
+        elif drop and stack[-1] is outer:
+            outer[3] += duration
+            outer[4] += duration
     assert all(not s for s in stacks.values()), "oracle requires balanced input"
     return dict(self_ns), dict(total_ns), dict(calls)
 

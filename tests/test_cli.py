@@ -482,6 +482,72 @@ class TestExport:
         assert total == 3_059_975_981
 
 
+UNDECODABLE_RUNS = [
+    ("analyze",),
+    ("analyze", "--snapshot-out", "SNAP"),
+    ("callgraph",),
+    ("callgraph", "--format", "folded"),
+    ("export", "--format", "cct"),
+    ("export", "--format", "forest"),
+    ("export", "--format", "folded"),
+    ("export", "--format", "jsonl"),
+]
+
+
+class TestUndecodableTrace:
+    @pytest.mark.parametrize("command", UNDECODABLE_RUNS, ids=" ".join)
+    def test_one_line_ending_in_bad_byte(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"0\t1\tE\tm\xff")
+        self.check(capsys, tmp_path, command, path, 1)
+
+    @pytest.mark.parametrize("command", UNDECODABLE_RUNS, ids=" ".join)
+    def test_bad_byte_on_line_3_after_more_than_8_kib(self, capsys, tmp_path, command):
+        # the comment's \r\n straddles a 64 KiB boundary, where reads split the file
+        comment = b"#" + b"x" * (2**16 - 2) + b"\r\n"
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(comment + b"0\t1\tE\ta\n1\t1\tX\ta\xff\n")
+        self.check(capsys, tmp_path, command, path, 3)
+
+    def check(self, capsys, tmp_path, command, path, line):
+        name, *flags = command
+        snap = tmp_path / "s.json"
+        argv = [str(snap) if f == "SNAP" else f for f in flags]
+        code, stdout, stderr = run(capsys, name, str(path), *argv)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (f"error: {path}: line {line}: byte 0xff is not UTF-8 "
+                          "(invalid start byte)\n")
+        assert not snap.exists()
+
+
+class TestDeepChain:
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        # one thread, 10^4 nested calls cycling through m0, m1 and m2, then a leaf
+        methods = [f"m{i % 3}" for i in range(10**4 - 1)] + ["leaf"]
+        lines = [f"{ts}\t1\tE\t{m}" for ts, m in enumerate(methods)]
+        lines += [f"{len(methods) + ts}\t1\tX\t{m}" for ts, m in enumerate(reversed(methods))]
+        path = tmp_path_factory.mktemp("deep") / "deep.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    # attribute mode splices every third level; drop mode goes down to the leaf
+    @pytest.mark.parametrize("excluded, flags", [
+        ("m1", ("analyze", "--filter-mode", "attribute")),
+        ("leaf", ("analyze", "--filter-mode", "drop")),
+        ("m1", ("analyze", "--per-thread")),
+        ("leaf", ("analyze", "--per-thread", "--filter-mode", "drop")),
+        ("m1", ("callgraph", "--format", "edges")),
+        ("m1", ("callgraph", "--format", "folded")),
+    ], ids=lambda p: " ".join(p) if isinstance(p, tuple) else p)
+    def test_filtered_runs_succeed(self, capsys, chain, excluded, flags):
+        name, *rest = flags
+        code, stdout, stderr = run(capsys, name, str(chain), "--exclude", excluded, *rest)
+        assert (code, stderr) == (0, "")
+        assert stdout and excluded not in stdout
+
+
 class TestTopLevel:
     def test_no_args_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

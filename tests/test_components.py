@@ -237,6 +237,14 @@ class TestCatalogFiles:
         with pytest.raises(ValueError, match="final"):
             load_catalog(["web\tX\ta*b"])
 
+    def test_bad_pattern_names_file_and_line(self, tmp_path):
+        path = tmp_path / "catalog.tsv"
+        path.write_text("# rules\nweb\tX\tp.*\nweb\tY\ta*b\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_catalog_file(path)
+        assert str(excinfo.value) == (
+            f"{path}: catalog line 3: '*' only allowed as the final character: 'a*b'")
+
     def test_file_loader(self, tmp_path):
         path = tmp_path / "catalog.tsv"
         path.write_text(dump_catalog(default_hr_catalog()), encoding="utf-8")

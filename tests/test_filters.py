@@ -13,26 +13,27 @@ from cct_lens.filters import (
     FilterPattern,
     FilterSet,
     apply_filter,
-    matches,
 )
+from cct_lens.metrics import MethodTotals, aggregate_methods
 from cct_lens.trace import ENTER as E, EXIT as X, TraceEvent
 
-from conftest import events_1tid, random_trace
+from conftest import events_1tid, random_trace, replay_totals
 
 
 class TestPatterns:
     def test_prefix_match(self):
-        assert matches("com.sun.ejb.*", "com.sun.ejb.Container.invoke()")
+        assert FilterPattern("com.sun.ejb.*").matches("com.sun.ejb.Container.invoke()")
 
     def test_prefix_non_match(self):
-        assert not matches("com.sun.ejb.*", "com.mycompany.hr.dao.BaseDAO.getConnection()")
+        pattern = FilterPattern("com.sun.ejb.*")
+        assert not pattern.matches("com.mycompany.hr.dao.BaseDAO.getConnection()")
 
     def test_exact_match(self):
-        assert matches("a.B.m()", "a.B.m()")
-        assert not matches("a.B.m()", "a.B.m()x")
+        assert FilterPattern("a.B.m()").matches("a.B.m()")
+        assert not FilterPattern("a.B.m()").matches("a.B.m()x")
 
     def test_lone_star_matches_everything(self):
-        assert matches("*", "anything.at.all()")
+        assert FilterPattern("*").matches("anything.at.all()")
 
     def test_star_only_final(self):
         with pytest.raises(ValueError, match="final"):
@@ -50,7 +51,6 @@ class TestFilterSet:
     def test_default_include_keeps_all(self):
         fs = FilterSet.from_patterns()
         assert fs.keeps("whatever()")
-        assert fs.is_identity()
 
     def test_includes_restrict(self):
         fs = FilterSet.from_patterns(includes=["com.mycompany.*"])
@@ -61,16 +61,6 @@ class TestFilterSet:
         fs = FilterSet.from_patterns(includes=["com.*"], excludes=["com.sun.*"])
         assert fs.keeps("com.mycompany.A.b()")
         assert not fs.keeps("com.sun.ejb.C.d()")
-
-    def test_default_exclude(self):
-        fs = FilterSet.from_patterns(default_verdict="exclude")
-        assert not fs.keeps("anything()")
-        fs2 = FilterSet.from_patterns(includes=["a.*"], default_verdict="exclude")
-        assert fs2.keeps("a.b()")
-
-    def test_bad_verdict_rejected(self):
-        with pytest.raises(ValueError):
-            FilterSet.from_patterns(default_verdict="maybe")
 
 
 def tree_a40_b20():
@@ -153,10 +143,17 @@ class TestAttributeToParent:
         assert before == after
 
     def test_identity_filter_returns_equal_fresh_tree(self):
+        # patterns that happen to keep every method still rewrite the tree
         tree = tree_a40_b20_c5()
-        out = apply_filter(tree, FilterSet.from_patterns())
-        assert out == tree
-        assert out is not tree
+        for mode in (ATTRIBUTE_TO_PARENT, DROP_SUBTREE):
+            out = apply_filter(tree, FilterSet.from_patterns(includes=["*"]), mode)
+            assert out == tree
+            assert out is not tree
+
+    def test_filter_without_patterns_returns_input(self):
+        tree = tree_a40_b20_c5()
+        for mode in (ATTRIBUTE_TO_PARENT, DROP_SUBTREE):
+            assert apply_filter(tree, FilterSet.from_patterns(), mode) is tree
 
 
 class TestDropSubtree:
@@ -219,11 +216,22 @@ def random_filter(rng: random.Random, methods: list[str]) -> FilterSet:
 
     includes = some_patterns() if rng.random() < 0.4 else []
     excludes = some_patterns() if rng.random() < 0.7 else []
-    verdict = "exclude" if includes and rng.random() < 0.3 else "include"
-    return FilterSet.from_patterns(includes=includes, excludes=excludes, default_verdict=verdict)
+    return FilterSet.from_patterns(includes=includes, excludes=excludes)
 
 
 class TestFilterProperties:
+    def test_per_method_totals_match_filtered_replay(self):
+        rng = random.Random(41)
+        for _ in range(500):
+            events = random_trace(rng)
+            merged = merge_ccts(build_forest(events))
+            methods = sorted({n.method for n in merged.walk() if n is not merged})
+            fs = random_filter(rng, methods or ["m0()"])
+            for mode in (ATTRIBUTE_TO_PARENT, DROP_SUBTREE):
+                self_ns, total_ns, calls = replay_totals(events, fs.keeps, mode)
+                expected = {m: MethodTotals(self_ns[m], total_ns[m], calls[m]) for m in calls}
+                assert aggregate_methods(apply_filter(merged, fs, mode)) == expected
+
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=100, deadline=None)
     def test_attribute_conserves_root_total_and_self_sum(self, seed):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cct_lens import metrics, snapshot
 from cct_lens import workload as wl
 from cct_lens.cct import ingest, serialize_forest
 from cct_lens.filters import FilterSet
@@ -20,6 +21,7 @@ from cct_lens.snapshot import (
     load_snapshot_file,
     save_snapshot,
     ingest_hashed,
+    tabulate,
     take_snapshot,
     trace_digest,
 )
@@ -66,6 +68,25 @@ class TestTakeSnapshot:
     def test_parse_errors_propagate(self):
         with pytest.raises(TraceParseError):
             take_snapshot("bad", 1, b"not a trace line\n")
+
+
+class TestTabulate:
+    def test_one_aggregate_walk_per_tabulate(self, monkeypatch):
+        trace = wl.simulate(wl.figure8_preset())
+        root = ingest(trace.splitlines()).merged()
+        expected = (metrics.hotspots(root), metrics.total_time_table(root))
+        calls = []
+        aggregate = metrics.aggregate_methods
+
+        def counted(tree):
+            calls.append(tree)
+            return aggregate(tree)
+
+        monkeypatch.setattr(snapshot, "aggregate_methods", counted)
+        monkeypatch.setattr(metrics, "aggregate_methods", counted)
+        tables = tabulate(root)
+        assert len(calls) == 1
+        assert (list(tables.hot_spots), list(tables.total_time)) == expected
 
 
 class TestIngestHashed:

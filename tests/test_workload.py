@@ -1,6 +1,7 @@
 """Chain templates, the latency model, and the deterministic simulator."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +338,28 @@ class TestSpecFiles:
     def test_non_integer_count_rejected(self):
         with pytest.raises(ValueError, match="must be an integer"):
             wl.load_workload_spec('{"executions": {"login": 1.5}}')
+
+    @pytest.mark.parametrize("field, message", [
+        ('"seed": "x"', "'seed' must be a int, got 'x'"),
+        ('"seed": 2.5', "'seed' must be a int, got 2.5"),
+        ('"thread_count": 1.9', "'thread_count' must be a int, got 1.9"),
+        ('"jitter": true', "'jitter' must be a int or float, got True"),
+        ('"base_ns": {"a": "zz"}', "base_ns: 'a' must be a int, got 'zz'"),
+    ])
+    def test_mistyped_field_named(self, field, message):
+        with pytest.raises(ValueError) as excinfo:
+            wl.load_workload_spec('{"executions": {}, %s}' % field)
+        assert str(excinfo.value) == message
+
+    def test_integer_jitter_read_as_float(self):
+        spec = wl.load_workload_spec('{"executions": {}, "jitter": 0}')
+        assert repr(spec.latency.jitter) == "0.0"
+
+    def test_file_loader_names_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"executions": {}, "seed": "x"}', encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'seed' must be"):
+            wl.load_workload_spec_file(path)
 
     def test_unknown_use_case_in_file(self):
         with pytest.raises(ValueError, match="unknown use case"):
