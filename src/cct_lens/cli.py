@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
+import os
 import sys
+from typing import Iterable
 
 from . import cct, report, snapshot, workload
 from .components import load_catalog_file
 from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, apply_filter
-from .trace import TraceError, events_to_jsonl, iter_trace
+from .trace import TraceError, errors_in, jsonl_lines
 
 _FILTER_MODES = {"attribute": ATTRIBUTE_TO_PARENT, "drop": DROP_SUBTREE}
 
@@ -23,14 +26,20 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if text and not text.endswith("\n"):
-        text += "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_output(lines: Iterable[str], path: str | None, sha256=None) -> None:
+    """Write to stdout or ``path`` as the lines come: each line, and a newline
+    unless it ends with one.  ``sha256``, if given, takes the bytes written.
+
+    Lines written before ``lines`` raises stay in the output.
+    """
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w", encoding="utf-8", newline="")) as out:
+        for line in lines:
+            if not line.endswith("\n"):
+                line += "\n"
+            out.write(line)
+            if sha256 is not None:
+                sha256.update(line.encode("utf-8"))
 
 
 def _filter_set(args) -> FilterSet:
@@ -47,29 +56,8 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
                    help="attribute: splice filtered frames into parents; drop: remove subtrees")
 
 
-@contextlib.contextmanager
-def _decoding(path: str):
-    """Name the file and the line of a trace's first byte that is not UTF-8."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        line = 1
-        # surrogateescape turns each such byte into a lone surrogate, which
-        # cannot be encoded; reads of fixed size bound the memory
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            while chunk := fh.read(1 << 16):
-                try:
-                    chunk.encode("utf-8")
-                except UnicodeEncodeError as bad:
-                    line += chunk.count("\n", 0, bad.start)
-                    break
-                line += chunk.count("\n")
-        raise ValueError(f"{path}: line {line}: byte 0x{exc.object[exc.start]:02x} "
-                         f"is not UTF-8 ({exc.reason})") from None
-
-
 def _build_forest_from_file(path: str, lenient: bool) -> cct.CctForest:
-    with _decoding(path), open(path, "r", encoding="utf-8") as fh:
+    with errors_in(path), open(path, "r", encoding="utf-8") as fh:
         return cct.ingest(fh, lenient=lenient, warn=_warn if lenient else None)
 
 
@@ -86,11 +74,9 @@ def cmd_simulate(args) -> int:
         spec = workload.load_workload_spec_file(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
-    text = workload.simulate(spec)
-    events = sum(1 for line in text.splitlines() if line and not line.startswith("#"))
-    digest = snapshot.trace_digest(text.encode("utf-8"))
-    _write_output(text, args.output)
-    summary = f"events={events} sha256={digest}"
+    sha256 = hashlib.sha256()
+    _write_output(workload.simulate_lines(spec), args.output, sha256)
+    summary = f"events={spec.event_count()} sha256={sha256.hexdigest()}"
     if args.output in (None, "-"):
         print(summary, file=sys.stderr)
     else:
@@ -104,7 +90,7 @@ def cmd_analyze(args) -> int:
     mode = _FILTER_MODES[args.filter_mode]
     if args.snapshot_out:
         # the snapshot records the sha256 of the bytes the tables came from
-        with _decoding(args.trace), open(args.trace, "rb") as fh:
+        with errors_in(args.trace), open(args.trace, "rb") as fh:
             forest, digest = snapshot.ingest_hashed(fh, args.lenient,
                                                     _warn if args.lenient else None)
     else:
@@ -126,7 +112,7 @@ def cmd_analyze(args) -> int:
         }
     else:
         sections = {"merged": merged_tables}
-    _write_output(report.render_analysis(sections, args.format), args.output)
+    _write_output([report.render_analysis(sections, args.format)], args.output)
     return 0
 
 
@@ -134,7 +120,7 @@ def cmd_diff(args) -> int:
     snap_a = snapshot.load_snapshot_file(args.snapshot_a)
     snap_b = snapshot.load_snapshot_file(args.snapshot_b)
     rows = snapshot.diff(snap_a, snap_b)
-    _write_output(report.render_diff(rows, snap_a, snap_b, args.format), args.output)
+    _write_output([report.render_diff(rows, snap_a, snap_b, args.format)], args.output)
     return 0
 
 
@@ -142,28 +128,31 @@ def cmd_callgraph(args) -> int:
     forest = _build_forest_from_file(args.trace, args.lenient)
     merged = apply_filter(forest.merged(), _filter_set(args), _FILTER_MODES[args.filter_mode])
     if args.format == "edges":
-        text = report.render_edges(cct.project_call_graph(merged))
+        lines = [report.render_edges(cct.project_call_graph(merged))]
     else:
-        text = "\n".join(cct.folded_stacks(merged))
-    _write_output(text, args.output)
+        lines = cct.folded_stacks(merged)
+    _write_output(lines, args.output)
     return 0
 
 
 def cmd_export(args) -> int:
     if args.format == "jsonl":
-        # stream events straight through without building a tree
-        with _decoding(args.trace), open(args.trace, "r", encoding="utf-8") as fh:
-            text = "\n".join(events_to_jsonl(iter_trace(fh)))
-        _write_output(text, args.output)
+        # events stream straight through without building a tree, so
+        # writing the trace being read would truncate it before it is read
+        if (args.output not in (None, "-") and os.path.exists(args.output)
+                and os.path.samefile(args.trace, args.output)):
+            raise ValueError(f"{args.output}: the output is the trace being read")
+        with errors_in(args.trace), open(args.trace, "r", encoding="utf-8") as fh:
+            _write_output(jsonl_lines(fh), args.output)
         return 0
     forest = _build_forest_from_file(args.trace, args.lenient)
     if args.format == "forest":
-        text = cct.serialize_forest(forest)
+        lines = [cct.serialize_forest(forest)]
     elif args.format == "cct":
-        text = cct.serialize_cct(forest.merged())
+        lines = [cct.serialize_cct(forest.merged())]
     else:  # folded
-        text = "\n".join(cct.folded_stacks(forest.merged()))
-    _write_output(text, args.output)
+        lines = cct.folded_stacks(forest.merged())
+    _write_output(lines, args.output)
     return 0
 
 

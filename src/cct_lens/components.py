@@ -23,6 +23,7 @@ from typing import Iterable
 
 from .filters import FilterPattern
 from .metrics import HotSpotRow
+from .trace import errors_in
 
 DERIVE = "*"
 
@@ -182,12 +183,9 @@ def load_catalog(lines: Iterable[str]) -> ComponentCatalog:
 
 
 def load_catalog_file(path) -> ComponentCatalog:
-    """Load a catalog file; a ValueError names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_catalog(fh)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Load a catalog file; errors name the file (``trace.errors_in``)."""
+    with errors_in(path), open(path, "r", encoding="utf-8") as fh:
+        return load_catalog(fh)
 
 
 def dump_catalog(catalog: ComponentCatalog) -> str:

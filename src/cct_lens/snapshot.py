@@ -28,6 +28,7 @@ from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
+from .trace import errors_in
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -52,10 +53,6 @@ class Snapshot:
     hotspot_table: tuple[HotSpotRow, ...]
     component_table: tuple[ComponentUtilizationRow, ...]
     source_trace_digest: str
-
-
-def trace_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 class _HashingReader(io.RawIOBase):
@@ -261,9 +258,6 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
 
 
 def load_snapshot_file(path) -> Snapshot:
-    """Load a snapshot file; a ValueError names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_snapshot(fh.read())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Load a snapshot file; errors name the file (``trace.errors_in``)."""
+    with errors_in(path), open(path, "r", encoding="utf-8") as fh:
+        return load_snapshot(fh.read())

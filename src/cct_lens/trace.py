@@ -16,13 +16,17 @@ This module owns the line grammar (``parse_trace_line``).  The
 structural checks, nesting and per-thread timestamp order, live in
 ``cct.ingest``, which parses, checks and builds a tree in one pass.
 
-A JSON-lines rendering with keys ``ts``/``tid``/``ev``/``m`` is supported
-as an interchange convenience; the tab-separated form is canonical.
+``jsonl_lines`` streams a JSON-lines rendering with keys
+``ts``/``tid``/``ev``/``m``, an interchange convenience; the
+tab-separated form is canonical.  ``errors_in`` names the file, and the
+line of a byte that is not UTF-8, in the errors of every file reader.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator, NamedTuple
 
 ENTER = "E"
@@ -61,6 +65,33 @@ class TraceStructureError(TraceError):
         if where:
             message = f"{', '.join(where)}: {message}"
         super().__init__(message)
+
+
+@contextlib.contextmanager
+def errors_in(path):
+    """Name ``path`` in a ValueError (a TraceError too) raised in the block.
+
+    A UTF-8 decode error also names the line of the file's first byte that
+    is not UTF-8, in place of the decoder's offset.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        line = 1
+        # surrogateescape turns each such byte into a lone surrogate, which
+        # cannot be encoded; reads of fixed size bound the memory
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            while chunk := fh.read(1 << 16):
+                try:
+                    chunk.encode("utf-8")
+                except UnicodeEncodeError as bad:
+                    line += chunk.count("\n", 0, bad.start)
+                    break
+                line += chunk.count("\n")
+        raise ValueError(f"{path}: line {line}: byte 0x{exc.object[exc.start]:02x} "
+                         f"is not UTF-8 ({exc.reason})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class TraceEvent(NamedTuple):
@@ -124,22 +155,50 @@ def iter_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
             yield event
 
 
-def write_trace(events: Iterable[TraceEvent], fh) -> int:
-    """Write events as canonical trace lines; returns the event count."""
-    n = 0
-    for event in events:
-        fh.write(format_trace_line(event))
-        fh.write("\n")
-        n += 1
-    return n
+def jsonl_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Render trace text as JSON lines, one object per event, as the lines come.
+
+    Objects read ``{"ts": ..., "tid": ..., "ev": ..., "m": ...}``, as
+    ``json.dumps`` writes them.  The line checks are those of
+    ``cct.ingest``: a line whose thread id text or method name has not
+    been seen, or that any quick check refuses, goes through
+    ``parse_trace_line``, which raises its ``line N: ...`` error.  Memory
+    is bounded by the threads and the method names entered, not by the
+    number of lines.
+    """
+    # canonical thread id texts, and the JSON text of each method name
+    # that passed the grammar check on an enter
+    tids: set[str] = set()
+    names: dict[str, str] = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip()
+        if not line or line[0] == "#":
+            continue
+        try:
+            raw_ts, tid, kind, method = line.split("\t")
+            ts = int(raw_ts)
+            name = names[method]
+            known = tid in tids and (kind == ENTER or kind == EXIT)
+        except (ValueError, KeyError):
+            known = False
+        if not known:
+            # raises the grammar error, or admits a new thread or method name
+            event = parse_trace_line(line, lineno)
+            ts, tid, kind, method = event.ts, str(event.tid), event.kind, event.method
+            tids.add(tid)
+            name = names.get(method) or _json_string(method)
+            if kind == ENTER:
+                names[method] = name
+        yield f'{{"ts": {ts}, "tid": {tid}, "ev": "{kind}", "m": {name}}}'
 
 
 def events_to_jsonl(events: Iterable[TraceEvent]) -> Iterator[str]:
-    """Render events as JSON-lines text, one object per line."""
-    for event in events:
-        yield json.dumps(
-            {"ts": event.ts, "tid": event.tid, "ev": event.kind, "m": event.method}
-        )
+    """Render events as JSON-lines text, one object per line: ``jsonl_lines`` on their lines.
+
+    Each event must meet the line grammar, or TraceParseError is raised
+    with the events counted from 1 as lines.
+    """
+    return jsonl_lines(map(format_trace_line, events))
 
 
 def events_from_jsonl(lines: Iterable[str]) -> Iterator[TraceEvent]:

@@ -4,8 +4,8 @@ Use cases are encoded as CallChain templates: trees of method frames
 matching the portal's three-tier design (JSP/servlet web tier, stateless
 session beans behind EJB container stubs and wrappers, DAO classes on
 JDBC).  A WorkloadSpec says how many times to run each chain, on how
-many threads, and under which LatencyModel; ``simulate`` expands that
-into a balanced enter/exit trace.
+many threads, and under which LatencyModel; ``simulate_lines`` expands that
+into a balanced enter/exit trace, line by line.
 
 Randomness is counter-based: every frame's self duration is derived by
 hashing (seed, use case, execution index, frame index), so generation
@@ -21,13 +21,15 @@ remaining rows.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .snapshot import _field
-from .trace import ENTER, EXIT
+from .trace import ENTER, EXIT, errors_in
 
 SERVLET_ARGS = ("javax.servlet.http.HttpServletRequest,"
                 "javax.servlet.http.HttpServletResponse")
@@ -295,6 +297,11 @@ class WorkloadSpec:
     thread_count: int = 1
     chains: dict[str, CallChain] = field(default_factory=standard_chains)
 
+    def event_count(self) -> int:
+        """The enter and exit events the spec expands to."""
+        return 2 * sum(count * self.chains[use_case].frame_count()
+                       for use_case, count in self.executions.items())
+
     def validate(self) -> None:
         if self.thread_count < 1:
             raise ValueError(f"thread_count must be >= 1, got {self.thread_count}")
@@ -417,59 +424,64 @@ PRESETS = {
 }
 
 
-def simulate(spec: WorkloadSpec) -> str:
-    """Expand a workload spec into canonical trace text.
+def _thread_lines(spec: WorkloadSpec, tid: int) -> Iterator[tuple[int, int, str]]:
+    """One thread's events in time order, as (ts, tid, line).
+
+    The thread runs every ``thread_count``-th execution, counted in
+    sorted use-case order from tid 1, back to back on its own clock.
+    """
+    latency, seed = spec.latency, spec.seed
+    runs = ((use_case, i) for use_case in sorted(spec.executions)
+            for i in range(spec.executions[use_case]))
+    t = 0
+    for use_case, execution_index in itertools.islice(runs, tid - 1, None, spec.thread_count):
+        frame_index = 0
+        # (open frame, its callees still to run); the chain's top-level frames sit under None
+        stack: list[tuple[Frame | None, Iterator[Frame]]] = [
+            (None, iter(spec.chains[use_case].roots))]
+        while stack:
+            fr = next(stack[-1][1], None)
+            if fr is None:
+                done = stack.pop()[0]
+                if done is not None:
+                    yield t, tid, f"{t}\t{tid}\t{EXIT}\t{done.method}"
+                continue
+            yield t, tid, f"{t}\t{tid}\t{ENTER}\t{fr.method}"
+            # a frame's self time runs before its first callee
+            t += latency.self_duration_ns(fr.method, seed, use_case, execution_index,
+                                          frame_index)
+            frame_index += 1
+            stack.append((fr, iter(fr.children)))
+
+
+def simulate_lines(spec: WorkloadSpec) -> Iterator[str]:
+    """Expand a workload spec into canonical trace lines (no newlines), as they come.
 
     Use cases expand in sorted-name order, so the output depends only on
     spec content, never on mapping insertion order.  Executions are
     assigned round-robin to tids 1..thread_count; each tid's executions
     run back to back on its own timeline, so per-tid frames never
     overlap.  Events are ordered globally by (ts, tid, per-tid order).
-    Pure function of the spec: byte-identical output for identical specs.
+    Pure function of the spec: identical specs give identical lines.
+    Memory is bounded by the threads and the chain depth.
     """
     spec.validate()
-    latency, seed = spec.latency, spec.seed
-    # (ts, tid, per-tid sequence, rendered line)
-    rows: list[tuple[int, int, int, str]] = []
-    clocks: dict[int, int] = {}
-    seqs: dict[int, int] = {}
-    global_index = 0
-    for use_case in sorted(spec.executions):
-        count = spec.executions[use_case]
-        chain = spec.chains[use_case]
-        for execution_index in range(count):
-            tid = 1 + (global_index % spec.thread_count)
-            global_index += 1
-            seq = seqs.get(tid, 0)
-            t = clocks.get(tid, 0)
-            frame_index = 0
-
-            def emit(fr: Frame, start: int) -> int:
-                nonlocal seq, frame_index
-                duration = latency.self_duration_ns(
-                    fr.method, seed, use_case, execution_index, frame_index)
-                frame_index += 1
-                rows.append((start, tid, seq, f"{start}\t{tid}\t{ENTER}\t{fr.method}"))
-                seq += 1
-                end = start + duration
-                for child in fr.children:
-                    end = emit(child, end)
-                rows.append((end, tid, seq, f"{end}\t{tid}\t{EXIT}\t{fr.method}"))
-                seq += 1
-                return end
-
-            for root in chain.roots:
-                t = emit(root, t)
-            clocks[tid] = t
-            seqs[tid] = seq
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
     mix = " ".join(f"{name}={spec.executions[name]}" for name in sorted(spec.executions))
     header = [
         "# synthetic enter/exit trace",
         f"# workload: {mix if mix else '(empty)'}",
-        f"# seed={seed} jitter={latency.jitter} threads={spec.thread_count} events={len(rows)}",
+        f"# seed={spec.seed} jitter={spec.latency.jitter} threads={spec.thread_count} "
+        f"events={spec.event_count()}",
     ]
-    return "\n".join(header + [r[3] for r in rows]) + "\n"
+    # each thread is in time order and has its own tid, so a merge on
+    # (ts, tid) never compares two lines and keeps each thread's order
+    threads = [_thread_lines(spec, tid) for tid in range(1, spec.thread_count + 1)]
+    return itertools.chain(header, (line for _, _, line in heapq.merge(*threads)))
+
+
+def simulate(spec: WorkloadSpec) -> str:
+    """``simulate_lines`` as one text, each line ending in a newline."""
+    return "\n".join(simulate_lines(spec)) + "\n"
 
 
 def dump_workload_spec(spec: WorkloadSpec) -> str:
@@ -526,9 +538,6 @@ def load_workload_spec(text: str) -> WorkloadSpec:
 
 
 def load_workload_spec_file(path) -> WorkloadSpec:
-    """Load a spec file; a ValueError names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_workload_spec(fh.read())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Load a spec file; errors name the file (``trace.errors_in``)."""
+    with errors_in(path), open(path, "r", encoding="utf-8") as fh:
+        return load_workload_spec(fh.read())

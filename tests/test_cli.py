@@ -85,6 +85,15 @@ class TestSimulate:
         code, _, stderr = run(capsys, "simulate")
         assert code == 1
 
+    def test_summary_matches_the_written_file(self, capsys, tmp_path):
+        out = tmp_path / "t.tsv"
+        code, stdout, _ = run(capsys, "simulate", "--preset", "figure8", "-o", str(out))
+        assert code == 0
+        data = out.read_bytes()
+        events = sum(1 for line in data.decode("utf-8").splitlines()
+                     if line and not line.startswith("#"))
+        assert stdout == f"events={events} sha256={hashlib.sha256(data).hexdigest()}\n"
+
     def test_bad_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text('{"executions": {"login": 1}, "sede": 2}\n')
@@ -475,6 +484,25 @@ class TestExport:
         first = json.loads(lines[0])
         assert set(first) == {"ts", "tid", "ev", "m"}
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_jsonl_bad_line_keeps_the_lines_before_it(self, capsys, tmp_path, to_file):
+        trace = tmp_path / "bad.tsv"
+        trace.write_text("# c\n0\t1\tE\ta\n2\t1\tQ\ta\n3\t1\tX\ta\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        argv = ["export", str(trace), "--format", "jsonl"] + (["-o", str(out)] if to_file else [])
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stderr == f"error: {trace}: line 3: bad event kind 'Q' (expected E or X)\n"
+        written = out.read_text(encoding="utf-8") if to_file else stdout
+        assert written == '{"ts": 0, "tid": 1, "ev": "E", "m": "a"}\n'
+
+    def test_jsonl_refuses_to_overwrite_its_trace(self, capsys, tmp_path):
+        trace = tmp_path / "t.tsv"
+        trace.write_text("0\t1\tE\ta\n1\t1\tX\ta\n", encoding="utf-8")
+        code, _, stderr = run(capsys, "export", str(trace), "--format", "jsonl", "-o", str(trace))
+        assert (code, stderr) == (1, f"error: {trace}: the output is the trace being read\n")
+        assert trace.read_text(encoding="utf-8") == "0\t1\tE\ta\n1\t1\tX\ta\n"
+
     def test_folded_export(self, capsys, fig8_trace):
         code, stdout, _ = run(capsys, "export", str(fig8_trace), "--format", "folded")
         assert code == 0
@@ -519,6 +547,59 @@ class TestUndecodableTrace:
         assert stderr == (f"error: {path}: line {line}: byte 0xff is not UTF-8 "
                           "(invalid start byte)\n")
         assert not snap.exists()
+
+
+class TestBadTraceNamesTheFile:
+    @pytest.mark.parametrize("command", UNDECODABLE_RUNS, ids=" ".join)
+    def test_parse_error(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\t1\tE\ta\n1\t1\tQ\ta\n", encoding="utf-8")
+        self.check(capsys, tmp_path, command, path,
+                   "line 2: bad event kind 'Q' (expected E or X)")
+
+    # export --format jsonl checks only the line grammar
+    @pytest.mark.parametrize("command", UNDECODABLE_RUNS[:-1], ids=" ".join)
+    def test_structure_error(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\t1\tE\ta\n1\t1\tX\tb\n", encoding="utf-8")
+        self.check(capsys, tmp_path, command, path,
+                   "tid 1, line 2: mismatched exit: got b, innermost open frame is a")
+
+    def check(self, capsys, tmp_path, command, path, message):
+        name, *flags = command
+        argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]
+        code, _, stderr = run(capsys, name, str(path), *argv)
+        assert (code, stderr) == (1, f"error: {path}: {message}\n")
+
+
+class TestUndecodableInputFile:
+    """Catalogs, specs and snapshots name the file and the line of a byte that is not UTF-8."""
+
+    def test_catalog(self, capsys, fig8_trace, tmp_path):
+        cat = tmp_path / "badcat.tsv"
+        cat.write_bytes(b"# tier\tcomponent\tpattern\ndao\tD\xff\t*\n")
+        code, stdout, stderr = run(capsys, "analyze", str(fig8_trace), "--catalog", str(cat))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {cat}: line 2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    def test_spec(self, capsys, tmp_path):
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(b'{\n"executions": {"login\xff": 1}}\n')
+        code, stdout, stderr = run(capsys, "simulate", "--spec", str(spec))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {spec}: line 2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    def test_snapshot(self, capsys, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text(dump_snapshot(take_snapshot("a", 1, b"0\t1\tE\ta\n1\t1\tX\ta\n")),
+                        encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(good.read_bytes().replace(b'"a"', b'"a\xff"', 1))
+        line = good.read_text(encoding="utf-8").splitlines().index('  "label": "a",') + 1
+        code, stdout, stderr = run(capsys, "diff", str(good), str(bad))
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: {bad}: line {line}: byte 0xff is not UTF-8 "
+                          "(invalid start byte)\n")
 
 
 class TestDeepChain:

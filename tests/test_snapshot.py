@@ -1,5 +1,6 @@
 """Labeled analysis snapshots and cross-load diffs."""
 
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -23,11 +24,14 @@ from cct_lens.snapshot import (
     ingest_hashed,
     tabulate,
     take_snapshot,
-    trace_digest,
 )
 from cct_lens.trace import TraceParseError
 
 from conftest import random_trace, trace_lines
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def trace_bytes_for(rng_seed: int, **kwargs) -> bytes:
@@ -43,7 +47,7 @@ class TestTakeSnapshot:
         assert top.method == wl.GET_CONNECTION
         assert top.invocations == 50
         assert snap.user_count == 20
-        assert snap.source_trace_digest == trace_digest(trace)
+        assert snap.source_trace_digest == _sha256(trace)
 
     def test_empty_trace_empty_tables(self):
         snap = take_snapshot("empty", 0, b"# nothing\n")
@@ -95,7 +99,7 @@ class TestIngestHashed:
         path.write_bytes(trace_bytes_for(3))
         with open(path, "rb") as fh:
             forest, digest = ingest_hashed(fh)
-        assert digest == trace_digest(path.read_bytes())
+        assert digest == _sha256(path.read_bytes())
         with open(path, encoding="utf-8") as fh:
             assert serialize_forest(forest) == serialize_forest(ingest(fh))
 
@@ -104,7 +108,7 @@ class TestIngestHashed:
         data = b"# a\x0cb\r\n# c\x1ed\r0\t1\tE\tm\n5\t1\tX\tm"
         forest, digest = ingest_hashed(io.BytesIO(data))
         assert forest.roots[1].children["m"].total_time == 5
-        assert digest == trace_digest(data)
+        assert digest == _sha256(data)
         with pytest.raises(TraceParseError, match="^line 5: "):
             ingest_hashed(io.BytesIO(data + b"\r\nbad"))
 
@@ -232,9 +236,9 @@ class TestSerialization:
             load_snapshot('{"format": "other"}')
 
     def test_digest_is_sha256_hex(self):
-        digest = trace_digest(b"abc")
+        digest = take_snapshot("x", 1, b"# abc\n").source_trace_digest
         assert len(digest) == 64
-        assert digest == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert digest == "c96d70129517a804082ed92c0ff5cc78c880c661376df954acf1d349484a7715"
 
 
 class TestSnapshotEquality:

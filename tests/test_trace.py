@@ -1,7 +1,8 @@
 """Trace line grammar, structural checks in ``ingest``, JSONL interchange."""
 
-import io
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -18,8 +19,8 @@ from cct_lens.trace import (
     events_to_jsonl,
     format_trace_line,
     iter_trace,
+    jsonl_lines,
     parse_trace_line,
-    write_trace,
 )
 
 from conftest import random_trace, trace_lines
@@ -96,12 +97,6 @@ class TestRoundTrip:
     def test_format_then_parse_is_identity(self, ts, tid, kind, method):
         event = TraceEvent(ts, tid, kind, method)
         assert parse_trace_line(format_trace_line(event)) == event
-
-    def test_write_then_iter(self):
-        events = [TraceEvent(0, 1, ENTER, "a"), TraceEvent(4, 1, EXIT, "a")]
-        buf = io.StringIO()
-        assert write_trace(events, buf) == 2
-        assert list(iter_trace(buf.getvalue().splitlines())) == events
 
 
 class TestReadTrace:
@@ -287,7 +282,8 @@ any_methods = st.text(
 
 
 class TestIngestGrammar:
-    """``ingest`` keeps every line check of ``parse_trace_line``, word for word."""
+    """``ingest`` and ``jsonl_lines`` keep every line check of ``parse_trace_line``,
+    word for word."""
 
     @given(
         ts=st.integers(min_value=-(10**12), max_value=10**15),
@@ -299,14 +295,16 @@ class TestIngestGrammar:
     def test_same_verdict_as_parse_trace_line(self, ts, tid, kind, method, which):
         valid = format_trace_line(TraceEvent(ts, tid, kind, method))
         line = _mutations(valid)[which]()
-        expected = _outcome(lambda: parse_trace_line(line, 1))
-        assert _outcome(lambda: ingest([line], lenient=True)) == expected
         # once a valid primer admits the thread and the method name, only
         # the quick checks run
         primer = format_trace_line(TraceEvent(ts, tid, ENTER, method))
-        expected = (_outcome(lambda: parse_trace_line(primer, 1))
-                    or _outcome(lambda: parse_trace_line(line, 2)))
-        assert _outcome(lambda: ingest([primer, line], lenient=True)) == expected
+        alone = _outcome(lambda: parse_trace_line(line, 1))
+        primed = (_outcome(lambda: parse_trace_line(primer, 1))
+                  or _outcome(lambda: parse_trace_line(line, 2)))
+        for loop in (lambda lines: ingest(lines, lenient=True),
+                     lambda lines: list(jsonl_lines(lines))):
+            assert _outcome(lambda: loop([line])) == alone
+            assert _outcome(lambda: loop([primer, line])) == primed
 
     def test_accepted_line_builds_its_event(self):
         forest = ingest(["7\t3\tE\ta", "9\t3\tX\ta"])
@@ -319,7 +317,47 @@ class TestIngestGrammar:
         assert (a.total_time, a.children["b"].total_time) == (2, 1)
 
 
+def _dumps(event: TraceEvent) -> str:
+    return json.dumps({"ts": event.ts, "tid": event.tid, "ev": event.kind, "m": event.method})
+
+
 class TestJsonl:
+    @given(
+        ts=st.integers(min_value=-(10**12), max_value=10**15),
+        tid=st.integers(min_value=0, max_value=999),
+        kind=st.sampled_from([ENTER, EXIT]),
+        method=st.text(alphabet='abc._()<>$09,"\\\x7f\xe9\u2603\U0001f600', min_size=1,
+                       max_size=20),
+    )
+    def test_same_text_as_json_dumps(self, ts, tid, kind, method):
+        event = TraceEvent(ts, tid, kind, method)
+        line = format_trace_line(event)
+        # the second line takes the quick path, with the name's cached text
+        primer = format_trace_line(TraceEvent(ts, tid, ENTER, method))
+        assert list(jsonl_lines([line])) == [_dumps(event)]
+        assert list(jsonl_lines([primer, line]))[1] == _dumps(event)
+
+    def test_thread_id_and_timestamp_spellings(self):
+        lines = ["7\t3\tE\ta", "+8\t03\tE\tb", "9\t+3\tX\tb", "# c", "", "1_0\t3\tX\ta"]
+        assert list(jsonl_lines(lines)) == [
+            _dumps(TraceEvent(7, 3, ENTER, "a")), _dumps(TraceEvent(8, 3, ENTER, "b")),
+            _dumps(TraceEvent(9, 3, EXIT, "b")), _dumps(TraceEvent(10, 3, EXIT, "a"))]
+
+    def test_memory_does_not_grow_with_the_lines(self):
+        def peak(repeats: int) -> int:
+            # 4 threads, 10 method names, every line read once
+            lines = (f"{i}\t{i % 4}\t{'EX'[i // 4 % 2]}\tm{i // 8 % 10}()"
+                     for i in range(2000 * repeats))
+            tracemalloc.start()
+            try:
+                for _ in jsonl_lines(lines):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.5 * peak(1)
+
     def test_round_trip(self):
         events = [
             TraceEvent(0, 1, ENTER, "a()"),

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -111,7 +112,78 @@ class TestLatencyModel:
             wl.LatencyModel(base_ns={"a": -1})
 
 
+def simulate_by_sorting(spec: wl.WorkloadSpec) -> str:
+    """The reference expansion: every row of every thread, sorted by (ts, tid, per-tid order)."""
+    spec.validate()
+    rows = []
+    clocks: dict[int, int] = {}
+    global_index = 0
+    for use_case in sorted(spec.executions):
+        for execution_index in range(spec.executions[use_case]):
+            tid = 1 + global_index % spec.thread_count
+            global_index += 1
+            frame_index = 0
+
+            def emit(fr, start):
+                nonlocal frame_index
+                duration = spec.latency.self_duration_ns(
+                    fr.method, spec.seed, use_case, execution_index, frame_index)
+                frame_index += 1
+                rows.append((start, tid, len(rows), f"{start}\t{tid}\tE\t{fr.method}"))
+                end = start + duration
+                for child in fr.children:
+                    end = emit(child, end)
+                rows.append((end, tid, len(rows), f"{end}\t{tid}\tX\t{fr.method}"))
+                return end
+
+            t = clocks.get(tid, 0)
+            for root in spec.chains[use_case].roots:
+                t = emit(root, t)
+            clocks[tid] = t
+    rows.sort()
+    mix = " ".join(f"{name}={spec.executions[name]}" for name in sorted(spec.executions))
+    header = ["# synthetic enter/exit trace", f"# workload: {mix if mix else '(empty)'}",
+              f"# seed={spec.seed} jitter={spec.latency.jitter} threads={spec.thread_count} "
+              f"events={len(rows)}"]
+    return "\n".join(header + [r[3] for r in rows]) + "\n"
+
+
 class TestSimulate:
+    def test_figure8_trace_bytes_pinned(self):
+        digest = hashlib.sha256(wl.simulate(wl.figure8_preset()).encode("utf-8")).hexdigest()
+        assert digest == "5b99baeba5e740c377cca7566294c7d7ef8bc7ef7186a087b2bc813afb9ae9bf"
+
+    @given(
+        executions=st.dictionaries(
+            st.sampled_from(["register", "login", "recruit", "welcome_page", "container_init"]),
+            st.integers(min_value=0, max_value=5), max_size=5),
+        threads=st.integers(min_value=1, max_value=5),
+        # zero durations make timestamp ties within and across threads
+        base=st.sampled_from([0, 1, 1000]),
+        jitter=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_text_as_sorting_every_row(self, executions, threads, base, jitter, seed):
+        spec = wl.WorkloadSpec(executions=executions, seed=seed, thread_count=threads,
+                               latency=wl.LatencyModel(base_ns={}, default_base_ns=base,
+                                                       jitter=jitter))
+        assert wl.simulate(spec) == simulate_by_sorting(spec)
+
+    def test_memory_does_not_grow_with_executions(self):
+        def peak(scale: int) -> int:
+            spec = wl.WorkloadSpec(executions={"register": 10 * scale, "login": 10 * scale},
+                                   latency=wl.calibrated_latency(0.1), thread_count=4)
+            tracemalloc.start()
+            try:
+                for _ in wl.simulate_lines(spec):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.5 * peak(1)
+
     def test_reference_invocation_counts(self):
         spec = wl.WorkloadSpec(
             executions={"register": 20, "login": 10},
