@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .trace import (ENTER, EXIT, TraceEvent, TraceStructureError, format_trace_line,
                     parse_trace_line)
@@ -69,11 +69,17 @@ class CctNode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CctNode):
             return NotImplemented
-        if (self.method, self.invocations, self.total_time, self.truncated) != (
-            other.method, other.invocations, other.total_time, other.truncated
-        ):
-            return False
-        return self.children == other.children
+        work = [(self, other)]
+        while work:
+            a, b = work.pop()
+            if a is b:
+                continue
+            if ((a.method, a.invocations, a.total_time, a.truncated)
+                    != (b.method, b.invocations, b.total_time, b.truncated)
+                    or a.children.keys() != b.children.keys()):
+                return False
+            work.extend((child, b.children[method]) for method, child in a.children.items())
+        return True
 
     def __repr__(self) -> str:
         return (f"CctNode({self.method!r}, inv={self.invocations}, "
@@ -84,12 +90,17 @@ def self_time(node: CctNode) -> int:
     return node.self_time()
 
 
-@dataclass
 class CctForest:
-    """Per-thread trees plus a lazily computed merged view."""
+    """Per-thread trees plus a lazily computed merged view; equal when the trees are."""
 
-    roots: dict[int, CctNode] = field(default_factory=dict)
-    _merged: CctNode | None = field(default=None, repr=False, compare=False)
+    def __init__(self, roots: dict[int, CctNode] | None = None):
+        self.roots: dict[int, CctNode] = {} if roots is None else roots
+        self._merged: CctNode | None = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CctForest):
+            return NotImplemented
+        return self.roots == other.roots
 
     def merged(self) -> CctNode:
         if self._merged is None:
@@ -302,8 +313,7 @@ def merge_ccts(forest: CctForest) -> CctNode:
     return merged
 
 
-@dataclass(frozen=True)
-class CallGraphEdge:
+class CallGraphEdge(NamedTuple):
     caller: str
     callee: str
     calls: int
@@ -332,33 +342,46 @@ def project_call_graph(root: CctNode) -> list[CallGraphEdge]:
     return edges
 
 
-def folded_stacks(root: CctNode) -> list[str]:
-    """Flame-graph style folded lines: ``m1;m2;...;mN <self_ns>``.
+def folded_stacks(root: CctNode) -> Iterator[str]:
+    """Flame-graph style folded lines: ``m1;m2;...;mN <self_ns>``, as they come.
 
     One line per non-root node, preorder, with the synthetic root omitted
     from the path.  Self time may be zero; lines are still emitted so the
     output enumerates every context.
     """
-    lines: list[str] = []
     # stack of (node, path-prefix)
     stack: list[tuple[CctNode, str]] = [
         (child, child.method) for child in reversed(root.children.values())
     ]
     while stack:
         node, path = stack.pop()
-        lines.append(f"{path} {node.self_time()}")
+        yield f"{path} {node.self_time()}"
         for child in reversed(node.children.values()):
             stack.append((child, f"{path};{child.method}"))
-    return lines
 
 
-def _node_to_obj(node: CctNode) -> dict:
-    obj: dict = {"m": node.method, "inv": node.invocations, "ns": node.total_time}
-    if node.truncated:
-        obj["trunc"] = True
-    if node.children:
-        obj["ch"] = [_node_to_obj(c) for c in node.children.values()]
-    return obj
+def _tree_json(root: CctNode, out: list[str]) -> None:
+    """Append a tree's JSON object ``{"m","inv","ns"[,"trunc"][,"ch"]}`` to ``out``
+    iteratively, as ``json.dumps`` with ``separators=(",", ":")`` writes it."""
+    # nodes still to write, and the text that separates or closes them
+    stack: list[CctNode | str] = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        out.append(f'{{"m":{_json_string(node.method)},"inv":{node.invocations},'
+                   f'"ns":{node.total_time}')
+        if node.truncated:
+            out.append(',"trunc":true')
+        if node.children:
+            out.append(',"ch":[')
+            text = "]}"
+            for child in reversed(node.children.values()):
+                stack += (text, child)
+                text = ","
+        else:
+            out.append("}")
 
 
 def _node_from_obj(obj: dict) -> CctNode:
@@ -380,8 +403,10 @@ def _node_from_obj(obj: dict) -> CctNode:
 
 def serialize_cct(root: CctNode) -> str:
     """Lossless JSON form of one tree (structure, counts, times, flags)."""
-    doc = {"format": _CCT_FORMAT, "tree": _node_to_obj(root)}
-    return json.dumps(doc, separators=(",", ":"))
+    out = [f'{{"format":"{_CCT_FORMAT}","tree":']
+    _tree_json(root, out)
+    out.append("}")
+    return "".join(out)
 
 
 def deserialize_cct(text: str) -> CctNode:
@@ -394,11 +419,13 @@ def deserialize_cct(text: str) -> CctNode:
 
 
 def serialize_forest(forest: CctForest) -> str:
-    doc = {
-        "format": _FOREST_FORMAT,
-        "threads": {str(tid): _node_to_obj(forest.roots[tid]) for tid in sorted(forest.roots)},
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """Every thread's tree under its tid, in ascending tid order; see ``serialize_cct``."""
+    out = [f'{{"format":"{_FOREST_FORMAT}","threads":{{']
+    for i, tid in enumerate(sorted(forest.roots)):
+        out.append(f'{"," if i else ""}"{tid}":')
+        _tree_json(forest.roots[tid], out)
+    out.append("}}")
+    return "".join(out)
 
 
 def deserialize_forest(text: str) -> CctForest:

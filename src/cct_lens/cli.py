@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import os
 import sys
 from typing import Iterable
 
-from . import cct, report, snapshot, workload
+from . import cct, report, snapshot
 from .components import load_catalog_file
 from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, apply_filter
 from .trace import TraceError, errors_in, jsonl_lines
@@ -62,6 +61,11 @@ def _build_forest_from_file(path: str, lenient: bool) -> cct.CctForest:
 
 
 def cmd_simulate(args) -> int:
+    # only this command generates traces or takes a digest of its output
+    import hashlib
+
+    from . import workload
+
     if bool(args.preset) == bool(args.spec):
         raise ValueError("exactly one of --preset or --spec is required")
     if args.preset:

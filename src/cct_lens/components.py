@@ -16,10 +16,9 @@ grouped under a Middleware pseudo-component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .filters import FilterPattern
 from .metrics import HotSpotRow
@@ -52,8 +51,7 @@ def declaring_class(method: str) -> str:
     return parts[-2]
 
 
-@dataclass(frozen=True)
-class ComponentRule:
+class ComponentRule(NamedTuple):
     pattern: FilterPattern
     component: str  # DERIVE means: use the declaring class simple name
     tier: Tier
@@ -63,8 +61,7 @@ class ComponentRule:
         return cls(FilterPattern(pattern), component, tier)
 
 
-@dataclass(frozen=True)
-class ComponentCatalog:
+class ComponentCatalog(NamedTuple):
     rules: tuple[ComponentRule, ...]
 
     def classify(self, method: str) -> tuple[str, Tier]:
@@ -81,8 +78,7 @@ class ComponentCatalog:
         return declaring_class(method), Tier.OTHER
 
 
-@dataclass(frozen=True)
-class ComponentUtilizationRow:
+class ComponentUtilizationRow(NamedTuple):
     component: str
     tier: Tier
     self_time: int

@@ -20,8 +20,7 @@ had the rejected methods never been instrumented:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cct import CctNode, merge_into
 
@@ -30,18 +29,22 @@ DROP_SUBTREE = "drop_subtree"
 FILTER_MODES = (ATTRIBUTE_TO_PARENT, DROP_SUBTREE)
 
 
-@dataclass(frozen=True)
-class FilterPattern:
-    """A method-name prefix pattern, e.g. ``com.sun.ejb.*`` or an exact name."""
-
+class _Pattern(NamedTuple):
     text: str
 
-    def __post_init__(self):
-        star = self.text.find("*")
-        if star != -1 and star != len(self.text) - 1:
-            raise ValueError(f"'*' only allowed as the final character: {self.text!r}")
-        if not self.text:
+
+class FilterPattern(_Pattern):
+    """A method-name prefix pattern, e.g. ``com.sun.ejb.*`` or an exact name."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str):
+        star = text.find("*")
+        if star != -1 and star != len(text) - 1:
+            raise ValueError(f"'*' only allowed as the final character: {text!r}")
+        if not text:
             raise ValueError("empty filter pattern")
+        return super().__new__(cls, text)
 
     def matches(self, method: str) -> bool:
         if self.text.endswith("*"):
@@ -49,8 +52,7 @@ class FilterPattern:
         return method == self.text
 
 
-@dataclass(frozen=True)
-class FilterSet:
+class FilterSet(NamedTuple):
     """Include and exclude pattern lists; see ``keeps``."""
 
     includes: tuple[FilterPattern, ...] = ()

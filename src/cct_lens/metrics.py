@@ -14,15 +14,14 @@ two decimals from 1 ms up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cct import CctNode
 
 
-@dataclass(frozen=True)
-class HotSpotRow:
+class HotSpotRow(NamedTuple):
     method: str
     self_time: int          # ns, summed over contexts
     self_pct: Fraction      # fraction of the table's total self time
@@ -34,15 +33,13 @@ class HotSpotRow:
         return Fraction(self.self_time, self.invocations)
 
 
-@dataclass(frozen=True)
-class TotalTimeRow:
+class TotalTimeRow(NamedTuple):
     method: str
     total_time: int         # inclusive ns, summed over contexts
     invocations: int
 
 
-@dataclass(frozen=True)
-class MethodTotals:
+class MethodTotals(NamedTuple):
     self_time: int = 0
     total_time: int = 0
     invocations: int = 0

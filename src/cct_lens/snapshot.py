@@ -15,12 +15,10 @@ ratio undefined.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, NamedTuple
 
 from .cct import CctForest, CctNode, ingest
 from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
@@ -37,8 +35,7 @@ ADDED = "added"
 REMOVED = "removed"
 
 
-@dataclass(frozen=True)
-class AnalysisTables:
+class AnalysisTables(NamedTuple):
     """The three per-trace report tables, renderable in any format."""
 
     hot_spots: tuple[HotSpotRow, ...]
@@ -46,8 +43,7 @@ class AnalysisTables:
     components: tuple[ComponentUtilizationRow, ...]
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     label: str
     user_count: int
     hotspot_table: tuple[HotSpotRow, ...]
@@ -59,6 +55,7 @@ class _HashingReader(io.RawIOBase):
     """A binary stream that feeds every byte read through it to sha256."""
 
     def __init__(self, stream: BinaryIO):
+        import hashlib
         self._stream = stream
         self.sha256 = hashlib.sha256()
 
@@ -108,8 +105,7 @@ def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
     return Snapshot(label, user_count, tables.hot_spots, tables.components, digest)
 
 
-@dataclass(frozen=True)
-class SnapshotDiffRow:
+class SnapshotDiffRow(NamedTuple):
     method: str
     avg_a: Fraction | None       # ns per invocation; None when absent in a
     avg_b: Fraction | None
@@ -258,6 +254,14 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
 
 
 def load_snapshot_file(path) -> Snapshot:
-    """Load a snapshot file; errors name the file (``trace.errors_in``)."""
+    """Load a snapshot file; errors name the file (``trace.errors_in``).
+
+    A file whose first non-blank character is not ``{`` is refused before
+    the rest of it is read.
+    """
     with errors_in(path), open(path, "r", encoding="utf-8") as fh:
-        return load_snapshot(fh.read())
+        head = fh.read(4096)
+        start = head.lstrip(" \t\n\r")
+        if start and start[0] != "{":
+            raise ValueError(f"not a {_SNAPSHOT_FORMAT} document")
+        return load_snapshot(head + fh.read())

@@ -24,9 +24,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .snapshot import _field
 from .trace import ENTER, EXIT, errors_in
@@ -95,8 +94,7 @@ HRPROCESS_SERVLET_INIT = f"{_SERVLET}.HRProcessServlet.<init>()"
 HRPROCESS_PROCESS_REQUEST = f"{_PROCESS}.HRProcessServlet.processRequest({SERVLET_ARGS})"
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One method call in a chain template, with nested callees."""
 
     method: str
@@ -107,8 +105,7 @@ def frame(method: str, *children: Frame) -> Frame:
     return Frame(method, children)
 
 
-@dataclass(frozen=True)
-class CallChain:
+class CallChain(NamedTuple):
     """A named use-case template: top-level frames executed in order.
 
     Most chains have a single root frame; the container-init chain runs
@@ -249,8 +246,13 @@ def standard_chains() -> dict[str, CallChain]:
     return chains
 
 
-@dataclass(frozen=True)
-class LatencyModel:
+class _Latency(NamedTuple):
+    base_ns: Mapping[str, int]
+    default_base_ns: int = 1_000_000
+    jitter: float = 0.0
+
+
+class LatencyModel(_Latency):
     """Per-method self durations with optional seeded jitter.
 
     ``jitter`` is a half-width fraction in [0, 1): each frame's duration
@@ -259,11 +261,10 @@ class LatencyModel:
     it is independent of generation order.
     """
 
-    base_ns: Mapping[str, int]
-    default_base_ns: int = 1_000_000
-    jitter: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
         if self.default_base_ns < 0:
@@ -271,6 +272,7 @@ class LatencyModel:
         for method, base in self.base_ns.items():
             if base < 0:
                 raise ValueError(f"negative base duration for {method}")
+        return self
 
     def base_for(self, method: str) -> int:
         return self.base_ns.get(method, self.default_base_ns)
@@ -287,15 +289,17 @@ class LatencyModel:
         return max(0, round(base * factor))
 
 
-@dataclass
 class WorkloadSpec:
     """Declarative scenario: which chains run how often, on which threads."""
 
-    executions: dict[str, int]
-    seed: int = 0
-    latency: LatencyModel = field(default_factory=lambda: LatencyModel(base_ns={}))
-    thread_count: int = 1
-    chains: dict[str, CallChain] = field(default_factory=standard_chains)
+    def __init__(self, executions: dict[str, int], seed: int = 0,
+                 latency: LatencyModel | None = None, thread_count: int = 1,
+                 chains: dict[str, CallChain] | None = None):
+        self.executions = executions
+        self.seed = seed
+        self.latency = LatencyModel(base_ns={}) if latency is None else latency
+        self.thread_count = thread_count
+        self.chains = standard_chains() if chains is None else chains
 
     def event_count(self) -> int:
         """The enter and exit events the spec expands to."""
@@ -475,7 +479,9 @@ def simulate_lines(spec: WorkloadSpec) -> Iterator[str]:
     ]
     # each thread is in time order and has its own tid, so a merge on
     # (ts, tid) never compares two lines and keeps each thread's order
-    threads = [_thread_lines(spec, tid) for tid in range(1, spec.thread_count + 1)]
+    # threads past the last execution would run nothing
+    busy = min(spec.thread_count, sum(spec.executions.values()))
+    threads = [_thread_lines(spec, tid) for tid in range(1, busy + 1)]
     return itertools.chain(header, (line for _, _, line in heapq.merge(*threads)))
 
 

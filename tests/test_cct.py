@@ -1,5 +1,6 @@
 """Calling context tree construction, merging, projections, serialization."""
 
+import json
 import random
 
 import pytest
@@ -389,10 +390,58 @@ class TestSerialization:
             deserialize_forest('{"format": "cct-lens/forest@1"}')
 
 
+def _node_to_obj(node: CctNode) -> dict:
+    """A tree as the JSON object the serializers write, built recursively."""
+    obj: dict = {"m": node.method, "inv": node.invocations, "ns": node.total_time}
+    if node.truncated:
+        obj["trunc"] = True
+    if node.children:
+        obj["ch"] = [_node_to_obj(c) for c in node.children.values()]
+    return obj
+
+
+def _random_tree(rng: random.Random, method: str, depth: int) -> CctNode:
+    node = CctNode(method, rng.randrange(0, 5), rng.randrange(-3, 10**12), rng.random() < 0.2)
+    if depth:
+        # quotes, backslashes, controls and non-ASCII need escaping
+        for name in rng.sample(["a", "b()", 'q"t', "b\\s", "t\tab", "é", "日本", "\u2028"],
+                               rng.randrange(0, 4)):
+            node.children[name] = _random_tree(rng, name, depth - 1)
+    return node
+
+
+def _chain(depth: int, leaf_ns: int = 1) -> CctNode:
+    """A root over ``depth`` nested calls of 1 ns each, but ``leaf_ns`` at the bottom."""
+    root = node = CctNode("<root>", 1, 1)
+    for i in range(depth):
+        node.children[f"m{i % 3}"] = node = CctNode(f"m{i % 3}", 1, 1)
+    node.total_time = leaf_ns
+    return root
+
+
+class TestSerializedText:
+    def test_same_text_as_json_dumps_on_random_trees(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            root = _random_tree(rng, "<root>", rng.randrange(0, 5))
+            assert serialize_cct(root) == json.dumps(
+                {"format": "cct-lens/cct@1", "tree": _node_to_obj(root)}, separators=(",", ":"))
+            forest = CctForest({tid: _random_tree(rng, f"<root:{tid}>", 3)
+                                for tid in rng.sample([0, 2, 10, 11, 300], rng.randrange(0, 4))})
+            threads = {str(tid): _node_to_obj(forest.roots[tid]) for tid in sorted(forest.roots)}
+            assert serialize_forest(forest) == json.dumps(
+                {"format": "cct-lens/forest@1", "threads": threads}, separators=(",", ":"))
+
+    def test_deep_trees_compare(self):
+        assert _chain(10**4) == _chain(10**4)
+        assert _chain(10**4) != _chain(10**4, leaf_ns=2)
+        assert _chain(10**4) != _chain(10**4 - 1)
+
+
 class TestFoldedStacks:
     def test_lines_and_self_times(self):
         root = build_cct(events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a")))
-        lines = folded_stacks(root)
+        lines = list(folded_stacks(root))
         assert "a 20" in lines
         assert "a;b 20" in lines
         assert len(lines) == 2

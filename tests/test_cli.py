@@ -4,9 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import cct_lens
 from cct_lens import cct, snapshot
 from cct_lens import workload as wl
 from cct_lens.cli import main
@@ -17,6 +23,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def peak_traced_mib(*argv) -> float:
+    """Peak Python heap of one successful in-process CLI run, in MiB."""
+    tracemalloc.start()
+    try:
+        assert main(list(argv)) == 0, argv
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +435,15 @@ class TestMalformedSnapshot:
     def test_bad_document(self, capsys, tmp_path, data):
         self.check(capsys, tmp_path, data)
 
+    def test_non_object_is_refused_before_the_rest_is_read(self, capsys, tmp_path):
+        # a full read would fail on the last byte, which is not UTF-8
+        good, bad = tmp_path / "good.json", tmp_path / "trace.tsv"
+        good.write_text(self.GOOD, encoding="utf-8")
+        bad.write_bytes(b"0\t1\tE\tm\n5\t1\tX\tm\n" * 10**4 + b"\xff")
+        code, stdout, stderr = run(capsys, "diff", str(good), str(bad))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {bad}: not a cct-lens/snapshot@1 document\n"
+
 
 class TestCallgraph:
     def test_reference_edge(self, capsys, fig8_trace):
@@ -603,10 +628,12 @@ class TestUndecodableInputFile:
 
 
 class TestDeepChain:
+    # one thread, 10^4 nested calls cycling through m0, m1 and m2, then a leaf
+    METHODS = [f"m{i % 3}" for i in range(10**4 - 1)] + ["leaf"]
+
     @pytest.fixture(scope="class")
     def chain(self, tmp_path_factory):
-        # one thread, 10^4 nested calls cycling through m0, m1 and m2, then a leaf
-        methods = [f"m{i % 3}" for i in range(10**4 - 1)] + ["leaf"]
+        methods = self.METHODS
         lines = [f"{ts}\t1\tE\t{m}" for ts, m in enumerate(methods)]
         lines += [f"{len(methods) + ts}\t1\tX\t{m}" for ts, m in enumerate(reversed(methods))]
         path = tmp_path_factory.mktemp("deep") / "deep.tsv"
@@ -628,6 +655,31 @@ class TestDeepChain:
         assert (code, stderr) == (0, "")
         assert stdout and excluded not in stdout
 
+    def tree_json(self, root: str) -> str:
+        # the call at depth d enters at d and leaves at 19999 - d
+        opened = [f'{{"m":"{root}","inv":1,"ns":19999']
+        opened += [f',"ch":[{{"m":"{m}","inv":1,"ns":{19999 - 2 * d}'
+                   for d, m in enumerate(self.METHODS)]
+        return "".join(opened) + "}" + "]}" * len(self.METHODS)
+
+    @pytest.mark.parametrize("fmt", ["cct", "forest"])
+    def test_tree_export(self, capsys, chain, fmt):
+        code, stdout, stderr = run(capsys, "export", str(chain), "--format", fmt)
+        assert (code, stderr) == (0, "")
+        if fmt == "cct":
+            expected = '{"format":"cct-lens/cct@1","tree":' + self.tree_json("<root>") + "}"
+        else:
+            expected = ('{"format":"cct-lens/forest@1","threads":{"1":'
+                        + self.tree_json("<root:1>") + "}}")
+        assert stdout == expected + "\n"
+
+    def test_folded_lines_stream(self, chain):
+        # the chain's folded lines hold about 150 MB of text in all
+        base = peak_traced_mib("analyze", str(chain), "-o", os.devnull)
+        for command in ("export", "callgraph"):
+            peak = peak_traced_mib(command, str(chain), "--format", "folded", "-o", os.devnull)
+            assert peak < base + 16
+
 
 class TestTopLevel:
     def test_no_args_is_usage_error(self, capsys):
@@ -637,6 +689,17 @@ class TestTopLevel:
         assert "usage" in capsys.readouterr().err
 
     def test_version_like_import(self):
-        import cct_lens
-
         assert cct_lens.__version__
+
+    def test_cli_import_loads_no_command_specific_module(self):
+        # every run pays for what importing the CLI loads
+        env = {**os.environ, "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
+
+        def loaded(imports: str) -> set[str]:
+            probe = f"import sys{imports}; print(*sys.modules)"
+            return set(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                      capture_output=True, text=True).stdout.split())
+
+        extra = loaded(", cct_lens.cli") - loaded("")
+        assert "cct_lens.cli" in extra
+        assert extra & {"dataclasses", "inspect", "hashlib", "cct_lens.workload"} == set()

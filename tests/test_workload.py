@@ -170,6 +170,17 @@ class TestSimulate:
                                                        jitter=jitter))
         assert wl.simulate(spec) == simulate_by_sorting(spec)
 
+    def test_threads_start_only_with_executions(self, monkeypatch):
+        started = []
+        thread_lines = wl._thread_lines
+        monkeypatch.setattr(wl, "_thread_lines",
+                            lambda spec, tid: started.append(tid) or thread_lines(spec, tid))
+        spec = wl.WorkloadSpec(executions={"login": 3}, thread_count=1000)
+        text = wl.simulate(spec)
+        assert started == [1, 2, 3]
+        assert "threads=1000" in text.splitlines()[2]
+        assert text == simulate_by_sorting(spec)
+
     def test_memory_does_not_grow_with_executions(self):
         def peak(scale: int) -> int:
             spec = wl.WorkloadSpec(executions={"register": 10 * scale, "login": 10 * scale},
