@@ -15,8 +15,6 @@ time conservation holds exactly on every tree.
 
 from __future__ import annotations
 
-import itertools
-import json
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -84,10 +82,6 @@ class CctNode:
     def __repr__(self) -> str:
         return (f"CctNode({self.method!r}, inv={self.invocations}, "
                 f"total={self.total_time}, children={len(self.children)})")
-
-
-def self_time(node: CctNode) -> int:
-    return node.self_time()
 
 
 class CctForest:
@@ -262,26 +256,6 @@ def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
                   max_depth=max_depth, warn=warn)
 
 
-def build_cct(events: Iterable[TraceEvent], tid: int | None = None,
-              lenient: bool = False, max_depth: int | None = None) -> CctNode:
-    """Build a single thread's CCT from its ordered event sequence.
-
-    ``tid`` names the synthetic root; when omitted it is taken from the
-    first event (0 for an empty sequence).
-    """
-    events = iter(events)
-    first = next(events, None)
-    if first is None:
-        return CctNode(root_label(tid or 0), invocations=1)
-    if tid is None:
-        tid = first.tid
-    forest = build_forest(itertools.chain((first,), events), lenient=lenient,
-                          max_depth=max_depth)
-    if list(forest.roots) != [tid]:
-        raise ValueError(f"expected events for tid {tid} only, saw tids {forest.tids()}")
-    return forest.roots[tid]
-
-
 def merge_into(dst: CctNode, src: CctNode) -> None:
     """Overlay ``src`` onto ``dst``, iteratively: counts and times add,
     children unite by method.  ``src`` is left unchanged and unshared."""
@@ -384,38 +358,12 @@ def _tree_json(root: CctNode, out: list[str]) -> None:
             out.append("}")
 
 
-def _node_from_obj(obj: dict) -> CctNode:
-    if not isinstance(obj, dict) or "m" not in obj:
-        raise ValueError("malformed CCT node object")
-    node = CctNode(
-        obj["m"],
-        invocations=int(obj.get("inv", 0)),
-        total_time=int(obj.get("ns", 0)),
-        truncated=bool(obj.get("trunc", False)),
-    )
-    for child_obj in obj.get("ch", []):
-        child = _node_from_obj(child_obj)
-        if child.method in node.children:
-            raise ValueError(f"duplicate child method {child.method!r}")
-        node.children[child.method] = child
-    return node
-
-
 def serialize_cct(root: CctNode) -> str:
     """Lossless JSON form of one tree (structure, counts, times, flags)."""
     out = [f'{{"format":"{_CCT_FORMAT}","tree":']
     _tree_json(root, out)
     out.append("}")
     return "".join(out)
-
-
-def deserialize_cct(text: str) -> CctNode:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != _CCT_FORMAT:
-        raise ValueError(f"not a {_CCT_FORMAT} document")
-    if "tree" not in doc:
-        raise ValueError("document has no tree")
-    return _node_from_obj(doc["tree"])
 
 
 def serialize_forest(forest: CctForest) -> str:
@@ -426,15 +374,3 @@ def serialize_forest(forest: CctForest) -> str:
         _tree_json(forest.roots[tid], out)
     out.append("}}")
     return "".join(out)
-
-
-def deserialize_forest(text: str) -> CctForest:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != _FOREST_FORMAT:
-        raise ValueError(f"not a {_FOREST_FORMAT} document")
-    if not isinstance(doc.get("threads"), dict):
-        raise ValueError("document has no threads table")
-    forest = CctForest()
-    for tid_str, obj in doc["threads"].items():
-        forest.roots[int(tid_str)] = _node_from_obj(obj)
-    return forest

@@ -16,6 +16,7 @@ grouped under a Middleware pseudo-component.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -118,8 +119,9 @@ def component_utilization(rows: Iterable[HotSpotRow],
     return out
 
 
+@functools.cache
 def default_hr_catalog() -> ComponentCatalog:
-    """Catalog for the sample HR portal's package layout.
+    """Catalog for the sample HR portal's package layout, built once.
 
     Container plumbing is matched first so stub/wrapper classes do not
     leak into the Business tier; value-object constructors deliberately
@@ -183,9 +185,3 @@ def load_catalog_file(path) -> ComponentCatalog:
     with errors_in(path), open(path, "r", encoding="utf-8") as fh:
         return load_catalog(fh)
 
-
-def dump_catalog(catalog: ComponentCatalog) -> str:
-    lines = ["# tier\tcomponent\tpattern"]
-    for rule in catalog.rules:
-        lines.append(f"{rule.tier.value}\t{rule.component}\t{rule.pattern.text}")
-    return "\n".join(lines) + "\n"

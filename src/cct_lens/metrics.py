@@ -107,13 +107,6 @@ def total_time_rows(totals: dict[str, MethodTotals]) -> list[TotalTimeRow]:
     return rows
 
 
-def avg_per_invocation(self_time: int, invocations: int) -> Fraction:
-    """Exact per-invocation average; invocations must be positive."""
-    if invocations <= 0:
-        raise ValueError(f"invocations must be positive, got {invocations}")
-    return Fraction(self_time, invocations)
-
-
 def format_ms(ns: int) -> str:
     """Nanoseconds as a profiler-style millisecond string.
 

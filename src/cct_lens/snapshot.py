@@ -98,10 +98,10 @@ def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
 
 
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
-                  filter_set: FilterSet = FilterSet(), lenient: bool = False) -> Snapshot:
+                  lenient: bool = False) -> Snapshot:
     """Run the full pipeline over trace content and freeze the tables."""
     forest, digest = ingest_hashed(io.BytesIO(trace_bytes), lenient)
-    tables = tabulate(forest.merged(), filter_set=filter_set)
+    tables = tabulate(forest.merged())
     return Snapshot(label, user_count, tables.hot_spots, tables.components, digest)
 
 
@@ -211,9 +211,18 @@ def _field(obj, key: str, kind: type | tuple, minimum: int | None = None, where:
 
 
 def _rows(doc: dict, key: str, fields) -> list[tuple]:
-    rows = _field(doc, key, list)
-    return [tuple(_field(row, *field, where=f"{key}[{i}]: ") for field in fields)
-            for i, row in enumerate(rows)]
+    """The rows of ``doc[key]`` as tuples of ``fields``.  The text fields name
+    a row (a method, or a component and tier), so no two rows may share them."""
+    rows, seen = [], set()
+    for i, row in enumerate(_field(doc, key, list)):
+        where = f"{key}[{i}]: "
+        values = tuple(_field(row, *field, where=where) for field in fields)
+        name = tuple((f, v) for (f, kind, _), v in zip(fields, values) if kind is str)
+        if name in seen:
+            raise ValueError(f"{where}duplicate " + ", ".join(f"{f} {v!r}" for f, v in name))
+        seen.add(name)
+        rows.append(values)
+    return rows
 
 
 def load_snapshot(text: str) -> Snapshot:
@@ -232,9 +241,14 @@ def load_snapshot(text: str) -> Snapshot:
         for method, self_ns, invocations in hot
     )
     comps = _rows(doc, "components", _COMPONENT_FIELDS)
+    tiers = {t.value: t for t in Tier}
+    for i, (_, tier, _, _) in enumerate(comps):
+        if tier not in tiers:
+            raise ValueError(f"components[{i}]: unknown tier {tier!r} "
+                             f"(expected {', '.join(tiers)})")
     comp_denom = sum(self_ns for _, _, self_ns, _ in comps)
     comp_rows = tuple(
-        ComponentUtilizationRow(component, Tier(tier), self_ns,
+        ComponentUtilizationRow(component, tiers[tier], self_ns,
                                 Fraction(self_ns, comp_denom) if comp_denom else Fraction(0),
                                 invocations)
         for component, tier, self_ns, invocations in comps

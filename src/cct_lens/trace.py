@@ -17,15 +17,14 @@ structural checks, nesting and per-thread timestamp order, live in
 ``cct.ingest``, which parses, checks and builds a tree in one pass.
 
 ``jsonl_lines`` streams a JSON-lines rendering with keys
-``ts``/``tid``/``ev``/``m``, an interchange convenience; the
-tab-separated form is canonical.  ``errors_in`` names the file, and the
-line of a byte that is not UTF-8, in the errors of every file reader.
+``ts``/``tid``/``ev``/``m``; the tab-separated form is canonical.
+``errors_in`` names the file, and the line of a byte that is not UTF-8,
+in the errors of every file reader.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator, NamedTuple
 
@@ -101,14 +100,6 @@ class TraceEvent(NamedTuple):
     method: str
 
 
-def _check_method(method: str, lineno: int | None) -> None:
-    if not method:
-        raise TraceParseError("empty method name", lineno)
-    # str.split() cuts at exactly the characters for which str.isspace() holds
-    if method.split() != [method]:
-        raise TraceParseError(f"method name contains whitespace: {method!r}", lineno)
-
-
 def parse_trace_line(line: str, lineno: int | None = None) -> TraceEvent | None:
     """Parse one line of canonical trace text.
 
@@ -134,7 +125,11 @@ def parse_trace_line(line: str, lineno: int | None = None) -> TraceEvent | None:
         raise TraceParseError(f"negative thread id {tid}", lineno)
     if kind != ENTER and kind != EXIT:
         raise TraceParseError(f"bad event kind {kind!r} (expected E or X)", lineno)
-    _check_method(method, lineno)
+    if not method:
+        raise TraceParseError("empty method name", lineno)
+    # str.split() cuts at exactly the characters for which str.isspace() holds
+    if method.split() != [method]:
+        raise TraceParseError(f"method name contains whitespace: {method!r}", lineno)
     return TraceEvent(ts, tid, kind, method)
 
 
@@ -199,32 +194,3 @@ def events_to_jsonl(events: Iterable[TraceEvent]) -> Iterator[str]:
     with the events counted from 1 as lines.
     """
     return jsonl_lines(map(format_trace_line, events))
-
-
-def events_from_jsonl(lines: Iterable[str]) -> Iterator[TraceEvent]:
-    """Parse JSON-lines events; same field constraints as the canonical form."""
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"bad JSON: {exc}", lineno) from None
-        if not isinstance(obj, dict):
-            raise TraceParseError("expected a JSON object", lineno)
-        try:
-            ts, tid, kind, method = obj["ts"], obj["tid"], obj["ev"], obj["m"]
-        except KeyError as exc:
-            raise TraceParseError(f"missing field {exc.args[0]!r}", lineno) from None
-        # bool is an int subclass; reject it explicitly
-        if isinstance(ts, bool) or not isinstance(ts, int):
-            raise TraceParseError(f"bad timestamp {ts!r}", lineno)
-        if isinstance(tid, bool) or not isinstance(tid, int) or tid < 0:
-            raise TraceParseError(f"bad thread id {tid!r}", lineno)
-        if kind != ENTER and kind != EXIT:
-            raise TraceParseError(f"bad event kind {kind!r} (expected E or X)", lineno)
-        if not isinstance(method, str):
-            raise TraceParseError(f"bad method name {method!r}", lineno)
-        _check_method(method, lineno)
-        yield TraceEvent(ts, tid, kind, method)

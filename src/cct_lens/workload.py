@@ -124,16 +124,6 @@ class CallChain(NamedTuple):
             stack.extend(f.children)
         return count
 
-    def methods(self) -> list[str]:
-        """Every method in the template, preorder, duplicates kept."""
-        out = []
-        stack = list(reversed(self.roots))
-        while stack:
-            f = stack.pop()
-            out.append(f.method)
-            stack.extend(reversed(f.children))
-        return out
-
 
 def _register_chain() -> CallChain:
     dao_fresh = frame(EMPLOYEEDAO_INIT, frame(BASEDAO_INIT))
@@ -293,13 +283,12 @@ class WorkloadSpec:
     """Declarative scenario: which chains run how often, on which threads."""
 
     def __init__(self, executions: dict[str, int], seed: int = 0,
-                 latency: LatencyModel | None = None, thread_count: int = 1,
-                 chains: dict[str, CallChain] | None = None):
+                 latency: LatencyModel | None = None, thread_count: int = 1):
         self.executions = executions
         self.seed = seed
         self.latency = LatencyModel(base_ns={}) if latency is None else latency
         self.thread_count = thread_count
-        self.chains = standard_chains() if chains is None else chains
+        self.chains = standard_chains()
 
     def event_count(self) -> int:
         """The enter and exit events the spec expands to."""
@@ -395,16 +384,11 @@ def figure8_preset() -> WorkloadSpec:
     )
 
 
-def load_preset(
-    user_count: int,
-    jitter: float = 0.0,
-    seed: int = 11,
-    repeats: int = 8,
-) -> WorkloadSpec:
+def load_preset(user_count: int, jitter: float = 0.0, seed: int = 11) -> WorkloadSpec:
     """A load-scaling workload: per-call latency independent of user count.
 
-    Each user registers ``repeats`` candidates and logs in ``repeats`` times
-    over the capture window; only the volume grows with ``user_count``, never
+    Each user registers eight candidates and logs in eight times over the
+    capture window; only the volume grows with ``user_count``, never
     the per-call durations, so per-method averages are load-invariant up to
     jitter.  The repeat factor keeps averages stable even at one user: with
     eight samples a 10% jitter moves a per-method mean by a few percent at
@@ -412,9 +396,7 @@ def load_preset(
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    volume = user_count * repeats
+    volume = user_count * 8
     return WorkloadSpec(
         executions={"register": volume, "login": volume},
         seed=seed,
@@ -488,19 +470,6 @@ def simulate_lines(spec: WorkloadSpec) -> Iterator[str]:
 def simulate(spec: WorkloadSpec) -> str:
     """``simulate_lines`` as one text, each line ending in a newline."""
     return "\n".join(simulate_lines(spec)) + "\n"
-
-
-def dump_workload_spec(spec: WorkloadSpec) -> str:
-    """Serialize a spec (minus chain templates, which are built in)."""
-    doc = {
-        "executions": dict(spec.executions),
-        "seed": spec.seed,
-        "thread_count": spec.thread_count,
-        "jitter": spec.latency.jitter,
-        "default_base_ns": spec.latency.default_base_ns,
-        "base_ns": dict(spec.latency.base_ns),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def load_workload_spec(text: str) -> WorkloadSpec:

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random well-formed traces and a naive replay oracle.
+"""Shared helpers: seeded random well-formed traces, a naive replay oracle,
+and a reader for the JSON trees that ``export --format cct|forest`` writes.
 
 The oracle deliberately avoids every tree abstraction from the package: it
 replays raw events against plain per-thread stacks and accumulates per-method
@@ -9,8 +10,10 @@ agree with it exactly.
 from __future__ import annotations
 
 import random
+import json
 from collections import defaultdict
 
+from cct_lens.cct import CctNode
 from cct_lens.trace import ENTER, EXIT, TraceEvent
 
 
@@ -126,3 +129,40 @@ def replay_totals(events, keep=None, mode="attribute_to_parent"):
 def events_1tid(*steps, tid: int = 1) -> list[TraceEvent]:
     """Compact builder: steps are (ts, kind, method) triples on one thread."""
     return [TraceEvent(ts, tid, kind, method) for ts, kind, method in steps]
+
+
+def decode_tree(obj: dict) -> CctNode:
+    """A tree from its ``{"m","inv","ns"[,"trunc"][,"ch"]}`` JSON object, iteratively.
+
+    The package writes these objects but has no reader for them.
+    """
+    def node(o: dict) -> CctNode:
+        # the writer leaves out a false "trunc" and an empty "ch"
+        assert set(o) <= {"m", "inv", "ns", "trunc", "ch"}, o
+        assert o.get("trunc", True) is True and o.get("ch", [None]), o
+        return CctNode(o["m"], o["inv"], o["ns"], o.get("trunc", False))
+
+    root = node(obj)
+    work = [(root, obj)]
+    while work:
+        parent, o = work.pop()
+        for child_obj in o.get("ch", ()):
+            child = node(child_obj)
+            assert child.method not in parent.children, child.method
+            parent.children[child.method] = child
+            work.append((child, child_obj))
+    return root
+
+
+def decode_cct(text: str) -> CctNode:
+    """The tree of an ``export --format cct`` document."""
+    doc = json.loads(text)
+    assert set(doc) == {"format", "tree"} and doc["format"] == "cct-lens/cct@1"
+    return decode_tree(doc["tree"])
+
+
+def decode_forest(text: str) -> dict[int, CctNode]:
+    """The per-thread trees of an ``export --format forest`` document, by tid."""
+    doc = json.loads(text)
+    assert set(doc) == {"format", "threads"} and doc["format"] == "cct-lens/forest@1"
+    return {int(tid): decode_tree(obj) for tid, obj in doc["threads"].items()}

@@ -18,12 +18,12 @@ import pytest
 
 from conftest import random_trace, replay_totals
 from cct_lens import workload as wl
-from cct_lens.cct import CctNode, build_cct, build_forest, ingest
+from cct_lens.cct import CctNode, build_forest, ingest
 from cct_lens.components import component_utilization, default_hr_catalog
 from cct_lens.filters import (ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet,
                               apply_filter)
-from cct_lens.metrics import (avg_per_invocation, format_avg_ms, format_ms,
-                              format_pct, hotspots)
+from cct_lens.metrics import (HotSpotRow, format_avg_ms, format_ms, format_pct,
+                              hotspots)
 from cct_lens.report import AnalysisTables, render_analysis
 from cct_lens.snapshot import SHARED, diff, take_snapshot
 from cct_lens.trace import TraceEvent
@@ -93,12 +93,12 @@ def test_criterion_3_average_arithmetic(capsys):
         (1_267_000_000, 50, Fraction(25_340_000), "25.34 ms"),
     ]
     for self_ns, inv, exact, shown in cases:
-        avg = avg_per_invocation(self_ns, inv)
+        avg = HotSpotRow("m", self_ns, Fraction(1), inv).avg_per_invocation
         assert avg == exact
         assert format_avg_ms(avg) == shown
     # 1267 ms over 50 calls is 25.34 ms; a published 24.92 ms figure does
     # not survive exact division
-    assert format_avg_ms(avg_per_invocation(1_267_000_000, 50)) != "24.92 ms"
+    assert format_avg_ms(Fraction(1_267_000_000, 50)) != "24.92 ms"
     _pass(capsys, 3, "1.52 / 47.3 / 25.34 ms exact")
 
 
@@ -171,21 +171,21 @@ def _chain_events(*spans) -> list[TraceEvent]:
 def test_criterion_6_filter_semantics(capsys):
     exclude_b = FilterSet.from_patterns(excludes=["b"])
 
-    spliced = apply_filter(build_cct(_chain_events(("a", 0, 40), ("b", 10, 30))),
+    spliced = apply_filter(build_forest(_chain_events(("a", 0, 40), ("b", 10, 30))).roots[1],
                            exclude_b, ATTRIBUTE_TO_PARENT)
     a = spliced.children["a"]
     assert list(spliced.children) == ["a"] and not a.children
     assert a.total_time == 40 and a.self_time() == 40
 
     promoted = apply_filter(
-        build_cct(_chain_events(("a", 0, 40), ("b", 10, 30), ("c", 12, 17))),
+        build_forest(_chain_events(("a", 0, 40), ("b", 10, 30), ("c", 12, 17))).roots[1],
         exclude_b, ATTRIBUTE_TO_PARENT)
     a = promoted.children["a"]
     assert list(a.children) == ["c"]
     assert a.total_time == 40 and a.self_time() == 35
     assert a.children["c"].total_time == 5
 
-    dropped = apply_filter(build_cct(_chain_events(("a", 0, 40), ("b", 10, 30))),
+    dropped = apply_filter(build_forest(_chain_events(("a", 0, 40), ("b", 10, 30))).roots[1],
                            exclude_b, DROP_SUBTREE)
     a = dropped.children["a"]
     assert not a.children and a.total_time == 20 and a.self_time() == 20

@@ -31,7 +31,9 @@ def test_run_round_on_figure8(tmp_path):
     files = {name: tmp_path / name for name in ("trace", "spec", "base_snapshot")}
     text = wl.simulate(wl.figure8_preset())
     files["trace"].write_text(text, encoding="utf-8")
-    files["spec"].write_text(wl.dump_workload_spec(wl.figure8_preset()), encoding="utf-8")
+    spec_text = json.dumps({"executions": {"register": 3, "login_page": 2}, "seed": 4,
+                            "thread_count": 2, "jitter": 0.1})
+    files["spec"].write_text(spec_text, encoding="utf-8")
     base = wl.simulate(wl.load_preset(1))
     snapshot.save_snapshot(snapshot.take_snapshot("load-a", 1, base.encode("utf-8")),
                            files["base_snapshot"])
@@ -43,7 +45,8 @@ def test_run_round_on_figure8(tmp_path):
     assert out["jsonl"].splitlines() == [
         json.dumps({"ts": e.ts, "tid": e.tid, "ev": e.kind, "m": e.method})
         for e in iter_trace(text.splitlines())]
-    assert out["counts"]["workload.frames"] == wl.figure8_preset().event_count() // 2
+    spec = wl.load_workload_spec(spec_text)
+    assert out["counts"]["workload.frames"] == spec.event_count() // 2
     assert out["counts"]["snapshot.diff_rows"] > 0
 
 

@@ -11,22 +11,18 @@ from cct_lens.cct import (
     CctForest,
     CctNode,
     MERGED_ROOT,
-    build_cct,
     build_forest,
-    deserialize_cct,
-    deserialize_forest,
     folded_stacks,
     ingest,
     merge_ccts,
     project_call_graph,
     root_label,
-    self_time,
     serialize_cct,
     serialize_forest,
 )
 from cct_lens.trace import ENTER, EXIT, TraceEvent, TraceParseError, TraceStructureError
 
-from conftest import events_1tid, random_trace, replay_totals
+from conftest import decode_cct, decode_forest, events_1tid, random_trace, replay_totals
 
 E, X = ENTER, EXIT
 
@@ -38,7 +34,8 @@ def child(node: CctNode, method: str) -> CctNode:
 
 class TestBuildCct:
     def test_nested_calls(self):
-        root = build_cct(events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a")))
+        events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
+        root = build_forest(events).roots[1]
         assert root.method == root_label(1)
         a = child(root, "a")
         assert (a.invocations, a.total_time) == (1, 40)
@@ -47,13 +44,15 @@ class TestBuildCct:
         assert not b.children
 
     def test_same_parent_contexts_merge(self):
-        root = build_cct(events_1tid((0, E, "a"), (5, X, "a"), (5, E, "a"), (9, X, "a")))
+        events = events_1tid((0, E, "a"), (5, X, "a"), (5, E, "a"), (9, X, "a"))
+        root = build_forest(events).roots[1]
         assert len(root.children) == 1
         a = child(root, "a")
         assert (a.invocations, a.total_time) == (2, 9)
 
     def test_recursion_builds_chain_not_merge(self):
-        root = build_cct(events_1tid((0, E, "a"), (3, E, "a"), (7, X, "a"), (10, X, "a")))
+        events = events_1tid((0, E, "a"), (3, E, "a"), (7, X, "a"), (10, X, "a"))
+        root = build_forest(events).roots[1]
         outer = child(root, "a")
         assert (outer.invocations, outer.total_time) == (1, 10)
         inner = child(outer, "a")
@@ -61,38 +60,30 @@ class TestBuildCct:
         assert not inner.children
 
     def test_children_in_first_encounter_order(self):
-        root = build_cct(
+        root = build_forest(
             events_1tid(
                 (0, E, "z"), (1, X, "z"), (2, E, "a"), (3, X, "a"), (4, E, "z"), (5, X, "z")
             )
-        )
+        ).roots[1]
         assert list(root.children) == ["z", "a"]
 
     def test_root_total_is_busy_time_not_span(self):
         # idle gap between top-level calls does not count
-        root = build_cct(events_1tid((0, E, "a"), (10, X, "a"), (50, E, "b"), (60, X, "b")))
+        events = events_1tid((0, E, "a"), (10, X, "a"), (50, E, "b"), (60, X, "b"))
+        root = build_forest(events).roots[1]
         assert root.total_time == 20  # not the 60 ns span
         assert root.invocations == 1
-        assert self_time(root) == 0
+        assert root.self_time() == 0
 
     def test_empty_input_gives_bare_root(self):
-        root = build_cct([])
-        assert root.method == root_label(0)
+        forest = ingest(["# comments and blank lines only", ""])
+        assert forest.roots == {}
+        root = forest.merged()
+        assert root.method == MERGED_ROOT
         assert root.total_time == 0 and not root.children
 
-    def test_tid_override_for_empty(self):
-        assert build_cct([], tid=9).method == root_label(9)
-
-    def test_rejects_multi_thread_input(self):
-        events = [
-            TraceEvent(0, 1, E, "a"), TraceEvent(5, 1, X, "a"),
-            TraceEvent(0, 2, E, "a"), TraceEvent(5, 2, X, "a"),
-        ]
-        with pytest.raises(ValueError, match="tid 1 only"):
-            build_cct(events)
-
     def test_zero_duration_calls(self):
-        root = build_cct(events_1tid((5, E, "a"), (5, X, "a")))
+        root = build_forest(events_1tid((5, E, "a"), (5, X, "a"))).roots[1]
         a = child(root, "a")
         assert (a.invocations, a.total_time) == (1, 0)
 
@@ -100,27 +91,27 @@ class TestBuildCct:
 class TestStrictErrors:
     def test_orphan_exit_names_position(self):
         with pytest.raises(TraceStructureError, match="tid 1"):
-            build_cct(events_1tid((0, X, "a")))
+            build_forest(events_1tid((0, X, "a")))
 
     def test_mismatched_exit(self):
         with pytest.raises(TraceStructureError, match="mismatched exit"):
-            build_cct(events_1tid((0, E, "a"), (1, E, "b"), (2, X, "a")))
+            build_forest(events_1tid((0, E, "a"), (1, E, "b"), (2, X, "a")))
 
     def test_unmatched_enter_at_end(self):
         with pytest.raises(TraceStructureError, match="still open"):
-            build_cct(events_1tid((0, E, "a")))
+            build_forest(events_1tid((0, E, "a")))
 
     def test_timestamp_regression(self):
         with pytest.raises(TraceStructureError, match="regression"):
-            build_cct(events_1tid((5, E, "a"), (3, X, "a")))
+            build_forest(events_1tid((5, E, "a"), (3, X, "a")))
 
     def test_max_depth_cap(self):
         events = events_1tid(
             (0, E, "a"), (1, E, "b"), (2, E, "c"), (3, X, "c"), (4, X, "b"), (5, X, "a")
         )
         with pytest.raises(TraceStructureError, match="tid 1, line 3: call depth"):
-            build_cct(events, max_depth=2)
-        assert build_cct(events, max_depth=3) is not None
+            build_forest(events, max_depth=2)
+        build_forest(events, max_depth=3)  # within the cap
 
     def test_events_are_numbered_as_lines(self):
         # events have no file, so the n-th event is reported as line n
@@ -277,40 +268,38 @@ class TestMergeCcts:
 
 class TestSelfTime:
     def test_parent_minus_children(self):
-        root = build_cct(events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a")))
-        assert self_time(child(root, "a")) == 20
+        events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
+        root = build_forest(events).roots[1]
+        assert child(root, "a").self_time() == 20
 
     def test_leaf_is_own_total(self):
-        root = build_cct(events_1tid((0, E, "a"), (40, X, "a")))
-        assert self_time(child(root, "a")) == 40
+        root = build_forest(events_1tid((0, E, "a"), (40, X, "a"))).roots[1]
+        assert child(root, "a").self_time() == 40
 
     def test_children_summing_to_total_gives_zero(self):
-        root = build_cct(events_1tid((0, E, "a"), (0, E, "b"), (40, X, "b"), (40, X, "a")))
-        assert self_time(child(root, "a")) == 0
-
-    def test_method_form_matches_function(self):
-        root = build_cct(events_1tid((0, E, "a"), (7, X, "a")))
-        a = child(root, "a")
-        assert a.self_time() == self_time(a)
+        events = events_1tid((0, E, "a"), (0, E, "b"), (40, X, "b"), (40, X, "a"))
+        root = build_forest(events).roots[1]
+        assert child(root, "a").self_time() == 0
 
 
 class TestCallGraph:
     def test_context_collapse(self):
         # a calls b twice, c calls b three times
-        root = build_cct(
+        root = build_forest(
             events_1tid(
                 (0, E, "a"), (1, E, "b"), (2, X, "b"), (3, E, "b"), (4, X, "b"), (5, X, "a"),
                 (6, E, "c"), (7, E, "b"), (8, X, "b"), (9, E, "b"), (10, X, "b"),
                 (11, E, "b"), (12, X, "b"), (13, X, "c"),
             )
-        )
+        ).roots[1]
         edges = {(e.caller, e.callee): e for e in project_call_graph(root)}
         assert edges[("a", "b")].calls == 2
         assert edges[("c", "b")].calls == 3
         assert edges[(root_label(1), "a")].calls == 1
 
     def test_recursion_self_edge(self):
-        root = build_cct(events_1tid((0, E, "a"), (1, E, "a"), (2, X, "a"), (3, X, "a")))
+        events = events_1tid((0, E, "a"), (1, E, "a"), (2, X, "a"), (3, X, "a"))
+        root = build_forest(events).roots[1]
         edges = {(e.caller, e.callee) for e in project_call_graph(root)}
         assert ("a", "a") in edges
 
@@ -340,36 +329,37 @@ class TestCallGraph:
             assert per_method_edges == per_method_nodes
 
     def test_edge_ordering(self):
-        root = build_cct(
+        root = build_forest(
             events_1tid((0, E, "a"), (1, E, "b"), (2, X, "b"), (3, X, "a"), (4, E, "b"), (9, X, "b"))
-        )
+        ).roots[1]
         edges = project_call_graph(root)
         assert edges == sorted(edges, key=lambda e: (-e.calls, e.caller, e.callee))
 
 
 class TestSerialization:
+    """The JSON trees are lossless: a reader in the test gets every tree back."""
+
     def test_single_node_document(self):
         text = serialize_cct(CctNode("a", invocations=1, total_time=5))
-        root = deserialize_cct(text)
+        root = decode_cct(text)
         assert root == CctNode("a", invocations=1, total_time=5)
 
     def test_round_trip_100_random_trees(self):
         rng = random.Random(7)
         for _ in range(100):
             merged = merge_ccts(build_forest(random_trace(rng, max_events=100)))
-            assert deserialize_cct(serialize_cct(merged)) == merged
+            assert decode_cct(serialize_cct(merged)) == merged
 
     def test_round_trip_preserves_truncated(self):
         forest = build_forest(events_1tid((0, E, "a")), lenient=True)
         root = forest.roots[1]
-        again = deserialize_cct(serialize_cct(root))
+        again = decode_cct(serialize_cct(root))
         assert child(again, "a").truncated
 
     def test_empty_forest_document_is_not_missing(self):
         text = serialize_forest(CctForest())
         assert text  # a real document
-        forest = deserialize_forest(text)
-        assert forest.roots == {}
+        assert decode_forest(text) == {}
 
     def test_forest_round_trip(self):
         events = [
@@ -377,17 +367,9 @@ class TestSerialization:
             TraceEvent(0, 1, E, "b"), TraceEvent(2, 1, X, "b"),
         ]
         forest = build_forest(events)
-        again = deserialize_forest(serialize_forest(forest))
-        assert sorted(again.roots) == [1, 3]
-        assert again.roots[3] == forest.roots[3]
-
-    def test_rejects_malformed_documents(self):
-        with pytest.raises(ValueError):
-            deserialize_cct("[]")
-        with pytest.raises(ValueError):
-            deserialize_cct('{"format": "nope", "root": {}}')
-        with pytest.raises(ValueError):
-            deserialize_forest('{"format": "cct-lens/forest@1"}')
+        again = decode_forest(serialize_forest(forest))
+        assert list(again) == [1, 3]
+        assert again == forest.roots
 
 
 def _node_to_obj(node: CctNode) -> dict:
@@ -440,14 +422,15 @@ class TestSerializedText:
 
 class TestFoldedStacks:
     def test_lines_and_self_times(self):
-        root = build_cct(events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a")))
+        events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
+        root = build_forest(events).roots[1]
         lines = list(folded_stacks(root))
         assert "a 20" in lines
         assert "a;b 20" in lines
         assert len(lines) == 2
 
     def test_root_not_included(self):
-        root = build_cct(events_1tid((0, E, "a"), (1, X, "a")))
+        root = build_forest(events_1tid((0, E, "a"), (1, X, "a"))).roots[1]
         assert all(not line.startswith("<root") for line in folded_stacks(root))
 
     def test_folded_self_sums_to_root_total(self):
@@ -465,9 +448,9 @@ class TestInvariantsAndProperties:
         events = random_trace(random.Random(seed))
         forest = build_forest(events)
         for root in forest.roots.values():
-            assert sum(self_time(n) for n in root.walk()) == root.total_time
+            assert sum(n.self_time() for n in root.walk()) == root.total_time
         merged = forest.merged()
-        assert sum(self_time(n) for n in merged.walk()) == merged.total_time
+        assert sum(n.self_time() for n in merged.walk()) == merged.total_time
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=120, deadline=None)
@@ -480,7 +463,7 @@ class TestInvariantsAndProperties:
         for node in merged.walk():
             if node is merged:
                 continue
-            got_self[node.method] = got_self.get(node.method, 0) + self_time(node)
+            got_self[node.method] = got_self.get(node.method, 0) + node.self_time()
             got_calls[node.method] = got_calls.get(node.method, 0) + node.invocations
         assert got_self == self_ns
         assert got_calls == calls
@@ -537,8 +520,8 @@ class TestInvariantsAndProperties:
         shifted = [
             TraceEvent(e.ts + extra, e.tid, e.kind, e.method) for e in events[idx + 1 :]
         ]
-        before = build_cct(events)
-        after = build_cct(events[: idx + 1] + inserted + shifted)
+        before = build_forest(events).roots[1]
+        after = build_forest(events[: idx + 1] + inserted + shifted).roots[1]
 
         def walk_path(old: CctNode, new: CctNode, path: list[str]) -> None:
             assert new.total_time >= old.total_time

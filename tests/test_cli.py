@@ -18,6 +18,8 @@ from cct_lens import workload as wl
 from cct_lens.cli import main
 from cct_lens.snapshot import dump_snapshot, load_snapshot_file, take_snapshot
 
+from conftest import decode_cct, decode_forest
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -404,6 +406,7 @@ class TestMalformedSnapshot:
         assert code == 1 and stdout == ""
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and str(bad) in errors[0], stderr
+        return stderr
 
     @pytest.mark.parametrize("section, key, value", [
         ("hot_spots", "self_ns", _DELETE),
@@ -429,6 +432,24 @@ class TestMalformedSnapshot:
         else:
             target[key] = value
         self.check(capsys, tmp_path, json.dumps(doc).encode())
+
+    # a diff joins rows on these keys, so a repeated key would hide a row
+    @pytest.mark.parametrize("section, message", [
+        ("hot_spots", "hot_spots[1]: duplicate method 'm'"),
+        ("components", "components[1]: duplicate component 'm', tier 'other'"),
+    ], ids=["hot_spots", "components"])
+    def test_duplicate_row(self, capsys, tmp_path, section, message):
+        doc = json.loads(self.GOOD)
+        doc[section].append(dict(doc[section][0]))
+        stderr = self.check(capsys, tmp_path, json.dumps(doc).encode())
+        assert stderr == f"error: {tmp_path / 'bad.json'}: {message}\n"
+
+    def test_unknown_tier_names_the_row_and_the_tiers(self, capsys, tmp_path):
+        doc = json.loads(self.GOOD)
+        doc["components"][0]["tier"] = "bogus"
+        stderr = self.check(capsys, tmp_path, json.dumps(doc).encode())
+        assert stderr == (f"error: {tmp_path / 'bad.json'}: components[0]: unknown tier "
+                          "'bogus' (expected web, business, dao, middleware, other)\n")
 
     @pytest.mark.parametrize("data", [b"{", b"[]", b"\xff{}"],
                              ids=["not-json", "not-an-object", "not-utf8"])
@@ -484,19 +505,18 @@ class TestCallgraph:
 
 class TestExport:
     def test_cct_round_trip(self, capsys, fig8_trace):
-        from cct_lens.cct import deserialize_cct
-
         code, stdout, _ = run(capsys, "export", str(fig8_trace), "--format", "cct")
         assert code == 0
-        root = deserialize_cct(stdout)
-        assert root.method == "<root>"
+        with open(fig8_trace, encoding="utf-8") as fh:
+            assert decode_cct(stdout) == cct.ingest(fh).merged()
 
     def test_forest_has_all_threads(self, capsys, fig8_trace):
-        from cct_lens.cct import deserialize_forest
-
         code, stdout, _ = run(capsys, "export", str(fig8_trace), "--format", "forest")
-        forest = deserialize_forest(stdout)
-        assert sorted(forest.roots) == [1, 2, 3, 4]
+        assert code == 0
+        roots = decode_forest(stdout)
+        assert list(roots) == [1, 2, 3, 4]
+        with open(fig8_trace, encoding="utf-8") as fh:
+            assert roots == cct.ingest(fh).roots
 
     def test_jsonl_preserves_event_count(self, capsys, fig8_trace):
         code, stdout, _ = run(capsys, "export", str(fig8_trace), "--format", "jsonl")

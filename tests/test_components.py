@@ -11,12 +11,28 @@ from cct_lens.components import (
     component_utilization,
     declaring_class,
     default_hr_catalog,
-    dump_catalog,
     load_catalog,
     load_catalog_file,
 )
 from cct_lens.metrics import HotSpotRow
 from cct_lens.workload import FIGURE8_TABLE
+
+
+# the built-in catalog in the file form that ``analyze --catalog`` reads
+DEFAULT_CATALOG_TEXT = """\
+# tier\tcomponent\tpattern
+middleware\tEJBContainer\tcom.sun.ejb.*
+middleware\tEJBContainer\tjavax.ejb.*
+middleware\tEJBContainer\tcom.mycompany.hr.process._EmployeeBeanRemoteRemote_DynamicStub.*
+middleware\tEJBContainer\tcom.mycompany.hr.process._EmployeeBeanRemoteRemoteWrapper.*
+dao\t*\tcom.mycompany.hr.dao.*
+business\tEmployeeBean\tcom.mycompany.hr.process.EmployeeBeanBean*
+business\tInterviewResultsBean\tcom.mycompany.hr.process.InterviewResultsBean*
+business\tHRProcessBean\tcom.mycompany.hr.process.HRProcessBean*
+web\t*\torg.apache.jsp.*
+web\t*\tcom.mycompany.hr.servlet.*
+web\tHRProcessServlet\tcom.mycompany.hr.process.HRProcessServlet.*
+"""
 
 
 def row(method: str, self_ns: int, inv: int = 1, pct=Fraction(0)) -> HotSpotRow:
@@ -206,10 +222,10 @@ class TestComponentUtilization:
 
 class TestCatalogFiles:
     def test_round_trip(self):
-        catalog = default_hr_catalog()
-        text = dump_catalog(catalog)
-        again = load_catalog(text.splitlines())
-        assert again == catalog
+        assert load_catalog(DEFAULT_CATALOG_TEXT.splitlines()) == default_hr_catalog()
+
+    def test_default_catalog_is_built_once(self):
+        assert default_hr_catalog() is default_hr_catalog()
 
     def test_load_custom_rules(self):
         lines = [
@@ -247,5 +263,5 @@ class TestCatalogFiles:
 
     def test_file_loader(self, tmp_path):
         path = tmp_path / "catalog.tsv"
-        path.write_text(dump_catalog(default_hr_catalog()), encoding="utf-8")
+        path.write_text(DEFAULT_CATALOG_TEXT, encoding="utf-8")
         assert load_catalog_file(path) == default_hr_catalog()

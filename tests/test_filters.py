@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cct_lens.cct import build_cct, build_forest, merge_ccts, self_time
+from cct_lens.cct import build_forest, merge_ccts
 from cct_lens.filters import (
     ATTRIBUTE_TO_PARENT,
     DROP_SUBTREE,
@@ -65,16 +65,17 @@ class TestFilterSet:
 
 def tree_a40_b20():
     # root -> a{total 40} -> b{total 20}
-    return build_cct(events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a")))
+    events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
+    return build_forest(events).roots[1]
 
 
 def tree_a40_b20_c5():
     # root -> a{40} -> b{20} -> c{5}
-    return build_cct(
+    return build_forest(
         events_1tid(
             (0, E, "a"), (10, E, "b"), (12, E, "c"), (17, X, "c"), (30, X, "b"), (40, X, "a")
         )
-    )
+    ).roots[1]
 
 
 class TestAttributeToParent:
@@ -82,7 +83,7 @@ class TestAttributeToParent:
         out = apply_filter(tree_a40_b20(), FilterSet.from_patterns(excludes=["b"]))
         a = out.children["a"]
         assert a.total_time == 40
-        assert self_time(a) == 40
+        assert a.self_time() == 40
         assert not a.children
 
     def test_grandchild_promotion(self):
@@ -91,7 +92,7 @@ class TestAttributeToParent:
         assert a.total_time == 40
         assert list(a.children) == ["c"]
         assert a.children["c"].total_time == 5
-        assert self_time(a) == 35
+        assert a.self_time() == 35
 
     def test_root_total_unchanged(self):
         tree = tree_a40_b20_c5()
@@ -103,7 +104,7 @@ class TestAttributeToParent:
         assert list(out.children) == ["b"]
         assert out.children["b"].total_time == 20
         # a's 20 ns of self time now sits unattributed under the root
-        assert self_time(out) == 20
+        assert out.self_time() == 20
 
     def test_splice_collision_merges_same_method_siblings(self):
         # a has child b and rejected child r whose own child is b
@@ -111,13 +112,13 @@ class TestAttributeToParent:
             (0, E, "a"), (1, E, "b"), (3, X, "b"),
             (4, E, "r"), (5, E, "b"), (8, X, "b"), (9, X, "r"), (20, X, "a")
         )
-        out = apply_filter(build_cct(events), FilterSet.from_patterns(excludes=["r"]))
+        out = apply_filter(build_forest(events).roots[1], FilterSet.from_patterns(excludes=["r"]))
         a = out.children["a"]
         assert list(a.children) == ["b"]
         b = a.children["b"]
         assert b.invocations == 2
         assert b.total_time == 2 + 3
-        assert self_time(a) == 20 - 5
+        assert a.self_time() == 20 - 5
 
     def test_nested_rejections_promote_through(self):
         # both intermediate levels rejected: c hops up to a
@@ -125,7 +126,8 @@ class TestAttributeToParent:
             (0, E, "a"), (1, E, "x"), (2, E, "y"), (3, E, "c"), (4, X, "c"),
             (5, X, "y"), (6, X, "x"), (9, X, "a")
         )
-        out = apply_filter(build_cct(events), FilterSet.from_patterns(excludes=["x", "y"]))
+        out = apply_filter(build_forest(events).roots[1],
+                           FilterSet.from_patterns(excludes=["x", "y"]))
         a = out.children["a"]
         assert list(a.children) == ["c"]
         assert a.children["c"].total_time == 1
@@ -163,7 +165,7 @@ class TestDropSubtree:
         )
         a = out.children["a"]
         assert a.total_time == 20
-        assert self_time(a) == 20
+        assert a.self_time() == 20
         assert out.total_time == 20
 
     def test_drop_removes_whole_subtree(self):
@@ -191,11 +193,11 @@ class TestDropSubtree:
         events = events_1tid(
             (0, E, "a"), (1, E, "b"), (2, E, "c"), (6, X, "c"), (8, X, "b"), (20, X, "a")
         )
-        tree = build_cct(events)
+        tree = build_forest(events).roots[1]
         out = apply_filter(tree, FilterSet.from_patterns(excludes=["c"]), mode=DROP_SUBTREE)
         a, b = out.children["a"], out.children["a"].children["b"]
-        assert self_time(a) == 13  # unchanged: 20 - 7
-        assert self_time(b) == 3  # unchanged: 7 - 4
+        assert a.self_time() == 13  # unchanged: 20 - 7
+        assert b.self_time() == 3  # unchanged: 7 - 4
         assert (a.total_time, b.total_time) == (16, 3)
 
     def test_bad_mode_rejected(self):
@@ -241,8 +243,8 @@ class TestFilterProperties:
         fs = random_filter(rng, methods or ["m0()"])
         out = apply_filter(merged, fs, mode=ATTRIBUTE_TO_PARENT)
         assert out.total_time == merged.total_time
-        assert sum(self_time(n) for n in out.walk()) == sum(
-            self_time(n) for n in merged.walk()
+        assert sum(n.self_time() for n in out.walk()) == sum(
+            n.self_time() for n in merged.walk()
         )
 
     @given(st.integers(min_value=0, max_value=10**9))

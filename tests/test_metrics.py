@@ -1,5 +1,6 @@
 """Hot-spot and total-time tables, exact averages, display formatting."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cct_lens.cct import build_cct, build_forest, merge_ccts, self_time
+from cct_lens.cct import build_forest, merge_ccts
 from cct_lens.filters import FilterSet, apply_filter
 from cct_lens.metrics import (
-    avg_per_invocation,
+    HotSpotRow,
     format_avg_ms,
     format_ms,
     format_pct,
     hotspots,
     total_time_table,
 )
+from cct_lens.snapshot import load_snapshot
 from cct_lens.trace import ENTER as E, EXIT as X
 
 from conftest import events_1tid, random_trace, replay_totals
@@ -24,9 +26,14 @@ from conftest import events_1tid, random_trace, replay_totals
 MS = 1_000_000  # ns per ms
 
 
+def row_average(self_ns: int, invocations: int) -> Fraction:
+    """The exact average that a hot-spot row with these totals reports."""
+    return HotSpotRow("m", self_ns, Fraction(1), invocations).avg_per_invocation
+
+
 class TestHotspots:
     def test_single_method_is_whole_table(self):
-        root = build_cct(events_1tid((0, E, "a"), (20, X, "a")))
+        root = build_forest(events_1tid((0, E, "a"), (20, X, "a"))).roots[1]
         rows = hotspots(root)
         assert len(rows) == 1
         assert rows[0].method == "a"
@@ -35,66 +42,69 @@ class TestHotspots:
 
     def test_aggregates_across_contexts(self):
         # b appears under a and under c
-        root = build_cct(
+        root = build_forest(
             events_1tid(
                 (0, E, "a"), (1, E, "b"), (6, X, "b"), (7, X, "a"),
                 (8, E, "c"), (9, E, "b"), (16, X, "b"), (17, X, "c"),
             )
-        )
+        ).roots[1]
         by_method = {r.method: r for r in hotspots(root)}
         assert by_method["b"].self_time == 5 + 7
         assert by_method["b"].invocations == 2
 
     def test_root_excluded(self):
-        root = build_cct(events_1tid((0, E, "a"), (5, X, "a")))
+        root = build_forest(events_1tid((0, E, "a"), (5, X, "a"))).roots[1]
         assert all(not r.method.startswith("<root") for r in hotspots(root))
 
     def test_sorted_desc_with_name_ties(self):
-        root = build_cct(
+        root = build_forest(
             events_1tid(
                 (0, E, "z"), (5, X, "z"), (6, E, "a"), (11, X, "a"), (12, E, "big"), (30, X, "big")
             )
-        )
+        ).roots[1]
         rows = hotspots(root)
         assert [r.method for r in rows] == ["big", "a", "z"]
 
     def test_empty_tree_empty_table(self):
-        assert hotspots(build_cct([])) == []
+        assert hotspots(build_forest([]).merged()) == []
 
     def test_avg_property_on_rows(self):
-        root = build_cct(events_1tid((0, E, "a"), (5, X, "a"), (5, E, "a"), (12, X, "a")))
+        events = events_1tid((0, E, "a"), (5, X, "a"), (5, E, "a"), (12, X, "a"))
+        root = build_forest(events).roots[1]
         (row,) = hotspots(root)
         assert row.avg_per_invocation == Fraction(12, 2)
 
 
 class TestTotalTimeTable:
     def test_inclusive_totals(self):
-        root = build_cct(events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a")))
+        events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
+        root = build_forest(events).roots[1]
         rows = {r.method: r for r in total_time_table(root)}
         assert rows["a"].total_time == 40
         assert rows["b"].total_time == 20
 
     def test_leaf_only_tree_equals_self_times(self):
-        root = build_cct(events_1tid((0, E, "a"), (9, X, "a"), (10, E, "b"), (14, X, "b")))
+        events = events_1tid((0, E, "a"), (9, X, "a"), (10, E, "b"), (14, X, "b"))
+        root = build_forest(events).roots[1]
         totals = {r.method: r.total_time for r in total_time_table(root)}
         selfs = {r.method: r.self_time for r in hotspots(root)}
         assert totals == selfs
 
     def test_two_contexts_sum(self):
-        root = build_cct(
+        root = build_forest(
             events_1tid(
                 (0, E, "a"), (1, E, "m"), (6, X, "m"), (7, X, "a"),
                 (8, E, "b"), (9, E, "m"), (16, X, "m"), (17, X, "b"),
             )
-        )
+        ).roots[1]
         rows = {r.method: r for r in total_time_table(root)}
         assert rows["m"].total_time == 5 + 7
         assert rows["m"].invocations == 2
 
     def test_sorted_by_total_desc(self):
-        root = build_cct(
+        root = build_forest(
             events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
-        )
+        ).roots[1]
         rows = total_time_table(root)
         assert [r.method for r in rows] == ["a", "b"]
 
@@ -109,27 +119,31 @@ class TestTotalTimeTable:
 
 class TestAvgPerInvocation:
     def test_published_average_small(self):
-        assert avg_per_invocation(15_200_000, 10) == Fraction(1_520_000)
-        assert format_avg_ms(avg_per_invocation(15_200_000, 10)) == "1.52 ms"
+        assert row_average(15_200_000, 10) == Fraction(1_520_000)
+        assert format_avg_ms(row_average(15_200_000, 10)) == "1.52 ms"
 
     def test_published_average_mid(self):
-        assert avg_per_invocation(946 * MS, 20) == Fraction(47_300_000)
-        assert format_avg_ms(avg_per_invocation(946 * MS, 20)) == "47.3 ms"
+        assert row_average(946 * MS, 20) == Fraction(47_300_000)
+        assert format_avg_ms(row_average(946 * MS, 20)) == "47.3 ms"
 
     def test_exact_division_top_row(self):
-        avg = avg_per_invocation(1267 * MS, 50)
+        avg = row_average(1267 * MS, 50)
         assert avg == Fraction(1267 * MS, 50) == Fraction(25_340_000)
         assert format_avg_ms(avg) == "25.34 ms"
 
     def test_zero_invocations_rejected(self):
-        with pytest.raises(ValueError):
-            avg_per_invocation(100, 0)
+        # a row without invocations has no average, so no snapshot may hold one
+        doc = {"format": "cct-lens/snapshot@1", "label": "a", "user_count": 1,
+               "source_trace_digest": "", "components": [],
+               "hot_spots": [{"method": "m", "self_ns": 100, "invocations": 0}]}
+        with pytest.raises(ValueError, match="'invocations' must be a int >= 1, got 0"):
+            load_snapshot(json.dumps(doc))
 
     @given(
         st.integers(min_value=0, max_value=10**13), st.integers(min_value=1, max_value=10**6)
     )
     def test_exact_product_identity(self, self_ns, inv):
-        assert avg_per_invocation(self_ns, inv) * inv == self_ns
+        assert row_average(self_ns, inv) * inv == self_ns
 
 
 class TestFormatting:
@@ -215,7 +229,7 @@ class TestTableInvariants:
         fs = FilterSet.from_patterns(excludes=[rng.choice(methods)])
         out = apply_filter(merged, fs)
         # table self plus unattributed root self together conserve the total
-        assert sum(r.self_time for r in hotspots(out)) + self_time(out) == merged.total_time
+        assert sum(r.self_time for r in hotspots(out)) + out.self_time() == merged.total_time
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)

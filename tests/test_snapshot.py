@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import os
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from cct_lens import metrics, snapshot
 from cct_lens import workload as wl
 from cct_lens.cct import ingest, serialize_forest
-from cct_lens.filters import FilterSet
+from cct_lens.cli import main
 from cct_lens.snapshot import (
     ADDED,
     REMOVED,
@@ -63,11 +64,14 @@ class TestTakeSnapshot:
         assert a.component_table == b.component_table
         assert a.source_trace_digest == b.source_trace_digest
 
-    def test_filter_applied_before_tables(self):
-        trace = wl.simulate(wl.figure8_preset()).encode()
-        fs = FilterSet.from_patterns(excludes=["com.mycompany.hr.dao.*"])
-        snap = take_snapshot("filtered", 20, trace, filter_set=fs)
-        assert all(".dao." not in r.method for r in snap.hotspot_table)
+    def test_filter_applied_before_tables(self, tmp_path):
+        # a filtered snapshot is written by analyze --snapshot-out
+        trace, path = tmp_path / "t.tsv", tmp_path / "s.json"
+        trace.write_text(wl.simulate(wl.figure8_preset()), encoding="utf-8")
+        assert main(["analyze", str(trace), "--exclude", "com.mycompany.hr.dao.*",
+                     "--snapshot-out", str(path), "-o", os.devnull]) == 0
+        hot = load_snapshot_file(path).hotspot_table
+        assert hot and all(".dao." not in r.method for r in hot)
 
     def test_parse_errors_propagate(self):
         with pytest.raises(TraceParseError):
