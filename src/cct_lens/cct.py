@@ -117,9 +117,19 @@ class _ThreadState:
         self.last_ts = ts
 
 
+# timestamps are signed 64-bit nanoseconds: each thread's times stay below
+# 2**64, so the tables of fewer than 2**32 threads stay below the 2**96 that
+# snapshot loading allows
+_TS_RANGE = range(-2**63, 2**63)
+_TS_RANGE_ERROR = "timestamp outside the signed 64-bit range"
+
+
 def _finish_thread(state: _ThreadState, lineno: int, lenient: bool,
                    warn: Callable[[str], None] | None) -> CctNode:
     tid = state.tid
+    # the thread's first timestamp was checked when it was read
+    if state.last_ts not in _TS_RANGE:
+        raise TraceStructureError(_TS_RANGE_ERROR, tid=tid)
     if state.stack:
         if not lenient:
             top = state.stack[-1][0]
@@ -142,7 +152,6 @@ def _finish_thread(state: _ThreadState, lineno: int, lenient: bool,
 
 
 def ingest(lines: Iterable[str], lenient: bool = False,
-           max_depth: int | None = None,
            warn: Callable[[str], None] | None = None) -> CctForest:
     """Parse, check and build per-thread CCTs from trace text in one pass.
 
@@ -164,8 +173,10 @@ def ingest(lines: Iterable[str], lenient: bool = False,
     Errors and warnings name the thread and the 1-based line; frames left
     open are reported at the last line.
 
-    ``max_depth`` caps the open-frame depth per thread and aborts when
-    exceeded; it guards against pathological or corrupt inputs.
+    Both modes refuse a timestamp outside the signed 64-bit range.  A
+    thread's timestamps, clamped ones included, lie between its first one
+    and its running maximum, so only these two are checked: the first on
+    its line, the maximum at the end of the trace.
     """
     # threads by the canonical text of their id, and method names that
     # passed the grammar check on an enter: every such name labels a
@@ -192,6 +203,8 @@ def ingest(lines: Iterable[str], lenient: bool = False,
                 checked.add(method)
             state = threads.get(str(tid))
             if state is None:
+                if ts not in _TS_RANGE:
+                    raise TraceStructureError(_TS_RANGE_ERROR, tid=tid, lineno=lineno)
                 state = threads[str(tid)] = _ThreadState(tid, ts)
         tid = state.tid
         if ts < state.last_ts:
@@ -212,9 +225,6 @@ def ingest(lines: Iterable[str], lenient: bool = False,
                 node = parent.children[method] = CctNode(method)
             node.invocations += 1
             stack.append((node, ts))
-            if max_depth is not None and len(stack) > max_depth:
-                raise TraceStructureError(
-                    f"call depth exceeded cap of {max_depth}", tid=tid, lineno=lineno)
         else:
             if not stack:
                 if not lenient:
@@ -242,7 +252,6 @@ def ingest(lines: Iterable[str], lenient: bool = False,
 
 
 def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
-                 max_depth: int | None = None,
                  warn: Callable[[str], None] | None = None) -> CctForest:
     """Build per-thread CCTs from an interleaved event stream: ``ingest`` on its lines.
 
@@ -252,8 +261,7 @@ def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
     whitespace) or TraceParseError is raised.  Messages count the events
     from 1 as lines.
     """
-    return ingest(map(format_trace_line, events), lenient=lenient,
-                  max_depth=max_depth, warn=warn)
+    return ingest(map(format_trace_line, events), lenient=lenient, warn=warn)
 
 
 def merge_into(dst: CctNode, src: CctNode) -> None:

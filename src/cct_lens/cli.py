@@ -15,10 +15,8 @@ from typing import Iterable
 
 from . import cct, report, snapshot
 from .components import load_catalog_file
-from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, apply_filter
+from .filters import ATTRIBUTE_TO_PARENT, FILTER_MODES, FilterSet, apply_filter
 from .trace import TraceError, errors_in, jsonl_lines
-
-_FILTER_MODES = {"attribute": ATTRIBUTE_TO_PARENT, "drop": DROP_SUBTREE}
 
 
 def _warn(message: str) -> None:
@@ -51,7 +49,7 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
                    help="keep only methods matching PATTERN (repeatable; trailing * = prefix)")
     p.add_argument("--exclude", action="append", metavar="PATTERN",
                    help="reject methods matching PATTERN (repeatable)")
-    p.add_argument("--filter-mode", choices=sorted(_FILTER_MODES), default="attribute",
+    p.add_argument("--filter-mode", choices=FILTER_MODES, default=ATTRIBUTE_TO_PARENT,
                    help="attribute: splice filtered frames into parents; drop: remove subtrees")
 
 
@@ -90,8 +88,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     catalog = load_catalog_file(args.catalog) if args.catalog else None
-    filter_set = _filter_set(args)
-    mode = _FILTER_MODES[args.filter_mode]
+    filter_set, mode = _filter_set(args), args.filter_mode
     if args.snapshot_out:
         # the snapshot records the sha256 of the bytes the tables came from
         with errors_in(args.trace), open(args.trace, "rb") as fh:
@@ -130,7 +127,7 @@ def cmd_diff(args) -> int:
 
 def cmd_callgraph(args) -> int:
     forest = _build_forest_from_file(args.trace, args.lenient)
-    merged = apply_filter(forest.merged(), _filter_set(args), _FILTER_MODES[args.filter_mode])
+    merged = apply_filter(forest.merged(), _filter_set(args), args.filter_mode)
     if args.format == "edges":
         lines = [report.render_edges(cct.project_call_graph(merged))]
     else:

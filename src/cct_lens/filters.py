@@ -9,12 +9,13 @@ is empty, and it matches no exclude pattern.
 Applying a filter to a CCT models what the profiler would have produced
 had the rejected methods never been instrumented:
 
-- ``attribute_to_parent``: rejected frames vanish and their children are
-  spliced into the rejected frame's parent; the rejected frame's self
-  time surfaces as parent self time, as an uninstrumented callee's cost
-  would.
-- ``drop_subtree``: rejected frames disappear along with their whole
-  subtree, and the removed time is subtracted from every ancestor.
+- ``attribute`` (``ATTRIBUTE_TO_PARENT``): rejected frames vanish and
+  their children are spliced into the rejected frame's parent; the
+  rejected frame's self time surfaces as parent self time, as an
+  uninstrumented callee's cost would.
+- ``drop`` (``DROP_SUBTREE``): rejected frames disappear along with
+  their whole subtree, and the removed time is subtracted from every
+  ancestor.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from typing import Iterable, NamedTuple
 
 from .cct import CctNode, merge_into
 
-ATTRIBUTE_TO_PARENT = "attribute_to_parent"
-DROP_SUBTREE = "drop_subtree"
+# the values of the CLI's --filter-mode
+ATTRIBUTE_TO_PARENT = "attribute"
+DROP_SUBTREE = "drop"
 FILTER_MODES = (ATTRIBUTE_TO_PARENT, DROP_SUBTREE)
 
 
@@ -80,8 +82,8 @@ def apply_filter(root: CctNode, filter_set: FilterSet,
 
     The input tree is never mutated; a filter without patterns keeps
     every method and returns the input itself, any other filter a fresh
-    tree.  The synthetic root always survives.  In ``attribute_to_parent``
-    mode the root's total time is preserved; in ``drop_subtree`` mode it
+    tree.  The synthetic root always survives.  In ``ATTRIBUTE_TO_PARENT``
+    mode the root's total time is preserved; in ``DROP_SUBTREE`` mode it
     shrinks by exactly the removed time.  Applying the same filter twice
     gives the same tree as applying it once.  Works at any tree depth.
     """

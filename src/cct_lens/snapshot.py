@@ -26,7 +26,7 @@ from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
-from .trace import errors_in
+from .trace import errors_in, json_field
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -195,18 +195,13 @@ _COMPONENT_FIELDS = (("component", str, None), ("tier", str, None),
                      ("self_ns", int, 0), ("invocations", int, 0))
 
 
-def _field(obj, key: str, kind: type | tuple, minimum: int | None = None, where: str = ""):
-    """``obj[key]`` if it has type ``kind``, or a type in a tuple ``kind``
-    (and is at least ``minimum``)."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"{where}missing field {key!r}")
-    value = obj[key]
-    # bool is an int subclass; reject it explicitly
-    if (not isinstance(value, kind) or isinstance(value, bool)
-            or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
-        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise ValueError(f"{where}{key!r} must be a {names}{bound}, got {value!r}")
+def _table_field(obj, key: str, kind: type, minimum: int | None = None, where: str = ""):
+    """``trace.json_field``, refusing integers of 2**96 or more.  The tables of
+    any trace that ``ingest`` accepts stay below that (each thread's times are
+    below 2**64), and every diff format renders them."""
+    value = json_field(obj, key, kind, minimum, where)
+    if kind is int and value >= 2**96:
+        raise ValueError(f"{where}{key!r} must be below 2**96")
     return value
 
 
@@ -214,9 +209,9 @@ def _rows(doc: dict, key: str, fields) -> list[tuple]:
     """The rows of ``doc[key]`` as tuples of ``fields``.  The text fields name
     a row (a method, or a component and tier), so no two rows may share them."""
     rows, seen = [], set()
-    for i, row in enumerate(_field(doc, key, list)):
+    for i, row in enumerate(json_field(doc, key, list)):
         where = f"{key}[{i}]: "
-        values = tuple(_field(row, *field, where=where) for field in fields)
+        values = tuple(_table_field(row, *field, where=where) for field in fields)
         name = tuple((f, v) for (f, kind, _), v in zip(fields, values) if kind is str)
         if name in seen:
             raise ValueError(f"{where}duplicate " + ", ".join(f"{f} {v!r}" for f, v in name))
@@ -229,7 +224,7 @@ def load_snapshot(text: str) -> Snapshot:
     """Parse a snapshot document; raises ValueError on any missing or mistyped field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"bad snapshot document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != _SNAPSHOT_FORMAT:
         raise ValueError(f"not a {_SNAPSHOT_FORMAT} document")
@@ -254,11 +249,11 @@ def load_snapshot(text: str) -> Snapshot:
         for component, tier, self_ns, invocations in comps
     )
     return Snapshot(
-        label=_field(doc, "label", str),
-        user_count=_field(doc, "user_count", int),
+        label=json_field(doc, "label", str),
+        user_count=json_field(doc, "user_count", int),
         hotspot_table=hot_rows,
         component_table=comp_rows,
-        source_trace_digest=_field(doc, "source_trace_digest", str),
+        source_trace_digest=json_field(doc, "source_trace_digest", str),
     )
 
 

@@ -19,7 +19,8 @@ structural checks, nesting and per-thread timestamp order, live in
 ``jsonl_lines`` streams a JSON-lines rendering with keys
 ``ts``/``tid``/``ev``/``m``; the tab-separated form is canonical.
 ``errors_in`` names the file, and the line of a byte that is not UTF-8,
-in the errors of every file reader.
+in the errors of every file reader; ``json_field`` type-checks a field of
+the JSON documents they read.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ class TraceParseError(TraceError):
 
 
 class TraceStructureError(TraceError):
-    """A structurally broken trace: bad nesting or timestamp regression.
+    """A structurally broken trace: bad nesting, timestamp regression, or a
+    timestamp outside the signed 64-bit range.
 
-    Raised only in strict mode; lenient consumers repair or drop the
-    offending events instead.
+    Lenient consumers repair or drop the offending events instead, except
+    for a timestamp out of range, which both modes refuse.
     """
 
     def __init__(self, message: str, tid: int | None = None, lineno: int | None = None):
@@ -91,6 +93,22 @@ def errors_in(path):
                          f"is not UTF-8 ({exc.reason})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def json_field(obj, key: str, kind: type | tuple, minimum: int | None = None,
+               where: str = ""):
+    """``obj[key]`` if it has type ``kind``, or a type in a tuple ``kind``
+    (and is at least ``minimum``)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where}missing field {key!r}")
+    value = obj[key]
+    # bool is an int subclass; reject it explicitly
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"{where}{key!r} must be a {names}{bound}, got {value!r}")
+    return value
 
 
 class TraceEvent(NamedTuple):

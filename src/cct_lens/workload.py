@@ -1,11 +1,12 @@
 """Deterministic synthetic workload generator for an HR portal scenario.
 
-Use cases are encoded as CallChain templates: trees of method frames
-matching the portal's three-tier design (JSP/servlet web tier, stateless
-session beans behind EJB container stubs and wrappers, DAO classes on
-JDBC).  A WorkloadSpec says how many times to run each chain, on how
-many threads, and under which LatencyModel; ``simulate_lines`` expands that
-into a balanced enter/exit trace, line by line.
+Use cases are the ``CHAINS`` table: each names the trees of method frames
+one execution runs, matching the portal's three-tier design (JSP/servlet
+web tier, stateless session beans behind EJB container stubs and wrappers,
+DAO classes on JDBC).  A WorkloadSpec says how many times to run each
+chain, on how many threads, and under which LatencyModel, and is checked
+when it is built; ``simulate_lines`` expands it into a balanced enter/exit
+trace, line by line.
 
 Randomness is counter-based: every frame's self duration is derived by
 hashing (seed, use case, execution index, frame index), so generation
@@ -27,8 +28,7 @@ import json
 from hashlib import blake2b
 from typing import Iterator, Mapping, NamedTuple
 
-from .snapshot import _field
-from .trace import ENTER, EXIT, errors_in
+from .trace import ENTER, EXIT, errors_in, json_field
 
 SERVLET_ARGS = ("javax.servlet.http.HttpServletRequest,"
                 "javax.servlet.http.HttpServletResponse")
@@ -105,29 +105,26 @@ def frame(method: str, *children: Frame) -> Frame:
     return Frame(method, children)
 
 
-class CallChain(NamedTuple):
-    """A named use-case template: top-level frames executed in order.
-
-    Most chains have a single root frame; the container-init chain runs
-    several one-shot constructor frames back to back.
-    """
-
-    name: str
-    roots: tuple[Frame, ...]
-
-    def frame_count(self) -> int:
-        count = 0
-        stack = list(self.roots)
-        while stack:
-            f = stack.pop()
-            count += 1
-            stack.extend(f.children)
-        return count
+def frame_count(frames: tuple[Frame, ...]) -> int:
+    """The frames in ``frames`` and all their callees."""
+    count = 0
+    stack = list(frames)
+    while stack:
+        f = stack.pop()
+        count += 1
+        stack.extend(f.children)
+    return count
 
 
-def _register_chain() -> CallChain:
-    dao_fresh = frame(EMPLOYEEDAO_INIT, frame(BASEDAO_INIT))
-    return CallChain("register", (
+# a bean builds a fresh DAO for each call
+_NEW_DAO = frame(EMPLOYEEDAO_INIT, frame(BASEDAO_INIT))
+
+# Use case -> the top-level frames one execution runs, in order.  The first
+# five are the portal's use cases.  The rest are standalone page views and
+# one-shot class construction (several constructor frames back to back):
+# they carry the hot-spot rows that no use-case flow explains.
+CHAINS: dict[str, tuple[Frame, ...]] = {
+    "register": (
         frame(REGISTER_JSP,
               frame(REGISTRATION_SERVLET_PROCESS_REQUEST,
                     frame(CANDIDATE_PROFILE_INIT),
@@ -135,7 +132,7 @@ def _register_chain() -> CallChain:
                           frame(WRAPPER_ADD_CANDIDATE_PROFILE,
                                 frame(CANDIDATE_PROFILE_INIT),
                                 frame(BEAN_ADD_CANDIDATE_PROFILE,
-                                      dao_fresh,
+                                      _NEW_DAO,
                                       frame(DAO_ADD_CANDIDATE_PROFILE,
                                             frame(GET_CONNECTION))))),
                     frame(EMPLOYEE_CREDENTIALS_INIT),
@@ -143,14 +140,11 @@ def _register_chain() -> CallChain:
                           frame(WRAPPER_ADD_EMPLOYEE_CREDENTIALS,
                                 frame(EMPLOYEE_CREDENTIALS_INIT),
                                 frame(BEAN_ADD_CREDENTIALS,
-                                      dao_fresh,
+                                      _NEW_DAO,
                                       frame(DAO_ADD_EMPLOYEE_CREDENTIALS,
                                             frame(GET_CONNECTION))))))),
-    ))
-
-
-def _login_chain() -> CallChain:
-    return CallChain("login", (
+    ),
+    "login": (
         frame(LOGIN_JSP,
               frame(LOGINSERVLET_DOPOST,
                     frame(JSP_LOGINSERVLET_PROCESS_REQUEST,
@@ -159,81 +153,44 @@ def _login_chain() -> CallChain:
                                 frame(WRAPPER_AUTHENTICATE,
                                       frame(EMPLOYEE_CREDENTIALS_INIT),
                                       frame(BEAN_AUTHENTICATE,
-                                            frame(EMPLOYEEDAO_INIT, frame(BASEDAO_INIT)),
+                                            _NEW_DAO,
                                             frame(DAO_AUTHENTICATE_EMPLOYEE,
                                                   frame(GET_CONNECTION)))))))),
-    ))
-
-
-def _add_interview_result_chain() -> CallChain:
-    return CallChain("add_interview_result", (
+    ),
+    "add_interview_result": (
         frame(INTERVIEWINFO_JSP,
               frame(INTERVIEWRESULT_SERVLET_PROCESS_REQUEST,
                     frame(BEAN_ADD_INTERVIEW_RESULTS,
                           frame(DAO_ADD_INTERVIEW_RESULTS,
                                 frame(GET_CONNECTION))))),
-    ))
-
-
-def _recruit_chain() -> CallChain:
-    return CallChain("recruit", (
+    ),
+    "recruit": (
         frame(RECRUITMENT_JSP,
               frame(HRPROCESS_SERVLET_DOGET,
                     frame(HRPROCESS_PROCESS_REQUEST,
                           frame(BEAN_RECRUIT,
                                 frame(DAO_RECRUIT_EMPLOYEE,
                                       frame(GET_CONNECTION)))))),
-    ))
-
-
-def _view_result_chain() -> CallChain:
-    return CallChain("view_result", (
+    ),
+    "view_result": (
         frame(VIEWRESULT_JSP,
               frame(BEAN_VIEW_INTERVIEW_RESULTS,
                     frame(DAO_VIEW_INTERVIEW_RESULTS,
                           frame(GET_CONNECTION)))),
-    ))
-
-
-def hr_scenarios() -> dict[str, CallChain]:
-    """The five portal use cases as chain templates."""
-    chains = (
-        _register_chain(),
-        _login_chain(),
-        _add_interview_result_chain(),
-        _recruit_chain(),
-        _view_result_chain(),
-    )
-    return {c.name: c for c in chains}
-
-
-def _background_chains() -> dict[str, CallChain]:
-    # standalone page views and one-shot class construction; these carry
-    # the hot-spot rows that no use-case flow explains
-    chains = (
-        CallChain("login_page", (frame(LOGIN_JSP),)),
-        CallChain("addcandidate_page", (frame(ADDCANDIDATE_JSP),)),
-        CallChain("hrprocess_page", (
-            frame(HRPROCESS_SERVLET_DOGET, frame(HRPROCESS_PROCESS_REQUEST)),
-        )),
-        CallChain("welcome_page", (frame(WELCOME_JSP),)),
-        CallChain("viewprofile_page", (frame(VIEWPROFILE_JSP),)),
-        CallChain("container_init", (
-            frame(LOGINSERVLET_INIT),
-            frame(HRPROCESS_SERVLET_INIT),
-            frame(STUB_INIT),
-            frame(WRAPPER_INIT),
-            frame(WRAPPER_INIT),
-        )),
-    )
-    return {c.name: c for c in chains}
-
-
-def standard_chains() -> dict[str, CallChain]:
-    """All chains known to specs and presets: use cases plus background."""
-    chains = hr_scenarios()
-    chains.update(_background_chains())
-    return chains
+    ),
+    "login_page": (frame(LOGIN_JSP),),
+    "addcandidate_page": (frame(ADDCANDIDATE_JSP),),
+    "hrprocess_page": (frame(HRPROCESS_SERVLET_DOGET, frame(HRPROCESS_PROCESS_REQUEST)),),
+    "welcome_page": (frame(WELCOME_JSP),),
+    "viewprofile_page": (frame(VIEWPROFILE_JSP),),
+    "container_init": (
+        frame(LOGINSERVLET_INIT),
+        frame(HRPROCESS_SERVLET_INIT),
+        frame(STUB_INIT),
+        frame(WRAPPER_INIT),
+        frame(WRAPPER_INIT),
+    ),
+}
 
 
 class _Latency(NamedTuple):
@@ -257,19 +214,21 @@ class LatencyModel(_Latency):
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
+        # a jittered base must convert to a float
         if self.default_base_ns < 0:
             raise ValueError("default_base_ns must be >= 0")
+        if self.default_base_ns >= 2**63:
+            raise ValueError("default_base_ns must be below 2**63")
         for method, base in self.base_ns.items():
             if base < 0:
                 raise ValueError(f"negative base duration for {method}")
+            if base >= 2**63:
+                raise ValueError(f"base duration for {method} must be below 2**63")
         return self
-
-    def base_for(self, method: str) -> int:
-        return self.base_ns.get(method, self.default_base_ns)
 
     def self_duration_ns(self, method: str, seed: int, use_case: str,
                          execution_index: int, frame_index: int) -> int:
-        base = self.base_for(method)
+        base = self.base_ns.get(method, self.default_base_ns)
         if self.jitter == 0.0 or base == 0:
             return base
         key = f"{seed}|{use_case}|{execution_index}|{frame_index}".encode()
@@ -280,30 +239,27 @@ class LatencyModel(_Latency):
 
 
 class WorkloadSpec:
-    """Declarative scenario: which chains run how often, on which threads."""
+    """Declarative scenario, checked when built: which chains run how often, on which threads."""
 
     def __init__(self, executions: dict[str, int], seed: int = 0,
                  latency: LatencyModel | None = None, thread_count: int = 1):
+        if thread_count < 1:
+            raise ValueError(f"thread_count must be >= 1, got {thread_count}")
+        for name, count in executions.items():
+            if name not in CHAINS:
+                known = ", ".join(sorted(CHAINS))
+                raise ValueError(f"unknown use case {name!r} (known: {known})")
+            if count < 0:
+                raise ValueError(f"negative execution count for {name!r}: {count}")
         self.executions = executions
         self.seed = seed
         self.latency = LatencyModel(base_ns={}) if latency is None else latency
         self.thread_count = thread_count
-        self.chains = standard_chains()
 
     def event_count(self) -> int:
         """The enter and exit events the spec expands to."""
-        return 2 * sum(count * self.chains[use_case].frame_count()
+        return 2 * sum(count * frame_count(CHAINS[use_case])
                        for use_case, count in self.executions.items())
-
-    def validate(self) -> None:
-        if self.thread_count < 1:
-            raise ValueError(f"thread_count must be >= 1, got {self.thread_count}")
-        for name, count in self.executions.items():
-            if name not in self.chains:
-                known = ", ".join(sorted(self.chains))
-                raise ValueError(f"unknown use case {name!r} (known: {known})")
-            if count < 0:
-                raise ValueError(f"negative execution count for {name!r}: {count}")
 
 
 # Reference hot-spot table for the 20-user portal snapshot, top to
@@ -405,9 +361,7 @@ def load_preset(user_count: int, jitter: float = 0.0, seed: int = 11) -> Workloa
     )
 
 
-PRESETS = {
-    "figure8": figure8_preset,
-}
+PRESETS = {"figure8": figure8_preset}
 
 
 def _thread_lines(spec: WorkloadSpec, tid: int) -> Iterator[tuple[int, int, str]]:
@@ -423,8 +377,7 @@ def _thread_lines(spec: WorkloadSpec, tid: int) -> Iterator[tuple[int, int, str]
     for use_case, execution_index in itertools.islice(runs, tid - 1, None, spec.thread_count):
         frame_index = 0
         # (open frame, its callees still to run); the chain's top-level frames sit under None
-        stack: list[tuple[Frame | None, Iterator[Frame]]] = [
-            (None, iter(spec.chains[use_case].roots))]
+        stack: list[tuple[Frame | None, Iterator[Frame]]] = [(None, iter(CHAINS[use_case]))]
         while stack:
             fr = next(stack[-1][1], None)
             if fr is None:
@@ -451,7 +404,6 @@ def simulate_lines(spec: WorkloadSpec) -> Iterator[str]:
     Pure function of the spec: identical specs give identical lines.
     Memory is bounded by the threads and the chain depth.
     """
-    spec.validate()
     mix = " ".join(f"{name}={spec.executions[name]}" for name in sorted(spec.executions))
     header = [
         "# synthetic enter/exit trace",
@@ -473,7 +425,7 @@ def simulate(spec: WorkloadSpec) -> str:
 
 
 def load_workload_spec(text: str) -> WorkloadSpec:
-    """Parse a spec document; chain templates come from standard_chains().
+    """Parse a spec document; its use cases are keys of ``CHAINS``.
 
     Expected keys: executions (required), seed, thread_count, jitter,
     default_base_ns, base_ns.  Unknown keys are rejected to catch typos;
@@ -481,7 +433,7 @@ def load_workload_spec(text: str) -> WorkloadSpec:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"bad workload spec: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("workload spec must be a JSON object")
@@ -490,26 +442,24 @@ def load_workload_spec(text: str) -> WorkloadSpec:
     unknown = set(doc) - defaults.keys() - {"executions"}
     if unknown:
         raise ValueError(f"unknown workload spec keys: {', '.join(sorted(unknown))}")
-    executions = _field(doc, "executions", dict)
+    executions = json_field(doc, "executions", dict)
     for name, count in executions.items():
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValueError(f"execution count for {name!r} must be an integer")
     doc = {**defaults, **doc}
-    base_ns = _field(doc, "base_ns", dict)
+    base_ns = json_field(doc, "base_ns", dict)
     latency = LatencyModel(
-        base_ns={m: _field(base_ns, m, int, where="base_ns: ") for m in base_ns},
-        default_base_ns=_field(doc, "default_base_ns", int),
+        base_ns={m: json_field(base_ns, m, int, where="base_ns: ") for m in base_ns},
+        default_base_ns=json_field(doc, "default_base_ns", int),
         # a float, so trace headers read the same for 0 and 0.0
-        jitter=float(_field(doc, "jitter", (int, float))),
+        jitter=float(json_field(doc, "jitter", (int, float))),
     )
-    spec = WorkloadSpec(
+    return WorkloadSpec(
         executions=dict(executions),
-        seed=_field(doc, "seed", int),
+        seed=json_field(doc, "seed", int),
         latency=latency,
-        thread_count=_field(doc, "thread_count", int),
+        thread_count=json_field(doc, "thread_count", int),
     )
-    spec.validate()
-    return spec
 
 
 def load_workload_spec_file(path) -> WorkloadSpec:

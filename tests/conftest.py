@@ -14,6 +14,7 @@ import json
 from collections import defaultdict
 
 from cct_lens.cct import CctNode
+from cct_lens.filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE
 from cct_lens.trace import ENTER, EXIT, TraceEvent
 
 
@@ -81,17 +82,17 @@ def trace_lines(events) -> list[str]:
     return [f"{e.ts}\t{e.tid}\t{e.kind}\t{e.method}" for e in events]
 
 
-def replay_totals(events, keep=None, mode="attribute_to_parent"):
+def replay_totals(events, keep=None, mode=ATTRIBUTE_TO_PARENT):
     """Stack-replay oracle: method -> self ns / total ns / invocation count.
 
     With a ``keep`` predicate, only frames of kept methods are recorded,
-    as if the rest had never been instrumented.  In ``attribute_to_parent``
+    as if the rest had never been instrumented.  In ``ATTRIBUTE_TO_PARENT``
     mode a rejected frame's time goes to the innermost kept frame around
-    it; in ``drop_subtree`` mode everything inside a rejected frame is
+    it; in ``DROP_SUBTREE`` mode everything inside a rejected frame is
     discarded and its time is subtracted from the totals of the kept
     frames around it.
     """
-    drop = mode == "drop_subtree"
+    drop = mode == DROP_SUBTREE
     self_ns: dict[str, int] = defaultdict(int)
     total_ns: dict[str, int] = defaultdict(int)
     calls: dict[str, int] = defaultdict(int)

@@ -105,13 +105,27 @@ class TestStrictErrors:
         with pytest.raises(TraceStructureError, match="regression"):
             build_forest(events_1tid((5, E, "a"), (3, X, "a")))
 
-    def test_max_depth_cap(self):
-        events = events_1tid(
-            (0, E, "a"), (1, E, "b"), (2, E, "c"), (3, X, "c"), (4, X, "b"), (5, X, "a")
-        )
-        with pytest.raises(TraceStructureError, match="tid 1, line 3: call depth"):
-            build_forest(events, max_depth=2)
-        build_forest(events, max_depth=3)  # within the cap
+    @pytest.mark.parametrize("lenient", [False, True])
+    @pytest.mark.parametrize("first, last, where", [
+        (-2**63 - 1, 0, "tid 1, line 1"),
+        (2**63, 2**63, "tid 1, line 1"),
+        # the running maximum is checked at the end, where its line is not known
+        (0, 2**63, "tid 1"),
+    ])
+    def test_timestamp_outside_64_bits(self, lenient, first, last, where):
+        with pytest.raises(TraceStructureError,
+                           match=f"^{where}: timestamp outside the signed 64-bit range$"):
+            ingest([f"{first}\t1\tE\ta", f"{last}\t1\tX\ta"], lenient=lenient)
+
+    def test_clamped_timestamps_stay_in_range(self):
+        # in lenient mode a regression is clamped up to the running maximum
+        lines = ["0\t1\tE\ta", f"{2**63 - 1}\t1\tE\tb", "-5\t1\tX\tb", "3\t1\tX\ta"]
+        forest = ingest(lines, lenient=True)
+        assert forest.roots[1].total_time == 2**63 - 1
+
+    def test_timestamp_extremes_accepted(self):
+        forest = ingest([f"{-2**63}\t1\tE\ta", f"{2**63 - 1}\t1\tX\ta"])
+        assert forest.roots[1].total_time == 2**64 - 1
 
     def test_events_are_numbered_as_lines(self):
         # events have no file, so the n-th event is reported as line n

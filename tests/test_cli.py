@@ -119,6 +119,21 @@ class TestSimulate:
         assert code == 1
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"executions": ' + "[" * 10**5 + "]" * 10**5 + "}", "bad workload spec: "),
+        ('{"executions": {"login": 1}, "jitter": 0.1, "default_base_ns": %d}' % 10**399,
+         "default_base_ns must be below 2**63\n"),
+        ('{"executions": {"login": 1}, "jitter": 0.1, "base_ns": {"%s": %d}}'
+         % (wl.GET_CONNECTION, 10**399),
+         f"base duration for {wl.GET_CONNECTION} must be below 2**63\n"),
+    ], ids=["nested-1e5-deep", "huge-default_base_ns", "huge-base_ns"])
+    def test_hostile_spec(self, capsys, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        code, stdout, stderr = run(capsys, "simulate", "--spec", str(path))
+        assert (code, stdout, stderr.count("\n")) == (1, "", 1)
+        assert stderr.startswith(f"error: {path}: {message}")
+
 
 class TestAnalyze:
     def test_text_report_layout(self, capsys, fig8_trace):
@@ -421,9 +436,12 @@ class TestMalformedSnapshot:
         (None, "components", _DELETE),
         (None, "user_count", "20"),
         (None, "label", _DELETE),
+        ("hot_spots", "invocations", 2**96),
+        ("components", "self_ns", 2**96),
     ], ids=["no-self_ns", "int-method", "str-invocations", "zero-invocations",
             "bool-self_ns", "unknown-tier", "null-self_ns", "int-hot_spots",
-            "str-row", "no-components", "str-user_count", "no-label"])
+            "str-row", "no-components", "str-user_count", "no-label",
+            "2**96-invocations", "2**96-component-self_ns"])
     def test_bad_field(self, capsys, tmp_path, section, key, value):
         doc = json.loads(self.GOOD)
         target = doc if section is None else doc[section][0]
@@ -455,6 +473,40 @@ class TestMalformedSnapshot:
                              ids=["not-json", "not-an-object", "not-utf8"])
     def test_bad_document(self, capsys, tmp_path, data):
         self.check(capsys, tmp_path, data)
+
+    def test_nested_1e5_deep(self, capsys, tmp_path):
+        stderr = self.check(capsys, tmp_path,
+                            b'{"hot_spots": ' + b"[" * 10**5 + b"]" * 10**5 + b"}")
+        assert stderr.startswith(f"error: {tmp_path / 'bad.json'}: bad snapshot document: ")
+
+    def test_integer_of_2_96_names_the_row(self, capsys, tmp_path):
+        doc = json.loads(self.GOOD)
+        doc["hot_spots"][0]["self_ns"] = 10**400
+        stderr = self.check(capsys, tmp_path, json.dumps(doc).encode())
+        assert stderr == (f"error: {tmp_path / 'bad.json'}: "
+                          "hot_spots[0]: 'self_ns' must be below 2**96\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_integers_below_2_96_render(self, capsys, tmp_path, fmt):
+        doc = json.loads(self.GOOD)
+        doc["hot_spots"][0].update(self_ns=2**96 - 1, invocations=1)
+        doc["hot_spots"].append({"method": "n", "self_ns": 1, "invocations": 2**96 - 1})
+        doc["components"][0].update(self_ns=2**96 - 1, invocations=2**96 - 1)
+        good, big = tmp_path / "good.json", tmp_path / "big.json"
+        good.write_text(self.GOOD, encoding="utf-8")
+        big.write_text(json.dumps(doc), encoding="utf-8")
+        for a, b in ((good, big), (big, good), (big, big)):
+            code, stdout, stderr = run(capsys, "diff", str(a), str(b), "--format", fmt)
+            assert (code, stderr) == (0, "") and stdout
+
+    def test_snapshot_of_64_bit_times_diffs(self, capsys, tmp_path):
+        trace, snap = tmp_path / "t.tsv", tmp_path / "s.json"
+        trace.write_text("".join(f"{-2**63}\t{tid}\tE\ta\n{2**63 - 1}\t{tid}\tX\ta\n"
+                                 for tid in range(64)), encoding="utf-8")
+        assert run(capsys, "analyze", str(trace), "--snapshot-out", str(snap))[0] == 0
+        for fmt in ("text", "csv", "json"):
+            code, stdout, stderr = run(capsys, "diff", str(snap), str(snap), "--format", fmt)
+            assert (code, stderr) == (0, "") and stdout
 
     def test_non_object_is_refused_before_the_rest_is_read(self, capsys, tmp_path):
         # a full read would fail on the last byte, which is not UTF-8
@@ -610,6 +662,15 @@ class TestBadTraceNamesTheFile:
         self.check(capsys, tmp_path, command, path,
                    "tid 1, line 2: mismatched exit: got b, innermost open frame is a")
 
+    # timestamps must fit in signed 64 bits; jsonl export does not check them
+    @pytest.mark.parametrize("command", UNDECODABLE_RUNS[:-1] + [
+        ("analyze", "--format", "csv"), ("analyze", "--format", "json")], ids=" ".join)
+    def test_timestamp_outside_64_bits(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"0\t1\tE\ta.b()\n{10**400}\t1\tX\ta.b()\n", encoding="utf-8")
+        self.check(capsys, tmp_path, command, path,
+                   "tid 1: timestamp outside the signed 64-bit range")
+
     def check(self, capsys, tmp_path, command, path, message):
         name, *flags = command
         argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]
@@ -711,15 +772,21 @@ class TestTopLevel:
     def test_version_like_import(self):
         assert cct_lens.__version__
 
+    @staticmethod
+    def loaded(imports: str) -> set[str]:
+        """The modules a fresh interpreter has loaded after ``import sys{imports}``."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
+        probe = f"import sys{imports}; print(*sys.modules)"
+        return set(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                  capture_output=True, text=True).stdout.split())
+
     def test_cli_import_loads_no_command_specific_module(self):
         # every run pays for what importing the CLI loads
-        env = {**os.environ, "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
-
-        def loaded(imports: str) -> set[str]:
-            probe = f"import sys{imports}; print(*sys.modules)"
-            return set(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                                      capture_output=True, text=True).stdout.split())
-
-        extra = loaded(", cct_lens.cli") - loaded("")
+        extra = self.loaded(", cct_lens.cli") - self.loaded("")
         assert "cct_lens.cli" in extra
         assert extra & {"dataclasses", "inspect", "hashlib", "cct_lens.workload"} == set()
+
+    def test_workload_import_loads_no_analysis_module(self):
+        # simulate and both scripts load the simulator; none of it analyzes
+        ours = {m for m in self.loaded(", cct_lens.workload") if m.startswith("cct_lens")}
+        assert ours == {"cct_lens", "cct_lens.trace", "cct_lens.workload"}

@@ -19,10 +19,10 @@ def analyze(text: str):
     return ingest(text.splitlines()).merged()
 
 
-def chain_methods(chain) -> list[str]:
-    """Every method of a chain template, preorder, duplicates kept."""
+def chain_methods(frames) -> list[str]:
+    """Every method of a chain's frames, preorder, duplicates kept."""
     out = []
-    stack = list(reversed(chain.roots))
+    stack = list(reversed(frames))
     while stack:
         f = stack.pop()
         out.append(f.method)
@@ -38,45 +38,47 @@ def events_by_tid(text: str):
     return by_tid
 
 
+USE_CASES = ("register", "login", "add_interview_result", "recruit", "view_result")
+
+
 class TestChains:
     def test_five_use_cases(self):
-        assert set(wl.hr_scenarios()) == {
-            "register",
-            "login",
-            "add_interview_result",
-            "recruit",
-            "view_result",
+        # the portal's use cases come first; page views and class construction follow
+        assert tuple(wl.CHAINS)[:5] == USE_CASES
+        assert set(wl.CHAINS) - set(USE_CASES) == {
+            "login_page", "addcandidate_page", "hrprocess_page", "welcome_page",
+            "viewprofile_page", "container_init",
         }
 
     def test_register_has_exactly_two_getconnection_frames(self):
-        methods = chain_methods(wl.hr_scenarios()["register"])
+        methods = chain_methods(wl.CHAINS["register"])
         assert methods.count(wl.GET_CONNECTION) == 2
 
     def test_login_has_one_getconnection_frame(self):
-        methods = chain_methods(wl.hr_scenarios()["login"])
+        methods = chain_methods(wl.CHAINS["login"])
         assert methods.count(wl.GET_CONNECTION) == 1
 
     def test_login_dao_frame_is_authenticate_employee(self):
-        methods = chain_methods(wl.hr_scenarios()["login"])
+        methods = chain_methods(wl.CHAINS["login"])
         dao_calls = [m for m in methods if ".dao.EmployeeDAO." in m and "<init>" not in m]
         assert dao_calls == [wl.DAO_AUTHENTICATE_EMPLOYEE]
 
     def test_recruit_bean_frame(self):
-        methods = chain_methods(wl.hr_scenarios()["recruit"])
+        methods = chain_methods(wl.CHAINS["recruit"])
         assert wl.BEAN_RECRUIT in methods
         assert wl.DAO_RECRUIT_EMPLOYEE in methods
 
     def test_every_chain_reaches_the_database(self):
-        for name, chain in wl.hr_scenarios().items():
-            assert wl.GET_CONNECTION in chain_methods(chain), name
+        for name in USE_CASES:
+            assert wl.GET_CONNECTION in chain_methods(wl.CHAINS[name]), name
 
     def test_chain_methods_contain_no_whitespace(self):
-        for chain in wl.standard_chains().values():
-            for method in chain_methods(chain):
+        for frames in wl.CHAINS.values():
+            for method in chain_methods(frames):
                 assert " " not in method and "\t" not in method
 
     def test_register_nesting_order(self):
-        methods = chain_methods(wl.hr_scenarios()["register"])
+        methods = chain_methods(wl.CHAINS["register"])
         jsp = methods.index(wl.REGISTER_JSP)
         servlet = methods.index(wl.REGISTRATION_SERVLET_PROCESS_REQUEST)
         stub = methods.index(wl.STUB_ADD_CANDIDATE_PROFILE)
@@ -86,8 +88,8 @@ class TestChains:
         assert jsp < servlet < stub < wrapper < bean < dao
 
     def test_frame_count_matches_methods(self):
-        for chain in wl.standard_chains().values():
-            assert chain.frame_count() == len(chain_methods(chain))
+        for frames in wl.CHAINS.values():
+            assert wl.frame_count(frames) == len(chain_methods(frames))
 
 
 class TestLatencyModel:
@@ -123,10 +125,18 @@ class TestLatencyModel:
         with pytest.raises(ValueError, match="negative base"):
             wl.LatencyModel(base_ns={"a": -1})
 
+    def test_base_of_64_bits_rejected(self):
+        # a jittered duration is computed in floating point
+        with pytest.raises(ValueError, match=r"^default_base_ns must be below 2\*\*63$"):
+            wl.LatencyModel(base_ns={}, default_base_ns=2**63, jitter=0.1)
+        with pytest.raises(ValueError, match=r"^base duration for a must be below 2\*\*63$"):
+            wl.LatencyModel(base_ns={"a": 10**400}, jitter=0.1)
+        model = wl.LatencyModel(base_ns={"a": 2**63 - 1}, jitter=0.5)
+        assert 0 < model.self_duration_ns("a", 0, "login", 0, 0) < 2**64
+
 
 def simulate_by_sorting(spec: wl.WorkloadSpec) -> str:
     """The reference expansion: every row of every thread, sorted by (ts, tid, per-tid order)."""
-    spec.validate()
     rows = []
     clocks: dict[int, int] = {}
     global_index = 0
@@ -149,7 +159,7 @@ def simulate_by_sorting(spec: wl.WorkloadSpec) -> str:
                 return end
 
             t = clocks.get(tid, 0)
-            for root in spec.chains[use_case].roots:
+            for root in wl.CHAINS[use_case]:
                 t = emit(root, t)
             clocks[tid] = t
     rows.sort()
@@ -296,19 +306,16 @@ class TestSimulate:
                 assert e1 <= s2
 
     def test_unknown_use_case_rejected(self):
-        spec = wl.WorkloadSpec(executions={"nonsense": 1})
         with pytest.raises(ValueError, match="unknown use case"):
-            wl.simulate(spec)
+            wl.WorkloadSpec(executions={"nonsense": 1})
 
     def test_negative_count_rejected(self):
-        spec = wl.WorkloadSpec(executions={"login": -1})
         with pytest.raises(ValueError, match="negative execution count"):
-            wl.simulate(spec)
+            wl.WorkloadSpec(executions={"login": -1})
 
     def test_bad_thread_count_rejected(self):
-        spec = wl.WorkloadSpec(executions={}, thread_count=0)
         with pytest.raises(ValueError, match="thread_count"):
-            wl.simulate(spec)
+            wl.WorkloadSpec(executions={}, thread_count=0)
 
     @given(
         register=st.integers(min_value=0, max_value=6),
