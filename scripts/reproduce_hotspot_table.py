@@ -32,11 +32,11 @@ def main(argv=None) -> int:
 
     spec = workload.PRESETS[args.preset]()
     text = workload.simulate(spec)
-    forest, digest = ingest_hashed(io.BytesIO(text.encode("utf-8")))
+    root, digest = ingest_hashed(io.BytesIO(text.encode("utf-8")), merged=True)
     print(f"trace: {sum(1 for l in text.splitlines() if not l.startswith('#'))} "
           f"events, sha256={digest[:16]}...", file=sys.stderr)
 
-    report = render_analysis({"merged": tabulate(forest.merged())}, args.format)
+    report = render_analysis({"merged": tabulate(root)}, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report)

@@ -5,7 +5,10 @@ context*: calls to the same method from the same parent context merge
 into a single node, while recursion produces a chain of distinct nodes,
 one per depth.  Each thread gets its own tree under a synthetic root
 labelled ``<root:tid>``; a merged view overlays the per-thread trees
-method-by-method under a single ``<root>``.
+method-by-method under a single ``<root>``.  ``ingest`` builds the
+per-thread trees and ``merge_ccts`` overlays them; ``ingest_merged``
+builds the merged view in the same pass, with no per-thread trees, and
+orders its children as ``merge_ccts`` does.
 
 Node times are inclusive nanoseconds.  Self time is derived, never
 stored: ``total_time`` minus the children's ``total_time``.  Root nodes
@@ -18,8 +21,8 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .trace import (ENTER, EXIT, TraceEvent, TraceStructureError, format_trace_line,
-                    parse_trace_line)
+from .trace import (ENTER, EXIT, TS_RANGE, TS_RANGE_ERROR, TraceEvent, TraceStructureError,
+                    format_trace_line, parse_trace_line)
 
 MERGED_ROOT = "<root>"
 
@@ -36,10 +39,11 @@ class CctNode:
 
     ``children`` maps method name to child node in first-encounter order.
     ``truncated`` marks frames that were force-closed by lenient recovery
-    rather than by an observed exit.
+    rather than by an observed exit.  ``ingest_merged`` keeps each node's
+    order key in ``_order`` while it builds, and deletes it when done.
     """
 
-    __slots__ = ("method", "invocations", "total_time", "truncated", "children")
+    __slots__ = ("method", "invocations", "total_time", "truncated", "children", "_order")
 
     def __init__(self, method: str, invocations: int = 0, total_time: int = 0,
                  truncated: bool = False):
@@ -108,28 +112,21 @@ class CctForest:
 class _ThreadState:
     __slots__ = ("tid", "root", "stack", "last_ts")
 
-    def __init__(self, tid: int, ts: int):
+    def __init__(self, tid: int, ts: int, root: CctNode | None):
         self.tid = tid
-        self.root = CctNode(root_label(tid), invocations=1)
+        self.root = CctNode(root_label(tid), invocations=1) if root is None else root
         # frames as (node, enter_ts); root is not on the stack
         self.stack: list[tuple[CctNode, int]] = []
         # running maximum of the thread's timestamps; origins may be negative
         self.last_ts = ts
 
 
-# timestamps are signed 64-bit nanoseconds: each thread's times stay below
-# 2**64, so the tables of fewer than 2**32 threads stay below the 2**96 that
-# snapshot loading allows
-_TS_RANGE = range(-2**63, 2**63)
-_TS_RANGE_ERROR = "timestamp outside the signed 64-bit range"
-
-
 def _finish_thread(state: _ThreadState, lineno: int, lenient: bool,
-                   warn: Callable[[str], None] | None) -> CctNode:
+                   warn: Callable[[str], None] | None) -> None:
     tid = state.tid
     # the thread's first timestamp was checked when it was read
-    if state.last_ts not in _TS_RANGE:
-        raise TraceStructureError(_TS_RANGE_ERROR, tid=tid)
+    if state.last_ts not in TS_RANGE:
+        raise TraceStructureError(TS_RANGE_ERROR, tid=tid)
     if state.stack:
         if not lenient:
             top = state.stack[-1][0]
@@ -147,8 +144,96 @@ def _finish_thread(state: _ThreadState, lineno: int, lenient: bool,
             node.total_time += state.last_ts - enter_ts
             node.truncated = True
         state.stack.clear()
-    state.root.total_time = sum(c.total_time for c in state.root.children.values())
-    return state.root
+
+
+def _set_busy_time(root: CctNode) -> None:
+    root.total_time = sum(c.total_time for c in root.children.values())
+
+
+def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | None,
+            shared_root: CctNode | None) -> Iterable[_ThreadState]:
+    """The one loop of ``ingest`` and ``ingest_merged``: the threads in order
+    of their first line, each with its frames closed.
+
+    With ``shared_root`` every thread builds into that one tree, and each
+    node's ``_order`` holds its ``merge_ccts`` order key: the lowest tid
+    that entered it and the line of that tid's first enter.
+    """
+    keyed = shared_root is not None
+    # threads by the canonical text of their id, and method names that
+    # passed the grammar check on an enter: every such name labels a
+    # context, so both are bounded by the trees built
+    threads: dict[str, _ThreadState] = {}
+    checked: set[str] = set()
+    lineno = 0
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip()
+        if not line or line[0] == "#":
+            continue
+        try:
+            raw_ts, raw_tid, kind, method = line.split("\t")
+            ts = int(raw_ts)
+            state = threads[raw_tid]
+            known = method in checked and (kind == ENTER or kind == EXIT)
+        except (ValueError, KeyError):
+            known = False
+        if not known:
+            # raises the grammar error, or admits a new thread or method name
+            ts, tid, kind, method = parse_trace_line(line, lineno)
+            if kind == ENTER:
+                # an exit whose name never entered cannot match a frame
+                checked.add(method)
+            state = threads.get(str(tid))
+            if state is None:
+                if ts not in TS_RANGE:
+                    raise TraceStructureError(TS_RANGE_ERROR, tid=tid, lineno=lineno)
+                state = threads[str(tid)] = _ThreadState(tid, ts, shared_root)
+        tid = state.tid
+        if ts < state.last_ts:
+            if not lenient:
+                raise TraceStructureError(
+                    f"timestamp regression {state.last_ts} -> {ts}", tid=tid, lineno=lineno)
+            if warn is not None:
+                warn(f"tid {tid}, line {lineno}: clamped timestamp regression "
+                     f"{state.last_ts} -> {ts}")
+            ts = state.last_ts
+        else:
+            state.last_ts = ts
+        stack = state.stack
+        if kind == ENTER:
+            parent = stack[-1][0] if stack else state.root
+            node = parent.children.get(method)
+            if node is None:
+                node = parent.children[method] = CctNode(method)
+                if keyed:
+                    node._order = (tid, lineno)
+            elif keyed and tid < node._order[0]:
+                node._order = (tid, lineno)
+            node.invocations += 1
+            stack.append((node, ts))
+        else:
+            if not stack:
+                if not lenient:
+                    raise TraceStructureError(
+                        f"orphan exit for {method} (empty stack)", tid=tid, lineno=lineno)
+                if warn is not None:
+                    warn(f"tid {tid}, line {lineno}: dropped orphan exit for {method}")
+                continue
+            node, enter_ts = stack[-1]
+            if node.method != method:
+                if not lenient:
+                    raise TraceStructureError(
+                        f"mismatched exit: got {method}, innermost open frame is {node.method}",
+                        tid=tid, lineno=lineno)
+                if warn is not None:
+                    warn(f"tid {tid}, line {lineno}: dropped mismatched exit for {method} "
+                         f"(innermost open frame: {node.method})")
+                continue
+            stack.pop()
+            node.total_time += ts - enter_ts
+    for state in threads.values():
+        _finish_thread(state, lineno, lenient, warn)
+    return threads.values()
 
 
 def ingest(lines: Iterable[str], lenient: bool = False,
@@ -178,77 +263,40 @@ def ingest(lines: Iterable[str], lenient: bool = False,
     and its running maximum, so only these two are checked: the first on
     its line, the maximum at the end of the trace.
     """
-    # threads by the canonical text of their id, and method names that
-    # passed the grammar check on an enter: every such name labels a
-    # context, so both are bounded by the trees built
-    threads: dict[str, _ThreadState] = {}
-    checked: set[str] = set()
-    lineno = 0
-    for lineno, line in enumerate(lines, 1):
-        line = line.rstrip()
-        if not line or line[0] == "#":
-            continue
-        try:
-            raw_ts, raw_tid, kind, method = line.split("\t")
-            ts = int(raw_ts)
-            state = threads[raw_tid]
-            known = method in checked and (kind == ENTER or kind == EXIT)
-        except (ValueError, KeyError):
-            known = False
-        if not known:
-            # raises the grammar error, or admits a new thread or method name
-            ts, tid, kind, method = parse_trace_line(line, lineno)
-            if kind == ENTER:
-                # an exit whose name never entered cannot match a frame
-                checked.add(method)
-            state = threads.get(str(tid))
-            if state is None:
-                if ts not in _TS_RANGE:
-                    raise TraceStructureError(_TS_RANGE_ERROR, tid=tid, lineno=lineno)
-                state = threads[str(tid)] = _ThreadState(tid, ts)
-        tid = state.tid
-        if ts < state.last_ts:
-            if not lenient:
-                raise TraceStructureError(
-                    f"timestamp regression {state.last_ts} -> {ts}", tid=tid, lineno=lineno)
-            if warn is not None:
-                warn(f"tid {tid}, line {lineno}: clamped timestamp regression "
-                     f"{state.last_ts} -> {ts}")
-            ts = state.last_ts
-        else:
-            state.last_ts = ts
-        stack = state.stack
-        if kind == ENTER:
-            parent = stack[-1][0] if stack else state.root
-            node = parent.children.get(method)
-            if node is None:
-                node = parent.children[method] = CctNode(method)
-            node.invocations += 1
-            stack.append((node, ts))
-        else:
-            if not stack:
-                if not lenient:
-                    raise TraceStructureError(
-                        f"orphan exit for {method} (empty stack)", tid=tid, lineno=lineno)
-                if warn is not None:
-                    warn(f"tid {tid}, line {lineno}: dropped orphan exit for {method}")
-                continue
-            node, enter_ts = stack[-1]
-            if node.method != method:
-                if not lenient:
-                    raise TraceStructureError(
-                        f"mismatched exit: got {method}, innermost open frame is {node.method}",
-                        tid=tid, lineno=lineno)
-                if warn is not None:
-                    warn(f"tid {tid}, line {lineno}: dropped mismatched exit for {method} "
-                         f"(innermost open frame: {node.method})")
-                continue
-            stack.pop()
-            node.total_time += ts - enter_ts
     forest = CctForest()
-    for state in threads.values():
-        forest.roots[state.tid] = _finish_thread(state, lineno, lenient, warn)
+    for state in _ingest(lines, lenient, warn, None):
+        _set_busy_time(state.root)
+        forest.roots[state.tid] = state.root
     return forest
+
+
+def ingest_merged(lines: Iterable[str], lenient: bool = False,
+                  warn: Callable[[str], None] | None = None) -> CctNode:
+    """The merged tree of ``ingest(lines).merged()``, built in the ingest pass.
+
+    Checks, errors and warnings are those of ``ingest``.  Every thread
+    enters its frames straight into one tree under ``<root>``, so memory
+    follows the merged contexts, not the per-thread ones.  Children come
+    out in ``merge_ccts`` order.
+    """
+    root = CctNode(MERGED_ROOT, invocations=1)
+    _ingest(lines, lenient, warn, root)
+    # children were made in order of first enter; merge_ccts orders them by
+    # the lowest tid that has them, then by that tid's first enter
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = list(node.children.values())
+        if len(kids) > 1:
+            keys = [kid._order for kid in kids]
+            if keys != sorted(keys):
+                # keys are distinct: no two children share a first enter line
+                node.children = {kid.method: kid for _, kid in sorted(zip(keys, kids))}
+        for kid in kids:
+            del kid._order
+        stack += kids
+    _set_busy_time(root)
+    return root
 
 
 def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
@@ -291,7 +339,7 @@ def merge_ccts(forest: CctForest) -> CctNode:
     for tid in sorted(forest.roots):
         merge_into(merged, forest.roots[tid])
     merged.invocations, merged.truncated = 1, False
-    merged.total_time = sum(c.total_time for c in merged.children.values())
+    _set_busy_time(merged)
     return merged
 
 

@@ -53,9 +53,10 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
                    help="attribute: splice filtered frames into parents; drop: remove subtrees")
 
 
-def _build_forest_from_file(path: str, lenient: bool) -> cct.CctForest:
+def _ingest_file(ingest, path: str, lenient: bool):
+    """``ingest`` (``cct.ingest`` or ``cct.ingest_merged``) over a trace file."""
     with errors_in(path), open(path, "r", encoding="utf-8") as fh:
-        return cct.ingest(fh, lenient=lenient, warn=_warn if lenient else None)
+        return ingest(fh, lenient=lenient, warn=_warn if lenient else None)
 
 
 def cmd_simulate(args) -> int:
@@ -89,18 +90,22 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     catalog = load_catalog_file(args.catalog) if args.catalog else None
     filter_set, mode = _filter_set(args), args.filter_mode
+    # only --per-thread needs the per-thread trees
+    merged = not args.per_thread
     if args.snapshot_out:
         # the snapshot records the sha256 of the bytes the tables came from
         with errors_in(args.trace), open(args.trace, "rb") as fh:
-            forest, digest = snapshot.ingest_hashed(fh, args.lenient,
-                                                    _warn if args.lenient else None)
+            tree, digest = snapshot.ingest_hashed(fh, args.lenient,
+                                                  _warn if args.lenient else None, merged)
     else:
-        forest = _build_forest_from_file(args.trace, args.lenient)
+        tree = _ingest_file(cct.ingest_merged if merged else cct.ingest,
+                            args.trace, args.lenient)
     # a trace without threads gets the merged view even with --per-thread
-    per_thread = args.per_thread and forest.roots
+    per_thread = not merged and tree.roots
     # a snapshot holds the merged view whatever the report shows
     if args.snapshot_out or not per_thread:
-        merged_tables = snapshot.tabulate(forest.merged(), catalog, filter_set, mode)
+        root = tree if merged else tree.merged()
+        merged_tables = snapshot.tabulate(root, catalog, filter_set, mode)
     if args.snapshot_out:
         snap = snapshot.Snapshot(args.label or args.trace, args.user_count,
                                  merged_tables.hot_spots, merged_tables.components, digest)
@@ -108,8 +113,8 @@ def cmd_analyze(args) -> int:
         print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
     if per_thread:
         sections = {
-            f"thread {tid}": snapshot.tabulate(forest.roots[tid], catalog, filter_set, mode)
-            for tid in forest.tids()
+            f"thread {tid}": snapshot.tabulate(tree.roots[tid], catalog, filter_set, mode)
+            for tid in tree.tids()
         }
     else:
         sections = {"merged": merged_tables}
@@ -126,10 +131,10 @@ def cmd_diff(args) -> int:
 
 
 def cmd_callgraph(args) -> int:
-    forest = _build_forest_from_file(args.trace, args.lenient)
-    merged = apply_filter(forest.merged(), _filter_set(args), args.filter_mode)
+    merged = apply_filter(_ingest_file(cct.ingest_merged, args.trace, args.lenient),
+                          _filter_set(args), args.filter_mode)
     if args.format == "edges":
-        lines = [report.render_edges(cct.project_call_graph(merged))]
+        lines = report.render_edges(cct.project_call_graph(merged))
     else:
         lines = cct.folded_stacks(merged)
     _write_output(lines, args.output)
@@ -146,13 +151,11 @@ def cmd_export(args) -> int:
         with errors_in(args.trace), open(args.trace, "r", encoding="utf-8") as fh:
             _write_output(jsonl_lines(fh), args.output)
         return 0
-    forest = _build_forest_from_file(args.trace, args.lenient)
     if args.format == "forest":
-        lines = [cct.serialize_forest(forest)]
-    elif args.format == "cct":
-        lines = [cct.serialize_cct(forest.merged())]
-    else:  # folded
-        lines = cct.folded_stacks(forest.merged())
+        lines = [cct.serialize_forest(_ingest_file(cct.ingest, args.trace, args.lenient))]
+    else:
+        root = _ingest_file(cct.ingest_merged, args.trace, args.lenient)
+        lines = [cct.serialize_cct(root)] if args.format == "cct" else cct.folded_stacks(root)
     _write_output(lines, args.output)
     return 0
 

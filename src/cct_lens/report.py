@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .components import ComponentUtilizationRow
 from .metrics import (HotSpotRow, TotalTimeRow, format_avg_ms, format_ms,
@@ -214,9 +214,9 @@ def render_diff(rows: list[SnapshotDiffRow], a: Snapshot, b: Snapshot,
     raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
 
 
-def render_edges(edges) -> str:
-    """Call-graph edges as tab-separated rows with a comment header."""
-    lines = ["# caller\tcallee\tcalls\tcallee_total_ns"]
+def render_edges(edges) -> Iterator[str]:
+    """Call-graph edges as tab-separated rows under a comment header, one
+    line each with its newline, as they come."""
+    yield "# caller\tcallee\tcalls\tcallee_total_ns\n"
     for e in edges:
-        lines.append(f"{e.caller}\t{e.callee}\t{e.calls}\t{e.callee_total_time}")
-    return "\n".join(lines) + "\n"
+        yield f"{e.caller}\t{e.callee}\t{e.calls}\t{e.callee_total_time}\n"

@@ -1,7 +1,8 @@
 """The analysis pipeline, labeled snapshots and load-level diffs.
 
-``ingest_hashed`` reads a trace once into per-thread trees and the sha256
-of its bytes; ``tabulate`` filters a tree and builds its tables.  Every
+``ingest_hashed`` reads a trace once into its merged tree (or, for a
+per-thread report, its per-thread trees) and the sha256 of its bytes;
+``tabulate`` filters a tree and builds its tables.  Every
 report and snapshot comes from these two steps.  A snapshot freezes the
 hot-spot and component tables with a label (e.g. "20-user") and the
 trace digest, and persists as JSON so two load levels can be compared
@@ -20,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import BinaryIO, Callable, NamedTuple
 
-from .cct import CctForest, CctNode, ingest
+from .cct import CctForest, CctNode, ingest, ingest_merged
 from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
                          component_utilization, default_hr_catalog)
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
@@ -69,15 +70,18 @@ class _HashingReader(io.RawIOBase):
 
 
 def ingest_hashed(stream: BinaryIO, lenient: bool = False,
-                  warn: Callable[[str], None] | None = None) -> tuple[CctForest, str]:
-    """Per-thread trees and the sha256 hex digest of a binary trace stream, read once.
+                  warn: Callable[[str], None] | None = None,
+                  merged: bool = False) -> tuple[CctForest | CctNode, str]:
+    """The trees and the sha256 hex digest of a binary trace stream, read once:
+    the merged tree of ``ingest_merged`` if ``merged``, else the per-thread
+    trees of ``ingest``.
 
     Lines split as in a file opened with ``open(path, encoding="utf-8")``.
     """
     raw = _HashingReader(stream)
     with io.TextIOWrapper(raw, encoding="utf-8") as text:
-        forest = ingest(text, lenient=lenient, warn=warn)
-    return forest, raw.sha256.hexdigest()
+        tree = (ingest_merged if merged else ingest)(text, lenient=lenient, warn=warn)
+    return tree, raw.sha256.hexdigest()
 
 
 def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
@@ -100,8 +104,8 @@ def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
                   lenient: bool = False) -> Snapshot:
     """Run the full pipeline over trace content and freeze the tables."""
-    forest, digest = ingest_hashed(io.BytesIO(trace_bytes), lenient)
-    tables = tabulate(forest.merged())
+    root, digest = ingest_hashed(io.BytesIO(trace_bytes), lenient, merged=True)
+    tables = tabulate(root)
     return Snapshot(label, user_count, tables.hot_spots, tables.components, digest)
 
 

@@ -32,6 +32,12 @@ from typing import Iterable, Iterator, NamedTuple
 ENTER = "E"
 EXIT = "X"
 
+# timestamps are signed 64-bit nanoseconds: each thread's times stay below
+# 2**64, so the tables of fewer than 2**32 threads stay below the 2**96 that
+# snapshot loading allows
+TS_RANGE = range(-2**63, 2**63)
+TS_RANGE_ERROR = "timestamp outside the signed 64-bit range"
+
 
 class TraceError(ValueError):
     """Base class for trace format and trace structure problems."""
@@ -175,9 +181,10 @@ def jsonl_lines(lines: Iterable[str]) -> Iterator[str]:
     ``json.dumps`` writes them.  The line checks are those of
     ``cct.ingest``: a line whose thread id text or method name has not
     been seen, or that any quick check refuses, goes through
-    ``parse_trace_line``, which raises its ``line N: ...`` error.  Memory
-    is bounded by the threads and the method names entered, not by the
-    number of lines.
+    ``parse_trace_line``, which raises its ``line N: ...`` error.  A
+    timestamp outside the signed 64-bit range raises TraceStructureError
+    naming the thread and the line.  Memory is bounded by the threads and
+    the method names entered, not by the number of lines.
     """
     # canonical thread id texts, and the JSON text of each method name
     # that passed the grammar check on an enter
@@ -191,12 +198,16 @@ def jsonl_lines(lines: Iterable[str]) -> Iterator[str]:
             raw_ts, tid, kind, method = line.split("\t")
             ts = int(raw_ts)
             name = names[method]
-            known = tid in tids and (kind == ENTER or kind == EXIT)
+            # ts in TS_RANGE, as two compares: a range test costs three times as much
+            known = (tid in tids and (kind == ENTER or kind == EXIT)
+                     and -2**63 <= ts < 2**63)
         except (ValueError, KeyError):
             known = False
         if not known:
             # raises the grammar error, or admits a new thread or method name
             event = parse_trace_line(line, lineno)
+            if event.ts not in TS_RANGE:
+                raise TraceStructureError(TS_RANGE_ERROR, tid=event.tid, lineno=lineno)
             ts, tid, kind, method = event.ts, str(event.tid), event.kind, event.method
             tids.add(tid)
             name = names.get(method) or _json_string(method)

@@ -245,6 +245,9 @@ class WorkloadSpec:
                  latency: LatencyModel | None = None, thread_count: int = 1):
         if thread_count < 1:
             raise ValueError(f"thread_count must be >= 1, got {thread_count}")
+        # the simulator slices the executions with a step of thread_count
+        if thread_count >= 2**63:
+            raise ValueError("thread_count must be below 2**63")
         for name, count in executions.items():
             if name not in CHAINS:
                 known = ", ".join(sorted(CHAINS))

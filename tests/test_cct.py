@@ -14,6 +14,7 @@ from cct_lens.cct import (
     build_forest,
     folded_stacks,
     ingest,
+    ingest_merged,
     merge_ccts,
     project_call_graph,
     root_label,
@@ -22,7 +23,8 @@ from cct_lens.cct import (
 )
 from cct_lens.trace import ENTER, EXIT, TraceEvent, TraceParseError, TraceStructureError
 
-from conftest import decode_cct, decode_forest, events_1tid, random_trace, replay_totals
+from conftest import (decode_cct, decode_forest, events_1tid, random_trace, replay_totals,
+                      trace_lines)
 
 E, X = ENTER, EXIT
 
@@ -278,6 +280,89 @@ class TestMergeCcts:
     def test_merged_is_cached_on_forest(self):
         forest = build_forest(events_1tid((0, E, "a"), (1, X, "a")))
         assert forest.merged() is forest.merged()
+
+
+def _random_lines(rng: random.Random, defects: bool) -> list[str]:
+    """A random interleaved trace on up to five distinct tids from 0..39, so a
+    higher tid often enters a shared context first.  With ``defects``, some
+    events are dropped (leaving frames open or exits unmatched), and orphan
+    exits, mismatched exits and timestamp regressions are put in."""
+    events = random_trace(rng, max_events=160, max_methods=4, max_tids=5)
+    old = sorted({e.tid for e in events})
+    tids = dict(zip(old, rng.sample(range(40), len(old))))
+    events = [TraceEvent(e.ts, tids[e.tid], e.kind, e.method) for e in events]
+    if defects:
+        mutated = []
+        for e in events:
+            roll = rng.random()
+            if roll < 0.04:
+                continue
+            if roll < 0.07:
+                mutated.append(TraceEvent(e.ts, e.tid, X, "ghost"))
+            elif roll < 0.10 and e.kind == X:
+                e = TraceEvent(e.ts, e.tid, X, "m0()")
+            elif roll < 0.12:
+                e = TraceEvent(e.ts - rng.randrange(1, 9), e.tid, e.kind, e.method)
+            mutated.append(e)
+        events = mutated
+    return trace_lines(events)
+
+
+def _merged_view(read, lines: list[str], lenient: bool):
+    """The serialized tree and folded lines ``read`` gives, or its error, and its warnings."""
+    warnings: list[str] = []
+    try:
+        root = read(lines, lenient=lenient, warn=warnings.append)
+    except TraceStructureError as exc:
+        return ("error", str(exc)), warnings
+    return (serialize_cct(root), list(folded_stacks(root))), warnings
+
+
+def _ingest_then_merge(lines, lenient=False, warn=None):
+    return ingest(lines, lenient=lenient, warn=warn).merged()
+
+
+class TestIngestMerged:
+    """``ingest_merged`` must give ``ingest(...).merged()`` exactly.  Trees are
+    compared as serialized text: ``CctNode.__eq__`` ignores child order."""
+
+    @given(st.integers(min_value=0, max_value=10**9), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_ingest_then_merge(self, seed, lenient, defects):
+        lines = _random_lines(random.Random(seed), defects)
+        want = _merged_view(_ingest_then_merge, lines, lenient)
+        assert _merged_view(ingest_merged, lines, lenient) == want
+        if not defects:
+            assert want[0][0] != "error"
+
+    def test_higher_tid_first_is_reordered(self):
+        # tid 2 makes b, then a, then a's child y; tid 1 enters a and a.x;
+        # merge_ccts puts tid 1's contexts first
+        lines = ["0\t2\tE\tb", "1\t2\tX\tb", "2\t2\tE\ta", "3\t2\tE\ty",
+                 "4\t2\tX\ty", "5\t2\tX\ta", "6\t1\tE\ta", "7\t1\tE\tx",
+                 "8\t1\tX\tx", "9\t1\tE\ty", "10\t1\tX\ty", "11\t1\tX\ta"]
+        root = ingest_merged(lines)
+        assert list(root.children) == ["a", "b"]
+        assert list(root.children["a"].children) == ["x", "y"]
+        assert serialize_cct(root) == serialize_cct(merge_ccts(ingest(lines)))
+        assert not any(hasattr(node, "_order") for node in root.walk())
+
+    def test_tids_order_as_numbers(self):
+        lines = ["0\t10\tE\tb", "1\t10\tX\tb", "2\t9\tE\ta", "3\t9\tX\ta"]
+        assert list(ingest_merged(lines).children) == ["a", "b"]
+
+    def test_root_counts(self):
+        lines = ["0\t1\tE\ta", "4\t1\tX\ta", "0\t2\tE\ta", "3\t2\tX\ta",
+                 "5\t2\tE\tb", "6\t2\tX\tb"]
+        root = ingest_merged(lines)
+        assert (root.method, root.invocations, root.total_time) == (MERGED_ROOT, 1, 8)
+        assert not root.truncated
+
+    def test_empty_trace(self):
+        root = ingest_merged(["# comments and blank lines only", ""])
+        assert (root.method, root.invocations, root.total_time) == (MERGED_ROOT, 1, 0)
+        assert not root.children
+        assert serialize_cct(root) == serialize_cct(merge_ccts(CctForest()))
 
 
 class TestSelfTime:

@@ -126,7 +126,9 @@ class TestSimulate:
         ('{"executions": {"login": 1}, "jitter": 0.1, "base_ns": {"%s": %d}}'
          % (wl.GET_CONNECTION, 10**399),
          f"base duration for {wl.GET_CONNECTION} must be below 2**63\n"),
-    ], ids=["nested-1e5-deep", "huge-default_base_ns", "huge-base_ns"])
+        ('{"executions": {"login": 2}, "thread_count": %d}' % 10**20,
+         "thread_count must be below 2**63\n"),
+    ], ids=["nested-1e5-deep", "huge-default_base_ns", "huge-base_ns", "huge-thread_count"])
     def test_hostile_spec(self, capsys, tmp_path, text, message):
         path = tmp_path / "spec.json"
         path.write_text(text, encoding="utf-8")
@@ -271,8 +273,10 @@ class TestAnalyze:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cct, "ingest", counted("ingest", cct.ingest))
-        monkeypatch.setattr(snapshot, "ingest", counted("ingest", snapshot.ingest))
+        # either reader counts as the one read
+        for module in (cct, snapshot):
+            for reader in ("ingest", "ingest_merged"):
+                monkeypatch.setattr(module, reader, counted("ingest", getattr(module, reader)))
         monkeypatch.setattr(snapshot, "tabulate", counted("tabulate", snapshot.tabulate))
         argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]
         code, _, _ = run(capsys, "analyze", str(fig8_trace), *argv)
@@ -607,6 +611,45 @@ class TestExport:
         assert total == 3_059_975_981
 
 
+MERGED_VIEW_RUNS = [
+    ("analyze",),
+    ("analyze", "--format", "json", "--exclude", "com.mycompany.hr.dao.*"),
+    ("analyze", "--snapshot-out", "SNAP"),
+    ("callgraph",),
+    ("callgraph", "--format", "folded"),
+    ("export", "--format", "cct"),
+    ("export", "--format", "folded"),
+]
+
+
+class TestMergedViewBuildsNoPerThreadTrees:
+    """Commands that show the merged view build it in the ingest pass."""
+
+    @pytest.fixture
+    def no_merge(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-thread trees merged")
+        monkeypatch.setattr(cct, "merge_ccts", refuse)
+        monkeypatch.setattr(cct.CctForest, "merged", refuse)
+
+    @pytest.mark.parametrize("command", MERGED_VIEW_RUNS, ids=" ".join)
+    def test_runs_without_merge(self, capsys, fig8_trace, tmp_path, no_merge, command):
+        name, *flags = command
+        argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]
+        code, stdout, stderr = run(capsys, name, str(fig8_trace), *argv)
+        assert (code, stderr.startswith("error")) == (0, False)
+        assert stdout
+
+    def test_per_thread_snapshot_holds_the_same_merged_tables(self, capsys, fig8_trace,
+                                                              tmp_path):
+        plain, per_thread = tmp_path / "plain.json", tmp_path / "per_thread.json"
+        common = ["analyze", str(fig8_trace), "--label", "x"]
+        assert run(capsys, *common, "--snapshot-out", str(plain))[0] == 0
+        code, stdout, _ = run(capsys, *common, "--per-thread", "--snapshot-out", str(per_thread))
+        assert code == 0 and stdout.count("=== thread ") == 4
+        assert per_thread.read_bytes() == plain.read_bytes()
+
+
 UNDECODABLE_RUNS = [
     ("analyze",),
     ("analyze", "--snapshot-out", "SNAP"),
@@ -662,7 +705,7 @@ class TestBadTraceNamesTheFile:
         self.check(capsys, tmp_path, command, path,
                    "tid 1, line 2: mismatched exit: got b, innermost open frame is a")
 
-    # timestamps must fit in signed 64 bits; jsonl export does not check them
+    # timestamps must fit in signed 64 bits; jsonl export names the line (below)
     @pytest.mark.parametrize("command", UNDECODABLE_RUNS[:-1] + [
         ("analyze", "--format", "csv"), ("analyze", "--format", "json")], ids=" ".join)
     def test_timestamp_outside_64_bits(self, capsys, tmp_path, command):
@@ -670,6 +713,18 @@ class TestBadTraceNamesTheFile:
         path.write_text(f"0\t1\tE\ta.b()\n{10**400}\t1\tX\ta.b()\n", encoding="utf-8")
         self.check(capsys, tmp_path, command, path,
                    "tid 1: timestamp outside the signed 64-bit range")
+
+    @pytest.mark.parametrize("first, second, line", [
+        (0, 10**400, 2), (-2**63 - 1, 0, 1), (0, 2**63, 2),
+    ], ids=["10**400-on-line-2", "-2**63-1-on-line-1", "2**63-on-line-2"])
+    def test_jsonl_timestamp_outside_64_bits(self, capsys, tmp_path, first, second, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"{first}\t1\tE\ta.b()\n{second}\t1\tX\ta.b()\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "export", str(path), "--format", "jsonl")
+        assert (code, stderr) == (
+            1, f"error: {path}: tid 1, line {line}: timestamp outside the signed 64-bit range\n")
+        assert stdout == ('{"ts": %d, "tid": 1, "ev": "E", "m": "a.b()"}\n' % first
+                          if line == 2 else "")
 
     def check(self, capsys, tmp_path, command, path, message):
         name, *flags = command

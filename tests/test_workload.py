@@ -316,6 +316,9 @@ class TestSimulate:
     def test_bad_thread_count_rejected(self):
         with pytest.raises(ValueError, match="thread_count"):
             wl.WorkloadSpec(executions={}, thread_count=0)
+        with pytest.raises(ValueError, match=r"^thread_count must be below 2\*\*63$"):
+            wl.WorkloadSpec(executions={"login": 2}, thread_count=2**63)
+        assert wl.WorkloadSpec(executions={}, thread_count=2**63 - 1).thread_count == 2**63 - 1
 
     @given(
         register=st.integers(min_value=0, max_value=6),
