@@ -14,12 +14,13 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import io
+import hashlib
 import sys
 
 from cct_lens import workload
+from cct_lens.cct import ingest_merged
 from cct_lens.report import REPORT_FORMATS, render_analysis
-from cct_lens.snapshot import ingest_hashed, tabulate
+from cct_lens.snapshot import tabulate
 
 
 def main(argv=None) -> int:
@@ -32,11 +33,11 @@ def main(argv=None) -> int:
 
     spec = workload.PRESETS[args.preset]()
     text = workload.simulate(spec)
-    root, digest = ingest_hashed(io.BytesIO(text.encode("utf-8")), merged=True)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     print(f"trace: {sum(1 for l in text.splitlines() if not l.startswith('#'))} "
           f"events, sha256={digest[:16]}...", file=sys.stderr)
 
-    report = render_analysis({"merged": tabulate(root)}, args.format)
+    report = render_analysis({"merged": tabulate(ingest_merged(text.splitlines()))}, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report)

@@ -5,10 +5,11 @@ context*: calls to the same method from the same parent context merge
 into a single node, while recursion produces a chain of distinct nodes,
 one per depth.  Each thread gets its own tree under a synthetic root
 labelled ``<root:tid>``; a merged view overlays the per-thread trees
-method-by-method under a single ``<root>``.  ``ingest`` builds the
-per-thread trees and ``merge_ccts`` overlays them; ``ingest_merged``
-builds the merged view in the same pass, with no per-thread trees, and
-orders its children as ``merge_ccts`` does.
+method-by-method under a single ``<root>``.  Trees are plain values:
+``ingest`` returns the per-thread roots as a ``{tid: root}`` dict and
+``merge_ccts`` overlays such a dict; ``ingest_merged`` builds the merged
+view in the same pass, with no per-thread trees, and orders its children
+as ``merge_ccts`` does.
 
 Node times are inclusive nanoseconds.  Self time is derived, never
 stored: ``total_time`` minus the children's ``total_time``.  Root nodes
@@ -86,27 +87,6 @@ class CctNode:
     def __repr__(self) -> str:
         return (f"CctNode({self.method!r}, inv={self.invocations}, "
                 f"total={self.total_time}, children={len(self.children)})")
-
-
-class CctForest:
-    """Per-thread trees plus a lazily computed merged view; equal when the trees are."""
-
-    def __init__(self, roots: dict[int, CctNode] | None = None):
-        self.roots: dict[int, CctNode] = {} if roots is None else roots
-        self._merged: CctNode | None = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CctForest):
-            return NotImplemented
-        return self.roots == other.roots
-
-    def merged(self) -> CctNode:
-        if self._merged is None:
-            self._merged = merge_ccts(self)
-        return self._merged
-
-    def tids(self) -> list[int]:
-        return sorted(self.roots)
 
 
 class _ThreadState:
@@ -237,8 +217,9 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
 
 
 def ingest(lines: Iterable[str], lenient: bool = False,
-           warn: Callable[[str], None] | None = None) -> CctForest:
-    """Parse, check and build per-thread CCTs from trace text in one pass.
+           warn: Callable[[str], None] | None = None) -> dict[int, CctNode]:
+    """Parse, check and build per-thread CCTs from trace text in one pass:
+    ``{tid: root}`` in ascending tid order.
 
     ``lines`` is canonical trace text, one line per item (an open file
     works).  Memory is proportional to the number of distinct calling
@@ -263,16 +244,16 @@ def ingest(lines: Iterable[str], lenient: bool = False,
     and its running maximum, so only these two are checked: the first on
     its line, the maximum at the end of the trace.
     """
-    forest = CctForest()
-    for state in _ingest(lines, lenient, warn, None):
+    roots = {}
+    for state in sorted(_ingest(lines, lenient, warn, None), key=lambda state: state.tid):
         _set_busy_time(state.root)
-        forest.roots[state.tid] = state.root
-    return forest
+        roots[state.tid] = state.root
+    return roots
 
 
 def ingest_merged(lines: Iterable[str], lenient: bool = False,
                   warn: Callable[[str], None] | None = None) -> CctNode:
-    """The merged tree of ``ingest(lines).merged()``, built in the ingest pass.
+    """The merged tree ``merge_ccts(ingest(lines))``, built in the ingest pass.
 
     Checks, errors and warnings are those of ``ingest``.  Every thread
     enters its frames straight into one tree under ``<root>``, so memory
@@ -300,7 +281,7 @@ def ingest_merged(lines: Iterable[str], lenient: bool = False,
 
 
 def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
-                 warn: Callable[[str], None] | None = None) -> CctForest:
+                 warn: Callable[[str], None] | None = None) -> dict[int, CctNode]:
     """Build per-thread CCTs from an interleaved event stream: ``ingest`` on its lines.
 
     Events must be in file order (per-thread subsequences ordered).  Each
@@ -328,16 +309,16 @@ def merge_into(dst: CctNode, src: CctNode) -> None:
             work.append((target, child))
 
 
-def merge_ccts(forest: CctForest) -> CctNode:
-    """Overlay per-thread trees into one tree under a ``<root>`` node.
+def merge_ccts(roots: dict[int, CctNode]) -> CctNode:
+    """Overlay per-thread trees ``{tid: root}`` into one tree under a ``<root>`` node.
 
     Threads are folded in ascending tid order, so child order in the
     merged tree is deterministic.  The merged root's total is the summed
     busy time of all threads.
     """
     merged = CctNode(MERGED_ROOT)
-    for tid in sorted(forest.roots):
-        merge_into(merged, forest.roots[tid])
+    for tid in sorted(roots):
+        merge_into(merged, roots[tid])
     merged.invocations, merged.truncated = 1, False
     _set_busy_time(merged)
     return merged
@@ -422,11 +403,12 @@ def serialize_cct(root: CctNode) -> str:
     return "".join(out)
 
 
-def serialize_forest(forest: CctForest) -> str:
-    """Every thread's tree under its tid, in ascending tid order; see ``serialize_cct``."""
+def serialize_forest(roots: dict[int, CctNode]) -> str:
+    """Every thread's tree ``{tid: root}`` under its tid, in ascending tid order;
+    see ``serialize_cct``."""
     out = [f'{{"format":"{_FOREST_FORMAT}","threads":{{']
-    for i, tid in enumerate(sorted(forest.roots)):
+    for i, tid in enumerate(sorted(roots)):
         out.append(f'{"," if i else ""}"{tid}":')
-        _tree_json(forest.roots[tid], out)
+        _tree_json(roots[tid], out)
     out.append("}}")
     return "".join(out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 from typing import Iterable
@@ -16,7 +17,7 @@ from typing import Iterable
 from . import cct, report, snapshot
 from .components import load_catalog_file
 from .filters import ATTRIBUTE_TO_PARENT, FILTER_MODES, FilterSet, apply_filter
-from .trace import TraceError, errors_in, jsonl_lines
+from .trace import TraceError, errors_in, jsonl_lines, write_errors_in
 
 
 def _warn(message: str) -> None:
@@ -27,16 +28,42 @@ def _write_output(lines: Iterable[str], path: str | None, sha256=None) -> None:
     """Write to stdout or ``path`` as the lines come: each line, and a newline
     unless it ends with one.  ``sha256``, if given, takes the bytes written.
 
-    Lines written before ``lines`` raises stay in the output.
+    Lines written before ``lines`` raises stay in the output.  A failed
+    write names the output: ``path``, or ``<stdout>``.
     """
-    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
-          else open(path, "w", encoding="utf-8", newline="")) as out:
-        for line in lines:
-            if not line.endswith("\n"):
-                line += "\n"
-            out.write(line)
-            if sha256 is not None:
-                sha256.update(line.encode("utf-8"))
+    to_stdout = path in (None, "-")
+    try:
+        with write_errors_in("<stdout>" if to_stdout else path), \
+                (contextlib.nullcontext(sys.stdout) if to_stdout
+                 else open(path, "w", encoding="utf-8", newline="")) as out:
+            for line in lines:
+                if not line.endswith("\n"):
+                    line += "\n"
+                out.write(line)
+                if sha256 is not None:
+                    sha256.update(line.encode("utf-8"))
+            out.flush()
+    except OSError:
+        if to_stdout and sys.stdout is sys.__stdout__:
+            # what stdout still buffers would fail again in the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary stream that feeds every byte read through it to ``sha256``."""
+
+    def __init__(self, stream, sha256):
+        self._stream = stream
+        self._sha256 = sha256
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._stream.readinto(buffer)
+        self._sha256.update(memoryview(buffer)[:n])
+        return n
 
 
 def _filter_set(args) -> FilterSet:
@@ -53,9 +80,13 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
                    help="attribute: splice filtered frames into parents; drop: remove subtrees")
 
 
-def _ingest_file(ingest, path: str, lenient: bool):
-    """``ingest`` (``cct.ingest`` or ``cct.ingest_merged``) over a trace file."""
-    with errors_in(path), open(path, "r", encoding="utf-8") as fh:
+def _ingest_file(ingest, path: str, lenient: bool, sha256=None):
+    """``ingest`` (``cct.ingest`` or ``cct.ingest_merged``) over a trace file,
+    the one reader of every command that builds trees.  Lines split as in
+    ``open(path, encoding="utf-8")``; ``sha256``, if given, takes every byte read.
+    """
+    with errors_in(path), open(path, "rb") as raw, io.TextIOWrapper(
+            raw if sha256 is None else _HashingReader(raw, sha256), encoding="utf-8") as fh:
         return ingest(fh, lenient=lenient, warn=_warn if lenient else None)
 
 
@@ -83,41 +114,36 @@ def cmd_simulate(args) -> int:
     if args.output in (None, "-"):
         print(summary, file=sys.stderr)
     else:
-        print(summary)
+        _write_output([summary], None)
     return 0
 
 
 def cmd_analyze(args) -> int:
     catalog = load_catalog_file(args.catalog) if args.catalog else None
     filter_set, mode = _filter_set(args), args.filter_mode
-    # only --per-thread needs the per-thread trees
-    merged = not args.per_thread
+    sha256 = None
     if args.snapshot_out:
         # the snapshot records the sha256 of the bytes the tables came from
-        with errors_in(args.trace), open(args.trace, "rb") as fh:
-            tree, digest = snapshot.ingest_hashed(fh, args.lenient,
-                                                  _warn if args.lenient else None, merged)
+        import hashlib
+        sha256 = hashlib.sha256()
+    # only --per-thread needs the per-thread trees
+    if args.per_thread:
+        roots = _ingest_file(cct.ingest, args.trace, args.lenient, sha256)
+        # a snapshot holds the merged view whatever the report shows, and a
+        # trace without threads gets the merged view even with --per-thread
+        root = cct.merge_ccts(roots) if args.snapshot_out or not roots else None
     else:
-        tree = _ingest_file(cct.ingest_merged if merged else cct.ingest,
-                            args.trace, args.lenient)
-    # a trace without threads gets the merged view even with --per-thread
-    per_thread = not merged and tree.roots
-    # a snapshot holds the merged view whatever the report shows
-    if args.snapshot_out or not per_thread:
-        root = tree if merged else tree.merged()
+        roots, root = {}, _ingest_file(cct.ingest_merged, args.trace, args.lenient, sha256)
+    if root is not None:
         merged_tables = snapshot.tabulate(root, catalog, filter_set, mode)
     if args.snapshot_out:
         snap = snapshot.Snapshot(args.label or args.trace, args.user_count,
-                                 merged_tables.hot_spots, merged_tables.components, digest)
+                                 merged_tables.hot_spots, merged_tables.components,
+                                 sha256.hexdigest())
         snapshot.save_snapshot(snap, args.snapshot_out)
         print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
-    if per_thread:
-        sections = {
-            f"thread {tid}": snapshot.tabulate(tree.roots[tid], catalog, filter_set, mode)
-            for tid in tree.tids()
-        }
-    else:
-        sections = {"merged": merged_tables}
+    sections = {f"thread {tid}": snapshot.tabulate(tree, catalog, filter_set, mode)
+                for tid, tree in roots.items()} or {"merged": merged_tables}
     _write_output([report.render_analysis(sections, args.format)], args.output)
     return 0
 

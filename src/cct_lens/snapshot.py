@@ -1,9 +1,9 @@
 """The analysis pipeline, labeled snapshots and load-level diffs.
 
-``ingest_hashed`` reads a trace once into its merged tree (or, for a
-per-thread report, its per-thread trees) and the sha256 of its bytes;
-``tabulate`` filters a tree and builds its tables.  Every
-report and snapshot comes from these two steps.  A snapshot freezes the
+``cct.ingest_merged`` reads a trace once into its merged tree (or
+``cct.ingest`` into its per-thread trees, for a per-thread report);
+``tabulate`` filters a tree and builds its tables.  Every report and
+snapshot comes from these two steps.  A snapshot freezes the
 hot-spot and component tables with a label (e.g. "20-user") and the
 trace digest, and persists as JSON so two load levels can be compared
 without keeping the traces.
@@ -19,15 +19,15 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
-from typing import BinaryIO, Callable, NamedTuple
+from typing import NamedTuple
 
-from .cct import CctForest, CctNode, ingest, ingest_merged
+from .cct import CctNode, ingest_merged
 from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
                          component_utilization, default_hr_catalog)
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
-from .trace import errors_in, json_field
+from .trace import errors_in, json_field, write_errors_in
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -52,38 +52,6 @@ class Snapshot(NamedTuple):
     source_trace_digest: str
 
 
-class _HashingReader(io.RawIOBase):
-    """A binary stream that feeds every byte read through it to sha256."""
-
-    def __init__(self, stream: BinaryIO):
-        import hashlib
-        self._stream = stream
-        self.sha256 = hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._stream.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
-        return n
-
-
-def ingest_hashed(stream: BinaryIO, lenient: bool = False,
-                  warn: Callable[[str], None] | None = None,
-                  merged: bool = False) -> tuple[CctForest | CctNode, str]:
-    """The trees and the sha256 hex digest of a binary trace stream, read once:
-    the merged tree of ``ingest_merged`` if ``merged``, else the per-thread
-    trees of ``ingest``.
-
-    Lines split as in a file opened with ``open(path, encoding="utf-8")``.
-    """
-    raw = _HashingReader(stream)
-    with io.TextIOWrapper(raw, encoding="utf-8") as text:
-        tree = (ingest_merged if merged else ingest)(text, lenient=lenient, warn=warn)
-    return tree, raw.sha256.hexdigest()
-
-
 def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
              filter_set: FilterSet = FilterSet(),
              filter_mode: str = ATTRIBUTE_TO_PARENT) -> AnalysisTables:
@@ -103,10 +71,17 @@ def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
 
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
                   lenient: bool = False) -> Snapshot:
-    """Run the full pipeline over trace content and freeze the tables."""
-    root, digest = ingest_hashed(io.BytesIO(trace_bytes), lenient, merged=True)
+    """Run the full pipeline over trace content and freeze the tables.
+
+    Lines split as in a file opened with ``open(path, encoding="utf-8")``.
+    """
+    import hashlib
+
+    with io.TextIOWrapper(io.BytesIO(trace_bytes), encoding="utf-8") as text:
+        root = ingest_merged(text, lenient=lenient)
     tables = tabulate(root)
-    return Snapshot(label, user_count, tables.hot_spots, tables.components, digest)
+    return Snapshot(label, user_count, tables.hot_spots, tables.components,
+                    hashlib.sha256(trace_bytes).hexdigest())
 
 
 class SnapshotDiffRow(NamedTuple):
@@ -262,7 +237,8 @@ def load_snapshot(text: str) -> Snapshot:
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a snapshot file; a failed write names the file (``trace.write_errors_in``)."""
+    with write_errors_in(path), open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_snapshot(snapshot))
 
 

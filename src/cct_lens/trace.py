@@ -19,8 +19,9 @@ structural checks, nesting and per-thread timestamp order, live in
 ``jsonl_lines`` streams a JSON-lines rendering with keys
 ``ts``/``tid``/``ev``/``m``; the tab-separated form is canonical.
 ``errors_in`` names the file, and the line of a byte that is not UTF-8,
-in the errors of every file reader; ``json_field`` type-checks a field of
-the JSON documents they read.
+in the errors of every file reader, and ``write_errors_in`` names the
+output in a failed write; ``json_field`` type-checks a field of the JSON
+documents they read.
 """
 
 from __future__ import annotations
@@ -99,6 +100,18 @@ def errors_in(path):
                          f"is not UTF-8 ({exc.reason})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def write_errors_in(name):
+    """Name the output ``name`` in an OSError raised in the block without a
+    file name, as a failed write or flush is: ``[Errno 28] ...: 'out.txt'``."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(name)
+        raise
 
 
 def json_field(obj, key: str, kind: type | tuple, minimum: int | None = None,

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import random_trace, replay_totals
 from cct_lens import workload as wl
-from cct_lens.cct import CctNode, build_forest, ingest
+from cct_lens.cct import CctNode, build_forest, ingest, merge_ccts
 from cct_lens.components import component_utilization, default_hr_catalog
 from cct_lens.filters import (ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet,
                               apply_filter)
@@ -45,14 +45,14 @@ def _tree_self_sum(root: CctNode) -> int:
 @pytest.fixture(scope="module")
 def fig8_rows():
     text = wl.simulate(wl.figure8_preset())
-    merged = ingest(text.splitlines()).merged()
+    merged = merge_ccts(ingest(text.splitlines()))
     return text, merged, hotspots(merged)
 
 
 def test_criterion_1_figure8_invocations(capsys):
     start = time.perf_counter()
     text = wl.simulate(wl.figure8_preset())
-    merged = ingest(text.splitlines()).merged()
+    merged = merge_ccts(ingest(text.splitlines()))
     rows = {r.method: r for r in hotspots(merged)}
     elapsed = time.perf_counter() - start
     expected = {
@@ -109,7 +109,7 @@ def test_criterion_4_oracle_equivalence(capsys):
     for _ in range(1000):
         events = random_trace(rng)
         self_ns, total_ns, calls = replay_totals(events)
-        merged = build_forest(events).merged()
+        merged = merge_ccts(build_forest(events))
         agg = {}
         for node in merged.walk():
             if node is merged:
@@ -136,7 +136,7 @@ def test_criterion_5_conservation(fig8_rows, capsys):
     for _ in range(200):
         events = random_trace(rng)
         if events:
-            trees.append(build_forest(events).merged())
+            trees.append(merge_ccts(build_forest(events)))
     for root in trees:
         rows = hotspots(root)
         assert sum(r.self_time for r in rows) == root.total_time
@@ -171,21 +171,21 @@ def _chain_events(*spans) -> list[TraceEvent]:
 def test_criterion_6_filter_semantics(capsys):
     exclude_b = FilterSet.from_patterns(excludes=["b"])
 
-    spliced = apply_filter(build_forest(_chain_events(("a", 0, 40), ("b", 10, 30))).roots[1],
+    spliced = apply_filter(build_forest(_chain_events(("a", 0, 40), ("b", 10, 30)))[1],
                            exclude_b, ATTRIBUTE_TO_PARENT)
     a = spliced.children["a"]
     assert list(spliced.children) == ["a"] and not a.children
     assert a.total_time == 40 and a.self_time() == 40
 
     promoted = apply_filter(
-        build_forest(_chain_events(("a", 0, 40), ("b", 10, 30), ("c", 12, 17))).roots[1],
+        build_forest(_chain_events(("a", 0, 40), ("b", 10, 30), ("c", 12, 17)))[1],
         exclude_b, ATTRIBUTE_TO_PARENT)
     a = promoted.children["a"]
     assert list(a.children) == ["c"]
     assert a.total_time == 40 and a.self_time() == 35
     assert a.children["c"].total_time == 5
 
-    dropped = apply_filter(build_forest(_chain_events(("a", 0, 40), ("b", 10, 30))).roots[1],
+    dropped = apply_filter(build_forest(_chain_events(("a", 0, 40), ("b", 10, 30)))[1],
                            exclude_b, DROP_SUBTREE)
     a = dropped.children["a"]
     assert not a.children and a.total_time == 20 and a.self_time() == 20
@@ -197,7 +197,7 @@ def test_criterion_6_filter_semantics(capsys):
         events = random_trace(rng)
         if not events:
             continue
-        root = build_forest(events).merged()
+        root = merge_ccts(build_forest(events))
         methods = sorted({n.method for n in root.walk()} - {root.method})
         fs = random_filter(rng, methods)
         for mode in (ATTRIBUTE_TO_PARENT, DROP_SUBTREE):
@@ -236,7 +236,7 @@ def test_criterion_8_determinism(capsys):
 
     reports = []
     for text in traces:
-        merged = ingest(text.splitlines()).merged()
+        merged = merge_ccts(ingest(text.splitlines()))
         hot = hotspots(merged)
         tables = AnalysisTables(
             hot_spots=hot,
@@ -257,7 +257,7 @@ def test_criterion_9_scale(capsys):
     assert len(data) == 1_000_000
 
     start = time.perf_counter()
-    merged = ingest(lines).merged()
+    merged = merge_ccts(ingest(lines))
     hot = hotspots(merged)
     components = component_utilization(hot, default_hr_catalog())
     elapsed = time.perf_counter() - start
@@ -270,7 +270,7 @@ def test_criterion_9_scale(capsys):
     tracemalloc.start()
     before, _ = tracemalloc.get_traced_memory()
     forest = ingest(lines)
-    node_count = forest.merged().node_count()
+    node_count = merge_ccts(forest).node_count()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     peak_mib = (peak - before) / (1 << 20)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cct_lens.cct import (
-    CctForest,
     CctNode,
     MERGED_ROOT,
     build_forest,
@@ -37,7 +36,7 @@ def child(node: CctNode, method: str) -> CctNode:
 class TestBuildCct:
     def test_nested_calls(self):
         events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         assert root.method == root_label(1)
         a = child(root, "a")
         assert (a.invocations, a.total_time) == (1, 40)
@@ -47,14 +46,14 @@ class TestBuildCct:
 
     def test_same_parent_contexts_merge(self):
         events = events_1tid((0, E, "a"), (5, X, "a"), (5, E, "a"), (9, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         assert len(root.children) == 1
         a = child(root, "a")
         assert (a.invocations, a.total_time) == (2, 9)
 
     def test_recursion_builds_chain_not_merge(self):
         events = events_1tid((0, E, "a"), (3, E, "a"), (7, X, "a"), (10, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         outer = child(root, "a")
         assert (outer.invocations, outer.total_time) == (1, 10)
         inner = child(outer, "a")
@@ -66,26 +65,26 @@ class TestBuildCct:
             events_1tid(
                 (0, E, "z"), (1, X, "z"), (2, E, "a"), (3, X, "a"), (4, E, "z"), (5, X, "z")
             )
-        ).roots[1]
+        )[1]
         assert list(root.children) == ["z", "a"]
 
     def test_root_total_is_busy_time_not_span(self):
         # idle gap between top-level calls does not count
         events = events_1tid((0, E, "a"), (10, X, "a"), (50, E, "b"), (60, X, "b"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         assert root.total_time == 20  # not the 60 ns span
         assert root.invocations == 1
         assert root.self_time() == 0
 
     def test_empty_input_gives_bare_root(self):
         forest = ingest(["# comments and blank lines only", ""])
-        assert forest.roots == {}
-        root = forest.merged()
+        assert forest == {}
+        root = merge_ccts(forest)
         assert root.method == MERGED_ROOT
         assert root.total_time == 0 and not root.children
 
     def test_zero_duration_calls(self):
-        root = build_forest(events_1tid((5, E, "a"), (5, X, "a"))).roots[1]
+        root = build_forest(events_1tid((5, E, "a"), (5, X, "a")))[1]
         a = child(root, "a")
         assert (a.invocations, a.total_time) == (1, 0)
 
@@ -123,11 +122,11 @@ class TestStrictErrors:
         # in lenient mode a regression is clamped up to the running maximum
         lines = ["0\t1\tE\ta", f"{2**63 - 1}\t1\tE\tb", "-5\t1\tX\tb", "3\t1\tX\ta"]
         forest = ingest(lines, lenient=True)
-        assert forest.roots[1].total_time == 2**63 - 1
+        assert forest[1].total_time == 2**63 - 1
 
     def test_timestamp_extremes_accepted(self):
         forest = ingest([f"{-2**63}\t1\tE\ta", f"{2**63 - 1}\t1\tX\ta"])
-        assert forest.roots[1].total_time == 2**64 - 1
+        assert forest[1].total_time == 2**64 - 1
 
     def test_events_are_numbered_as_lines(self):
         # events have no file, so the n-th event is reported as line n
@@ -153,7 +152,7 @@ class TestLenientRecovery:
             lenient=True,
             warn=warnings.append,
         )
-        root = forest.roots[1]
+        root = forest[1]
         assert list(root.children) == ["a"]
         assert any("orphan" in w for w in warnings)
 
@@ -161,7 +160,7 @@ class TestLenientRecovery:
         forest = build_forest(
             events_1tid((0, E, "a"), (1, X, "b"), (2, X, "a")), lenient=True
         )
-        a = child(forest.roots[1], "a")
+        a = child(forest[1], "a")
         assert a.total_time == 2 and not a.truncated
 
     def test_open_frames_closed_at_last_ts_and_flagged(self):
@@ -169,16 +168,16 @@ class TestLenientRecovery:
         forest = build_forest(
             events_1tid((0, E, "a"), (10, E, "b")), lenient=True, warn=warnings.append
         )
-        a = child(forest.roots[1], "a")
+        a = child(forest[1], "a")
         b = child(a, "b")
         assert a.truncated and b.truncated
         assert a.total_time == 10 and b.total_time == 0
-        assert forest.roots[1].total_time == 10
+        assert forest[1].total_time == 10
         assert any("left open" in w for w in warnings)
 
     def test_timestamp_regression_clamped(self):
         forest = build_forest(events_1tid((5, E, "a"), (3, X, "a")), lenient=True)
-        a = child(forest.roots[1], "a")
+        a = child(forest[1], "a")
         # exit clamped up to the enter ts
         assert a.total_time == 0
 
@@ -193,7 +192,7 @@ class TestLenientRecovery:
 
     def test_closed_frames_not_flagged(self):
         forest = build_forest(events_1tid((0, E, "a"), (4, X, "a"), (5, E, "b")), lenient=True)
-        root = forest.roots[1]
+        root = forest[1]
         assert not child(root, "a").truncated
         assert child(root, "b").truncated
 
@@ -207,19 +206,19 @@ class TestForest:
             TraceEvent(9, 2, X, "b"),
         ]
         forest = build_forest(events)
-        assert sorted(forest.roots) == [1, 2]
-        assert forest.roots[1].method == root_label(1)
-        assert forest.roots[2].total_time == 9
+        assert list(forest) == [1, 2]  # ascending tid order, not first-line order
+        assert forest[1].method == root_label(1)
+        assert forest[2].total_time == 9
 
     def test_roots_have_invocations_one(self):
         forest = build_forest(events_1tid((0, E, "a"), (1, X, "a")))
-        assert all(r.invocations == 1 for r in forest.roots.values())
+        assert all(r.invocations == 1 for r in forest.values())
 
     def test_empty_forest(self):
         forest = build_forest([])
-        assert forest.roots == {}
-        assert forest.merged().method == MERGED_ROOT
-        assert forest.merged().total_time == 0
+        assert forest == {}
+        assert merge_ccts(forest).method == MERGED_ROOT
+        assert merge_ccts(forest).total_time == 0
 
 
 class TestMergeCcts:
@@ -251,7 +250,7 @@ class TestMergeCcts:
         events = events_1tid((0, E, "a"), (2, E, "b"), (3, X, "b"), (8, X, "a"))
         forest = build_forest(events)
         merged = merge_ccts(forest)
-        single = forest.roots[1]
+        single = forest[1]
         assert merged.method == MERGED_ROOT and single.method == root_label(1)
         assert merged.total_time == single.total_time
         assert merged.children == single.children
@@ -276,10 +275,6 @@ class TestMergeCcts:
         ]
         merged = merge_ccts(build_forest(events, lenient=True))
         assert child(merged, "a").truncated
-
-    def test_merged_is_cached_on_forest(self):
-        forest = build_forest(events_1tid((0, E, "a"), (1, X, "a")))
-        assert forest.merged() is forest.merged()
 
 
 def _random_lines(rng: random.Random, defects: bool) -> list[str]:
@@ -319,11 +314,11 @@ def _merged_view(read, lines: list[str], lenient: bool):
 
 
 def _ingest_then_merge(lines, lenient=False, warn=None):
-    return ingest(lines, lenient=lenient, warn=warn).merged()
+    return merge_ccts(ingest(lines, lenient=lenient, warn=warn))
 
 
 class TestIngestMerged:
-    """``ingest_merged`` must give ``ingest(...).merged()`` exactly.  Trees are
+    """``ingest_merged`` must give ``merge_ccts(ingest(...))`` exactly.  Trees are
     compared as serialized text: ``CctNode.__eq__`` ignores child order."""
 
     @given(st.integers(min_value=0, max_value=10**9), st.booleans(), st.booleans())
@@ -362,22 +357,22 @@ class TestIngestMerged:
         root = ingest_merged(["# comments and blank lines only", ""])
         assert (root.method, root.invocations, root.total_time) == (MERGED_ROOT, 1, 0)
         assert not root.children
-        assert serialize_cct(root) == serialize_cct(merge_ccts(CctForest()))
+        assert serialize_cct(root) == serialize_cct(merge_ccts({}))
 
 
 class TestSelfTime:
     def test_parent_minus_children(self):
         events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         assert child(root, "a").self_time() == 20
 
     def test_leaf_is_own_total(self):
-        root = build_forest(events_1tid((0, E, "a"), (40, X, "a"))).roots[1]
+        root = build_forest(events_1tid((0, E, "a"), (40, X, "a")))[1]
         assert child(root, "a").self_time() == 40
 
     def test_children_summing_to_total_gives_zero(self):
         events = events_1tid((0, E, "a"), (0, E, "b"), (40, X, "b"), (40, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         assert child(root, "a").self_time() == 0
 
 
@@ -390,7 +385,7 @@ class TestCallGraph:
                 (6, E, "c"), (7, E, "b"), (8, X, "b"), (9, E, "b"), (10, X, "b"),
                 (11, E, "b"), (12, X, "b"), (13, X, "c"),
             )
-        ).roots[1]
+        )[1]
         edges = {(e.caller, e.callee): e for e in project_call_graph(root)}
         assert edges[("a", "b")].calls == 2
         assert edges[("c", "b")].calls == 3
@@ -398,7 +393,7 @@ class TestCallGraph:
 
     def test_recursion_self_edge(self):
         events = events_1tid((0, E, "a"), (1, E, "a"), (2, X, "a"), (3, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         edges = {(e.caller, e.callee) for e in project_call_graph(root)}
         assert ("a", "a") in edges
 
@@ -430,7 +425,7 @@ class TestCallGraph:
     def test_edge_ordering(self):
         root = build_forest(
             events_1tid((0, E, "a"), (1, E, "b"), (2, X, "b"), (3, X, "a"), (4, E, "b"), (9, X, "b"))
-        ).roots[1]
+        )[1]
         edges = project_call_graph(root)
         assert edges == sorted(edges, key=lambda e: (-e.calls, e.caller, e.callee))
 
@@ -451,12 +446,12 @@ class TestSerialization:
 
     def test_round_trip_preserves_truncated(self):
         forest = build_forest(events_1tid((0, E, "a")), lenient=True)
-        root = forest.roots[1]
+        root = forest[1]
         again = decode_cct(serialize_cct(root))
         assert child(again, "a").truncated
 
     def test_empty_forest_document_is_not_missing(self):
-        text = serialize_forest(CctForest())
+        text = serialize_forest({})
         assert text  # a real document
         assert decode_forest(text) == {}
 
@@ -468,7 +463,7 @@ class TestSerialization:
         forest = build_forest(events)
         again = decode_forest(serialize_forest(forest))
         assert list(again) == [1, 3]
-        assert again == forest.roots
+        assert again == forest
 
 
 def _node_to_obj(node: CctNode) -> dict:
@@ -507,9 +502,9 @@ class TestSerializedText:
             root = _random_tree(rng, "<root>", rng.randrange(0, 5))
             assert serialize_cct(root) == json.dumps(
                 {"format": "cct-lens/cct@1", "tree": _node_to_obj(root)}, separators=(",", ":"))
-            forest = CctForest({tid: _random_tree(rng, f"<root:{tid}>", 3)
-                                for tid in rng.sample([0, 2, 10, 11, 300], rng.randrange(0, 4))})
-            threads = {str(tid): _node_to_obj(forest.roots[tid]) for tid in sorted(forest.roots)}
+            forest = {tid: _random_tree(rng, f"<root:{tid}>", 3)
+                      for tid in rng.sample([0, 2, 10, 11, 300], rng.randrange(0, 4))}
+            threads = {str(tid): _node_to_obj(forest[tid]) for tid in sorted(forest)}
             assert serialize_forest(forest) == json.dumps(
                 {"format": "cct-lens/forest@1", "threads": threads}, separators=(",", ":"))
 
@@ -522,14 +517,14 @@ class TestSerializedText:
 class TestFoldedStacks:
     def test_lines_and_self_times(self):
         events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         lines = list(folded_stacks(root))
         assert "a 20" in lines
         assert "a;b 20" in lines
         assert len(lines) == 2
 
     def test_root_not_included(self):
-        root = build_forest(events_1tid((0, E, "a"), (1, X, "a"))).roots[1]
+        root = build_forest(events_1tid((0, E, "a"), (1, X, "a")))[1]
         assert all(not line.startswith("<root") for line in folded_stacks(root))
 
     def test_folded_self_sums_to_root_total(self):
@@ -546,9 +541,9 @@ class TestInvariantsAndProperties:
     def test_conservation_self_equals_root_total(self, seed):
         events = random_trace(random.Random(seed))
         forest = build_forest(events)
-        for root in forest.roots.values():
+        for root in forest.values():
             assert sum(n.self_time() for n in root.walk()) == root.total_time
-        merged = forest.merged()
+        merged = merge_ccts(forest)
         assert sum(n.self_time() for n in merged.walk()) == merged.total_time
 
     @given(st.integers(min_value=0, max_value=10**9))
@@ -571,7 +566,7 @@ class TestInvariantsAndProperties:
     @settings(max_examples=80, deadline=None)
     def test_total_bounds_children(self, seed):
         events = random_trace(random.Random(seed))
-        for root in build_forest(events).roots.values():
+        for root in build_forest(events).values():
             for node in root.walk():
                 assert node.total_time >= sum(c.total_time for c in node.children.values())
                 assert all(key == c.method for key, c in node.children.items())
@@ -619,8 +614,8 @@ class TestInvariantsAndProperties:
         shifted = [
             TraceEvent(e.ts + extra, e.tid, e.kind, e.method) for e in events[idx + 1 :]
         ]
-        before = build_forest(events).roots[1]
-        after = build_forest(events[: idx + 1] + inserted + shifted).roots[1]
+        before = build_forest(events)[1]
+        after = build_forest(events[: idx + 1] + inserted + shifted)[1]
 
         def walk_path(old: CctNode, new: CctNode, path: list[str]) -> None:
             assert new.total_time >= old.total_time

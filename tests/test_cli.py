@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cct_lens
-from cct_lens import cct, snapshot
+from cct_lens import cct, cli, snapshot
 from cct_lens import workload as wl
 from cct_lens.cli import main
 from cct_lens.snapshot import dump_snapshot, load_snapshot_file, take_snapshot
@@ -274,9 +274,8 @@ class TestAnalyze:
             return wrapper
 
         # either reader counts as the one read
-        for module in (cct, snapshot):
-            for reader in ("ingest", "ingest_merged"):
-                monkeypatch.setattr(module, reader, counted("ingest", getattr(module, reader)))
+        for reader in ("ingest", "ingest_merged"):
+            monkeypatch.setattr(cct, reader, counted("ingest", getattr(cct, reader)))
         monkeypatch.setattr(snapshot, "tabulate", counted("tabulate", snapshot.tabulate))
         argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]
         code, _, _ = run(capsys, "analyze", str(fig8_trace), *argv)
@@ -564,7 +563,7 @@ class TestExport:
         code, stdout, _ = run(capsys, "export", str(fig8_trace), "--format", "cct")
         assert code == 0
         with open(fig8_trace, encoding="utf-8") as fh:
-            assert decode_cct(stdout) == cct.ingest(fh).merged()
+            assert decode_cct(stdout) == cct.merge_ccts(cct.ingest(fh))
 
     def test_forest_has_all_threads(self, capsys, fig8_trace):
         code, stdout, _ = run(capsys, "export", str(fig8_trace), "--format", "forest")
@@ -572,7 +571,7 @@ class TestExport:
         roots = decode_forest(stdout)
         assert list(roots) == [1, 2, 3, 4]
         with open(fig8_trace, encoding="utf-8") as fh:
-            assert roots == cct.ingest(fh).roots
+            assert roots == cct.ingest(fh)
 
     def test_jsonl_preserves_event_count(self, capsys, fig8_trace):
         code, stdout, _ = run(capsys, "export", str(fig8_trace), "--format", "jsonl")
@@ -622,15 +621,76 @@ MERGED_VIEW_RUNS = [
 ]
 
 
+class TestTraceReader:
+    def test_file_digest_and_forest(self, fig8_trace):
+        # figure8's trace spans many of the text layer's 8 KiB reads
+        sha256 = hashlib.sha256()
+        roots = cli._ingest_file(cct.ingest, str(fig8_trace), False, sha256)
+        assert sha256.hexdigest() == hashlib.sha256(fig8_trace.read_bytes()).hexdigest()
+        with open(fig8_trace, encoding="utf-8") as fh:
+            assert cct.serialize_forest(roots) == cct.serialize_forest(cct.ingest(fh))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestWriteErrorNamesTheOutput:
+    FULL = "[Errno 28] No space left on device"
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "TRACE", "-o", "/dev/full"),
+        ("analyze", "TRACE", "--snapshot-out", "/dev/full", "-o", os.devnull),
+        ("simulate", "--preset", "figure8", "-o", "/dev/full"),
+        ("export", "TRACE", "--format", "jsonl", "-o", "/dev/full"),
+    ], ids=" ".join)
+    def test_output_file(self, capsys, fig8_trace, argv):
+        argv = [str(fig8_trace) if a == "TRACE" else a for a in argv]
+        code, _, stderr = run(capsys, *argv)
+        assert (code, stderr) == (1, f"error: {self.FULL}: '/dev/full'\n")
+
+    # a report shorter than the 8 KiB buffer is written only by the flush;
+    # buffered, what the failed flush left would fail again at exit
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ("export", "SHORT", "--format", "jsonl"),
+        ("export", "TRACE", "--format", "jsonl"),
+        ("simulate", "--preset", "figure8", "-o", "OUT"),  # the summary line
+    ], ids=" ".join)
+    def test_stdout(self, fig8_trace, tmp_path, unbuffered, argv):
+        short = tmp_path / "short.tsv"
+        short.write_text("0\t1\tE\ta\n5\t1\tX\ta\n", encoding="utf-8")
+        names = {"SHORT": short, "TRACE": fig8_trace, "OUT": tmp_path / "out.tsv"}
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
+        if not unbuffered:
+            del env["PYTHONUNBUFFERED"]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "cct_lens.cli",
+                                   *(str(names.get(a, a)) for a in argv)],
+                                  stdout=full, stderr=subprocess.PIPE, env=env, text=True)
+        assert (done.returncode, done.stderr) == (1, f"error: {self.FULL}: '<stdout>'\n")
+
+    def test_broken_pipe(self, fig8_trace):
+        # the jsonl lines fill more than a pipe's buffer after the first one
+        env = {**os.environ, "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "cct_lens.cli", "export",
+                                 str(fig8_trace), "--format", "jsonl"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env, text=True)
+        assert json.loads(proc.stdout.readline())["ts"] == 0
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), stderr) == (
+            1, "error: [Errno 32] Broken pipe: '<stdout>'\n")
+
+
 class TestMergedViewBuildsNoPerThreadTrees:
     """Commands that show the merged view build it in the ingest pass."""
 
     @pytest.fixture
     def no_merge(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("per-thread trees merged")
+            raise AssertionError("per-thread trees built or merged")
+        monkeypatch.setattr(cct, "ingest", refuse)
         monkeypatch.setattr(cct, "merge_ccts", refuse)
-        monkeypatch.setattr(cct.CctForest, "merged", refuse)
 
     @pytest.mark.parametrize("command", MERGED_VIEW_RUNS, ids=" ".join)
     def test_runs_without_merge(self, capsys, fig8_trace, tmp_path, no_merge, command):
@@ -809,6 +869,42 @@ class TestDeepChain:
                         + self.tree_json("<root:1>") + "}}")
         assert stdout == expected + "\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unfiltered_analyze(self, capsys, chain, fmt):
+        code, stdout, stderr = run(capsys, "analyze", str(chain), "--format", fmt)
+        assert (code, stderr) == (0, "")
+        if fmt == "json":
+            rows = json.loads(stdout)["hot_spots"]
+        else:
+            # the hot-spot block runs from its header to the next comment line
+            block = stdout.split("# hot spots\n", 1)[1].split("\n#", 1)[0]
+            rows = list(csv.DictReader(io.StringIO(block)))
+        hot = {r["method"]: (int(r["self_ns"]), int(r["invocations"])) for r in rows}
+        # each of the 3333 calls of m0, m1 and m2 holds 2 ns itself, the leaf 1 ns
+        assert hot == {"m0": (6666, 3333), "m1": (6666, 3333), "m2": (6666, 3333),
+                       "leaf": (1, 1)}
+
+    def test_snapshots_and_diff(self, capsys, chain, tmp_path):
+        plain, per_thread = tmp_path / "plain.json", tmp_path / "per_thread.json"
+        for flags, path in (((), plain), (("--per-thread",), per_thread)):
+            code, _, stderr = run(capsys, "analyze", str(chain), *flags, "--snapshot-out",
+                                  str(path), "-o", os.devnull)
+            assert (code, stderr) == (0, f"snapshot written to {path}\n")
+        assert per_thread.read_bytes() == plain.read_bytes()
+        code, stdout, stderr = run(capsys, "diff", str(plain), str(per_thread), "--format", "json")
+        assert (code, stderr) == (0, "")
+        rows = json.loads(stdout)["rows"]
+        assert sorted(row["method"] for row in rows) == ["leaf", "m0", "m1", "m2"]
+        assert all(row["ratio"] == 1.0 for row in rows)
+
+    def test_jsonl_export(self, capsys, chain):
+        code, stdout, stderr = run(capsys, "export", str(chain), "--format", "jsonl")
+        assert (code, stderr) == (0, "")
+        lines = stdout.splitlines()
+        assert len(lines) == 2 * 10**4
+        assert json.loads(lines[0]) == {"ts": 0, "tid": 1, "ev": "E", "m": "m0"}
+        assert json.loads(lines[-1]) == {"ts": 19999, "tid": 1, "ev": "X", "m": "m0"}
+
     def test_folded_lines_stream(self, chain):
         # the chain's folded lines hold about 150 MB of text in all
         base = peak_traced_mib("analyze", str(chain), "-o", os.devnull)
@@ -840,6 +936,18 @@ class TestTopLevel:
         extra = self.loaded(", cct_lens.cli") - self.loaded("")
         assert "cct_lens.cli" in extra
         assert extra & {"dataclasses", "inspect", "hashlib", "cct_lens.workload"} == set()
+
+    @pytest.mark.parametrize("command", [
+        ("analyze",), ("analyze", "--per-thread"), ("callgraph",),
+        ("export", "--format", "cct"), ("export", "--format", "forest"),
+        ("export", "--format", "folded"), ("export", "--format", "jsonl"),
+    ], ids=" ".join)
+    def test_trace_commands_load_no_hashlib(self, fig8_trace, command):
+        # hashlib costs about 3 MiB of peak memory; only digests need it
+        name, *flags = command
+        argv = [name, str(fig8_trace), *flags, "-o", os.devnull]
+        modules = self.loaded(f"; from cct_lens.cli import main; assert main({argv!r}) == 0")
+        assert "cct_lens.cli" in modules and "hashlib" not in modules
 
     def test_workload_import_loads_no_analysis_module(self):
         # simulate and both scripts load the simulator; none of it analyzes

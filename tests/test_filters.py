@@ -66,7 +66,7 @@ class TestFilterSet:
 def tree_a40_b20():
     # root -> a{total 40} -> b{total 20}
     events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
-    return build_forest(events).roots[1]
+    return build_forest(events)[1]
 
 
 def tree_a40_b20_c5():
@@ -75,7 +75,7 @@ def tree_a40_b20_c5():
         events_1tid(
             (0, E, "a"), (10, E, "b"), (12, E, "c"), (17, X, "c"), (30, X, "b"), (40, X, "a")
         )
-    ).roots[1]
+    )[1]
 
 
 class TestAttributeToParent:
@@ -112,7 +112,7 @@ class TestAttributeToParent:
             (0, E, "a"), (1, E, "b"), (3, X, "b"),
             (4, E, "r"), (5, E, "b"), (8, X, "b"), (9, X, "r"), (20, X, "a")
         )
-        out = apply_filter(build_forest(events).roots[1], FilterSet.from_patterns(excludes=["r"]))
+        out = apply_filter(build_forest(events)[1], FilterSet.from_patterns(excludes=["r"]))
         a = out.children["a"]
         assert list(a.children) == ["b"]
         b = a.children["b"]
@@ -126,7 +126,7 @@ class TestAttributeToParent:
             (0, E, "a"), (1, E, "x"), (2, E, "y"), (3, E, "c"), (4, X, "c"),
             (5, X, "y"), (6, X, "x"), (9, X, "a")
         )
-        out = apply_filter(build_forest(events).roots[1],
+        out = apply_filter(build_forest(events)[1],
                            FilterSet.from_patterns(excludes=["x", "y"]))
         a = out.children["a"]
         assert list(a.children) == ["c"]
@@ -193,7 +193,7 @@ class TestDropSubtree:
         events = events_1tid(
             (0, E, "a"), (1, E, "b"), (2, E, "c"), (6, X, "c"), (8, X, "b"), (20, X, "a")
         )
-        tree = build_forest(events).roots[1]
+        tree = build_forest(events)[1]
         out = apply_filter(tree, FilterSet.from_patterns(excludes=["c"]), mode=DROP_SUBTREE)
         a, b = out.children["a"], out.children["a"].children["b"]
         assert a.self_time() == 13  # unchanged: 20 - 7
@@ -293,7 +293,7 @@ class TestForestFiltering:
         ]
         forest = build_forest(events)
         fs = FilterSet.from_patterns(excludes=["b"])
-        out = {tid: apply_filter(root, fs) for tid, root in forest.roots.items()}
+        out = {tid: apply_filter(root, fs) for tid, root in forest.items()}
         assert sorted(out) == [1, 2]
         assert list(out[1].children) == ["a"]
         assert not out[2].children

@@ -33,7 +33,7 @@ def row_average(self_ns: int, invocations: int) -> Fraction:
 
 class TestHotspots:
     def test_single_method_is_whole_table(self):
-        root = build_forest(events_1tid((0, E, "a"), (20, X, "a"))).roots[1]
+        root = build_forest(events_1tid((0, E, "a"), (20, X, "a")))[1]
         rows = hotspots(root)
         assert len(rows) == 1
         assert rows[0].method == "a"
@@ -47,13 +47,13 @@ class TestHotspots:
                 (0, E, "a"), (1, E, "b"), (6, X, "b"), (7, X, "a"),
                 (8, E, "c"), (9, E, "b"), (16, X, "b"), (17, X, "c"),
             )
-        ).roots[1]
+        )[1]
         by_method = {r.method: r for r in hotspots(root)}
         assert by_method["b"].self_time == 5 + 7
         assert by_method["b"].invocations == 2
 
     def test_root_excluded(self):
-        root = build_forest(events_1tid((0, E, "a"), (5, X, "a"))).roots[1]
+        root = build_forest(events_1tid((0, E, "a"), (5, X, "a")))[1]
         assert all(not r.method.startswith("<root") for r in hotspots(root))
 
     def test_sorted_desc_with_name_ties(self):
@@ -61,16 +61,16 @@ class TestHotspots:
             events_1tid(
                 (0, E, "z"), (5, X, "z"), (6, E, "a"), (11, X, "a"), (12, E, "big"), (30, X, "big")
             )
-        ).roots[1]
+        )[1]
         rows = hotspots(root)
         assert [r.method for r in rows] == ["big", "a", "z"]
 
     def test_empty_tree_empty_table(self):
-        assert hotspots(build_forest([]).merged()) == []
+        assert hotspots(merge_ccts(build_forest([]))) == []
 
     def test_avg_property_on_rows(self):
         events = events_1tid((0, E, "a"), (5, X, "a"), (5, E, "a"), (12, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         (row,) = hotspots(root)
         assert row.avg_per_invocation == Fraction(12, 2)
 
@@ -78,14 +78,14 @@ class TestHotspots:
 class TestTotalTimeTable:
     def test_inclusive_totals(self):
         events = events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         rows = {r.method: r for r in total_time_table(root)}
         assert rows["a"].total_time == 40
         assert rows["b"].total_time == 20
 
     def test_leaf_only_tree_equals_self_times(self):
         events = events_1tid((0, E, "a"), (9, X, "a"), (10, E, "b"), (14, X, "b"))
-        root = build_forest(events).roots[1]
+        root = build_forest(events)[1]
         totals = {r.method: r.total_time for r in total_time_table(root)}
         selfs = {r.method: r.self_time for r in hotspots(root)}
         assert totals == selfs
@@ -96,7 +96,7 @@ class TestTotalTimeTable:
                 (0, E, "a"), (1, E, "m"), (6, X, "m"), (7, X, "a"),
                 (8, E, "b"), (9, E, "m"), (16, X, "m"), (17, X, "b"),
             )
-        ).roots[1]
+        )[1]
         rows = {r.method: r for r in total_time_table(root)}
         assert rows["m"].total_time == 5 + 7
         assert rows["m"].invocations == 2
@@ -104,7 +104,7 @@ class TestTotalTimeTable:
     def test_sorted_by_total_desc(self):
         root = build_forest(
             events_1tid((0, E, "a"), (10, E, "b"), (30, X, "b"), (40, X, "a"))
-        ).roots[1]
+        )[1]
         rows = total_time_table(root)
         assert [r.method for r in rows] == ["a", "b"]
 

@@ -1,7 +1,6 @@
 """Labeled analysis snapshots and cross-load diffs."""
 
 import hashlib
-import io
 import os
 import random
 from fractions import Fraction
@@ -10,7 +9,7 @@ import pytest
 
 from cct_lens import metrics, snapshot
 from cct_lens import workload as wl
-from cct_lens.cct import ingest, serialize_forest
+from cct_lens.cct import ingest, merge_ccts
 from cct_lens.cli import main
 from cct_lens.snapshot import (
     ADDED,
@@ -22,7 +21,6 @@ from cct_lens.snapshot import (
     load_snapshot,
     load_snapshot_file,
     save_snapshot,
-    ingest_hashed,
     tabulate,
     take_snapshot,
 )
@@ -77,11 +75,20 @@ class TestTakeSnapshot:
         with pytest.raises(TraceParseError):
             take_snapshot("bad", 1, b"not a trace line\n")
 
+    def test_splits_lines_as_text_files_do(self):
+        # str.splitlines() would also cut at the form feed and the \x1e
+        data = b"# a\x0cb\r\n# c\x1ed\r0\t1\tE\tm\n5\t1\tX\tm"
+        snap = take_snapshot("s", 1, data)
+        assert [(r.method, r.self_time) for r in snap.hotspot_table] == [("m", 5)]
+        assert snap.source_trace_digest == _sha256(data)
+        with pytest.raises(TraceParseError, match="^line 5: "):
+            take_snapshot("s", 1, data + b"\r\nbad")
+
 
 class TestTabulate:
     def test_one_aggregate_walk_per_tabulate(self, monkeypatch):
         trace = wl.simulate(wl.figure8_preset())
-        root = ingest(trace.splitlines()).merged()
+        root = merge_ccts(ingest(trace.splitlines()))
         expected = (metrics.hotspots(root), metrics.total_time_table(root))
         calls = []
         aggregate = metrics.aggregate_methods
@@ -95,26 +102,6 @@ class TestTabulate:
         tables = tabulate(root)
         assert len(calls) == 1
         assert (list(tables.hot_spots), list(tables.total_time)) == expected
-
-
-class TestIngestHashed:
-    def test_file_digest_and_forest(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_bytes(trace_bytes_for(3))
-        with open(path, "rb") as fh:
-            forest, digest = ingest_hashed(fh)
-        assert digest == _sha256(path.read_bytes())
-        with open(path, encoding="utf-8") as fh:
-            assert serialize_forest(forest) == serialize_forest(ingest(fh))
-
-    def test_splits_lines_as_text_files_do(self):
-        # str.splitlines() would also cut at the form feed and the \x1e
-        data = b"# a\x0cb\r\n# c\x1ed\r0\t1\tE\tm\n5\t1\tX\tm"
-        forest, digest = ingest_hashed(io.BytesIO(data))
-        assert forest.roots[1].children["m"].total_time == 5
-        assert digest == _sha256(data)
-        with pytest.raises(TraceParseError, match="^line 5: "):
-            ingest_hashed(io.BytesIO(data + b"\r\nbad"))
 
 
 class TestDiff:

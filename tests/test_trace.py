@@ -104,15 +104,15 @@ class TestReadTrace:
     def test_single_thread_partition(self):
         lines = ["0\t1\tE\ta", "1\t1\tE\tb", "2\t1\tX\tb", "3\t1\tX\ta"]
         forest = ingest(lines)
-        assert list(forest.roots) == [1]
-        assert forest.roots[1].node_count() == 3
+        assert list(forest) == [1]
+        assert forest[1].node_count() == 3
 
     def test_interleaved_partition_keeps_file_order(self):
         lines = ["0\t1\tE\ta", "1\t2\tE\tb", "5\t1\tX\ta", "6\t2\tX\tb"]
         forest = ingest(lines)
-        assert list(forest.roots) == [1, 2]
-        assert list(forest.roots[1].children) == ["a"]
-        assert forest.roots[2].children["b"].total_time == 5
+        assert list(forest) == [1, 2]
+        assert list(forest[1].children) == ["a"]
+        assert forest[2].children["b"].total_time == 5
 
     def test_timestamp_regression_strict(self):
         lines = ["5\t1\tE\ta", "3\t1\tX\ta"]
@@ -127,7 +127,7 @@ class TestReadTrace:
         lines = ["5\t1\tE\ta", "3\t1\tX\ta"]
         warnings: list[str] = []
         forest = ingest(lines, lenient=True, warn=warnings.append)
-        assert forest.roots[1].children["a"].invocations == 1
+        assert forest[1].children["a"].invocations == 1
         assert len(warnings) == 1 and "regression" in warnings[0]
         assert warnings[0].startswith("tid 1, line 2:")
 
@@ -135,7 +135,7 @@ class TestReadTrace:
         # per-tid clocks are independent
         lines = ["100\t1\tE\ta", "5\t2\tE\tb", "110\t1\tX\ta", "9\t2\tX\tb"]
         forest = ingest(lines)
-        assert len(forest.roots) == 2
+        assert len(forest) == 2
 
     def test_parse_error_carries_line_number(self):
         lines = ["0\t1\tE\ta", "broken line"]
@@ -155,7 +155,7 @@ class TestReadTrace:
         path.write_text("# c\n0\t1\tE\ta\n2\t1\tX\ta\n", encoding="utf-8")
         with open(path, encoding="utf-8") as fh:
             forest = ingest(fh)
-        assert forest.roots[1].children["a"].total_time == 2
+        assert forest[1].children["a"].total_time == 2
 
 
 class TestValidateTrace:
@@ -177,7 +177,7 @@ class TestValidateTrace:
         assert len(warnings) == 2
         assert "line 3" in warnings[0] and "mismatched" in warnings[0]
         assert "closed 2 frame(s)" in warnings[1]
-        a = forest.roots[1].children["a"]
+        a = forest[1].children["a"]
         assert a.truncated and a.children["b"].truncated
 
     def test_unmatched_enter(self):
@@ -190,7 +190,7 @@ class TestValidateTrace:
         warnings: list[str] = []
         forest = ingest(["0\t1\tX\ta"], lenient=True, warn=warnings.append)
         assert len(warnings) == 1 and "orphan" in warnings[0]
-        assert not forest.roots[1].children
+        assert not forest[1].children
 
     def test_ordering_violation_counted(self):
         warnings: list[str] = []
@@ -307,12 +307,12 @@ class TestIngestGrammar:
 
     def test_accepted_line_builds_its_event(self):
         forest = ingest(["7\t3\tE\ta", "9\t3\tX\ta"])
-        assert forest.roots[3].children["a"].total_time == 2
+        assert forest[3].children["a"].total_time == 2
 
     def test_thread_id_spellings_name_one_thread(self):
         forest = ingest(["7\t3\tE\ta", "8\t03\tE\tb", "9\t+3\tX\tb", "9\t 3\tX\ta"])
-        assert list(forest.roots) == [3]
-        a = forest.roots[3].children["a"]
+        assert list(forest) == [3]
+        a = forest[3].children["a"]
         assert (a.total_time, a.children["b"].total_time) == (2, 1)
 
 

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cct_lens import workload as wl
-from cct_lens.cct import ingest
+from cct_lens.cct import ingest, merge_ccts
 from cct_lens.metrics import format_ms, hotspots
 from cct_lens.trace import iter_trace
 
 
 def analyze(text: str):
-    return ingest(text.splitlines()).merged()
+    return merge_ccts(ingest(text.splitlines()))
 
 
 def chain_methods(frames) -> list[str]:
@@ -274,7 +274,7 @@ class TestSimulate:
     def test_round_robin_uses_all_threads(self):
         spec = wl.WorkloadSpec(executions={"login": 8}, thread_count=4)
         forest = ingest(wl.simulate(spec).splitlines())
-        assert sorted(forest.roots) == [1, 2, 3, 4]
+        assert sorted(forest) == [1, 2, 3, 4]
 
     def test_per_tid_timestamps_nondecreasing_and_nested(self):
         spec = wl.load_preset(5, jitter=0.3, seed=2)
