@@ -8,46 +8,19 @@ usage errors exit 2; everything else exits 1 with a message.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import os
 import sys
-from typing import Iterable
 
 from . import cct, report, snapshot
 from .components import load_catalog_file
 from .filters import ATTRIBUTE_TO_PARENT, FILTER_MODES, FilterSet, apply_filter
-from .trace import TraceError, errors_in, jsonl_lines, write_errors_in
+from .trace import TraceError, errors_in, jsonl_lines, write_lines
 
 
 def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _write_output(lines: Iterable[str], path: str | None, sha256=None) -> None:
-    """Write to stdout or ``path`` as the lines come: each line, and a newline
-    unless it ends with one.  ``sha256``, if given, takes the bytes written.
-
-    Lines written before ``lines`` raises stay in the output.  A failed
-    write names the output: ``path``, or ``<stdout>``.
-    """
-    to_stdout = path in (None, "-")
-    try:
-        with write_errors_in("<stdout>" if to_stdout else path), \
-                (contextlib.nullcontext(sys.stdout) if to_stdout
-                 else open(path, "w", encoding="utf-8", newline="")) as out:
-            for line in lines:
-                if not line.endswith("\n"):
-                    line += "\n"
-                out.write(line)
-                if sha256 is not None:
-                    sha256.update(line.encode("utf-8"))
-            out.flush()
-    except OSError:
-        if to_stdout and sys.stdout is sys.__stdout__:
-            # what stdout still buffers would fail again in the flush at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise
+    # one write per warning: print writes the newline on its own
+    sys.stderr.write(f"warning: {message}\n")
 
 
 class _HashingReader(io.RawIOBase):
@@ -109,12 +82,12 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         spec.seed = args.seed
     sha256 = hashlib.sha256()
-    _write_output(workload.simulate_lines(spec), args.output, sha256)
+    write_lines(workload.simulate_lines(spec), args.output, sha256)
     summary = f"events={spec.event_count()} sha256={sha256.hexdigest()}"
-    if args.output in (None, "-"):
+    if args.output is None:
         print(summary, file=sys.stderr)
     else:
-        _write_output([summary], None)
+        write_lines([summary])
     return 0
 
 
@@ -142,9 +115,11 @@ def cmd_analyze(args) -> int:
                                  sha256.hexdigest())
         snapshot.save_snapshot(snap, args.snapshot_out)
         print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
-    sections = {f"thread {tid}": snapshot.tabulate(tree, catalog, filter_set, mode)
-                for tid, tree in roots.items()} or {"merged": merged_tables}
-    _write_output([report.render_analysis(sections, args.format)], args.output)
+    # each thread's tables are made as its section is written
+    sections = (((f"thread {tid}", snapshot.tabulate(tree, catalog, filter_set, mode))
+                 for tid, tree in roots.items()) if roots else [("merged", merged_tables)])
+    write_lines(report.analysis_lines(sections, args.format, labeled=len(roots) > 1),
+                args.output)
     return 0
 
 
@@ -152,7 +127,7 @@ def cmd_diff(args) -> int:
     snap_a = snapshot.load_snapshot_file(args.snapshot_a)
     snap_b = snapshot.load_snapshot_file(args.snapshot_b)
     rows = snapshot.diff(snap_a, snap_b)
-    _write_output([report.render_diff(rows, snap_a, snap_b, args.format)], args.output)
+    write_lines(report.diff_lines(rows, snap_a, snap_b, args.format), args.output)
     return 0
 
 
@@ -163,7 +138,7 @@ def cmd_callgraph(args) -> int:
         lines = report.render_edges(cct.project_call_graph(merged))
     else:
         lines = cct.folded_stacks(merged)
-    _write_output(lines, args.output)
+    write_lines(lines, args.output)
     return 0
 
 
@@ -171,18 +146,18 @@ def cmd_export(args) -> int:
     if args.format == "jsonl":
         # events stream straight through without building a tree, so
         # writing the trace being read would truncate it before it is read
-        if (args.output not in (None, "-") and os.path.exists(args.output)
+        if (args.output is not None and os.path.exists(args.output)
                 and os.path.samefile(args.trace, args.output)):
             raise ValueError(f"{args.output}: the output is the trace being read")
         with errors_in(args.trace), open(args.trace, "r", encoding="utf-8") as fh:
-            _write_output(jsonl_lines(fh), args.output)
+            write_lines(jsonl_lines(fh), args.output)
         return 0
     if args.format == "forest":
         lines = [cct.serialize_forest(_ingest_file(cct.ingest, args.trace, args.lenient))]
     else:
         root = _ingest_file(cct.ingest_merged, args.trace, args.lenient)
         lines = [cct.serialize_cct(root)] if args.format == "cct" else cct.folded_stacks(root)
-    _write_output(lines, args.output)
+    write_lines(lines, args.output)
     return 0
 
 
@@ -243,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.output == "-":
+        args.output = None  # "-o -" is standard output
     try:
         return args.func(args)
     except (TraceError, ValueError, OSError) as exc:

@@ -4,29 +4,30 @@ Text output mirrors a desktop profiler's hot-spot view:
 ``Hot Spots - Method | Self time (%) | Self time | Invocations``.
 CSV output carries one block per table, each preceded by a ``#`` section
 comment; JSON output is a single object with one key per table.  All
-emitters are deterministic for identical inputs.
+emitters are deterministic for identical inputs, and yield their lines
+one row at a time (``analysis_lines``, ``diff_lines``); the ``render_*``
+functions join them into one string.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator, Sequence
 
 from .components import ComponentUtilizationRow
-from .metrics import (HotSpotRow, TotalTimeRow, format_avg_ms, format_ms,
-                      format_pct)
+from .metrics import HotSpotRow, format_avg_ms, format_ms, format_pct
 # AnalysisTables is also imported from here by callers that build sections
 from .snapshot import AnalysisTables, Snapshot, SnapshotDiffRow
+from .trace import json_members, json_rows
 
 TEXT, CSV, JSON = "text", "csv", "json"
 REPORT_FORMATS = (TEXT, CSV, JSON)
 
 
-def _text_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
-    rows = [list(r) for r in rows]
+def _text_table(headers: Sequence[str], rows: list[list[str]]) -> Iterator[str]:
+    """An aligned table's lines, each with its newline."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -36,77 +37,120 @@ def _text_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> list[s
         parts = [f"{cells[0]:<{widths[0]}}"]
         parts += [f"{c:>{widths[i]}}" for i, c in enumerate(cells) if i > 0]
         return "  ".join(parts).rstrip()
-    lines = [fmt(headers)]
-    lines.append("-" * len(lines[0]))
-    lines.extend(fmt(row) for row in rows)
-    return lines
+    head = fmt(headers)
+    yield head + "\n"
+    yield "-" * len(head) + "\n"
+    for row in rows:
+        yield fmt(row) + "\n"
 
 
-def hotspot_cells(rows: Iterable[HotSpotRow]) -> list[list[str]]:
-    return [
-        [r.method, format_pct(r.self_pct), format_ms(r.self_time), str(r.invocations)]
-        for r in rows
-    ]
+def _text_section(tables: AnalysisTables) -> Iterator[str]:
+    yield from _text_table(
+        ["Hot Spots - Method", "Self time (%)", "Self time", "Invocations"],
+        [[r.method, format_pct(r.self_pct), format_ms(r.self_time), str(r.invocations)]
+         for r in tables.hot_spots])
+    yield "\n"
+    yield from _text_table(
+        ["Method", "Total time", "Invocations"],
+        [[r.method, format_ms(r.total_time), str(r.invocations)] for r in tables.total_time])
+    yield "\n"
+    yield from _text_table(
+        ["Component", "Tier", "Utilization (%)", "Self time", "Invocations"],
+        [[r.component, r.tier.label, format_pct(r.utilization_pct),
+          format_ms(r.self_time), str(r.invocations)]
+         for r in tables.components])
 
 
-def render_hotspots_text(rows: Iterable[HotSpotRow]) -> list[str]:
-    headers = ["Hot Spots - Method", "Self time (%)", "Self time", "Invocations"]
-    return _text_table(headers, hotspot_cells(rows))
+class _Echo:
+    """A file for ``csv.writer`` whose ``write`` returns the text, so that
+    ``writerow`` returns the row's line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
 
 
-def render_total_time_text(rows: Iterable[TotalTimeRow]) -> list[str]:
-    headers = ["Method", "Total time", "Invocations"]
-    cells = [[r.method, format_ms(r.total_time), str(r.invocations)] for r in rows]
-    return _text_table(headers, cells)
+def _csv_block(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    yield f"# {title}\n"
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(headers)
+    for row in rows:
+        yield writer.writerow(row)
 
 
-def render_components_text(rows: Iterable[ComponentUtilizationRow]) -> list[str]:
-    headers = ["Component", "Tier", "Utilization (%)", "Self time", "Invocations"]
-    cells = [
-        [r.component, r.tier.label, format_pct(r.utilization_pct),
-         format_ms(r.self_time), str(r.invocations)]
-        for r in rows
-    ]
-    return _text_table(headers, cells)
+# the members of each JSON row (and CSV columns where they agree), and the
+# row's values in that order; a total-time row's values are its fields
+_HOTSPOT_NAMES = ("method", "self_ns", "self_pct", "invocations", "avg_ns")
+_TOTAL_NAMES = ("method", "total_ns", "invocations")
+_COMPONENT_NAMES = ("component", "tier", "self_ns", "utilization_pct", "invocations")
 
 
-def _hotspot_obj(r: HotSpotRow) -> dict:
-    return {
-        "method": r.method,
-        "self_ns": r.self_time,
-        "self_pct": float(r.self_pct),
-        "invocations": r.invocations,
-        "avg_ns": float(r.avg_per_invocation),
-    }
+def _hotspot_values(r: HotSpotRow) -> tuple:
+    return (r.method, r.self_time, float(r.self_pct), r.invocations,
+            float(r.avg_per_invocation))
 
 
-def _total_obj(r: TotalTimeRow) -> dict:
-    return {"method": r.method, "total_ns": r.total_time, "invocations": r.invocations}
+def _component_values(r: ComponentUtilizationRow) -> tuple:
+    return (r.component, r.tier.value, r.self_time, float(r.utilization_pct), r.invocations)
 
 
-def _component_obj(r: ComponentUtilizationRow) -> dict:
-    return {
-        "component": r.component,
-        "tier": r.tier.value,
-        "self_ns": r.self_time,
-        "utilization_pct": float(r.utilization_pct),
-        "invocations": r.invocations,
-    }
+def _tables_json(tables: AnalysisTables, pad: str) -> Iterator[str]:
+    """The members of one section's JSON object at indentation ``pad``."""
+    yield from json_rows("hot_spots", _HOTSPOT_NAMES, map(_hotspot_values, tables.hot_spots),
+                         pad, last=False)
+    yield from json_rows("total_time", _TOTAL_NAMES, tables.total_time, pad, last=False)
+    yield from json_rows("components", _COMPONENT_NAMES,
+                         map(_component_values, tables.components), pad, last=True)
 
 
-def _tables_obj(tables: AnalysisTables) -> dict:
-    return {
-        "hot_spots": [_hotspot_obj(r) for r in tables.hot_spots],
-        "total_time": [_total_obj(r) for r in tables.total_time],
-        "components": [_component_obj(r) for r in tables.components],
-    }
-
-
-def _csv_block(out, title: str, headers: Sequence[str], rows: Iterable[Sequence]):
-    out.write(f"# {title}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
+def analysis_lines(sections: Iterable[tuple[str, AnalysisTables]], fmt: str = TEXT,
+                   labeled: bool = False) -> Iterator[str]:
+    """The lines of ``render_analysis``, each with its newline, one section
+    at a time: ``sections`` is ``(label, tables)`` pairs, and may make each
+    section's tables as it is read.  ``labeled`` sections carry their
+    labels, as ``render_analysis`` labels any number of sections but one;
+    unlabeled JSON takes exactly one section.
+    """
+    if fmt == TEXT:
+        for i, (label, tables) in enumerate(sections):
+            if i:
+                yield "\n"
+            if labeled:
+                yield f"=== {label} ===\n"
+                yield "\n"
+            yield from _text_section(tables)
+    elif fmt == CSV:
+        for label, tables in sections:
+            prefix = f"{label}: " if labeled else ""
+            yield from _csv_block(f"{prefix}hot spots",
+                                  ["method", "self_pct", "self_ns", "invocations", "avg_ns"],
+                                  ([r.method, f"{float(r.self_pct):.6f}", r.self_time,
+                                    r.invocations, f"{float(r.avg_per_invocation):.1f}"]
+                                   for r in tables.hot_spots))
+            yield from _csv_block(f"{prefix}total time", _TOTAL_NAMES, tables.total_time)
+            yield from _csv_block(f"{prefix}components",
+                                  ["component", "tier", "utilization_pct", "self_ns",
+                                   "invocations"],
+                                  ([r.component, r.tier.value,
+                                    f"{float(r.utilization_pct):.6f}", r.self_time,
+                                    r.invocations]
+                                   for r in tables.components))
+    elif fmt == JSON:
+        if not labeled:
+            for _, tables in sections:
+                yield "{\n"
+                yield from _tables_json(tables, "  ")
+                yield "}\n"
+            return
+        # each section's closing brace waits for the next section, or the end
+        head, tail = '{\n  "sections": {\n', '{\n  "sections": {}\n}\n'
+        for label, tables in sections:
+            yield f"{head}    {_json_string(label)}: {{\n"
+            yield from _tables_json(tables, "      ")
+            head, tail = "    },\n", "    }\n  }\n}\n"
+        yield tail
+    else:
+        raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
 
 
 def render_analysis(sections: dict[str, AnalysisTables], fmt: str = TEXT) -> str:
@@ -116,45 +160,7 @@ def render_analysis(sections: dict[str, AnalysisTables], fmt: str = TEXT) -> str
     single merged section collapses to a flat object; multiple sections
     nest under "sections".
     """
-    if fmt == TEXT:
-        out: list[str] = []
-        for label, tables in sections.items():
-            if len(sections) > 1:
-                out.append(f"=== {label} ===")
-                out.append("")
-            out.extend(render_hotspots_text(tables.hot_spots))
-            out.append("")
-            out.extend(render_total_time_text(tables.total_time))
-            out.append("")
-            out.extend(render_components_text(tables.components))
-            out.append("")
-        return "\n".join(out)
-    if fmt == CSV:
-        buf = io.StringIO()
-        for label, tables in sections.items():
-            prefix = f"{label}: " if len(sections) > 1 else ""
-            _csv_block(buf, f"{prefix}hot spots",
-                       ["method", "self_pct", "self_ns", "invocations", "avg_ns"],
-                       [[r.method, f"{float(r.self_pct):.6f}", r.self_time,
-                         r.invocations, f"{float(r.avg_per_invocation):.1f}"]
-                        for r in tables.hot_spots])
-            _csv_block(buf, f"{prefix}total time",
-                       ["method", "total_ns", "invocations"],
-                       [[r.method, r.total_time, r.invocations]
-                        for r in tables.total_time])
-            _csv_block(buf, f"{prefix}components",
-                       ["component", "tier", "utilization_pct", "self_ns", "invocations"],
-                       [[r.component, r.tier.value, f"{float(r.utilization_pct):.6f}",
-                         r.self_time, r.invocations]
-                        for r in tables.components])
-        return buf.getvalue()
-    if fmt == JSON:
-        if len(sections) == 1:
-            obj = _tables_obj(next(iter(sections.values())))
-        else:
-            obj = {"sections": {label: _tables_obj(t) for label, t in sections.items()}}
-        return json.dumps(obj, indent=2) + "\n"
-    raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
+    return "".join(analysis_lines(sections.items(), fmt, labeled=len(sections) != 1))
 
 
 def _ratio_text(ratio: Fraction | None) -> str:
@@ -167,51 +173,56 @@ def _avg_text(avg: Fraction | None) -> str:
     return "-" if avg is None else format_avg_ms(avg)
 
 
+_SIDE_NAMES = ("label", "user_count", "source_trace_digest")
+_DIFF_NAMES = ("method", "avg_a_ns", "avg_b_ns", "ratio", "invocations_a", "invocations_b",
+               "status")
+
+
+def _side_json(s: Snapshot) -> str:
+    return json_members(_SIDE_NAMES, (s.label, s.user_count, s.source_trace_digest), "    ")
+
+
+def _diff_values(r: SnapshotDiffRow) -> tuple:
+    return (r.method,
+            None if r.avg_a is None else float(r.avg_a),
+            None if r.avg_b is None else float(r.avg_b),
+            None if r.ratio is None else float(r.ratio),
+            r.invocations_a, r.invocations_b, r.status)
+
+
+def diff_lines(rows: Iterable[SnapshotDiffRow], a: Snapshot, b: Snapshot,
+               fmt: str = TEXT) -> Iterator[str]:
+    """The lines of ``render_diff``, each with its newline."""
+    if fmt == TEXT:
+        yield (f"Snapshot diff: a={a.label} (users={a.user_count})  "
+               f"b={b.label} (users={b.user_count})\n")
+        yield "\n"
+        yield from _text_table(
+            ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],
+            [[r.method, _avg_text(r.avg_a), _avg_text(r.avg_b), _ratio_text(r.ratio),
+              str(r.invocations_a), str(r.invocations_b), r.status]
+             for r in rows])
+    elif fmt == CSV:
+        yield from _csv_block(f"diff {a.label} vs {b.label}",
+                              _DIFF_NAMES,
+                              ([r.method,
+                                "" if r.avg_a is None else f"{float(r.avg_a):.1f}",
+                                "" if r.avg_b is None else f"{float(r.avg_b):.1f}",
+                                "" if r.ratio is None else f"{float(r.ratio):.6f}",
+                                r.invocations_a, r.invocations_b, r.status]
+                               for r in rows))
+    elif fmt == JSON:
+        yield f'{{\n  "a": {{\n{_side_json(a)}\n  }},\n  "b": {{\n{_side_json(b)}\n  }},\n'
+        yield from json_rows("rows", _DIFF_NAMES, map(_diff_values, rows), "  ", last=True)
+        yield "}\n"
+    else:
+        raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
+
+
 def render_diff(rows: list[SnapshotDiffRow], a: Snapshot, b: Snapshot,
                 fmt: str = TEXT) -> str:
     """Render a snapshot diff; labels tell the reader which side is which."""
-    if fmt == TEXT:
-        title = f"Snapshot diff: a={a.label} (users={a.user_count})  b={b.label} (users={b.user_count})"
-        headers = ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"]
-        cells = [
-            [r.method, _avg_text(r.avg_a), _avg_text(r.avg_b), _ratio_text(r.ratio),
-             str(r.invocations_a), str(r.invocations_b), r.status]
-            for r in rows
-        ]
-        return "\n".join([title, ""] + _text_table(headers, cells)) + "\n"
-    if fmt == CSV:
-        buf = io.StringIO()
-        _csv_block(buf, f"diff {a.label} vs {b.label}",
-                   ["method", "avg_a_ns", "avg_b_ns", "ratio", "invocations_a",
-                    "invocations_b", "status"],
-                   [[r.method,
-                     "" if r.avg_a is None else f"{float(r.avg_a):.1f}",
-                     "" if r.avg_b is None else f"{float(r.avg_b):.1f}",
-                     "" if r.ratio is None else f"{float(r.ratio):.6f}",
-                     r.invocations_a, r.invocations_b, r.status]
-                    for r in rows])
-        return buf.getvalue()
-    if fmt == JSON:
-        obj = {
-            "a": {"label": a.label, "user_count": a.user_count,
-                  "source_trace_digest": a.source_trace_digest},
-            "b": {"label": b.label, "user_count": b.user_count,
-                  "source_trace_digest": b.source_trace_digest},
-            "rows": [
-                {
-                    "method": r.method,
-                    "avg_a_ns": None if r.avg_a is None else float(r.avg_a),
-                    "avg_b_ns": None if r.avg_b is None else float(r.avg_b),
-                    "ratio": None if r.ratio is None else float(r.ratio),
-                    "invocations_a": r.invocations_a,
-                    "invocations_b": r.invocations_b,
-                    "status": r.status,
-                }
-                for r in rows
-            ],
-        }
-        return json.dumps(obj, indent=2) + "\n"
-    raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
+    return "".join(diff_lines(rows, a, b, fmt))
 
 
 def render_edges(edges) -> Iterator[str]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cct import CctNode, ingest_merged
 from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
@@ -27,7 +27,7 @@ from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
-from .trace import errors_in, json_field, write_errors_in
+from .trace import errors_in, json_field, json_members, json_rows, write_lines
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -146,32 +146,32 @@ def diff(a: Snapshot, b: Snapshot) -> list[SnapshotDiffRow]:
     return shared_rows + added_removed
 
 
-def _hotspot_row_obj(row: HotSpotRow) -> dict:
-    return {"method": row.method, "self_ns": row.self_time, "invocations": row.invocations}
+# the members of a snapshot's header, and (field, type, minimum) per row, in
+# the order written; diff divides by hot-spot invocations
+_HEAD_NAMES = ("format", "label", "user_count", "source_trace_digest")
+_HOT_FIELDS = (("method", str, None), ("self_ns", int, 0), ("invocations", int, 1))
+_COMPONENT_FIELDS = (("component", str, None), ("tier", str, None),
+                     ("self_ns", int, 0), ("invocations", int, 0))
 
 
-def _component_row_obj(row: ComponentUtilizationRow) -> dict:
-    return {"component": row.component, "tier": row.tier.value,
-            "self_ns": row.self_time, "invocations": row.invocations}
+def snapshot_lines(snapshot: Snapshot) -> Iterator[str]:
+    """The lines of ``dump_snapshot``, each with its newline, one row at a time."""
+    head = (_SNAPSHOT_FORMAT, snapshot.label, snapshot.user_count,
+            snapshot.source_trace_digest)
+    yield f"{{\n{json_members(_HEAD_NAMES, head, '  ')},\n"
+    yield from json_rows("hot_spots", [name for name, _, _ in _HOT_FIELDS],
+                         ((r.method, r.self_time, r.invocations) for r in snapshot.hotspot_table),
+                         "  ", last=False)
+    yield from json_rows("components", [name for name, _, _ in _COMPONENT_FIELDS],
+                         ((r.component, r.tier.value, r.self_time, r.invocations)
+                          for r in snapshot.component_table),
+                         "  ", last=True)
+    yield "}\n"
 
 
 def dump_snapshot(snapshot: Snapshot) -> str:
     """Serialize to JSON; percentages are recomputed on load, not stored."""
-    doc = {
-        "format": _SNAPSHOT_FORMAT,
-        "label": snapshot.label,
-        "user_count": snapshot.user_count,
-        "source_trace_digest": snapshot.source_trace_digest,
-        "hot_spots": [_hotspot_row_obj(r) for r in snapshot.hotspot_table],
-        "components": [_component_row_obj(r) for r in snapshot.component_table],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-# (field, type, minimum) per row; diff divides by hot-spot invocations
-_HOT_FIELDS = (("method", str, None), ("self_ns", int, 0), ("invocations", int, 1))
-_COMPONENT_FIELDS = (("component", str, None), ("tier", str, None),
-                     ("self_ns", int, 0), ("invocations", int, 0))
+    return "".join(snapshot_lines(snapshot))
 
 
 def _table_field(obj, key: str, kind: type, minimum: int | None = None, where: str = ""):
@@ -237,9 +237,8 @@ def load_snapshot(text: str) -> Snapshot:
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
-    """Write a snapshot file; a failed write names the file (``trace.write_errors_in``)."""
-    with write_errors_in(path), open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_snapshot(snapshot))
+    """Write a snapshot file with ``trace.write_lines``; a failed write names the file."""
+    write_lines(snapshot_lines(snapshot), path)
 
 
 def load_snapshot_file(path) -> Snapshot:

@@ -19,16 +19,20 @@ structural checks, nesting and per-thread timestamp order, live in
 ``jsonl_lines`` streams a JSON-lines rendering with keys
 ``ts``/``tid``/``ev``/``m``; the tab-separated form is canonical.
 ``errors_in`` names the file, and the line of a byte that is not UTF-8,
-in the errors of every file reader, and ``write_errors_in`` names the
-output in a failed write; ``json_field`` type-checks a field of the JSON
-documents they read.
+in the errors of every file reader; ``json_field`` type-checks a field
+of the JSON documents they read.  ``write_lines`` is the one writer of
+every output, and ``write_errors_in`` names the output in its failed
+writes; ``json_rows`` writes the rows of the JSON reports and snapshots
+one at a time, as ``json.dumps(obj, indent=2)`` does.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import sys
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ENTER = "E"
 EXIT = "X"
@@ -114,6 +118,59 @@ def write_errors_in(name):
         raise
 
 
+# characters per write: enough that the system call costs little against
+# making the lines, few enough to add nothing that shows in peak memory
+WRITE_BATCH = 1 << 14
+
+
+def _write_batch(out, batch: list[str], sha256) -> None:
+    text = "".join(batch)
+    batch.clear()
+    if text:
+        out.write(text)
+        if sha256 is not None:
+            sha256.update(text.encode("utf-8"))
+
+
+def write_lines(lines: Iterable[str], path=None, sha256=None) -> None:
+    """Write ``lines`` to the file ``path``, or to stdout if it is None: each
+    line, and a newline unless it ends with one.
+
+    The lines are joined into batches of about ``WRITE_BATCH`` characters
+    (more if one line is longer), one write each.  ``sha256``, if given,
+    takes the UTF-8 bytes of each batch.  If ``lines`` raises, the lines it
+    gave before are written first, so they stay in the output.  A failed
+    write names the output (``trace.write_errors_in``): ``path``, or
+    ``<stdout>``; after one on stdout, the stdout descriptor points at
+    ``os.devnull``, so what stdout still buffers does not fail again at exit.
+    """
+    to_stdout = path is None
+    try:
+        with write_errors_in("<stdout>" if to_stdout else path), \
+                (contextlib.nullcontext(sys.stdout) if to_stdout
+                 else open(path, "w", encoding="utf-8", newline="")) as out:
+            batch: list[str] = []
+            size = 0
+            try:
+                for line in lines:
+                    if not line.endswith("\n"):
+                        line += "\n"
+                    batch.append(line)
+                    size += len(line)
+                    if size >= WRITE_BATCH:
+                        _write_batch(out, batch, sha256)
+                        size = 0
+            finally:
+                _write_batch(out, batch, sha256)
+            out.flush()
+    except OSError:
+        if to_stdout and sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise
+
+
 def json_field(obj, key: str, kind: type | tuple, minimum: int | None = None,
                where: str = ""):
     """``obj[key]`` if it has type ``kind``, or a type in a tuple ``kind``
@@ -128,6 +185,43 @@ def json_field(obj, key: str, kind: type | tuple, minimum: int | None = None,
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise ValueError(f"{where}{key!r} must be a {names}{bound}, got {value!r}")
     return value
+
+
+# the text json.dumps writes for each type of value in a report or snapshot
+_JSON_SCALAR = {str: _json_string, int: int.__repr__, float: float.__repr__,
+                type(None): lambda _: "null"}
+
+
+def json_members(names: Sequence[str], values: Sequence, pad: str) -> str:
+    """The members ``names[i]: values[i]`` of an object at indentation
+    ``pad``, joined by ``",\\n"``, as ``json.dumps(obj, indent=2)`` writes
+    them that deep.  Each value is a str, int, float or None."""
+    return ",\n".join(f"{pad}{_json_string(name)}: {_JSON_SCALAR[type(value)](value)}"
+                      for name, value in zip(names, values))
+
+
+def json_rows(key: str, names: Sequence[str], rows: Iterable[Sequence], pad: str,
+              last: bool) -> Iterator[str]:
+    """The member ``"key": [...]`` of an object at indentation ``pad``, a list
+    of objects with the members ``names``, one row of values each (see
+    ``json_members``), as ``json.dumps(obj, indent=2)`` writes it, with a
+    comma after it unless it is the ``last``.
+
+    One item per row, each ending in a newline: a row is given once the
+    next one shows that it is not the last.
+    """
+    inner = pad + "  "
+    heads = [f"{inner}  {_json_string(name)}: " for name in names]
+    start, end = f"{inner}{{\n", f"\n{inner}}}"
+    head, row = f"{pad}{_json_string(key)}: [", None
+    for values in rows:
+        yield f"{head}\n" if row is None else f"{row},\n"
+        # json_members, with the names written once
+        members = ",\n".join(map(str.__add__, heads,
+                                 [_JSON_SCALAR[type(value)](value) for value in values]))
+        row = f"{start}{members}{end}"
+    close = "\n" if last else ",\n"
+    yield f"{head}]{close}" if row is None else f"{row}\n{pad}]{close}"
 
 
 class TraceEvent(NamedTuple):

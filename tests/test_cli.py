@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from cct_lens import cct, cli, snapshot
 from cct_lens import workload as wl
 from cct_lens.cli import main
 from cct_lens.snapshot import dump_snapshot, load_snapshot_file, take_snapshot
+from cct_lens.trace import WRITE_BATCH, jsonl_lines
 
 from conftest import decode_cct, decode_forest
 
@@ -35,6 +37,20 @@ def peak_traced_mib(*argv) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+class CountingStream:
+    """A write-through text stream that keeps each write it is given."""
+
+    def __init__(self, writes: list[str]):
+        self.writes = writes
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +124,7 @@ class TestSimulate:
         code, stdout, _ = run(capsys, "simulate", "--preset", "figure8", "-o", str(out))
         assert code == 0
         data = out.read_bytes()
+        assert len(data) > 4 * WRITE_BATCH  # the digest is taken a batch at a time
         events = sum(1 for line in data.decode("utf-8").splitlines()
                      if line and not line.startswith("#"))
         assert stdout == f"events={events} sha256={hashlib.sha256(data).hexdigest()}\n"
@@ -301,6 +318,16 @@ class TestAnalyze:
         assert code == 0
         assert "warning" in stderr
         assert "warning" not in stdout
+
+    def test_one_write_per_warning(self, monkeypatch, tmp_path):
+        # stderr is unbuffered: each write is a system call
+        trace = tmp_path / "trunc.tsv"
+        trace.write_text("0\t1\tE\ta\n5\t1\tE\tb\n9\t2\tE\tc\n", encoding="utf-8")
+        writes = []
+        monkeypatch.setattr(sys, "stderr", CountingStream(writes))
+        assert main(["analyze", str(trace), "--lenient", "-o", os.devnull]) == 0
+        assert len(writes) == 2  # one per thread left open
+        assert all(w.startswith("warning: ") and w.endswith("\n") for w in writes)
 
     def test_structural_error_names_thread_and_file_line(self, capsys, tmp_path):
         trace = tmp_path / "mismatch.tsv"
@@ -596,6 +623,29 @@ class TestExport:
         written = out.read_text(encoding="utf-8") if to_file else stdout
         assert written == '{"ts": 0, "tid": 1, "ev": "E", "m": "a"}\n'
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_jsonl_bad_line_after_many_batches(self, capsys, tmp_path, to_file):
+        good = [f"{ts}\t{ts % 3}\tE\tcom.example.C{ts % 7}.run()" for ts in range(2000)]
+        trace = tmp_path / "bad.tsv"
+        trace.write_text("\n".join(good + ["1\t1\tQ\ta"] + good) + "\n", encoding="utf-8")
+        expected = "".join(line + "\n" for line in jsonl_lines(good))
+        assert len(expected) > 2 * WRITE_BATCH
+        out = tmp_path / "out.jsonl"
+        argv = ["export", str(trace), "--format", "jsonl"] + (["-o", str(out)] if to_file else [])
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stderr) == (1, f"error: {trace}: line 2001: bad event kind 'Q' "
+                                     "(expected E or X)\n")
+        assert (out.read_text(encoding="utf-8") if to_file else stdout) == expected
+
+    def test_jsonl_writes_in_batches(self, monkeypatch, fig8_trace):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", CountingStream(writes))
+        assert main(["export", str(fig8_trace), "--format", "jsonl"]) == 0
+        with open(fig8_trace, encoding="utf-8") as fh:
+            expected = "".join(line + "\n" for line in jsonl_lines(fh))
+        assert "".join(writes) == expected
+        assert len(writes) <= math.ceil(len(expected.encode()) / WRITE_BATCH) + 2
+
     def test_jsonl_refuses_to_overwrite_its_trace(self, capsys, tmp_path):
         trace = tmp_path / "t.tsv"
         trace.write_text("0\t1\tE\ta\n1\t1\tX\ta\n", encoding="utf-8")
@@ -667,6 +717,22 @@ class TestWriteErrorNamesTheOutput:
                                    *(str(names.get(a, a)) for a in argv)],
                                   stdout=full, stderr=subprocess.PIPE, env=env, text=True)
         assert (done.returncode, done.stderr) == (1, f"error: {self.FULL}: '<stdout>'\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_stdout_write_leaves_no_descriptor_open(self):
+        probe = ("import os, sys\n"
+                 "from cct_lens.trace import write_lines\n"
+                 "before = len(os.listdir('/proc/self/fd'))\n"
+                 "try:\n"
+                 "    write_lines(['x'])\n"
+                 "except OSError:\n"
+                 "    pass\n"
+                 "print(len(os.listdir('/proc/self/fd')) - before, file=sys.stderr)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-c", probe], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, text=True)
+        assert (done.returncode, done.stderr) == (0, "0\n")
 
     def test_broken_pipe(self, fig8_trace):
         # the jsonl lines fill more than a pipe's buffer after the first one
@@ -911,6 +977,26 @@ class TestDeepChain:
         for command in ("export", "callgraph"):
             peak = peak_traced_mib(command, str(chain), "--format", "folded", "-o", os.devnull)
             assert peak < base + 16
+
+
+class TestManyMethods:
+    """Reports of 20k distinct methods, each entered and left once."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        lines = []
+        for i in range(20_000):
+            method = f"com.example.C{i % 64}.m{i}()"
+            lines += [f"{2 * i}\t1\tE\t{method}", f"{2 * i + 1}\t1\tX\t{method}"]
+        path = tmp_path_factory.mktemp("many") / "many.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_json_rows_stream(self, trace):
+        # the JSON rows are written as they are made, as the text lines are
+        text = peak_traced_mib("analyze", str(trace), "-o", os.devnull)
+        json_peak = peak_traced_mib("analyze", str(trace), "--format", "json", "-o", os.devnull)
+        assert json_peak < 1.25 * text
 
 
 class TestTopLevel:

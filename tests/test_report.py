@@ -1,0 +1,165 @@
+"""The reports and snapshots, written one row at a time, against ``json.dumps``.
+
+The object builders below are the ones the JSON forms were made from
+before they were streamed; ``json.dumps(obj, indent=2)`` of what they build
+is the reference for every byte.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cct_lens.components import ComponentUtilizationRow, Tier
+from cct_lens.metrics import HotSpotRow, TotalTimeRow
+from cct_lens.report import (REPORT_FORMATS, AnalysisTables, analysis_lines, diff_lines,
+                             render_analysis, render_diff)
+from cct_lens.snapshot import Snapshot, SnapshotDiffRow, dump_snapshot, snapshot_lines
+
+
+def _hotspot_obj(r: HotSpotRow) -> dict:
+    return {
+        "method": r.method,
+        "self_ns": r.self_time,
+        "self_pct": float(r.self_pct),
+        "invocations": r.invocations,
+        "avg_ns": float(r.avg_per_invocation),
+    }
+
+
+def _total_obj(r: TotalTimeRow) -> dict:
+    return {"method": r.method, "total_ns": r.total_time, "invocations": r.invocations}
+
+
+def _component_obj(r: ComponentUtilizationRow) -> dict:
+    return {
+        "component": r.component,
+        "tier": r.tier.value,
+        "self_ns": r.self_time,
+        "utilization_pct": float(r.utilization_pct),
+        "invocations": r.invocations,
+    }
+
+
+def _tables_obj(tables: AnalysisTables) -> dict:
+    return {
+        "hot_spots": [_hotspot_obj(r) for r in tables.hot_spots],
+        "total_time": [_total_obj(r) for r in tables.total_time],
+        "components": [_component_obj(r) for r in tables.components],
+    }
+
+
+def analysis_obj(sections: dict[str, AnalysisTables]) -> dict:
+    if len(sections) == 1:
+        return _tables_obj(next(iter(sections.values())))
+    return {"sections": {label: _tables_obj(t) for label, t in sections.items()}}
+
+
+def diff_obj(rows: list[SnapshotDiffRow], a: Snapshot, b: Snapshot) -> dict:
+    return {
+        "a": {"label": a.label, "user_count": a.user_count,
+              "source_trace_digest": a.source_trace_digest},
+        "b": {"label": b.label, "user_count": b.user_count,
+              "source_trace_digest": b.source_trace_digest},
+        "rows": [
+            {
+                "method": r.method,
+                "avg_a_ns": None if r.avg_a is None else float(r.avg_a),
+                "avg_b_ns": None if r.avg_b is None else float(r.avg_b),
+                "ratio": None if r.ratio is None else float(r.ratio),
+                "invocations_a": r.invocations_a,
+                "invocations_b": r.invocations_b,
+                "status": r.status,
+            }
+            for r in rows
+        ],
+    }
+
+
+def snapshot_doc(snapshot: Snapshot) -> dict:
+    return {
+        "format": "cct-lens/snapshot@1",
+        "label": snapshot.label,
+        "user_count": snapshot.user_count,
+        "source_trace_digest": snapshot.source_trace_digest,
+        "hot_spots": [{"method": r.method, "self_ns": r.self_time,
+                       "invocations": r.invocations} for r in snapshot.hotspot_table],
+        "components": [{"component": r.component, "tier": r.tier.value,
+                        "self_ns": r.self_time, "invocations": r.invocations}
+                       for r in snapshot.component_table],
+    }
+
+
+# quotes, backslashes, control characters, the line and paragraph
+# separators, non-ASCII inside and outside the BMP, and any other text
+NAMES = (st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028",
+                                  "\u2029", "\u00e9", "\uffff", "\U0001f600", "a", "{",
+                                  "}", "%"]), max_size=6)
+         | st.text(max_size=6))
+INTS = st.integers(0, 2**96 - 1)
+SHARES = st.builds(Fraction, st.integers(0, 2**70), st.integers(1, 2**70))
+HOT = st.builds(HotSpotRow, NAMES, INTS, SHARES, st.integers(1, 2**64))
+TOTAL = st.builds(TotalTimeRow, NAMES, INTS, INTS)
+COMPONENT = st.builds(ComponentUtilizationRow, NAMES, st.sampled_from(Tier), INTS, SHARES, INTS)
+TABLES = st.builds(AnalysisTables, st.lists(HOT, max_size=4).map(tuple),
+                   st.lists(TOTAL, max_size=4).map(tuple),
+                   st.lists(COMPONENT, max_size=4).map(tuple))
+SNAPSHOT = st.builds(Snapshot, NAMES, st.integers(-2**40, 2**40),
+                     st.lists(HOT, max_size=4).map(tuple),
+                     st.lists(COMPONENT, max_size=4).map(tuple), NAMES)
+MAYBE = st.none() | SHARES
+DIFF_ROW = st.builds(SnapshotDiffRow, NAMES, MAYBE, MAYBE, INTS, INTS, MAYBE,
+                     st.sampled_from(["shared", "added", "removed"]))
+
+EMPTY = AnalysisTables((), (), ())
+CASES = settings(max_examples=60, deadline=None)
+
+
+def each_ends_a_line(lines) -> str:
+    """The text of ``lines``, each of which must end with its newline, as
+    the writer writes it unchanged only then."""
+    lines = list(lines)
+    assert all(line.endswith("\n") for line in lines)
+    return "".join(lines)
+
+
+@CASES
+@given(st.dictionaries(NAMES, TABLES, max_size=4))
+@example({"merged": EMPTY})
+@example({"thread 1": EMPTY, "thread 2": EMPTY})
+@example({})
+def test_analysis_json_is_json_dumps(sections):
+    expected = json.dumps(analysis_obj(sections), indent=2) + "\n"
+    assert render_analysis(sections, "json") == expected
+    # the CLI writes the lines of sections made as they are read
+    lines = analysis_lines(iter(list(sections.items())), "json", labeled=len(sections) != 1)
+    assert each_ends_a_line(lines) == expected
+
+
+@CASES
+@given(st.dictionaries(NAMES, TABLES, min_size=1, max_size=3), st.sampled_from(REPORT_FORMATS))
+def test_every_analysis_line_ends_a_line(sections, fmt):
+    lines = analysis_lines(sections.items(), fmt, labeled=len(sections) > 1)
+    assert each_ends_a_line(lines) == render_analysis(sections, fmt)
+
+
+@CASES
+@given(st.lists(DIFF_ROW, max_size=5), SNAPSHOT, SNAPSHOT, st.sampled_from(REPORT_FORMATS))
+@example([], Snapshot("a", 1, (), (), "x"), Snapshot("b", 2, (), (), "y"), "json")
+def test_diff(rows, a, b, fmt):
+    text = each_ends_a_line(diff_lines(rows, a, b, fmt))
+    assert render_diff(rows, a, b, fmt) == text
+    if fmt == "json":
+        assert text == json.dumps(diff_obj(rows, a, b), indent=2) + "\n"
+
+
+@CASES
+@given(SNAPSHOT)
+@example(Snapshot("empty", 0, (), (), ""))
+def test_snapshot_is_json_dumps(snapshot):
+    expected = json.dumps(snapshot_doc(snapshot), indent=2) + "\n"
+    assert each_ends_a_line(snapshot_lines(snapshot)) == expected
+    assert dump_snapshot(snapshot) == expected

@@ -37,3 +37,65 @@ def test_the_check_sees_recursion():
     source = ("def f(n):\n    return f(n - 1)\n"
               "class C:\n    def g(self):\n        return self.g()\n")
     assert self_calls(ast.parse(source)) == ["f:2", "g:5"]
+
+
+WRITER = ("trace.py", "write_lines")
+
+
+def output_calls(tree: ast.AST, skip: str | None = None) -> list[str]:
+    """``what:line`` of each place that writes output other than through the
+    one writer: a mention of ``sys.stdout``, a ``print`` without
+    ``file=sys.stderr``, and an ``open`` with a write mode (or a mode that is
+    not a constant).  The body of the function named ``skip`` is left out."""
+    skipped = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == skip:
+            skipped.update(map(id, ast.walk(fn)))
+
+    def is_sys(node, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if is_sys(node, "stdout") or is_sys(node, "__stdout__"):
+            found.append(f"sys.{node.attr}:{node.lineno}")
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        if node.func.id == "print" and not is_sys(keywords.get("file"), "stderr"):
+            found.append(f"print:{node.lineno}")
+        if node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value).isdisjoint("wax+")):
+                found.append(f"open:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_writer_writes_every_output(path):
+    skip = WRITER[1] if path.name == WRITER[0] else None
+    assert output_calls(ast.parse(path.read_text(encoding="utf-8")), skip) == []
+
+
+def test_the_check_sees_writes():
+    source = ("import sys\n"
+              "def f(p, m):\n"
+              "    sys.stdout.write('x')\n"
+              "    print('y')\n"
+              "    print('z', file=sys.stderr)\n"
+              "    open(p, 'w')\n"
+              "    open(p, mode='rb')\n"
+              "    open(p, m)\n"
+              "    open(p)\n"
+              "def g(p):\n"
+              "    print(open(p, 'a'), file=sys.__stdout__)\n")
+    tree = ast.parse(source)
+    assert sorted(output_calls(tree)) == sorted([
+        "sys.stdout:3", "print:4", "open:6", "open:8", "print:11", "sys.__stdout__:11",
+        "open:11"])
+    assert sorted(output_calls(tree, skip="g")) == sorted([
+        "sys.stdout:3", "print:4", "open:6", "open:8"])
