@@ -64,7 +64,7 @@ class CctNode:
             node = stack.pop()
             yield node
             # reversed so children come off the stack in encounter order
-            stack.extend(reversed(list(node.children.values())))
+            stack.extend(reversed(node.children.values()))
 
     def node_count(self) -> int:
         return sum(1 for _ in self.walk())
@@ -338,13 +338,21 @@ def project_call_graph(root: CctNode) -> list[CallGraphEdge]:
     sorted by descending call count, then caller, then callee.
     """
     acc: dict[tuple[str, str], list[int]] = {}
-    for node in root.walk():
-        for child in node.children.values():
-            cell = acc.get((node.method, child.method))
+    # any visiting order will do: the sort below is total
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        caller = node.method
+        children = node.children.values()
+        for child in children:
+            key = (caller, child.method)
+            cell = acc.get(key)
             if cell is None:
-                cell = acc[(node.method, child.method)] = [0, 0]
-            cell[0] += child.invocations
-            cell[1] += child.total_time
+                acc[key] = [child.invocations, child.total_time]
+            else:
+                cell[0] += child.invocations
+                cell[1] += child.total_time
+        stack.extend(children)
     edges = [
         CallGraphEdge(caller, callee, calls, total)
         for (caller, callee), (calls, total) in acc.items()
@@ -366,9 +374,11 @@ def folded_stacks(root: CctNode) -> Iterator[str]:
     ]
     while stack:
         node, path = stack.pop()
-        yield f"{path} {node.self_time()}"
+        self_ns = node.total_time
         for child in reversed(node.children.values()):
+            self_ns -= child.total_time
             stack.append((child, f"{path};{child.method}"))
+        yield f"{path} {self_ns}"
 
 
 def _tree_json(root: CctNode, out: list[str]) -> None:

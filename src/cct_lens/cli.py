@@ -8,6 +8,7 @@ usage errors exit 2; everything else exits 1 with a message.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -220,11 +221,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.output == "-":
         args.output = None  # "-o -" is standard output
+    # trees, tables and reports hold no reference cycles, so the cyclic
+    # collector would only walk the live tree again and again; an
+    # in-process caller gets its own setting back
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (TraceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

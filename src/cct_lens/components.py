@@ -17,6 +17,7 @@ grouped under a Middleware pseudo-component.
 from __future__ import annotations
 
 import functools
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -62,21 +63,47 @@ class ComponentRule(NamedTuple):
         return cls(FilterPattern(pattern), component, tier)
 
 
-class ComponentCatalog(NamedTuple):
-    rules: tuple[ComponentRule, ...]
+class ComponentCatalog:
+    """An ordered rule list, compiled once into one regex alternation.
+
+    Rule ``i`` is group ``i + 1``: ``(prefix)`` for a prefix pattern,
+    ``(name\\Z)`` for an exact one.  ``re`` tries the alternatives in
+    order, so the group that matches belongs to the first matching rule.
+    """
+
+    __slots__ = ("rules", "_match")
+
+    def __init__(self, rules: Iterable[ComponentRule]):
+        self.rules = tuple(rules)
+        groups = [f"({re.escape(rule.pattern.text[:-1])})" if rule.pattern.text.endswith("*")
+                  else f"({re.escape(rule.pattern.text)}\\Z)" for rule in self.rules]
+        # with no rules, a pattern that never matches
+        self._match = re.compile("|".join(groups) or "(?!)").match
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ComponentCatalog):
+            return NotImplemented
+        return self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash(self.rules)
+
+    def __repr__(self) -> str:
+        return f"ComponentCatalog(rules={self.rules!r})"
 
     def classify(self, method: str) -> tuple[str, Tier]:
         """Component and tier for a method; first matching rule wins.
 
         Unmatched methods map to (declaring class, Other).
         """
-        for rule in self.rules:
-            if rule.pattern.matches(method):
-                component = rule.component
-                if component == DERIVE:
-                    component = declaring_class(method)
-                return component, rule.tier
-        return declaring_class(method), Tier.OTHER
+        match = self._match(method)
+        if match is None:
+            return declaring_class(method), Tier.OTHER
+        rule = self.rules[match.lastindex - 1]
+        component = rule.component
+        if component == DERIVE:
+            component = declaring_class(method)
+        return component, rule.tier
 
 
 class ComponentUtilizationRow(NamedTuple):

@@ -53,15 +53,23 @@ def aggregate_methods(root: CctNode) -> dict[str, MethodTotals]:
     preorder, which makes downstream tie-breaking deterministic.
     """
     acc: dict[str, list[int]] = {}
-    for node in root.walk():
-        if node is root:
-            continue
+    # preorder: reversed so children come off the stack in encounter order
+    stack = list(reversed(root.children.values()))
+    while stack:
+        node = stack.pop()
+        total = node.total_time
+        self_ns = total
+        children = node.children.values()
+        for child in children:
+            self_ns -= child.total_time
+        stack.extend(reversed(children))
         cell = acc.get(node.method)
         if cell is None:
-            cell = acc[node.method] = [0, 0, 0]
-        cell[0] += node.self_time()
-        cell[1] += node.total_time
-        cell[2] += node.invocations
+            acc[node.method] = [self_ns, total, node.invocations]
+        else:
+            cell[0] += self_ns
+            cell[1] += total
+            cell[2] += node.invocations
     return {m: MethodTotals(s, t, i) for m, (s, t, i) in acc.items()}
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior over real files."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -1039,3 +1040,79 @@ class TestTopLevel:
         # simulate and both scripts load the simulator; none of it analyzes
         ours = {m for m in self.loaded(", cct_lens.workload") if m.startswith("cct_lens")}
         assert ours == {"cct_lens", "cct_lens.trace", "cct_lens.workload"}
+
+
+class TestCyclicCollector:
+    """Each command runs with the cyclic collector off; the caller's setting
+    comes back however the command ends."""
+
+    @pytest.fixture(autouse=True)
+    def collecting(self):
+        was = gc.isenabled()
+        gc.enable()
+        yield
+        if not was:
+            gc.disable()
+
+    def test_off_while_a_command_runs(self, capsys, monkeypatch, fig8_trace):
+        seen = []
+        tabulate = snapshot.tabulate
+        monkeypatch.setattr(snapshot, "tabulate",
+                            lambda *a: seen.append(gc.isenabled()) or tabulate(*a))
+        assert run(capsys, "analyze", str(fig8_trace))[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_off_in_the_warn_callback(self, capsys, monkeypatch, tmp_path):
+        trace = tmp_path / "trunc.tsv"
+        trace.write_text("0\t1\tE\ta\n5\t1\tE\tb\n", encoding="utf-8")
+        seen = []
+        monkeypatch.setattr(cli, "_warn", lambda message: seen.append(gc.isenabled()))
+        assert run(capsys, "callgraph", str(trace), "--lenient")[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_on_after_an_error_exit(self, capsys, tmp_path):
+        code, _, stderr = run(capsys, "analyze", str(tmp_path / "missing.tsv"))
+        assert code == 1 and stderr.startswith("error: ")
+        assert gc.isenabled()
+
+    def test_on_after_an_unexpected_exception(self, capsys, monkeypatch, fig8_trace):
+        def boom(*args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(snapshot, "tabulate", boom)
+        with pytest.raises(RuntimeError):
+            main(["analyze", str(fig8_trace)])
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_had_it_off(self, capsys, fig8_trace, tmp_path):
+        gc.disable()
+        assert run(capsys, "analyze", str(fig8_trace))[0] == 0
+        assert run(capsys, "analyze", str(tmp_path / "missing.tsv"))[0] == 1
+        assert not gc.isenabled()
+
+    @pytest.fixture(scope="class")
+    def tenfold_trace(self, fig8_trace, tmp_path_factory):
+        """figure8 with distinct one-frame methods on 50 more threads,
+        ten times as many lines in all."""
+        lines = fig8_trace.read_text(encoding="utf-8").splitlines()
+        for i in range(9 * len(lines) // 2):
+            tid, method = 1000 + i % 50, f"pkg.C{i}.m()"
+            lines += [f"{i}\t{tid}\tE\t{method}", f"{i + 1}\t{tid}\tX\t{method}"]
+        path = tmp_path_factory.mktemp("traces") / "tenfold.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", [
+        ("analyze",), ("callgraph",), ("export", "--format", "forest"),
+    ], ids=" ".join)
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, fig8_trace,
+                                                          tenfold_trace, command):
+        # trees, tables and reports make no cycles: what is left is argparse's
+        name, *flags = command
+        found = []
+        for trace in (fig8_trace, tenfold_trace):
+            gc.collect()
+            assert main([name, str(trace), *flags, "-o", os.devnull]) == 0
+            found.append(gc.collect())
+        assert found[0] == found[1]

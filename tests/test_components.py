@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cct_lens import components
 from cct_lens.components import (
+    DERIVE,
     ComponentCatalog,
     ComponentRule,
     Tier,
@@ -265,3 +269,58 @@ class TestCatalogFiles:
         path = tmp_path / "catalog.tsv"
         path.write_text(DEFAULT_CATALOG_TEXT, encoding="utf-8")
         assert load_catalog_file(path) == default_hr_catalog()
+
+
+def rule_loop(catalog: ComponentCatalog, method: str) -> tuple[str, Tier]:
+    """``classify`` as a loop over the rules: the first whose pattern matches wins."""
+    for rule in catalog.rules:
+        if rule.pattern.matches(method):
+            component = rule.component
+            if component == DERIVE:
+                component = declaring_class(method)
+            return component, rule.tier
+    return declaring_class(method), Tier.OTHER
+
+
+# a few letters, so that patterns overlap, and the characters regexes treat specially
+TEXT = st.text(st.sampled_from("ab.()$[\\+?|\n"), max_size=4)
+# (pattern text without "*", kind, component, tier)
+RULES = st.lists(st.tuples(TEXT, st.sampled_from(["prefix", "exact", "bare"]),
+                           st.sampled_from(["C", DERIVE]), st.sampled_from(Tier)), max_size=6)
+
+
+def catalog_of(spec) -> ComponentCatalog:
+    rules = []
+    for text, kind, component, tier in spec:
+        if kind == "prefix":
+            text += "*"
+        elif kind == "bare" or not text:
+            text = "*"
+        rules.append(ComponentRule.of(text, component, tier))
+    return ComponentCatalog(rules)
+
+
+class TestCompiledCatalog:
+    @settings(max_examples=300, deadline=None)
+    @given(RULES, st.lists(TEXT, max_size=4), st.lists(TEXT, max_size=4))
+    @example([], [], ["a.B.m()", ""])  # no rules: every name falls through
+    @example([("a.", "exact", "C", Tier.WEB), ("a", "prefix", "D", Tier.DAO)], [""], [])
+    @example([("a$", "exact", DERIVE, Tier.WEB), ("", "bare", "C", Tier.DAO)], ["\n"], ["a"])
+    def test_same_as_the_rule_loop(self, spec, suffixes, names):
+        catalog = catalog_of(spec)
+        # each pattern's text itself, one character longer and one shorter,
+        # and with each suffix; then names that need not come near any rule
+        probes = list(names)
+        for rule in catalog.rules:
+            stem = rule.pattern.text.rstrip("*")
+            probes += [stem, stem + "a", stem + "\n", stem[:-1]]
+            probes += [stem + suffix for suffix in suffixes]
+        for method in probes:
+            assert catalog.classify(method) == rule_loop(catalog, method), method
+
+    def test_compiled_once(self, monkeypatch):
+        catalog = ComponentCatalog((ComponentRule.of("a.*", "X", Tier.WEB),))
+        # classifying uses what the catalog compiled when it was made
+        monkeypatch.setattr(components, "re", None)
+        assert catalog.classify("a.B.m()") == ("X", Tier.WEB)
+        assert component_utilization([row("a.B.m()", 5)], catalog)[0].component == "X"

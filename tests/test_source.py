@@ -42,24 +42,27 @@ def test_the_check_sees_recursion():
 WRITER = ("trace.py", "write_lines")
 
 
+def nodes_outside(tree: ast.AST, skip: str | None) -> list[ast.AST]:
+    """Every node of ``tree`` but those of the function named ``skip``."""
+    skipped = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == skip:
+            skipped.update(map(id, ast.walk(fn)))
+    return [node for node in ast.walk(tree) if id(node) not in skipped]
+
+
 def output_calls(tree: ast.AST, skip: str | None = None) -> list[str]:
     """``what:line`` of each place that writes output other than through the
     one writer: a mention of ``sys.stdout``, a ``print`` without
     ``file=sys.stderr``, and an ``open`` with a write mode (or a mode that is
     not a constant).  The body of the function named ``skip`` is left out."""
-    skipped = set()
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef) and fn.name == skip:
-            skipped.update(map(id, ast.walk(fn)))
 
     def is_sys(node, attr):
         return (isinstance(node, ast.Attribute) and node.attr == attr
                 and isinstance(node.value, ast.Name) and node.value.id == "sys")
 
     found = []
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
+    for node in nodes_outside(tree, skip):
         if is_sys(node, "stdout") or is_sys(node, "__stdout__"):
             found.append(f"sys.{node.attr}:{node.lineno}")
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
@@ -99,3 +102,47 @@ def test_the_check_sees_writes():
         "open:11"])
     assert sorted(output_calls(tree, skip="g")) == sorted([
         "sys.stdout:3", "print:4", "open:6", "open:8"])
+
+
+# the one place that switches the cyclic collector, around every command
+COLLECTOR_SWITCH = ("cli.py", "main")
+
+
+def collector_uses(tree: ast.AST, skip: str | None = None) -> list[str]:
+    """``what:line`` of each use of the ``gc`` module outside the function
+    named ``skip``: an attribute of ``gc``, a ``from gc import`` and an
+    ``import gc as`` another name."""
+    found = []
+    for node in nodes_outside(tree, skip):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"):
+            found.append(f"gc.{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.append(f"from gc:{node.lineno}")
+        elif isinstance(node, ast.Import) and any(
+                alias.name == "gc" and alias.asname for alias in node.names):
+            found.append(f"import gc as:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_switch_for_the_collector(path):
+    # a per-command setting would fork the policy cli.main keeps for all
+    skip = COLLECTOR_SWITCH[1] if path.name == COLLECTOR_SWITCH[0] else None
+    assert collector_uses(ast.parse(path.read_text(encoding="utf-8")), skip) == []
+
+
+def test_the_check_sees_the_collector():
+    source = ("import gc\n"
+              "def f():\n"
+              "    gc.disable()\n"
+              "def main():\n"
+              "    if gc.isenabled():\n"
+              "        gc.freeze()\n"
+              "from gc import collect\n"
+              "import gc as g\n")
+    tree = ast.parse(source)
+    assert sorted(collector_uses(tree)) == sorted([
+        "gc.disable:3", "gc.isenabled:5", "gc.freeze:6", "from gc:7", "import gc as:8"])
+    assert sorted(collector_uses(tree, skip="main")) == sorted([
+        "gc.disable:3", "from gc:7", "import gc as:8"])
