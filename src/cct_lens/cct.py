@@ -9,7 +9,8 @@ method-by-method under a single ``<root>``.  Trees are plain values:
 ``ingest`` returns the per-thread roots as a ``{tid: root}`` dict and
 ``merge_ccts`` overlays such a dict; ``ingest_merged`` builds the merged
 view in the same pass, with no per-thread trees, and orders its children
-as ``merge_ccts`` does.
+as ``merge_ccts`` does.  ``overlay`` is the one loop that copies nodes,
+for the merge and the filters.
 
 Node times are inclusive nanoseconds.  Self time is derived, never
 stored: ``total_time`` minus the children's ``total_time``.  Root nodes
@@ -20,7 +21,7 @@ time conservation holds exactly on every tree.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Reversible
 
 from .trace import (ENTER, EXIT, TS_RANGE, TS_RANGE_ERROR, TraceEvent, TraceStructureError,
                     format_trace_line, parse_trace_line)
@@ -293,33 +294,44 @@ def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
     return ingest(map(format_trace_line, events), lenient=lenient, warn=warn)
 
 
-def merge_into(dst: CctNode, src: CctNode) -> None:
-    """Overlay ``src`` onto ``dst``, iteratively: counts and times add,
-    children unite by method.  ``src`` is left unchanged and unshared."""
-    work = [(dst, src)]
-    while work:
-        d, s = work.pop()
-        d.invocations += s.invocations
-        d.total_time += s.total_time
-        d.truncated = d.truncated or s.truncated
-        for method, child in s.children.items():
-            target = d.children.get(method)
-            if target is None:
-                target = d.children[method] = CctNode(method)
-            work.append((target, child))
+def overlay(dst: CctNode, nodes: Reversible[CctNode],
+            keep: Callable[[str], bool] | None = None, splice: bool = True) -> None:
+    """Copy ``nodes`` and their callees under ``dst`` in one preorder pass,
+    sharing nothing.  A node whose parent copy has a callee of its method
+    collapses into it: counts and times add, ``truncated`` is OR-ed.  A
+    node ``keep`` refuses is not copied; its callees go under its parent
+    with ``splice``, or are skipped."""
+    # (parent copy, source node), popped in order
+    stack = [(dst, node) for node in reversed(nodes)]
+    while stack:
+        parent, node = stack.pop()
+        method = node.method
+        if keep is None or keep(method):
+            copy = parent.children.get(method)
+            if copy is None:
+                copy = parent.children[method] = CctNode(method, node.invocations,
+                                                         node.total_time, node.truncated)
+            else:
+                copy.invocations += node.invocations
+                copy.total_time += node.total_time
+                copy.truncated = copy.truncated or node.truncated
+            parent = copy
+        elif not splice:
+            continue
+        for child in reversed(node.children.values()):
+            stack.append((parent, child))
 
 
 def merge_ccts(roots: dict[int, CctNode]) -> CctNode:
     """Overlay per-thread trees ``{tid: root}`` into one tree under a ``<root>`` node.
 
-    Threads are folded in ascending tid order, so child order in the
+    Threads are overlaid in ascending tid order, so child order in the
     merged tree is deterministic.  The merged root's total is the summed
     busy time of all threads.
     """
-    merged = CctNode(MERGED_ROOT)
+    merged = CctNode(MERGED_ROOT, invocations=1)
     for tid in sorted(roots):
-        merge_into(merged, roots[tid])
-    merged.invocations, merged.truncated = 1, False
+        overlay(merged, roots[tid].children.values())
     _set_busy_time(merged)
     return merged
 

@@ -16,6 +16,11 @@ had the rejected methods never been instrumented:
 - ``drop`` (``DROP_SUBTREE``): rejected frames disappear along with
   their whole subtree, and the removed time is subtracted from every
   ancestor.
+
+``apply_filter`` copies the tree with ``cct.overlay``, the one loop that
+copies tree nodes: spliced callees collapse into same-method siblings as
+they are copied.  Drop mode then sets each copy's total in one pass,
+callees first.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, NamedTuple
 
-from .cct import CctNode, merge_into
+from .cct import CctNode, overlay
 
 # the values of the CLI's --filter-mode
 ATTRIBUTE_TO_PARENT = "attribute"
@@ -93,45 +98,24 @@ def apply_filter(root: CctNode, filter_set: FilterSet,
         return root
     # a verdict depends only on the method name: match each name once
     keep = functools.cache(filter_set.keeps)
+    fresh = CctNode(root.method, root.invocations, root.total_time, root.truncated)
     splice = mode == ATTRIBUTE_TO_PARENT
-    # preorder with each node's verdict; drop mode never goes below a
-    # rejected node.  The stack hands out a node's last child first, so
-    # the reversed order visits children before parents, in child order.
-    order = []
-    stack = [(root, True)]
-    while stack:
-        item = stack.pop()
-        order.append(item)
-        node, kept = item
-        if kept or splice:
-            for child in node.children.values():
-                stack.append((child, keep(child.method)))
-    # per visited node, children first: the time drop mode removed below
-    # it and the nodes it hands its parent, its own rewrite or, rejected
-    # in attribute mode, its spliced children
-    handed: list[tuple[int, list[CctNode]]] = []
-    for node, kept in reversed(order):
-        children: dict[str, CctNode] = {}
-        removed = 0
-        if kept or splice:
-            cut = len(handed) - len(node.children)
-            for lost, part in handed[cut:]:
-                removed += lost
-                for fresh in part:
-                    existing = children.setdefault(fresh.method, fresh)
-                    if existing is not fresh:
-                        # same-method siblings produced by splicing collapse into one node
-                        merge_into(existing, fresh)
-            del handed[cut:]
-        if kept:
-            fresh = CctNode(node.method, node.invocations, node.total_time - removed,
-                            node.truncated)
-            fresh.children = children
-            handed.append((removed, [fresh]))
-        elif splice:
-            # the rejected node's time stays inside the parent's total and
-            # therefore lands in the parent's self time
-            handed.append((0, list(children.values())))
-        else:
-            handed.append((node.total_time, []))
-    return handed[0][1][0]
+    overlay(fresh, root.children.values(), keep, splice)
+    if not splice:
+        # no two kept siblings share a method, so each copy has one source;
+        # callees first, a copy's total becomes its source's self time plus
+        # its kept callees' totals, which leaves out exactly the dropped time
+        stack: list[tuple[CctNode, CctNode | None]] = [(fresh, root)]
+        while stack:
+            copy, node = stack.pop()
+            if node is None:
+                # the copy's callees are done
+                for callee in copy.children.values():
+                    copy.total_time += callee.total_time
+            elif node.children:
+                for callee in node.children.values():
+                    copy.total_time -= callee.total_time
+                stack.append((copy, None))
+                for method, callee in copy.children.items():
+                    stack.append((callee, node.children[method]))
+    return fresh

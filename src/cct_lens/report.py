@@ -28,20 +28,14 @@ REPORT_FORMATS = (TEXT, CSV, JSON)
 
 def _text_table(headers: Sequence[str], rows: list[list[str]]) -> Iterator[str]:
     """An aligned table's lines, each with its newline."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(cells):
-        # left-align the first (name) column, right-align numbers
-        parts = [f"{cells[0]:<{widths[0]}}"]
-        parts += [f"{c:>{widths[i]}}" for i, c in enumerate(cells) if i > 0]
-        return "  ".join(parts).rstrip()
-    head = fmt(headers)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    # left-align the first (name) column, right-align numbers
+    template = "  ".join([f"{{:<{widths[0]}}}", *(f"{{:>{w}}}" for w in widths[1:])])
+    head = template.format(*headers).rstrip()
     yield head + "\n"
     yield "-" * len(head) + "\n"
     for row in rows:
-        yield fmt(row) + "\n"
+        yield template.format(*row).rstrip() + "\n"
 
 
 def _text_section(tables: AnalysisTables) -> Iterator[str]:

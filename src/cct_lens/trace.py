@@ -21,9 +21,9 @@ structural checks, nesting and per-thread timestamp order, live in
 ``errors_in`` names the file, and the line of a byte that is not UTF-8,
 in the errors of every file reader; ``json_field`` type-checks a field
 of the JSON documents they read.  ``write_lines`` is the one writer of
-every output, and ``write_errors_in`` names the output in its failed
-writes; ``json_rows`` writes the rows of the JSON reports and snapshots
-one at a time, as ``json.dumps(obj, indent=2)`` does.
+every output, and names the output in its failed writes; ``json_rows``
+writes the rows of the JSON reports and snapshots one at a time, as
+``json.dumps(obj, indent=2)`` does.
 """
 
 from __future__ import annotations
@@ -106,18 +106,6 @@ def errors_in(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-@contextlib.contextmanager
-def write_errors_in(name):
-    """Name the output ``name`` in an OSError raised in the block without a
-    file name, as a failed write or flush is: ``[Errno 28] ...: 'out.txt'``."""
-    try:
-        yield
-    except OSError as exc:
-        if exc.filename is None:
-            exc.filename = str(name)
-        raise
-
-
 # characters per write: enough that the system call costs little against
 # making the lines, few enough to add nothing that shows in peak memory
 WRITE_BATCH = 1 << 14
@@ -140,15 +128,15 @@ def write_lines(lines: Iterable[str], path=None, sha256=None) -> None:
     (more if one line is longer), one write each.  ``sha256``, if given,
     takes the UTF-8 bytes of each batch.  If ``lines`` raises, the lines it
     gave before are written first, so they stay in the output.  A failed
-    write names the output (``trace.write_errors_in``): ``path``, or
-    ``<stdout>``; after one on stdout, the stdout descriptor points at
-    ``os.devnull``, so what stdout still buffers does not fail again at exit.
+    write or flush names the output in the OSError's file name, as in
+    ``[Errno 28] ...: 'out.txt'``: ``path``, or ``<stdout>``.  After one on
+    stdout, the stdout descriptor points at ``os.devnull``, so what stdout
+    still buffers does not fail again at exit.
     """
     to_stdout = path is None
     try:
-        with write_errors_in("<stdout>" if to_stdout else path), \
-                (contextlib.nullcontext(sys.stdout) if to_stdout
-                 else open(path, "w", encoding="utf-8", newline="")) as out:
+        with (contextlib.nullcontext(sys.stdout) if to_stdout
+              else open(path, "w", encoding="utf-8", newline="")) as out:
             batch: list[str] = []
             size = 0
             try:
@@ -163,7 +151,9 @@ def write_lines(lines: Iterable[str], path=None, sha256=None) -> None:
             finally:
                 _write_batch(out, batch, sha256)
             out.flush()
-    except OSError:
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = "<stdout>" if to_stdout else str(path)
         if to_stdout and sys.stdout is sys.__stdout__:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

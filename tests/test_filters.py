@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cct_lens.cct import build_forest, merge_ccts
+from cct_lens.cct import MERGED_ROOT, CctNode, build_forest, ingest, merge_ccts, serialize_cct
 from cct_lens.filters import (
     ATTRIBUTE_TO_PARENT,
     DROP_SUBTREE,
+    FILTER_MODES,
     FilterPattern,
     FilterSet,
     apply_filter,
@@ -299,3 +300,114 @@ class TestForestFiltering:
         assert not out[2].children
         # dropped top-level method's time surfaces as root self time
         assert out[2].total_time == 4
+
+
+# The overlay as it was before it became one preorder loop: ``merge_into``
+# copies a subtree and unites it node by node, and the filter rewrites
+# each node from its children's rewrites in a two-phase walk.  These are
+# the reference for every byte of ``merge_ccts`` and ``apply_filter``.
+
+def ref_merge_into(dst: CctNode, src: CctNode) -> None:
+    work = [(dst, src)]
+    while work:
+        d, s = work.pop()
+        d.invocations += s.invocations
+        d.total_time += s.total_time
+        d.truncated = d.truncated or s.truncated
+        for method, child in s.children.items():
+            target = d.children.get(method)
+            if target is None:
+                target = d.children[method] = CctNode(method)
+            work.append((target, child))
+
+
+def ref_merge_ccts(roots: dict[int, CctNode]) -> CctNode:
+    merged = CctNode(MERGED_ROOT)
+    for tid in sorted(roots):
+        ref_merge_into(merged, roots[tid])
+    merged.invocations, merged.truncated = 1, False
+    merged.total_time = sum(c.total_time for c in merged.children.values())
+    return merged
+
+
+def ref_apply_filter(root: CctNode, filter_set: FilterSet, mode: str) -> CctNode:
+    if not filter_set.includes and not filter_set.excludes:
+        return root
+    keep = filter_set.keeps
+    splice = mode == ATTRIBUTE_TO_PARENT
+    order = []
+    stack = [(root, True)]
+    while stack:
+        item = stack.pop()
+        order.append(item)
+        node, kept = item
+        if kept or splice:
+            for child in node.children.values():
+                stack.append((child, keep(child.method)))
+    handed: list[tuple[int, list[CctNode]]] = []
+    for node, kept in reversed(order):
+        children: dict[str, CctNode] = {}
+        removed = 0
+        if kept or splice:
+            cut = len(handed) - len(node.children)
+            for lost, part in handed[cut:]:
+                removed += lost
+                for fresh in part:
+                    existing = children.setdefault(fresh.method, fresh)
+                    if existing is not fresh:
+                        ref_merge_into(existing, fresh)
+            del handed[cut:]
+        if kept:
+            fresh = CctNode(node.method, node.invocations, node.total_time - removed,
+                            node.truncated)
+            fresh.children = children
+            handed.append((removed, [fresh]))
+        elif splice:
+            handed.append((0, list(children.values())))
+        else:
+            handed.append((node.total_time, []))
+    return handed[0][1][0]
+
+
+# few method names, each at any depth, so that spliced callees collide
+# with their new siblings; ``None`` exits the innermost open frame
+METHODS = ["a.x", "a.y", "b.x", "b.y", "c"]
+PATTERNS = st.lists(st.sampled_from(["a.*", "b.*", "a.x", "b.y", "c", "*", "d"]), max_size=2)
+THREAD = st.lists(st.tuples(st.sampled_from([*METHODS, None, None]), st.integers(0, 3)),
+                  max_size=40)
+
+
+def thread_lines(tid: int, steps) -> list[str]:
+    """A thread's trace lines; frames left open are closed by lenient
+    ingest, which marks them truncated."""
+    lines, stack, ts = [], [], 0
+    for method, step in steps:
+        ts += step
+        if method is None:
+            if stack:
+                lines.append(f"{ts}\t{tid}\tX\t{stack.pop()}")
+        else:
+            stack.append(method)
+            lines.append(f"{ts}\t{tid}\tE\t{method}")
+    return lines
+
+
+class TestOverlayMatchesReference:
+    @given(st.dictionaries(st.integers(0, 9), THREAD, max_size=4), PATTERNS, PATTERNS)
+    @settings(max_examples=300, deadline=None)
+    def test_merge_and_filters_match_the_two_walk_rewrite(self, threads, includes, excludes):
+        lines = [line for tid, steps in threads.items() for line in thread_lines(tid, steps)]
+        roots = ingest(lines, lenient=True)
+        fs = FilterSet.from_patterns(includes=includes, excludes=excludes)
+        before = {tid: serialize_cct(root) for tid, root in roots.items()}
+        # child order counts, which CctNode.__eq__ does not see
+        merged = merge_ccts(roots)
+        seen = serialize_cct(merged)
+        assert seen == serialize_cct(ref_merge_ccts(roots))
+        for tree in [merged, *roots.values()]:
+            for mode in FILTER_MODES:
+                expected = serialize_cct(ref_apply_filter(tree, fs, mode))
+                assert serialize_cct(apply_filter(tree, fs, mode)) == expected
+        # neither the merge nor the filters touch their input
+        assert {tid: serialize_cct(root) for tid, root in roots.items()} == before
+        assert serialize_cct(merged) == seen

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from cct_lens.components import ComponentUtilizationRow, Tier
 from cct_lens.metrics import HotSpotRow, TotalTimeRow
-from cct_lens.report import (REPORT_FORMATS, AnalysisTables, analysis_lines, diff_lines,
+from cct_lens.report import (REPORT_FORMATS, AnalysisTables, _text_table, analysis_lines,
+                             diff_lines,
                              render_analysis, render_diff)
 from cct_lens.snapshot import Snapshot, SnapshotDiffRow, dump_snapshot, snapshot_lines
 
@@ -163,3 +164,45 @@ def test_snapshot_is_json_dumps(snapshot):
     expected = json.dumps(snapshot_doc(snapshot), indent=2) + "\n"
     assert each_ends_a_line(snapshot_lines(snapshot)) == expected
     assert dump_snapshot(snapshot) == expected
+
+
+def reference_text_table(headers, rows):
+    """The text table as it was written before it took one template: one
+    f-string per cell and one ``max`` per cell for the widths."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    def fmt(cells):
+        parts = [f"{cells[0]:<{widths[0]}}"]
+        parts += [f"{c:>{widths[i]}}" for i, c in enumerate(cells) if i > 0]
+        return "  ".join(parts).rstrip()
+    head = fmt(headers)
+    yield head + "\n"
+    yield "-" * len(head) + "\n"
+    for row in rows:
+        yield fmt(row) + "\n"
+
+
+# braces and format fields, combining characters, trailing whitespace
+CELLS = (st.lists(st.sampled_from(["{", "}", "{}", "{0}", "{:>9}", "a", " ", "\u0301", "\u2028",
+                                   "\x1f", "\u00e9", "\U0001f600", "%", "7"]),
+                  max_size=5).map("".join)
+         | st.text(max_size=8))
+
+
+@st.composite
+def text_tables(draw):
+    width = draw(st.integers(1, 7))
+    headers = draw(st.lists(CELLS, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6))
+    return headers, rows
+
+
+@CASES
+@given(text_tables())
+@example((["Method", "Total time", "Invocations"], []))
+@example((["a wide header", "x"], [["b", "{}"], ["c\u0301", "{0:>9}"]]))
+def test_text_table_is_the_cell_by_cell_table(table):
+    headers, rows = table
+    assert list(_text_table(headers, rows)) == list(reference_text_table(headers, rows))

@@ -146,3 +146,45 @@ def test_the_check_sees_the_collector():
         "gc.disable:3", "gc.isenabled:5", "gc.freeze:6", "from gc:7", "import gc as:8"])
     assert sorted(collector_uses(tree, skip="main")) == sorted([
         "gc.disable:3", "from gc:7", "import gc as:8"])
+
+
+# the one module that builds and rewrites trees; the others read them
+TREE_WRITER = "cct.py"
+
+
+def children_writes(tree: ast.AST) -> list[str]:
+    """``line`` of each assignment to, or deletion from, a node's
+    ``children``: ``x.children = ...``, ``x.children[k] = ...`` and
+    ``del x.children[k]``, in any target position."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            node = node.value
+        elif not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "children":
+            found.append(str(node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != TREE_WRITER],
+                         ids=lambda p: p.name)
+def test_only_the_tree_module_writes_children(path):
+    # a second tree-copying loop would fork the overlay cct.overlay keeps
+    assert children_writes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_check_sees_children_writes():
+    source = ("def f(n, c, k, v):\n"
+              "    n.children[k] = c\n"
+              "    n.children = {}\n"
+              "    a = n.a.children[k] = v\n"
+              "    n.children, b = {}, 1\n"
+              "    del n.children[k]\n"
+              "    for n.children[k] in v:\n"
+              "        pass\n"
+              "    x = n.children[k]\n"
+              "    n.children.get(k)\n"
+              "    children = {}\n"
+              "    children[k] = v\n")
+    assert sorted(children_writes(ast.parse(source))) == ["2", "3", "4", "5", "6", "7"]
