@@ -17,8 +17,9 @@ import argparse
 import sys
 
 from cct_lens import workload
-from cct_lens.report import REPORT_FORMATS, render_diff
+from cct_lens.report import REPORT_FORMATS, diff_lines
 from cct_lens.snapshot import diff, take_snapshot
+from cct_lens.trace import write_lines
 
 
 def snapshot_for(users: int, jitter: float, seed: int):
@@ -41,12 +42,11 @@ def main(argv=None) -> int:
 
     snap_a = snapshot_for(args.users_a, args.jitter, args.seed)
     snap_b = snapshot_for(args.users_b, args.jitter, args.seed)
-    report = render_diff(diff(snap_a, snap_b), snap_a, snap_b, args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    try:
+        write_lines(diff_lines(diff(snap_a, snap_b), snap_a, snap_b, args.format), args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -19,8 +19,9 @@ import sys
 
 from cct_lens import workload
 from cct_lens.cct import ingest_merged
-from cct_lens.report import REPORT_FORMATS, render_analysis
+from cct_lens.report import REPORT_FORMATS, analysis_lines
 from cct_lens.snapshot import tabulate
+from cct_lens.trace import write_lines
 
 
 def main(argv=None) -> int:
@@ -37,12 +38,12 @@ def main(argv=None) -> int:
     print(f"trace: {sum(1 for l in text.splitlines() if not l.startswith('#'))} "
           f"events, sha256={digest[:16]}...", file=sys.stderr)
 
-    report = render_analysis({"merged": tabulate(ingest_merged(text.splitlines()))}, args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    tables = tabulate(ingest_merged(text.splitlines()))
+    try:
+        write_lines(analysis_lines([("merged", tables)], args.format), args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -138,7 +138,7 @@ def format_ms(ns: int) -> str:
 
 def format_avg_ms(avg_ns: Fraction | int) -> str:
     """Per-invocation average in ms: two decimals from 1 ms up, else 3 digits."""
-    avg = Fraction(avg_ns)
+    avg = avg_ns if type(avg_ns) is Fraction else Fraction(avg_ns)
     if avg == 0:
         return "0 ms"
     if avg >= 1_000_000:

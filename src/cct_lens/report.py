@@ -157,14 +157,23 @@ def render_analysis(sections: dict[str, AnalysisTables], fmt: str = TEXT) -> str
     return "".join(analysis_lines(sections.items(), fmt, labeled=len(sections) != 1))
 
 
-def _ratio_text(ratio: Fraction | None) -> str:
-    if ratio is None:
-        return "-"
-    return f"{float(ratio):.3f}"
-
-
 def _avg_text(avg: Fraction | None) -> str:
     return "-" if avg is None else format_avg_ms(avg)
+
+
+def _per(total: int, count: int) -> float | None:
+    """``float(Fraction(total, count))``, which is ``total / count``, or None
+    for no count."""
+    return total / count if count else None
+
+
+def _ratio(r: SnapshotDiffRow) -> float | None:
+    terms = r.ratio_terms
+    return None if terms is None else terms[0] / terms[1]
+
+
+def _cell(value: float | None, spec: str, absent: str = "") -> str:
+    return absent if value is None else format(value, spec)
 
 
 _SIDE_NAMES = ("label", "user_count", "source_trace_digest")
@@ -177,11 +186,9 @@ def _side_json(s: Snapshot) -> str:
 
 
 def _diff_values(r: SnapshotDiffRow) -> tuple:
-    return (r.method,
-            None if r.avg_a is None else float(r.avg_a),
-            None if r.avg_b is None else float(r.avg_b),
-            None if r.ratio is None else float(r.ratio),
-            r.invocations_a, r.invocations_b, r.status)
+    """A row's values under ``_DIFF_NAMES``, its floats made from its integers."""
+    return (r.method, _per(r.self_a, r.invocations_a), _per(r.self_b, r.invocations_b),
+            _ratio(r), r.invocations_a, r.invocations_b, r.status)
 
 
 def diff_lines(rows: Iterable[SnapshotDiffRow], a: Snapshot, b: Snapshot,
@@ -193,18 +200,16 @@ def diff_lines(rows: Iterable[SnapshotDiffRow], a: Snapshot, b: Snapshot,
         yield "\n"
         yield from _text_table(
             ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],
-            [[r.method, _avg_text(r.avg_a), _avg_text(r.avg_b), _ratio_text(r.ratio),
+            [[r.method, _avg_text(r.avg_a), _avg_text(r.avg_b), _cell(_ratio(r), ".3f", "-"),
               str(r.invocations_a), str(r.invocations_b), r.status]
              for r in rows])
     elif fmt == CSV:
         yield from _csv_block(f"diff {a.label} vs {b.label}",
                               _DIFF_NAMES,
-                              ([r.method,
-                                "" if r.avg_a is None else f"{float(r.avg_a):.1f}",
-                                "" if r.avg_b is None else f"{float(r.avg_b):.1f}",
-                                "" if r.ratio is None else f"{float(r.ratio):.6f}",
-                                r.invocations_a, r.invocations_b, r.status]
-                               for r in rows))
+                              ([method, _cell(avg_a, ".1f"), _cell(avg_b, ".1f"),
+                                _cell(ratio, ".6f"), inv_a, inv_b, status]
+                               for method, avg_a, avg_b, ratio, inv_a, inv_b, status
+                               in map(_diff_values, rows)))
     elif fmt == JSON:
         yield f'{{\n  "a": {{\n{_side_json(a)}\n  }},\n  "b": {{\n{_side_json(b)}\n  }},\n'
         yield from json_rows("rows", _DIFF_NAMES, map(_diff_values, rows), "  ", last=True)

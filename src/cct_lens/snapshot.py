@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .cct import CctNode, ingest_merged
@@ -85,20 +86,48 @@ def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
 
 
 class SnapshotDiffRow(NamedTuple):
+    """One method's row of a diff: its self time and invocations on each
+    side, both 0 on a side where it is absent (a table row has at least one
+    invocation).  The averages and the ratio are exact ``Fraction``s, made
+    when they are read."""
+
     method: str
-    avg_a: Fraction | None       # ns per invocation; None when absent in a
-    avg_b: Fraction | None
+    self_a: int                  # ns, summed over contexts
+    self_b: int
     invocations_a: int
     invocations_b: int
-    ratio: Fraction | None       # avg_b / avg_a where defined
     status: str                  # shared | added | removed
+
+    @property
+    def avg_a(self) -> Fraction | None:
+        """Self ns per invocation in a; None when absent in a."""
+        return Fraction(self.self_a, self.invocations_a) if self.invocations_a else None
+
+    @property
+    def avg_b(self) -> Fraction | None:
+        return Fraction(self.self_b, self.invocations_b) if self.invocations_b else None
+
+    @property
+    def ratio_terms(self) -> tuple[int, int] | None:
+        """The numerator and denominator of ``ratio``, not reduced; None
+        where it is undefined."""
+        sa, sb, ia, ib = self.self_a, self.self_b, self.invocations_a, self.invocations_b
+        if not (ia and ib) or (sa == 0) != (sb == 0):
+            return None
+        return (sb * ia, sa * ib) if sa else (1, 1)
+
+    @property
+    def ratio(self) -> Fraction | None:
+        """avg_b / avg_a where both sides have the method: 1 when both
+        averages are zero, None when exactly one is."""
+        terms = self.ratio_terms
+        return None if terms is None else Fraction(*terms)
 
     @property
     def deviation(self) -> Fraction | None:
         """Distance of the ratio from 1; the diff's sort key."""
-        if self.ratio is None:
-            return None
-        return abs(self.ratio - 1)
+        ratio = self.ratio
+        return None if ratio is None else abs(ratio - 1)
 
 
 def diff(a: Snapshot, b: Snapshot) -> list[SnapshotDiffRow]:
@@ -108,42 +137,64 @@ def diff(a: Snapshot, b: Snapshot) -> list[SnapshotDiffRow]:
     first, since they indicate a method that went from zero-cost to
     costing something or vice versa); added/removed rows come last.
     Ties break by method name.
+
+    The order is exact, made from integers: with self times s and
+    invocations i, a shared row's deviation is |sb*ia - sa*ib| / (sa*ib),
+    and dividing two ints gives the correctly rounded float, so the float
+    keys order any two rows as their exact deviations do, unless the floats
+    are equal (``_order_ties``).
     """
+    # HotSpotRow is (method, self_time, self_pct, invocations)
     rows_a = {r.method: r for r in a.hotspot_table}
     rows_b = {r.method: r for r in b.hotspot_table}
-    shared_rows: list[SnapshotDiffRow] = []
-    added_removed: list[SnapshotDiffRow] = []
-    for method in rows_a.keys() | rows_b.keys():
-        in_a, in_b = rows_a.get(method), rows_b.get(method)
-        if in_a is not None and in_b is not None:
-            avg_a = in_a.avg_per_invocation
-            avg_b = in_b.avg_per_invocation
-            if avg_a == 0 and avg_b == 0:
-                ratio = Fraction(1)
-            elif avg_a == 0 or avg_b == 0:
-                ratio = None
-            else:
-                ratio = avg_b / avg_a
-            shared_rows.append(SnapshotDiffRow(
-                method, avg_a, avg_b, in_a.invocations, in_b.invocations,
-                ratio, SHARED))
-        elif in_b is not None:
-            added_removed.append(SnapshotDiffRow(
-                method, None, in_b.avg_per_invocation, 0, in_b.invocations,
-                None, ADDED))
+    # (key, method, |sb*ia - sa*ib|, |sa*ib|, row), and (method, row) for an
+    # undefined ratio; methods are unique, so a sort compares no further
+    finite, undefined, one_sided = [], [], []
+    for method, (_, sa, _, ia) in rows_a.items():
+        in_b = rows_b.pop(method, None)
+        if in_b is None:
+            one_sided.append((REMOVED, method, SnapshotDiffRow(method, sa, 0, ia, 0, REMOVED)))
+            continue
+        _, sb, _, ib = in_b
+        row = SnapshotDiffRow(method, sa, sb, ia, ib, SHARED)
+        if sa and sb:
+            num, den = abs(sb * ia - sa * ib), abs(sa * ib)
+            finite.append((-(num / den), method, num, den, row))
+        elif sa or sb:
+            undefined.append((method, row))
         else:
-            added_removed.append(SnapshotDiffRow(
-                method, in_a.avg_per_invocation, None, in_a.invocations, 0,
-                None, REMOVED))
+            finite.append((-0.0, method, 0, 1, row))
+    for method, (_, sb, _, ib) in rows_b.items():
+        one_sided.append((ADDED, method, SnapshotDiffRow(method, 0, sb, 0, ib, ADDED)))
+    undefined.sort()
+    finite.sort()
+    _order_ties(finite)
+    one_sided.sort()
+    return ([row for _, row in undefined] + [k[-1] for k in finite]
+            + [k[-1] for k in one_sided])
 
-    def shared_key(row: SnapshotDiffRow):
-        dev = row.deviation
-        # undefined deviation outranks any finite one
-        return (0, Fraction(0), row.method) if dev is None else (1, -dev, row.method)
 
-    shared_rows.sort(key=shared_key)
-    added_removed.sort(key=lambda r: (r.status, r.method))
-    return shared_rows + added_removed
+def _order_ties(keyed: list) -> None:
+    """Sort by exact deviation each run of ``diff``'s sorted shared rows
+    whose float keys are equal, if its deviations differ.
+
+    One pass compares each row with its run's first by cross-multiplying; a
+    run of exact ties, such as every row of two identical snapshots, stays
+    in name order.
+    """
+    runs, start, first, mixed = [], 0, None, False
+    for i, (key, _, num, den, _) in enumerate(keyed):
+        if key != first:
+            if mixed:
+                runs.append((start, i))
+            start, first, num0, den0, mixed = i, key, num, den, False
+        elif not mixed and num * den0 != num0 * den:
+            mixed = True
+    if mixed:
+        runs.append((start, len(keyed)))
+    for start, end in runs:
+        keyed[start:end] = sorted(keyed[start:end],
+                                  key=lambda k: (-Fraction(k[2], k[3]), k[1]))
 
 
 # the members of a snapshot's header, and (field, type, minimum) per row, in
@@ -152,6 +203,23 @@ _HEAD_NAMES = ("format", "label", "user_count", "source_trace_digest")
 _HOT_FIELDS = (("method", str, None), ("self_ns", int, 0), ("invocations", int, 1))
 _COMPONENT_FIELDS = (("component", str, None), ("tier", str, None),
                      ("self_ns", int, 0), ("invocations", int, 0))
+# the integers of any trace that ``ingest`` accepts stay below this in the
+# tables (each thread's times are below 2**64), and every diff format renders them
+_INT_LIMIT = 2**96
+
+
+def _hot_row_ok(method, self_ns, invocations) -> bool:
+    """Whether a hot-spot row's values have the exact types and the ranges of
+    ``_HOT_FIELDS``; a ``bool`` is not an ``int`` here."""
+    return (type(method) is str and type(self_ns) is int and type(invocations) is int
+            and 0 <= self_ns < _INT_LIMIT and 1 <= invocations < _INT_LIMIT)
+
+
+def _component_row_ok(component, tier, self_ns, invocations) -> bool:
+    """``_hot_row_ok`` for a row of ``_COMPONENT_FIELDS``."""
+    return (type(component) is str and type(tier) is str and type(self_ns) is int
+            and type(invocations) is int
+            and 0 <= self_ns < _INT_LIMIT and 0 <= invocations < _INT_LIMIT)
 
 
 def snapshot_lines(snapshot: Snapshot) -> Iterator[str]:
@@ -175,26 +243,34 @@ def dump_snapshot(snapshot: Snapshot) -> str:
 
 
 def _table_field(obj, key: str, kind: type, minimum: int | None = None, where: str = ""):
-    """``trace.json_field``, refusing integers of 2**96 or more.  The tables of
-    any trace that ``ingest`` accepts stay below that (each thread's times are
-    below 2**64), and every diff format renders them."""
+    """``trace.json_field``, refusing integers of ``_INT_LIMIT`` or more."""
     value = json_field(obj, key, kind, minimum, where)
-    if kind is int and value >= 2**96:
+    if kind is int and value >= _INT_LIMIT:
         raise ValueError(f"{where}{key!r} must be below 2**96")
     return value
 
 
-def _rows(doc: dict, key: str, fields) -> list[tuple]:
+def _rows(doc: dict, key: str, fields, row_ok) -> list[tuple]:
     """The rows of ``doc[key]`` as tuples of ``fields``.  The text fields name
-    a row (a method, or a component and tier), so no two rows may share them."""
+    a row (a method, or a component and tier), so no two rows may share them.
+
+    A dict whose values pass ``row_ok`` and whose name is new is taken with
+    that one check; any other row goes field by field through
+    ``_table_field``, which raises the error that names its row and field.
+    """
+    names = [name for name, _, _ in fields]
+    texts = [i for i, (_, kind, _) in enumerate(fields) if kind is str]
+    name_of = itemgetter(*texts)
     rows, seen = [], set()
     for i, row in enumerate(json_field(doc, key, list)):
-        where = f"{key}[{i}]: "
-        values = tuple(_table_field(row, *field, where=where) for field in fields)
-        name = tuple((f, v) for (f, kind, _), v in zip(fields, values) if kind is str)
-        if name in seen:
-            raise ValueError(f"{where}duplicate " + ", ".join(f"{f} {v!r}" for f, v in name))
-        seen.add(name)
+        values = tuple(map(row.get, names)) if type(row) is dict else None
+        if values is None or not row_ok(*values) or name_of(values) in seen:
+            where = f"{key}[{i}]: "
+            values = tuple(_table_field(row, *field, where=where) for field in fields)
+            if name_of(values) in seen:
+                raise ValueError(f"{where}duplicate "
+                                 + ", ".join(f"{names[j]} {values[j]!r}" for j in texts))
+        seen.add(name_of(values))
         rows.append(values)
     return rows
 
@@ -207,14 +283,14 @@ def load_snapshot(text: str) -> Snapshot:
         raise ValueError(f"bad snapshot document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != _SNAPSHOT_FORMAT:
         raise ValueError(f"not a {_SNAPSHOT_FORMAT} document")
-    hot = _rows(doc, "hot_spots", _HOT_FIELDS)
+    hot = _rows(doc, "hot_spots", _HOT_FIELDS, _hot_row_ok)
     denom = sum(self_ns for _, self_ns, _ in hot)
     hot_rows = tuple(
         HotSpotRow(method, self_ns, Fraction(self_ns, denom) if denom else Fraction(0),
                    invocations)
         for method, self_ns, invocations in hot
     )
-    comps = _rows(doc, "components", _COMPONENT_FIELDS)
+    comps = _rows(doc, "components", _COMPONENT_FIELDS, _component_row_ok)
     tiers = {t.value: t for t in Tier}
     for i, (_, tier, _, _) in enumerate(comps):
         if tier not in tiers:

@@ -111,8 +111,7 @@ TABLES = st.builds(AnalysisTables, st.lists(HOT, max_size=4).map(tuple),
 SNAPSHOT = st.builds(Snapshot, NAMES, st.integers(-2**40, 2**40),
                      st.lists(HOT, max_size=4).map(tuple),
                      st.lists(COMPONENT, max_size=4).map(tuple), NAMES)
-MAYBE = st.none() | SHARES
-DIFF_ROW = st.builds(SnapshotDiffRow, NAMES, MAYBE, MAYBE, INTS, INTS, MAYBE,
+DIFF_ROW = st.builds(SnapshotDiffRow, NAMES, INTS, INTS, INTS, INTS,
                      st.sampled_from(["shared", "added", "removed"]))
 
 EMPTY = AnalysisTables((), (), ())

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cct_lens import workload as wl
 from cct_lens.cli import main
 
@@ -34,3 +36,14 @@ def test_load_level_comparison_unit_ratios_at_zero_jitter():
     # columns end with: ratio, invocations a, invocations b, status
     shared = [row for row in rows if row and row[-1] == "shared"]
     assert shared and all(row[-4] == "1.000" for row in shared)
+
+
+@pytest.mark.parametrize("name", ["reproduce_hotspot_table.py", "load_level_comparison.py"])
+def test_unwritable_output_is_one_error_line(name, tmp_path):
+    path = tmp_path / "missing" / "report.txt"
+    result = run_script(name, "-o", str(path))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(path) in errors[0], result.stderr
+    assert result.stdout == ""

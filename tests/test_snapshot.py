@@ -1,16 +1,21 @@
 """Labeled analysis snapshots and cross-load diffs."""
 
 import hashlib
+import json
 import os
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cct_lens import metrics, snapshot
+from cct_lens import metrics, report, snapshot
 from cct_lens import workload as wl
 from cct_lens.cct import ingest, merge_ccts
 from cct_lens.cli import main
+from cct_lens.metrics import HotSpotRow, format_avg_ms
 from cct_lens.snapshot import (
     ADDED,
     REMOVED,
@@ -24,7 +29,7 @@ from cct_lens.snapshot import (
     tabulate,
     take_snapshot,
 )
-from cct_lens.trace import TraceParseError
+from cct_lens.trace import TraceParseError, json_field
 
 from conftest import random_trace, trace_lines
 
@@ -242,3 +247,242 @@ class TestSnapshotEquality:
         snap = take_snapshot("x", 1, trace_bytes_for(2))
         with pytest.raises(AttributeError):
             snap.label = "z"
+
+
+class ReferenceRow(NamedTuple):
+    method: str
+    avg_a: Fraction | None
+    avg_b: Fraction | None
+    invocations_a: int
+    invocations_b: int
+    ratio: Fraction | None
+    status: str
+
+
+def reference_diff(a: Snapshot, b: Snapshot) -> list[ReferenceRow]:
+    """The diff in ``Fraction`` arithmetic: ratios of exact averages, sorted
+    on exact deviations."""
+    rows_a = {r.method: r for r in a.hotspot_table}
+    rows_b = {r.method: r for r in b.hotspot_table}
+    shared_rows, added_removed = [], []
+    for method in rows_a.keys() | rows_b.keys():
+        in_a, in_b = rows_a.get(method), rows_b.get(method)
+        if in_a is not None and in_b is not None:
+            avg_a, avg_b = in_a.avg_per_invocation, in_b.avg_per_invocation
+            if avg_a == 0 and avg_b == 0:
+                ratio = Fraction(1)
+            elif avg_a == 0 or avg_b == 0:
+                ratio = None
+            else:
+                ratio = avg_b / avg_a
+            shared_rows.append(ReferenceRow(method, avg_a, avg_b, in_a.invocations,
+                                            in_b.invocations, ratio, SHARED))
+        elif in_b is not None:
+            added_removed.append(ReferenceRow(method, None, in_b.avg_per_invocation, 0,
+                                              in_b.invocations, None, ADDED))
+        else:
+            added_removed.append(ReferenceRow(method, in_a.avg_per_invocation, None,
+                                              in_a.invocations, 0, None, REMOVED))
+    shared_rows.sort(key=lambda r: (0, Fraction(0), r.method) if r.ratio is None
+                     else (1, -abs(r.ratio - 1), r.method))
+    added_removed.sort(key=lambda r: (r.status, r.method))
+    return shared_rows + added_removed
+
+
+def reference_render(rows: list[ReferenceRow], a: Snapshot, b: Snapshot, fmt: str) -> str:
+    """``report.render_diff`` with every float made by ``float`` of a ``Fraction``."""
+    def num(value, spec, absent):
+        return absent if value is None else format(float(value), spec)
+
+    names = ["method", "avg_a_ns", "avg_b_ns", "ratio", "invocations_a", "invocations_b",
+             "status"]
+    if fmt == "text":
+        head = (f"Snapshot diff: a={a.label} (users={a.user_count})  "
+                f"b={b.label} (users={b.user_count})\n\n")
+        return head + "".join(report._text_table(
+            ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],
+            [[r.method, "-" if r.avg_a is None else format_avg_ms(r.avg_a),
+              "-" if r.avg_b is None else format_avg_ms(r.avg_b), num(r.ratio, ".3f", "-"),
+              str(r.invocations_a), str(r.invocations_b), r.status] for r in rows]))
+    if fmt == "csv":
+        return "".join(report._csv_block(
+            f"diff {a.label} vs {b.label}", names,
+            ([r.method, num(r.avg_a, ".1f", ""), num(r.avg_b, ".1f", ""),
+              num(r.ratio, ".6f", ""), r.invocations_a, r.invocations_b, r.status]
+             for r in rows)))
+    side = lambda s: {"label": s.label, "user_count": s.user_count,
+                      "source_trace_digest": s.source_trace_digest}
+    return json.dumps({"a": side(a), "b": side(b), "rows": [
+        dict(zip(names, (r.method, *(None if v is None else float(v)
+                                     for v in (r.avg_a, r.avg_b, r.ratio)),
+                         r.invocations_a, r.invocations_b, r.status)))
+        for r in rows]}, indent=2) + "\n"
+
+
+def diff_values(rows) -> list[tuple]:
+    return [(r.method, r.avg_a, r.avg_b, r.invocations_a, r.invocations_b, r.ratio, r.status)
+            for r in rows]
+
+
+def hot_snapshot(label: str, rows) -> Snapshot:
+    return Snapshot(label, 1, tuple(HotSpotRow(m, s, Fraction(0), n) for m, s, n in rows),
+                    (), "")
+
+
+# zeros, the largest values a snapshot holds, and values near 2**60, where the
+# deviations 1/2**60 and 1/(2**60 + 1) have one float
+SELF_NS = (st.sampled_from([0, 1, 2, 3, 2**60, 2**60 + 1, 2**60 + 2, 2**96 - 1])
+           | st.integers(0, 2**96 - 1))
+INVOCATIONS = st.sampled_from([1, 2, 3, 2**60, 2**60 + 1, 2**96 - 1]) | st.integers(1, 2**96 - 1)
+
+
+@st.composite
+def snapshot_pairs(draw):
+    """Two snapshots over shared, added and removed methods, with free values,
+    identical sides, every ratio equal, or deviations 1/(2**e + d) whose
+    floats collide."""
+    shape = draw(st.sampled_from(["free", "identical", "scaled", "colliding"]))
+    scale_self, scale_invocations = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows_a, rows_b = [], []
+    for method in draw(st.lists(st.text("abc", max_size=3), unique=True, max_size=12)):
+        sa, ia = draw(SELF_NS), draw(INVOCATIONS)
+        if shape == "identical":
+            sb, ib = sa, ia
+        elif shape == "scaled":
+            sb, ib = sa * scale_self, ia * scale_invocations
+        elif shape == "colliding":
+            sa, ia = 2**draw(st.integers(53, 70)) + draw(st.integers(0, 3)), 1
+            sb, ib = sa + draw(st.sampled_from([1, -1])), 1
+        else:
+            sb, ib = draw(SELF_NS), draw(INVOCATIONS)
+        side = draw(st.sampled_from(["both", "both", "a", "b"]))
+        if side != "b":
+            rows_a.append((method, sa, ia))
+        if side != "a":
+            rows_b.append((method, sb, ib))
+    return (hot_snapshot("a", draw(st.permutations(rows_a))),
+            hot_snapshot("b", draw(st.permutations(rows_b))))
+
+
+class TestDiffMatchesFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot_pairs())
+    # deviations 1/(2**60 + 1) for "a" and 1/2**60 for "b": one float, and
+    # the exact order is not the name order
+    @example((hot_snapshot("a", [("a", 2**60 + 1, 1), ("b", 2**60, 1), ("c", 5, 1)]),
+              hot_snapshot("b", [("a", 2**60 + 2, 1), ("b", 2**60 + 1, 1), ("c", 5, 1)])))
+    @example((hot_snapshot("a", [("x", 0, 1), ("y", 0, 2), ("z", 7, 1)]),
+              hot_snapshot("b", [("x", 0, 3), ("y", 4, 2), ("z", 0, 1)])))
+    def test_rows_and_reports_equal_the_reference(self, pair):
+        a, b = pair
+        for first, second in (a, b), (b, a), (a, a):
+            expected = reference_diff(first, second)
+            rows = diff(first, second)
+            assert diff_values(rows) == expected
+            assert [r.deviation for r in rows] == [
+                None if r.ratio is None else abs(r.ratio - 1) for r in expected]
+            for fmt in report.REPORT_FORMATS:
+                assert (report.render_diff(rows, first, second, fmt)
+                        == reference_render(expected, first, second, fmt))
+
+    def test_makes_no_fraction_comparisons(self, monkeypatch):
+        # 2,000 shared rows whose ratios are (1 + i % 7) / (1 + i % 3): many
+        # exact ties, no two distinct deviations with one float; zero self
+        # times on one side and on both; added and removed methods
+        rows_a, rows_b = [], []
+        for i in range(2000):
+            sa, ia = 100 + i, 1 + i % 5
+            sb, ib = sa * (1 + i % 7), ia * (1 + i % 3)
+            if i % 97 == 0:
+                sa = sb = 0
+            elif i % 89 == 0:
+                sa = 0
+            rows_a.append((f"m{i:04d}", sa, ia))
+            rows_b.append((f"m{i:04d}", sb, ib))
+        rows_a += [(f"removed{i}", i, 1) for i in range(5)]
+        rows_b += [(f"added{i}", i, 1) for i in range(5)]
+        a, b = hot_snapshot("a", rows_a), hot_snapshot("b", rows_b)
+
+        def refuse(*_):
+            raise AssertionError("diff compared Fractions")
+
+        with monkeypatch.context() as patch:
+            for name in ("__eq__", "__lt__", "__gt__"):
+                patch.setattr(Fraction, name, refuse)
+            rows = diff(a, b)
+        assert diff_values(rows) == reference_diff(a, b)
+
+
+def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
+    """The loader's rows field by field: each field through ``json_field``,
+    then the 2**96 bound, then the duplicate check."""
+    rows, seen = [], set()
+    for i, row in enumerate(json_field(doc, key, list)):
+        where = f"{key}[{i}]: "
+        values = []
+        for name, kind, minimum in fields:
+            value = json_field(row, name, kind, minimum, where)
+            if kind is int and value >= 2**96:
+                raise ValueError(f"{where}{name!r} must be below 2**96")
+            values.append(value)
+        name = tuple((f, v) for (f, kind, _), v in zip(fields, values) if kind is str)
+        if name in seen:
+            raise ValueError(f"{where}duplicate " + ", ".join(f"{f} {v!r}" for f, v in name))
+        seen.add(name)
+        rows.append(tuple(values))
+    return rows
+
+
+TABLES = {"hot_spots": (snapshot._HOT_FIELDS, snapshot._hot_row_ok),
+          "components": (snapshot._COMPONENT_FIELDS, snapshot._component_row_ok)}
+MUTATIONS = ("not a dict", "missing", "extra", "bool", "float", "str", "int", "negative",
+             "zero", "2**96", "2**96 - 1", "duplicate")
+
+
+@st.composite
+def table_docs(draw):
+    """A snapshot's hot-spot or component table, its rows mutated in place."""
+    key = draw(st.sampled_from(sorted(TABLES)))
+    fields = TABLES[key][0]
+    valid_row = st.fixed_dictionaries({
+        name: st.text("ab", max_size=2) if kind is str else st.integers(minimum, 2**96 - 1)
+        for name, kind, minimum in fields})
+    rows = draw(st.lists(valid_row, max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        name = draw(st.sampled_from([name for name, _, _ in fields]))
+        mutation = draw(st.sampled_from(MUTATIONS))
+        if mutation == "not a dict":
+            rows[i] = draw(st.sampled_from([[], [rows[i]], "row", 3, None, True]))
+            continue
+        if not isinstance(rows[i], dict):
+            continue
+        row = rows[i] = dict(rows[i])
+        if mutation == "missing":
+            row.pop(name, None)
+        elif mutation == "extra":
+            row["extra"] = 1
+        elif mutation == "duplicate":
+            other = rows[draw(st.integers(0, len(rows) - 1))]
+            if isinstance(other, dict):
+                row.update((f, other[f]) for f, kind, _ in fields if kind is str and f in other)
+        else:
+            row[name] = {"bool": draw(st.booleans()), "float": 1.0, "str": "1", "int": 1,
+                         "negative": -1, "zero": 0, "2**96": 2**96,
+                         "2**96 - 1": 2**96 - 1}[mutation]
+    return key, {key: rows}
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_docs())
+def test_loader_rows_match_the_field_by_field_reference(table):
+    key, doc = table
+    fields, row_ok = TABLES[key]
+    outcomes = []
+    for load in (lambda: reference_rows(doc, key, fields),
+                 lambda: snapshot._rows(doc, key, fields, row_ok)):
+        try:
+            outcomes.append(repr(load()))
+        except ValueError as exc:
+            outcomes.append(f"ValueError: {exc}")
+    assert outcomes[0] == outcomes[1]
