@@ -365,12 +365,10 @@ def project_call_graph(root: CctNode) -> list[CallGraphEdge]:
                 cell[0] += child.invocations
                 cell[1] += child.total_time
         stack.extend(children)
-    edges = [
-        CallGraphEdge(caller, callee, calls, total)
-        for (caller, callee), (calls, total) in acc.items()
-    ]
-    edges.sort(key=lambda e: (-e.calls, e.caller, e.callee))
-    return edges
+    # each (caller, callee) pair is one edge, so the sort compares no further
+    order = sorted((-calls, caller, callee, total)
+                   for (caller, callee), (calls, total) in acc.items())
+    return [CallGraphEdge(caller, callee, -neg, total) for neg, caller, callee, total in order]
 
 
 def folded_stacks(root: CctNode) -> Iterator[str]:
@@ -391,6 +389,14 @@ def folded_stacks(root: CctNode) -> Iterator[str]:
             self_ns -= child.total_time
             stack.append((child, f"{path};{child.method}"))
         yield f"{path} {self_ns}"
+
+
+def edge_lines(edges: Iterable[CallGraphEdge]) -> Iterator[str]:
+    """Call-graph edges as tab-separated rows under a comment header, one
+    line each with its newline, as they come."""
+    yield "# caller\tcallee\tcalls\tcallee_total_ns\n"
+    for e in edges:
+        yield f"{e.caller}\t{e.callee}\t{e.calls}\t{e.callee_total_time}\n"
 
 
 def _tree_json(root: CctNode, out: list[str]) -> None:

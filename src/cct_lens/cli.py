@@ -13,10 +13,9 @@ import io
 import os
 import sys
 
-from . import cct, report, snapshot
-from .components import load_catalog_file
+from . import cct
 from .filters import ATTRIBUTE_TO_PARENT, FILTER_MODES, FilterSet, apply_filter
-from .trace import TraceError, errors_in, jsonl_lines, write_lines
+from .trace import REPORT_FORMATS, TraceError, errors_in, jsonl_lines, write_lines
 
 
 def _warn(message: str) -> None:
@@ -93,6 +92,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # only analyze and diff tabulate and report
+    from . import report, snapshot
+    from .components import load_catalog_file
+
     catalog = load_catalog_file(args.catalog) if args.catalog else None
     filter_set, mode = _filter_set(args), args.filter_mode
     sha256 = None
@@ -125,6 +128,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    from . import report, snapshot
+
     snap_a = snapshot.load_snapshot_file(args.snapshot_a)
     snap_b = snapshot.load_snapshot_file(args.snapshot_b)
     rows = snapshot.diff(snap_a, snap_b)
@@ -136,7 +141,7 @@ def cmd_callgraph(args) -> int:
     merged = apply_filter(_ingest_file(cct.ingest_merged, args.trace, args.lenient),
                           _filter_set(args), args.filter_mode)
     if args.format == "edges":
-        lines = report.render_edges(cct.project_call_graph(merged))
+        lines = cct.edge_lines(cct.project_call_graph(merged))
     else:
         lines = cct.folded_stacks(merged)
     write_lines(lines, args.output)
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="hot-spot, total-time, and component tables")
     p.add_argument("trace", help="trace file")
-    p.add_argument("--format", choices=report.REPORT_FORMATS, default="text")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="text")
     _add_filter_flags(p)
     p.add_argument("--catalog", help="component catalog file (default: built-in HR catalog)")
     p.add_argument("--per-thread", action="store_true",
@@ -195,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="compare two snapshots per method")
     p.add_argument("snapshot_a", help="baseline snapshot file")
     p.add_argument("snapshot_b", help="comparison snapshot file")
-    p.add_argument("--format", choices=report.REPORT_FORMATS, default="text")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p.add_argument("-o", "--output", help="report file (default: stdout)")
     p.set_defaults(func=cmd_diff)
 

@@ -132,18 +132,13 @@ def component_utilization(rows: Iterable[HotSpotRow],
             cell = acc[key] = [0, 0]
         cell[0] += row.self_time
         cell[1] += row.invocations
-    out = [
-        ComponentUtilizationRow(
-            component=component,
-            tier=tier,
-            self_time=self_ns,
-            utilization_pct=Fraction(self_ns, denom) if denom else Fraction(0),
-            invocations=inv,
-        )
-        for (component, tier), (self_ns, inv) in acc.items()
-    ]
-    out.sort(key=lambda r: (-r.self_time, r.component))
-    return out
+    # a component in two tiers with one self time keeps its first-seen
+    # order: the index decides, and the sort compares no further
+    order = sorted((-self_ns, component, i, tier, inv)
+                   for i, ((component, tier), (self_ns, inv)) in enumerate(acc.items()))
+    return [ComponentUtilizationRow(component, tier, -neg,
+                                    Fraction(-neg, denom) if denom else Fraction(0), inv)
+            for neg, component, _, tier, inv in order]
 
 
 @functools.cache

@@ -1,20 +1,20 @@
 """Per-method aggregate tables over a CCT, plus display formatting.
 
 Hot-spot rows aggregate self time and invocation counts per method over
-all calling contexts, excluding synthetic roots.  Percentages and
-per-invocation averages are exact rationals so conservation properties
-hold without rounding error; formatting to display strings happens only
+all calling contexts, excluding synthetic roots.  Percentages are exact
+rationals so conservation properties hold without rounding error; a
+per-invocation average is never stored, but printed from its row's two
+integers with exact rounding.  Formatting to display strings happens only
 at the edge.
 
 Display conventions follow desktop profiler output: self and total time
 in milliseconds with three significant digits (whole milliseconds from
 1000 ms up), percentages with one decimal, per-invocation averages with
-two decimals from 1 ms up.
+two decimals, rounded half up, from 1 ms up.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,11 +26,6 @@ class HotSpotRow(NamedTuple):
     self_time: int          # ns, summed over contexts
     self_pct: Fraction      # fraction of the table's total self time
     invocations: int
-
-    @property
-    def avg_per_invocation(self) -> Fraction:
-        """Exact mean self nanoseconds per invocation."""
-        return Fraction(self.self_time, self.invocations)
 
 
 class TotalTimeRow(NamedTuple):
@@ -87,17 +82,10 @@ def hotspot_rows(totals: dict[str, MethodTotals]) -> list[HotSpotRow]:
     percentages.
     """
     denom = sum(t.self_time for t in totals.values())
-    rows = [
-        HotSpotRow(
-            method=m,
-            self_time=t.self_time,
-            self_pct=Fraction(t.self_time, denom) if denom else Fraction(0),
-            invocations=t.invocations,
-        )
-        for m, t in totals.items()
-    ]
-    rows.sort(key=lambda r: (-r.self_time, r.method))
-    return rows
+    # methods are unique, so the sort compares no further than the name
+    order = sorted((-t.self_time, m, t.invocations) for m, t in totals.items())
+    return [HotSpotRow(m, -neg, Fraction(-neg, denom) if denom else Fraction(0), inv)
+            for neg, m, inv in order]
 
 
 def total_time_table(root: CctNode) -> list[TotalTimeRow]:
@@ -107,12 +95,8 @@ def total_time_table(root: CctNode) -> list[TotalTimeRow]:
 
 def total_time_rows(totals: dict[str, MethodTotals]) -> list[TotalTimeRow]:
     """Inclusive-time table, sorted by descending total time then name."""
-    rows = [
-        TotalTimeRow(method=m, total_time=t.total_time, invocations=t.invocations)
-        for m, t in totals.items()
-    ]
-    rows.sort(key=lambda r: (-r.total_time, r.method))
-    return rows
+    order = sorted((-t.total_time, m, t.invocations) for m, t in totals.items())
+    return [TotalTimeRow(m, -neg, inv) for neg, m, inv in order]
 
 
 def format_ms(ns: int) -> str:
@@ -136,18 +120,17 @@ def format_ms(ns: int) -> str:
     return f"{sign}{text} ms"
 
 
-def format_avg_ms(avg_ns: Fraction | int) -> str:
-    """Per-invocation average in ms: two decimals from 1 ms up, else 3 digits."""
-    avg = avg_ns if type(avg_ns) is Fraction else Fraction(avg_ns)
-    if avg == 0:
-        return "0 ms"
-    if avg >= 1_000_000:
-        ms = Decimal(avg.numerator) / Decimal(avg.denominator) / Decimal(1_000_000)
-        text = str(ms.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-        if "." in text:
-            text = text.rstrip("0").rstrip(".")
-        return f"{text} ms"
-    return format_ms(round(avg))
+def format_avg_ms(total_ns: int, count: int) -> str:
+    """The average ``total_ns / count`` in ms, exactly rounded: two decimals,
+    half up, from 1 ms up, else ``format_ms`` of the nearest integer ns,
+    half to even."""
+    if total_ns >= count * 1_000_000:
+        unit = count * 10_000
+        cents, rest = divmod(total_ns, unit)
+        ms, cents = divmod(cents + (2 * rest >= unit), 100)
+        return f"{ms} ms" if not cents else f"{ms}.{cents:02d}".rstrip("0") + " ms"
+    ns, rest = divmod(total_ns, count)
+    return format_ms(ns + (2 * rest > count or (2 * rest == count and ns & 1)))
 
 
 def format_pct(fraction: Fraction) -> str:

@@ -12,7 +12,6 @@ functions join them into one string.
 from __future__ import annotations
 
 import csv
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator, Sequence
 
@@ -20,10 +19,8 @@ from .components import ComponentUtilizationRow
 from .metrics import HotSpotRow, format_avg_ms, format_ms, format_pct
 # AnalysisTables is also imported from here by callers that build sections
 from .snapshot import AnalysisTables, Snapshot, SnapshotDiffRow
-from .trace import json_members, json_rows
-
-TEXT, CSV, JSON = "text", "csv", "json"
-REPORT_FORMATS = (TEXT, CSV, JSON)
+# the format names live with the writer, so the CLI's parser needs no report
+from .trace import CSV, JSON, REPORT_FORMATS, TEXT, json_members, json_rows
 
 
 def _text_table(headers: Sequence[str], rows: list[list[str]]) -> Iterator[str]:
@@ -81,7 +78,7 @@ _COMPONENT_NAMES = ("component", "tier", "self_ns", "utilization_pct", "invocati
 
 def _hotspot_values(r: HotSpotRow) -> tuple:
     return (r.method, r.self_time, float(r.self_pct), r.invocations,
-            float(r.avg_per_invocation))
+            r.self_time / r.invocations)
 
 
 def _component_values(r: ComponentUtilizationRow) -> tuple:
@@ -119,7 +116,7 @@ def analysis_lines(sections: Iterable[tuple[str, AnalysisTables]], fmt: str = TE
             yield from _csv_block(f"{prefix}hot spots",
                                   ["method", "self_pct", "self_ns", "invocations", "avg_ns"],
                                   ([r.method, f"{float(r.self_pct):.6f}", r.self_time,
-                                    r.invocations, f"{float(r.avg_per_invocation):.1f}"]
+                                    r.invocations, f"{r.self_time / r.invocations:.1f}"]
                                    for r in tables.hot_spots))
             yield from _csv_block(f"{prefix}total time", _TOTAL_NAMES, tables.total_time)
             yield from _csv_block(f"{prefix}components",
@@ -155,10 +152,6 @@ def render_analysis(sections: dict[str, AnalysisTables], fmt: str = TEXT) -> str
     nest under "sections".
     """
     return "".join(analysis_lines(sections.items(), fmt, labeled=len(sections) != 1))
-
-
-def _avg_text(avg: Fraction | None) -> str:
-    return "-" if avg is None else format_avg_ms(avg)
 
 
 def _per(total: int, count: int) -> float | None:
@@ -200,8 +193,11 @@ def diff_lines(rows: Iterable[SnapshotDiffRow], a: Snapshot, b: Snapshot,
         yield "\n"
         yield from _text_table(
             ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],
-            [[r.method, _avg_text(r.avg_a), _avg_text(r.avg_b), _cell(_ratio(r), ".3f", "-"),
-              str(r.invocations_a), str(r.invocations_b), r.status]
+            [[r.method,
+              format_avg_ms(r.self_a, r.invocations_a) if r.invocations_a else "-",
+              format_avg_ms(r.self_b, r.invocations_b) if r.invocations_b else "-",
+              _cell(_ratio(r), ".3f", "-"), str(r.invocations_a), str(r.invocations_b),
+              r.status]
              for r in rows])
     elif fmt == CSV:
         yield from _csv_block(f"diff {a.label} vs {b.label}",
@@ -222,11 +218,3 @@ def render_diff(rows: list[SnapshotDiffRow], a: Snapshot, b: Snapshot,
                 fmt: str = TEXT) -> str:
     """Render a snapshot diff; labels tell the reader which side is which."""
     return "".join(diff_lines(rows, a, b, fmt))
-
-
-def render_edges(edges) -> Iterator[str]:
-    """Call-graph edges as tab-separated rows under a comment header, one
-    line each with its newline, as they come."""
-    yield "# caller\tcallee\tcalls\tcallee_total_ns\n"
-    for e in edges:
-        yield f"{e.caller}\t{e.callee}\t{e.calls}\t{e.callee_total_time}\n"

@@ -21,7 +21,8 @@ structural checks, nesting and per-thread timestamp order, live in
 ``errors_in`` names the file, and the line of a byte that is not UTF-8,
 in the errors of every file reader; ``json_field`` type-checks a field
 of the JSON documents they read.  ``write_lines`` is the one writer of
-every output, and names the output in its failed writes; ``json_rows``
+every output, and names the output in its failed writes (``REPORT_FORMATS``
+names the formats of the reports it writes); ``json_rows``
 writes the rows of the JSON reports and snapshots one at a time, as
 ``json.dumps(obj, indent=2)`` does.
 """
@@ -175,6 +176,11 @@ def json_field(obj, key: str, kind: type | tuple, minimum: int | None = None,
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise ValueError(f"{where}{key!r} must be a {names}{bound}, got {value!r}")
     return value
+
+
+# the formats of the analysis and diff reports
+TEXT, CSV, JSON = "text", "csv", "json"
+REPORT_FORMATS = (TEXT, CSV, JSON)
 
 
 # the text json.dumps writes for each type of value in a report or snapshot

@@ -1,5 +1,6 @@
 """Shared helpers: seeded random well-formed traces, a naive replay oracle,
-and a reader for the JSON trees that ``export --format cct|forest`` writes.
+a reader for the JSON trees that ``export --format cct|forest`` writes, and
+the ``Decimal`` average formatter that the integer one replaced.
 
 The oracle deliberately avoids every tree abstraction from the package: it
 replays raw events against plain per-thread stacks and accumulates per-method
@@ -12,9 +13,12 @@ from __future__ import annotations
 import random
 import json
 from collections import defaultdict
+from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 
 from cct_lens.cct import CctNode
 from cct_lens.filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE
+from cct_lens.metrics import format_ms
 from cct_lens.trace import ENTER, EXIT, TraceEvent
 
 
@@ -167,3 +171,18 @@ def decode_forest(text: str) -> dict[int, CctNode]:
     doc = json.loads(text)
     assert set(doc) == {"format", "threads"} and doc["format"] == "cct-lens/forest@1"
     return {int(tid): decode_tree(obj) for tid, obj in doc["threads"].items()}
+
+
+def decimal_format_avg_ms(avg: Fraction) -> str:
+    """The average formatter that ``metrics.format_avg_ms`` replaced: a
+    ``Decimal`` quotient, quantized half up.  It rounds to 28 digits first, so
+    it is exact only for self times below 2*10**27 ns."""
+    if avg == 0:
+        return "0 ms"
+    if avg >= 1_000_000:
+        ms = Decimal(avg.numerator) / Decimal(avg.denominator) / Decimal(1_000_000)
+        text = str(ms.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+        if "." in text:
+            text = text.rstrip("0").rstrip(".")
+        return f"{text} ms"
+    return format_ms(round(avg))

@@ -429,6 +429,13 @@ class TestCallGraph:
         edges = project_call_graph(root)
         assert edges == sorted(edges, key=lambda e: (-e.calls, e.caller, e.callee))
 
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_edges_equal_the_key_function_sort(self, seed):
+        merged = merge_ccts(build_forest(random_trace(random.Random(seed), max_events=80)))
+        edges = project_call_graph(merged)
+        assert edges == sorted(set(edges), key=lambda e: (-e.calls, e.caller, e.callee))
+
 
 class TestSerialization:
     """The JSON trees are lossless: a reader in the test gets every tree back."""

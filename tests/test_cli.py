@@ -1039,6 +1039,21 @@ class TestTopLevel:
         modules = self.loaded(f"; from cct_lens.cli import main; assert main({argv!r}) == 0")
         assert "cct_lens.cli" in modules and "hashlib" not in modules
 
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--preset", "figure8"), ("callgraph", "TRACE"),
+        ("callgraph", "TRACE", "--format", "folded"),
+        ("export", "TRACE", "--format", "cct"), ("export", "TRACE", "--format", "forest"),
+        ("export", "TRACE", "--format", "folded"), ("export", "TRACE", "--format", "jsonl"),
+    ], ids=" ".join)
+    def test_commands_without_tables_load_no_report_module(self, fig8_trace, command):
+        # only analyze and diff tabulate, format numbers or write CSV
+        argv = [str(fig8_trace) if arg == "TRACE" else arg for arg in command]
+        modules = self.loaded(f"; from cct_lens.cli import main; "
+                              f"assert main({[*argv, '-o', os.devnull]!r}) == 0")
+        assert "cct_lens.cli" in modules
+        assert modules & {"cct_lens.report", "cct_lens.snapshot", "cct_lens.components",
+                          "cct_lens.metrics", "fractions", "decimal", "csv"} == set()
+
     def test_workload_import_loads_no_analysis_module(self):
         # simulate and both scripts load the simulator; none of it analyzes
         ours = {m for m in self.loaded(", cct_lens.workload") if m.startswith("cct_lens")}

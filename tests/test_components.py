@@ -224,6 +224,40 @@ class TestComponentUtilization:
         assert component_utilization([], default_hr_catalog()) == []
 
 
+# one component name in two tiers, and a component per declaring class
+TWO_TIER_CATALOG = load_catalog(["web\tShared\ta*", "dao\tShared\tb*", "business\t*\tc*"])
+
+
+def lambda_sorted_utilization(rows, catalog) -> list:
+    """``component_utilization`` as it sorted its rows before: built, then
+    sorted with a key function, which keeps the first-seen order of ties."""
+    acc: dict = {}
+    for r in rows:
+        cell = acc.setdefault(catalog.classify(r.method), [0, 0])
+        cell[0] += r.self_time
+        cell[1] += r.invocations
+    denom = sum(r.self_time for r in rows)
+    out = [components.ComponentUtilizationRow(c, t, s, Fraction(s, denom) if denom
+                                              else Fraction(0), i)
+           for (c, t), (s, i) in acc.items()]
+    out.sort(key=lambda r: (-r.self_time, r.component))
+    return out
+
+
+class TestUtilizationOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a1", "a2", "b1", "b2", "c.X.m", "c.Y.m", "d"]),
+                              st.integers(0, 3), st.integers(1, 3)),
+                    unique_by=lambda t: t[0], max_size=7))
+    # the dao Shared row is seen first: it stays first, though "dao" < "web"
+    @example([("b1", 5, 1), ("a1", 5, 1)])
+    @example([("a1", 5, 1), ("b1", 5, 1)])
+    def test_equals_the_key_function_sort(self, table):
+        rows = [row(m, s, i) for m, s, i in table]
+        assert (component_utilization(rows, TWO_TIER_CATALOG)
+                == lambda_sorted_utilization(rows, TWO_TIER_CATALOG))
+
+
 class TestCatalogFiles:
     def test_round_trip(self):
         assert load_catalog(DEFAULT_CATALOG_TEXT.splitlines()) == default_hr_catalog()

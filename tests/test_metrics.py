@@ -1,34 +1,42 @@
 """Hot-spot and total-time tables, exact averages, display formatting."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cct_lens.cct import build_forest, merge_ccts
 from cct_lens.filters import FilterSet, apply_filter
 from cct_lens.metrics import (
     HotSpotRow,
+    MethodTotals,
+    TotalTimeRow,
     format_avg_ms,
     format_ms,
     format_pct,
+    hotspot_rows,
     hotspots,
+    total_time_rows,
     total_time_table,
 )
 from cct_lens.snapshot import load_snapshot
 from cct_lens.trace import ENTER as E, EXIT as X
 
-from conftest import events_1tid, random_trace, replay_totals
+from conftest import decimal_format_avg_ms, events_1tid, random_trace, replay_totals
 
 MS = 1_000_000  # ns per ms
+# a self time and invocation count whose average a Decimal quotient rounds wrong
+HUGE_PAIR = (2_000_000_000_000_000_999_999_999_999, 200_000_000)
 
 
 def row_average(self_ns: int, invocations: int) -> Fraction:
     """The exact average that a hot-spot row with these totals reports."""
-    return HotSpotRow("m", self_ns, Fraction(1), invocations).avg_per_invocation
+    row = HotSpotRow("m", self_ns, Fraction(1), invocations)
+    return Fraction(row.self_time, row.invocations)
 
 
 class TestHotspots:
@@ -72,7 +80,23 @@ class TestHotspots:
         events = events_1tid((0, E, "a"), (5, X, "a"), (5, E, "a"), (12, X, "a"))
         root = build_forest(events)[1]
         (row,) = hotspots(root)
-        assert row.avg_per_invocation == Fraction(12, 2)
+        assert Fraction(row.self_time, row.invocations) == Fraction(12, 2)
+
+
+class TestTableOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text("abc", max_size=3),
+                           st.builds(MethodTotals, st.integers(0, 3), st.integers(0, 3),
+                                     st.integers(1, 3)), max_size=8))
+    def test_equals_the_key_function_sort(self, totals):
+        denom = sum(t.self_time for t in totals.values())
+        hot = [HotSpotRow(m, t.self_time, Fraction(t.self_time, denom) if denom
+                          else Fraction(0), t.invocations) for m, t in totals.items()]
+        hot.sort(key=lambda r: (-r.self_time, r.method))
+        assert hotspot_rows(totals) == hot
+        total = [TotalTimeRow(m, t.total_time, t.invocations) for m, t in totals.items()]
+        total.sort(key=lambda r: (-r.total_time, r.method))
+        assert total_time_rows(totals) == total
 
 
 class TestTotalTimeTable:
@@ -120,16 +144,16 @@ class TestTotalTimeTable:
 class TestAvgPerInvocation:
     def test_published_average_small(self):
         assert row_average(15_200_000, 10) == Fraction(1_520_000)
-        assert format_avg_ms(row_average(15_200_000, 10)) == "1.52 ms"
+        assert format_avg_ms(15_200_000, 10) == "1.52 ms"
 
     def test_published_average_mid(self):
         assert row_average(946 * MS, 20) == Fraction(47_300_000)
-        assert format_avg_ms(row_average(946 * MS, 20)) == "47.3 ms"
+        assert format_avg_ms(946 * MS, 20) == "47.3 ms"
 
     def test_exact_division_top_row(self):
         avg = row_average(1267 * MS, 50)
         assert avg == Fraction(1267 * MS, 50) == Fraction(25_340_000)
-        assert format_avg_ms(avg) == "25.34 ms"
+        assert format_avg_ms(1267 * MS, 50) == "25.34 ms"
 
     def test_zero_invocations_rejected(self):
         # a row without invocations has no average, so no snapshot may hold one
@@ -170,24 +194,77 @@ class TestFormatting:
         assert format_ms(ns) == text
 
     def test_format_avg_two_decimals_above_one_ms(self):
-        assert format_avg_ms(Fraction(25_340_000)) == "25.34 ms"
-        assert format_avg_ms(Fraction(2_730_000)) == "2.73 ms"
-        assert format_avg_ms(Fraction(47_300_000)) == "47.3 ms"
-        assert format_avg_ms(Fraction(1_000_000)) == "1 ms"
+        assert format_avg_ms(25_340_000, 1) == "25.34 ms"
+        assert format_avg_ms(2_730_000, 1) == "2.73 ms"
+        assert format_avg_ms(47_300_000, 1) == "47.3 ms"
+        assert format_avg_ms(1_000_000, 1) == "1 ms"
 
     def test_format_avg_below_one_ms_falls_back(self):
-        assert format_avg_ms(Fraction(1950)) == "0.00195 ms"
-        assert format_avg_ms(Fraction(0)) == "0 ms"
+        assert format_avg_ms(1950, 1) == "0.00195 ms"
+        assert format_avg_ms(0, 1) == "0 ms"
 
     def test_format_avg_rounds_half_up(self):
         # 1.255 ms -> 1.26, not banker's 1.25 or 1.2
-        assert format_avg_ms(Fraction(1_255_000)) == "1.26 ms"
+        assert format_avg_ms(1_255_000, 1) == "1.26 ms"
+
+    def test_format_avg_is_exact_above_decimal_precision(self):
+        # 10000000000000.004999... ms: a 28-digit quotient rounds it up to a
+        # tie, and half up then gives 10000000000000.01
+        assert format_avg_ms(*HUGE_PAIR) == "10000000000000 ms"
+        assert decimal_format_avg_ms(Fraction(*HUGE_PAIR)) == "10000000000000.01 ms"
 
     def test_format_pct(self):
         assert format_pct(Fraction(1)) == "100.0%"
         assert format_pct(Fraction(1, 3)) == "33.3%"
         assert format_pct(Fraction(1_267_000, 3_059_976)) == "41.4%"
         assert format_pct(Fraction(0)) == "0.0%"
+
+
+@st.composite
+def average_terms(draw, self_limit: int, count_limit: int):
+    """``(self_ns, invocations)`` below the limits: free, or near an exact
+    hundredth of a ms or half of one per invocation (``k * 5_000 * count + d``),
+    or at half a nanosecond per invocation (``k * count + count // 2``)."""
+    count = draw(st.integers(1, 1000) | st.integers(1, count_limit - 1))
+    kind = draw(st.sampled_from(["free", "cents", "half_ns"]))
+    if kind == "free":
+        return draw(st.integers(0, self_limit - 1)), count
+    if kind == "cents":
+        unit = 5_000 * count
+        k = draw(st.integers(0, (self_limit - 2) // unit))
+        return min(max(k * unit + draw(st.sampled_from([-1, 0, 1])), 0), self_limit - 1), count
+    k = draw(st.integers(0, (self_limit - 1 - count // 2) // count))
+    return k * count + count // 2, count
+
+
+def exact_avg_ms(self_ns: int, invocations: int) -> str:
+    """``format_avg_ms`` in exact ``Fraction`` arithmetic: the ms value
+    rounded half up to hundredths from 1 ms up, else ``format_ms`` of the
+    nearest integer ns, half to even (``round``)."""
+    avg = Fraction(self_ns, invocations)
+    if avg < 1_000_000:
+        return format_ms(round(avg))
+    cents = math.floor(avg / 10_000 + Fraction(1, 2))
+    text = f"{cents // 100}.{cents % 100:02d}".rstrip("0").rstrip(".")
+    return f"{text} ms"
+
+
+class TestFormatAvgReferences:
+    @settings(max_examples=500, deadline=None)
+    @given(average_terms(2 * 10**27, 2**64 + 1))
+    @example((1_255_000, 1))
+    @example((2 * 10**27 - 1, 1))
+    def test_equals_decimal_formatter_below_its_precision(self, terms):
+        assert format_avg_ms(*terms) == decimal_format_avg_ms(Fraction(*terms))
+
+    @settings(max_examples=500, deadline=None)
+    @given(average_terms(2**96, 2**96))
+    @example(HUGE_PAIR)
+    # 298023223876953.124999... ms, which the Decimal formatter printed as .13
+    @example((10**28 - 1, 2**25))
+    @example((2**96 - 1, 2**96 - 1))
+    def test_equals_exact_half_up(self, terms):
+        assert format_avg_ms(*terms) == exact_avg_ms(*terms)
 
 
 class TestTableInvariants:

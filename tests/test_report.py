@@ -27,7 +27,7 @@ def _hotspot_obj(r: HotSpotRow) -> dict:
         "self_ns": r.self_time,
         "self_pct": float(r.self_pct),
         "invocations": r.invocations,
-        "avg_ns": float(r.avg_per_invocation),
+        "avg_ns": float(Fraction(r.self_time, r.invocations)),
     }
 
 

@@ -15,7 +15,7 @@ from cct_lens import metrics, report, snapshot
 from cct_lens import workload as wl
 from cct_lens.cct import ingest, merge_ccts
 from cct_lens.cli import main
-from cct_lens.metrics import HotSpotRow, format_avg_ms
+from cct_lens.metrics import HotSpotRow
 from cct_lens.snapshot import (
     ADDED,
     REMOVED,
@@ -31,7 +31,7 @@ from cct_lens.snapshot import (
 )
 from cct_lens.trace import TraceParseError, json_field
 
-from conftest import random_trace, trace_lines
+from conftest import decimal_format_avg_ms, random_trace, trace_lines
 
 
 def _sha256(data: bytes) -> str:
@@ -268,7 +268,8 @@ def reference_diff(a: Snapshot, b: Snapshot) -> list[ReferenceRow]:
     for method in rows_a.keys() | rows_b.keys():
         in_a, in_b = rows_a.get(method), rows_b.get(method)
         if in_a is not None and in_b is not None:
-            avg_a, avg_b = in_a.avg_per_invocation, in_b.avg_per_invocation
+            avg_a = Fraction(in_a.self_time, in_a.invocations)
+            avg_b = Fraction(in_b.self_time, in_b.invocations)
             if avg_a == 0 and avg_b == 0:
                 ratio = Fraction(1)
             elif avg_a == 0 or avg_b == 0:
@@ -278,10 +279,12 @@ def reference_diff(a: Snapshot, b: Snapshot) -> list[ReferenceRow]:
             shared_rows.append(ReferenceRow(method, avg_a, avg_b, in_a.invocations,
                                             in_b.invocations, ratio, SHARED))
         elif in_b is not None:
-            added_removed.append(ReferenceRow(method, None, in_b.avg_per_invocation, 0,
+            added_removed.append(ReferenceRow(method, None,
+                                              Fraction(in_b.self_time, in_b.invocations), 0,
                                               in_b.invocations, None, ADDED))
         else:
-            added_removed.append(ReferenceRow(method, in_a.avg_per_invocation, None,
+            added_removed.append(ReferenceRow(method,
+                                              Fraction(in_a.self_time, in_a.invocations), None,
                                               in_a.invocations, 0, None, REMOVED))
     shared_rows.sort(key=lambda r: (0, Fraction(0), r.method) if r.ratio is None
                      else (1, -abs(r.ratio - 1), r.method))
@@ -301,8 +304,9 @@ def reference_render(rows: list[ReferenceRow], a: Snapshot, b: Snapshot, fmt: st
                 f"b={b.label} (users={b.user_count})\n\n")
         return head + "".join(report._text_table(
             ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],
-            [[r.method, "-" if r.avg_a is None else format_avg_ms(r.avg_a),
-              "-" if r.avg_b is None else format_avg_ms(r.avg_b), num(r.ratio, ".3f", "-"),
+            [[r.method, "-" if r.avg_a is None else decimal_format_avg_ms(r.avg_a),
+              "-" if r.avg_b is None else decimal_format_avg_ms(r.avg_b),
+              num(r.ratio, ".3f", "-"),
               str(r.invocations_a), str(r.invocations_b), r.status] for r in rows]))
     if fmt == "csv":
         return "".join(report._csv_block(
@@ -411,6 +415,21 @@ class TestDiffMatchesFractionReference:
                 patch.setattr(Fraction, name, refuse)
             rows = diff(a, b)
         assert diff_values(rows) == reference_diff(a, b)
+
+
+class TestDiffAverages:
+    def test_cli_prints_the_exact_average_of_a_huge_row(self, tmp_path, capsys):
+        # 10000000000000.004999... ms, which the Decimal formatter printed as
+        # 10000000000000.01 ms
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        save_snapshot(hot_snapshot("a", [("m", 2_000_000_000_000_000_999_999_999_999,
+                                          200_000_000)]), paths[0])
+        save_snapshot(hot_snapshot("b", [("m", 3_000_000, 2)]), paths[1])
+        assert main(["diff", *map(str, paths)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].split() == [
+            "m", "10000000000000", "ms", "1.5", "ms", "0.000", "200000000", "2", "shared"]
+        assert ".01 ms" not in out
 
 
 def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
