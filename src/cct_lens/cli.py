@@ -114,7 +114,9 @@ def cmd_analyze(args) -> int:
     if root is not None:
         merged_tables = snapshot.tabulate(root, catalog, filter_set, mode)
     if args.snapshot_out:
-        snap = snapshot.Snapshot(args.label or args.trace, args.user_count,
+        # argv holds a byte that is not UTF-8 as a surrogate; a snapshot has U+FFFD
+        label = (args.label or args.trace).encode("utf-8", "surrogateescape")
+        snap = snapshot.Snapshot(label.decode("utf-8", "replace"), args.user_count,
                                  merged_tables.hot_spots, merged_tables.components,
                                  sha256.hexdigest())
         snapshot.save_snapshot(snap, args.snapshot_out)

@@ -64,21 +64,31 @@ class ComponentRule(NamedTuple):
 
 
 class ComponentCatalog:
-    """An ordered rule list, compiled once into one regex alternation.
+    """An ordered rule list, compiled once into one regex alternation of
+    ``prefix`` or ``name\\Z`` per rule, in rule order.
 
-    Rule ``i`` is group ``i + 1``: ``(prefix)`` for a prefix pattern,
-    ``(name\\Z)`` for an exact one.  ``re`` tries the alternatives in
-    order, so the group that matches belongs to the first matching rule.
+    The alternatives hold no groups (``re`` saves every group at each failed
+    alternative, which made a match quadratic in the rule count), so the
+    matched text names the rule: the first prefix rule with that prefix, or,
+    when it is the whole name, the first rule of either kind with that text.
     """
 
-    __slots__ = ("rules", "_match")
+    __slots__ = ("rules", "_match", "_prefix", "_whole")
 
     def __init__(self, rules: Iterable[ComponentRule]):
         self.rules = tuple(rules)
-        groups = [f"({re.escape(rule.pattern.text[:-1])})" if rule.pattern.text.endswith("*")
-                  else f"({re.escape(rule.pattern.text)}\\Z)" for rule in self.rules]
-        # with no rules, a pattern that never matches
-        self._match = re.compile("|".join(groups) or "(?!)").match
+        alternatives, self._prefix, self._whole = [], {}, {}
+        for rule in self.rules:
+            text = rule.pattern.text
+            if text.endswith("*"):
+                text = text[:-1]
+                alternatives.append(re.escape(text))
+                self._prefix.setdefault(text, rule)
+            else:
+                alternatives.append(re.escape(text) + "\\Z")
+            self._whole.setdefault(text, rule)
+        # "(?!)" never matches; a lone "*" rule joins to "", which matches all
+        self._match = re.compile("|".join(alternatives) if alternatives else "(?!)").match
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComponentCatalog):
@@ -99,7 +109,8 @@ class ComponentCatalog:
         match = self._match(method)
         if match is None:
             return declaring_class(method), Tier.OTHER
-        rule = self.rules[match.lastindex - 1]
+        text = match.group()
+        rule = (self._whole if len(text) == len(method) else self._prefix)[text]
         component = rule.component
         if component == DERIVE:
             component = declaring_class(method)

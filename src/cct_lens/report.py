@@ -61,8 +61,12 @@ class _Echo:
         return text
 
 
+# a label's carriage returns and line feeds as escapes, so it keeps to its line
+_ONE_LINE = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
 def _csv_block(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
-    yield f"# {title}\n"
+    yield f"# {title.translate(_ONE_LINE)}\n"
     writer = csv.writer(_Echo(), lineterminator="\n")
     yield writer.writerow(headers)
     for row in rows:
@@ -188,8 +192,8 @@ def diff_lines(rows: Iterable[SnapshotDiffRow], a: Snapshot, b: Snapshot,
                fmt: str = TEXT) -> Iterator[str]:
     """The lines of ``render_diff``, each with its newline."""
     if fmt == TEXT:
-        yield (f"Snapshot diff: a={a.label} (users={a.user_count})  "
-               f"b={b.label} (users={b.user_count})\n")
+        yield (f"Snapshot diff: a={a.label.translate(_ONE_LINE)} (users={a.user_count})  "
+               f"b={b.label.translate(_ONE_LINE)} (users={b.user_count})\n")
         yield "\n"
         yield from _text_table(
             ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],

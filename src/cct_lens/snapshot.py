@@ -138,63 +138,34 @@ def diff(a: Snapshot, b: Snapshot) -> list[SnapshotDiffRow]:
     costing something or vice versa); added/removed rows come last.
     Ties break by method name.
 
-    The order is exact, made from integers: with self times s and
-    invocations i, a shared row's deviation is |sb*ia - sa*ib| / (sa*ib),
-    and dividing two ints gives the correctly rounded float, so the float
-    keys order any two rows as their exact deviations do, unless the floats
-    are equal (``_order_ties``).
+    The order is exact for values below ``_INT_LIMIT``: every snapshot
+    ``load_snapshot`` accepts, and every table of a trace ``ingest`` accepts.
+    A shared row sorts on the integer ``(|n - d| << _KEY_SHIFT) // d`` for
+    ``(n, d) = ratio_terms``, which orders rows as their deviations do.
     """
     # HotSpotRow is (method, self_time, self_pct, invocations)
     rows_a = {r.method: r for r in a.hotspot_table}
     rows_b = {r.method: r for r in b.hotspot_table}
-    # (key, method, |sb*ia - sa*ib|, |sa*ib|, row), and (method, row) for an
-    # undefined ratio; methods are unique, so a sort compares no further
-    finite, undefined, one_sided = [], [], []
+    # (rank, key, method, row): undefined ratios rank 0, defined ones 1,
+    # added 2 and removed 3; methods are unique, so a sort compares no further
+    keyed = []
     for method, (_, sa, _, ia) in rows_a.items():
         in_b = rows_b.pop(method, None)
         if in_b is None:
-            one_sided.append((REMOVED, method, SnapshotDiffRow(method, sa, 0, ia, 0, REMOVED)))
+            keyed.append((3, 0, method, SnapshotDiffRow(method, sa, 0, ia, 0, REMOVED)))
             continue
         _, sb, _, ib = in_b
         row = SnapshotDiffRow(method, sa, sb, ia, ib, SHARED)
-        if sa and sb:
-            num, den = abs(sb * ia - sa * ib), abs(sa * ib)
-            finite.append((-(num / den), method, num, den, row))
-        elif sa or sb:
-            undefined.append((method, row))
+        terms = row.ratio_terms
+        if terms is None:
+            keyed.append((0, 0, method, row))
         else:
-            finite.append((-0.0, method, 0, 1, row))
+            n, d = terms
+            keyed.append((1, -((abs(n - d) << _KEY_SHIFT) // d), method, row))
     for method, (_, sb, _, ib) in rows_b.items():
-        one_sided.append((ADDED, method, SnapshotDiffRow(method, 0, sb, 0, ib, ADDED)))
-    undefined.sort()
-    finite.sort()
-    _order_ties(finite)
-    one_sided.sort()
-    return ([row for _, row in undefined] + [k[-1] for k in finite]
-            + [k[-1] for k in one_sided])
-
-
-def _order_ties(keyed: list) -> None:
-    """Sort by exact deviation each run of ``diff``'s sorted shared rows
-    whose float keys are equal, if its deviations differ.
-
-    One pass compares each row with its run's first by cross-multiplying; a
-    run of exact ties, such as every row of two identical snapshots, stays
-    in name order.
-    """
-    runs, start, first, mixed = [], 0, None, False
-    for i, (key, _, num, den, _) in enumerate(keyed):
-        if key != first:
-            if mixed:
-                runs.append((start, i))
-            start, first, num0, den0, mixed = i, key, num, den, False
-        elif not mixed and num * den0 != num0 * den:
-            mixed = True
-    if mixed:
-        runs.append((start, len(keyed)))
-    for start, end in runs:
-        keyed[start:end] = sorted(keyed[start:end],
-                                  key=lambda k: (-Fraction(k[2], k[3]), k[1]))
+        keyed.append((2, 0, method, SnapshotDiffRow(method, 0, sb, 0, ib, ADDED)))
+    keyed.sort()
+    return [k[-1] for k in keyed]
 
 
 # the members of a snapshot's header, and (field, type, minimum) per row, in
@@ -206,19 +177,24 @@ _COMPONENT_FIELDS = (("component", str, None), ("tier", str, None),
 # the integers of any trace that ``ingest`` accepts stay below this in the
 # tables (each thread's times are below 2**64), and every diff format renders them
 _INT_LIMIT = 2**96
+# a ratio's terms are below _INT_LIMIT**2, so two distinct deviations differ
+# by more than 1 / _INT_LIMIT**4: scaled by 2**_KEY_SHIFT, by more than 1
+_KEY_SHIFT = 4 * (_INT_LIMIT.bit_length() - 1)
 
 
 def _hot_row_ok(method, self_ns, invocations) -> bool:
     """Whether a hot-spot row's values have the exact types and the ranges of
-    ``_HOT_FIELDS``; a ``bool`` is not an ``int`` here."""
-    return (type(method) is str and type(self_ns) is int and type(invocations) is int
+    ``_HOT_FIELDS``; a ``bool`` is not an ``int`` here.  Text that is not
+    ASCII is left to ``_table_field``'s UTF-8 check."""
+    return (type(method) is str and method.isascii() and type(self_ns) is int
+            and type(invocations) is int
             and 0 <= self_ns < _INT_LIMIT and 1 <= invocations < _INT_LIMIT)
 
 
 def _component_row_ok(component, tier, self_ns, invocations) -> bool:
     """``_hot_row_ok`` for a row of ``_COMPONENT_FIELDS``."""
-    return (type(component) is str and type(tier) is str and type(self_ns) is int
-            and type(invocations) is int
+    return (type(component) is str and component.isascii() and type(tier) is str
+            and tier.isascii() and type(self_ns) is int and type(invocations) is int
             and 0 <= self_ns < _INT_LIMIT and 0 <= invocations < _INT_LIMIT)
 
 
@@ -243,10 +219,16 @@ def dump_snapshot(snapshot: Snapshot) -> str:
 
 
 def _table_field(obj, key: str, kind: type, minimum: int | None = None, where: str = ""):
-    """``trace.json_field``, refusing integers of ``_INT_LIMIT`` or more."""
+    """``trace.json_field``, refusing integers of ``_INT_LIMIT`` or more, and
+    text that UTF-8 cannot encode (a lone surrogate, which JSON can escape)."""
     value = json_field(obj, key, kind, minimum, where)
     if kind is int and value >= _INT_LIMIT:
         raise ValueError(f"{where}{key!r} must be below 2**96")
+    if kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{where}{key!r} must be UTF-8 text, got {value!r}") from None
     return value
 
 
@@ -304,7 +286,7 @@ def load_snapshot(text: str) -> Snapshot:
         for component, tier, self_ns, invocations in comps
     )
     return Snapshot(
-        label=json_field(doc, "label", str),
+        label=_table_field(doc, "label", str),
         user_count=json_field(doc, "user_count", int),
         hotspot_table=hot_rows,
         component_table=comp_rows,

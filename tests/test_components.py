@@ -339,6 +339,8 @@ class TestCompiledCatalog:
     @given(RULES, st.lists(TEXT, max_size=4), st.lists(TEXT, max_size=4))
     @example([], [], ["a.B.m()", ""])  # no rules: every name falls through
     @example([("a.", "exact", "C", Tier.WEB), ("a", "prefix", "D", Tier.DAO)], [""], [])
+    # one text, exact rule first: "a" takes it, "aa" the prefix rule
+    @example([("a", "exact", "C", Tier.WEB), ("a", "prefix", "D", Tier.DAO)], ["a"], [])
     @example([("a$", "exact", DERIVE, Tier.WEB), ("", "bare", "C", Tier.DAO)], ["\n"], ["a"])
     def test_same_as_the_rule_loop(self, spec, suffixes, names):
         catalog = catalog_of(spec)
@@ -351,6 +353,13 @@ class TestCompiledCatalog:
             probes += [stem + suffix for suffix in suffixes]
         for method in probes:
             assert catalog.classify(method) == rule_loop(catalog, method), method
+
+    def test_pattern_has_no_groups(self):
+        # re saves and restores every group mark at each failed alternative,
+        # so one group per rule made a match quadratic in the rule count
+        rules = [ComponentRule.of(f"p{i}.*", "X", Tier.WEB) for i in range(100)]
+        for catalog in ComponentCatalog(rules), default_hr_catalog():
+            assert catalog._match.__self__.groups == 0
 
     def test_compiled_once(self, monkeypatch):
         catalog = ComponentCatalog((ComponentRule.of("a.*", "X", Tier.WEB),))

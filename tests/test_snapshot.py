@@ -1,6 +1,8 @@
 """Labeled analysis snapshots and cross-load diffs."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -355,7 +357,7 @@ def snapshot_pairs(draw):
         elif shape == "scaled":
             sb, ib = sa * scale_self, ia * scale_invocations
         elif shape == "colliding":
-            sa, ia = 2**draw(st.integers(53, 70)) + draw(st.integers(0, 3)), 1
+            sa, ia = 2**draw(st.integers(53, 95)) + draw(st.integers(0, 3)), 1
             sb, ib = sa + draw(st.sampled_from([1, -1])), 1
         else:
             sb, ib = draw(SELF_NS), draw(INVOCATIONS)
@@ -375,6 +377,10 @@ class TestDiffMatchesFractionReference:
     # the exact order is not the name order
     @example((hot_snapshot("a", [("a", 2**60 + 1, 1), ("b", 2**60, 1), ("c", 5, 1)]),
               hot_snapshot("b", [("a", 2**60 + 2, 1), ("b", 2**60 + 1, 1), ("c", 5, 1)])))
+    # the same at 2**95, where the deviations differ by about 2**-190: a sort
+    # key narrower than that cannot tell them apart
+    @example((hot_snapshot("a", [("a", 2**95 + 1, 1), ("b", 2**95, 1), ("c", 5, 1)]),
+              hot_snapshot("b", [("a", 2**95 + 2, 1), ("b", 2**95 + 1, 1), ("c", 5, 1)])))
     @example((hot_snapshot("a", [("x", 0, 1), ("y", 0, 2), ("z", 7, 1)]),
               hot_snapshot("b", [("x", 0, 3), ("y", 4, 2), ("z", 0, 1)])))
     def test_rows_and_reports_equal_the_reference(self, pair):
@@ -432,9 +438,67 @@ class TestDiffAverages:
         assert ".01 ms" not in out
 
 
+class TestSnapshotText:
+    """Labels and names a snapshot holds are written by every diff format."""
+
+    @staticmethod
+    def doc(label="a", method="m", component="C") -> str:
+        # json.dumps escapes a lone surrogate, as a hand-written file may
+        return json.dumps({"format": snapshot._SNAPSHOT_FORMAT, "label": label, "user_count": 1,
+                           "source_trace_digest": "",
+                           "hot_spots": [{"method": method, "self_ns": 5, "invocations": 1}],
+                           "components": [{"component": component, "tier": "web",
+                                           "self_ns": 5, "invocations": 1}]})
+
+    @pytest.mark.parametrize("field, where", [
+        ("label", "'label'"), ("method", "hot_spots[0]: 'method'"),
+        ("component", "components[0]: 'component'")])
+    def test_refuses_text_utf8_cannot_encode(self, tmp_path, capsys, field, where):
+        bad, good, out = tmp_path / "bad.json", tmp_path / "good.json", tmp_path / "out.txt"
+        bad.write_text(self.doc(**{field: "\ud800bad"}), encoding="utf-8")
+        good.write_text(self.doc(), encoding="utf-8")
+        for fmt in report.REPORT_FORMATS:
+            assert main(["diff", str(good), str(bad), "--format", fmt, "-o", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {bad}: {where} must be UTF-8 text, got '\\ud800bad'\n")
+            assert not out.exists()
+
+    def test_loads_text_that_is_not_ascii(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text(self.doc("lóad", "é.m()", "Ç"), encoding="utf-8")
+        snap = load_snapshot_file(path)
+        assert (snap.label, snap.hotspot_table[0].method,
+                snap.component_table[0].component) == ("lóad", "é.m()", "Ç")
+        assert main(["diff", str(path), str(path)]) == 0
+        assert capsys.readouterr().out.startswith("Snapshot diff: a=lóad ")
+
+    def test_snapshot_out_replaces_a_label_byte_that_is_not_utf8(self, tmp_path, capsys):
+        trace, snap = tmp_path / "t.tsv", tmp_path / "s.json"
+        trace.write_text("1\t1\tE\ta.B.m()\n2\t1\tX\ta.B.m()\n", encoding="utf-8")
+        # argv gives the byte 0xff as the surrogate U+DCFF
+        assert main(["analyze", str(trace), "--snapshot-out", str(snap),
+                     "--label", "load\udcff"]) == 0
+        capsys.readouterr()
+        assert load_snapshot_file(snap).label == "load\ufffd"
+        assert main(["diff", str(snap), str(snap), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("# diff load\ufffd vs load\ufffd\n")
+
+    def test_label_line_breaks_stay_on_their_line(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(self.doc("1\ruser"), encoding="utf-8")
+        b.write_text(self.doc("20\nusers\r"), encoding="utf-8")
+        assert main(["diff", str(a), str(b), "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[:2] == [["# diff 1\\ruser vs 20\\nusers\\r"], list(report._DIFF_NAMES)]
+        assert len(rows) == 3
+        assert main(["diff", str(a), str(b)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "Snapshot diff: a=1\\ruser (users=1)  b=20\\nusers\\r (users=1)", ""]
+
+
 def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
     """The loader's rows field by field: each field through ``json_field``,
-    then the 2**96 bound, then the duplicate check."""
+    then the 2**96 bound or the UTF-8 check, then the duplicate check."""
     rows, seen = [], set()
     for i, row in enumerate(json_field(doc, key, list)):
         where = f"{key}[{i}]: "
@@ -443,6 +507,11 @@ def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
             value = json_field(row, name, kind, minimum, where)
             if kind is int and value >= 2**96:
                 raise ValueError(f"{where}{name!r} must be below 2**96")
+            if kind is str:
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{where}{name!r} must be UTF-8 text, got {value!r}")
             values.append(value)
         name = tuple((f, v) for (f, kind, _), v in zip(fields, values) if kind is str)
         if name in seen:
@@ -455,7 +524,7 @@ def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
 TABLES = {"hot_spots": (snapshot._HOT_FIELDS, snapshot._hot_row_ok),
           "components": (snapshot._COMPONENT_FIELDS, snapshot._component_row_ok)}
 MUTATIONS = ("not a dict", "missing", "extra", "bool", "float", "str", "int", "negative",
-             "zero", "2**96", "2**96 - 1", "duplicate")
+             "zero", "2**96", "2**96 - 1", "duplicate", "not ascii", "surrogate")
 
 
 @st.composite
@@ -488,7 +557,7 @@ def table_docs(draw):
         else:
             row[name] = {"bool": draw(st.booleans()), "float": 1.0, "str": "1", "int": 1,
                          "negative": -1, "zero": 0, "2**96": 2**96,
-                         "2**96 - 1": 2**96 - 1}[mutation]
+                         "2**96 - 1": 2**96 - 1, "not ascii": "é", "surrogate": "a\udc80"}[mutation]
     return key, {key: rows}
 
 
