@@ -102,29 +102,15 @@ class _ThreadState:
         self.last_ts = ts
 
 
-def _finish_thread(state: _ThreadState, lineno: int, lenient: bool,
-                   warn: Callable[[str], None] | None) -> None:
-    tid = state.tid
-    # the thread's first timestamp was checked when it was read
-    if state.last_ts not in TS_RANGE:
-        raise TraceStructureError(TS_RANGE_ERROR, tid=tid)
-    if state.stack:
-        if not lenient:
-            top = state.stack[-1][0]
-            raise TraceStructureError(
-                f"{len(state.stack)} frame(s) still open at end of trace "
-                f"(innermost: {top.method})",
-                tid=tid,
-                lineno=lineno,
-            )
-        if warn is not None:
-            warn(f"tid {tid}, line {lineno}: closed {len(state.stack)} frame(s) left open "
-                 f"at end of trace (ts {state.last_ts})")
-        # close open frames at the last observed timestamp, innermost first
-        for node, enter_ts in reversed(state.stack):
-            node.total_time += state.last_ts - enter_ts
-            node.truncated = True
-        state.stack.clear()
+def _defect(lenient: bool, warn: Callable[[str], None] | None, tid: int, lineno: int,
+            error: str, repair: str, *values) -> None:
+    """Raise ``error`` as thread ``tid``'s TraceStructureError at line ``lineno``,
+    or, lenient, warn ``tid T, line N: <repair>``: ``str.format`` templates
+    over ``values``, of which only the one used is built."""
+    if not lenient:
+        raise TraceStructureError(error.format(*values), lineno, tid)
+    if warn is not None:
+        warn(f"tid {tid}, line {lineno}: {repair.format(*values)}")
 
 
 def _set_busy_time(root: CctNode) -> None:
@@ -171,12 +157,8 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
                 state = threads[str(tid)] = _ThreadState(tid, ts, shared_root)
         tid = state.tid
         if ts < state.last_ts:
-            if not lenient:
-                raise TraceStructureError(
-                    f"timestamp regression {state.last_ts} -> {ts}", tid=tid, lineno=lineno)
-            if warn is not None:
-                warn(f"tid {tid}, line {lineno}: clamped timestamp regression "
-                     f"{state.last_ts} -> {ts}")
+            _defect(lenient, warn, tid, lineno, "timestamp regression {} -> {}",
+                    "clamped timestamp regression {} -> {}", state.last_ts, ts)
             ts = state.last_ts
         else:
             state.last_ts = ts
@@ -194,26 +176,33 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
             stack.append((node, ts))
         else:
             if not stack:
-                if not lenient:
-                    raise TraceStructureError(
-                        f"orphan exit for {method} (empty stack)", tid=tid, lineno=lineno)
-                if warn is not None:
-                    warn(f"tid {tid}, line {lineno}: dropped orphan exit for {method}")
+                _defect(lenient, warn, tid, lineno, "orphan exit for {} (empty stack)",
+                        "dropped orphan exit for {}", method)
                 continue
             node, enter_ts = stack[-1]
             if node.method != method:
-                if not lenient:
-                    raise TraceStructureError(
-                        f"mismatched exit: got {method}, innermost open frame is {node.method}",
-                        tid=tid, lineno=lineno)
-                if warn is not None:
-                    warn(f"tid {tid}, line {lineno}: dropped mismatched exit for {method} "
-                         f"(innermost open frame: {node.method})")
+                _defect(lenient, warn, tid, lineno,
+                        "mismatched exit: got {}, innermost open frame is {}",
+                        "dropped mismatched exit for {} (innermost open frame: {})",
+                        method, node.method)
                 continue
             stack.pop()
             node.total_time += ts - enter_ts
     for state in threads.values():
-        _finish_thread(state, lineno, lenient, warn)
+        stack, last_ts = state.stack, state.last_ts
+        # the thread's first timestamp was checked when it was read
+        if last_ts not in TS_RANGE:
+            raise TraceStructureError(TS_RANGE_ERROR, tid=state.tid)
+        if stack:
+            _defect(lenient, warn, state.tid, lineno,
+                    "{0} frame(s) still open at end of trace (innermost: {1})",
+                    "closed {0} frame(s) left open at end of trace (ts {2})",
+                    len(stack), stack[-1][0].method, last_ts)
+            # close open frames at the last observed timestamp, innermost first
+            for node, enter_ts in reversed(stack):
+                node.total_time += last_ts - enter_ts
+                node.truncated = True
+            stack.clear()
     return threads.values()
 
 
@@ -236,9 +225,10 @@ def ingest(lines: Iterable[str], lenient: bool = False,
     exits, frames left open at end of input, or per-thread timestamp
     regressions.  Lenient mode drops orphan and mismatched exits, clamps
     regressing timestamps to the running maximum, and closes frames left
-    open at the thread's last observed timestamp, marking them truncated.
-    Errors and warnings name the thread and the 1-based line; frames left
-    open are reported at the last line.
+    open at the thread's last observed timestamp, marking them truncated;
+    it passes ``warn`` one ``tid T, line N: <repair>`` per repair.  An
+    error and a warning for the same defect name the same thread and
+    1-based line; frames left open are reported at the last line.
 
     Both modes refuse a timestamp outside the signed 64-bit range.  A
     thread's timestamps, clamped ones included, lie between its first one

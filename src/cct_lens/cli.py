@@ -15,7 +15,7 @@ import sys
 
 from . import cct
 from .filters import ATTRIBUTE_TO_PARENT, FILTER_MODES, FilterSet, apply_filter
-from .trace import REPORT_FORMATS, TraceError, errors_in, jsonl_lines, write_lines
+from .trace import REPORT_FORMATS, errors_in, jsonl_lines, write_lines
 
 
 def _warn(message: str) -> None:
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (TraceError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

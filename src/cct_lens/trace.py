@@ -46,17 +46,21 @@ TS_RANGE_ERROR = "timestamp outside the signed 64-bit range"
 
 
 class TraceError(ValueError):
-    """Base class for trace format and trace structure problems."""
+    """Base class for trace format and trace structure problems.
+
+    The message starts with ``tid T, line N: `` for the parts given.
+    """
+
+    def __init__(self, message: str, lineno: int | None = None, tid: int | None = None):
+        self.lineno = lineno
+        self.tid = tid
+        where = ", ".join(f"{name} {value}" for name, value in (("tid", tid), ("line", lineno))
+                          if value is not None)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 class TraceParseError(TraceError):
     """A line that does not conform to the trace grammar."""
-
-    def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
 
 
 class TraceStructureError(TraceError):
@@ -66,18 +70,6 @@ class TraceStructureError(TraceError):
     Lenient consumers repair or drop the offending events instead, except
     for a timestamp out of range, which both modes refuse.
     """
-
-    def __init__(self, message: str, tid: int | None = None, lineno: int | None = None):
-        self.tid = tid
-        self.lineno = lineno
-        where = []
-        if tid is not None:
-            where.append(f"tid {tid}")
-        if lineno is not None:
-            where.append(f"line {lineno}")
-        if where:
-            message = f"{', '.join(where)}: {message}"
-        super().__init__(message)
 
 
 @contextlib.contextmanager

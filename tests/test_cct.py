@@ -197,6 +197,34 @@ class TestLenientRecovery:
         assert child(root, "b").truncated
 
 
+@pytest.mark.parametrize("read", [ingest, ingest_merged], ids=["ingest", "ingest_merged"])
+def test_defect_wording(read):
+    # each defect, word for word: a strict error and a lenient warning for
+    # the same defect name the same thread and line
+    strict = [
+        (["0\t1\tX\ta"], "tid 1, line 1: orphan exit for a (empty stack)"),
+        (["2\t7\tE\ta", "1\t7\tX\ta"], "tid 7, line 2: timestamp regression 2 -> 1"),
+        (["0\t1\tE\ta", "1\t1\tE\tb", "2\t1\tX\tb", "# c", "3\t1\tX\tc"],
+         "tid 1, line 5: mismatched exit: got c, innermost open frame is a"),
+        (["0\t1\tE\ta", "1\t1\tE\tb", "2\t2\tE\td", ""],
+         "tid 1, line 4: 2 frame(s) still open at end of trace (innermost: b)"),
+    ]
+    for lines, message in strict:
+        with pytest.raises(TraceStructureError) as info:
+            read(lines)
+        assert str(info.value) == message
+    warnings: list[str] = []
+    read(["0\t1\tX\ta", "1\t1\tE\ta", "2\t1\tE\tb", "1\t1\tX\tb", "3\t1\tX\tc", "4\t2\tE\td"],
+         lenient=True, warn=warnings.append)
+    assert warnings == [
+        "tid 1, line 1: dropped orphan exit for a",
+        "tid 1, line 4: clamped timestamp regression 2 -> 1",
+        "tid 1, line 5: dropped mismatched exit for c (innermost open frame: a)",
+        "tid 1, line 6: closed 1 frame(s) left open at end of trace (ts 3)",
+        "tid 2, line 6: closed 1 frame(s) left open at end of trace (ts 4)",
+    ]
+
+
 class TestForest:
     def test_one_root_per_tid(self):
         events = [

@@ -495,6 +495,22 @@ class TestSnapshotText:
         assert capsys.readouterr().out.splitlines()[:2] == [
             "Snapshot diff: a=1\\ruser (users=1)  b=20\\nusers\\r (users=1)", ""]
 
+    def test_method_line_breaks_stay_in_their_text_diff_row(self, tmp_path, capsys):
+        paths = []
+        for side, ns in (("a", 5), ("b", 7)):
+            doc = json.loads(self.doc(side, "bad\nmethod"))
+            doc["hot_spots"].append({"method": "ok\r.m", "self_ns": 3, "invocations": 1})
+            paths.append(tmp_path / f"{side}.json")
+            doc["hot_spots"][0]["self_ns"] = ns
+            paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["diff", *map(str, paths)]) == 0
+        # the widths count the escaped text, so the columns line up
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "Method             Avg a        Avg b  Ratio b/a  Inv a  Inv b  Status",
+            "----------------------------------------------------------------------",
+            "bad\\nmethod  0.000005 ms  0.000007 ms      1.400      1      1  shared",
+            "ok\\r.m       0.000003 ms  0.000003 ms      1.000      1      1  shared"]
+
 
 def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
     """The loader's rows field by field: each field through ``json_field``,

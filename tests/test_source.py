@@ -188,3 +188,61 @@ def test_the_check_sees_children_writes():
               "    children = {}\n"
               "    children[k] = v\n")
     assert sorted(children_writes(ast.parse(source))) == ["2", "3", "4", "5", "6", "7"]
+
+
+# the one function of cct.py that decides between a strict error and a
+# lenient repair's warning
+DEFECT = ("cct.py", "_defect")
+
+
+def strictness_uses(tree: ast.AST, skip: str | None = None) -> list[str]:
+    """``what:line`` of each place outside the function named ``skip`` that
+    decides between strict and lenient handling: a test of an ``if``,
+    ``while``, ``assert``, conditional expression or comprehension filter
+    that reads ``lenient``, and a call of ``warn``."""
+    found = []
+    for node in nodes_outside(tree, skip):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "warn"):
+            found.append(f"warn:{node.lineno}")
+        if isinstance(node, ast.comprehension):
+            tests = node.ifs
+        elif isinstance(node, (ast.If, ast.While, ast.Assert, ast.IfExp)):
+            tests = [node.test]
+        else:
+            tests = []
+        found += [f"lenient:{test.lineno}" for test in tests
+                  if any(isinstance(name, ast.Name) and name.id == "lenient"
+                         for name in ast.walk(test))]
+    return found
+
+
+def test_one_place_decides_strict_or_lenient():
+    # a second strict-or-lenient pair would fork the wording and the
+    # handling that _defect keeps for every structural defect
+    path = next(p for p in SOURCES if p.name == DEFECT[0])
+    assert strictness_uses(ast.parse(path.read_text(encoding="utf-8")), DEFECT[1]) == []
+
+
+def test_the_check_sees_strictness():
+    source = ("def f(lenient, warn, xs):\n"
+              "    if not lenient:\n"
+              "        raise ValueError\n"
+              "    warn('x')\n"
+              "    g(lenient, warn)\n"
+              "    y = 1 if lenient and xs else 2\n"
+              "    while lenient:\n"
+              "        pass\n"
+              "    assert lenient\n"
+              "    return [x for x in xs if not lenient]\n"
+              "def _defect(lenient, warn):\n"
+              "    if not lenient:\n"
+              "        raise ValueError\n"
+              "    if warn is not None:\n"
+              "        warn('y')\n")
+    tree = ast.parse(source)
+    assert sorted(strictness_uses(tree, skip="_defect")) == sorted([
+        "lenient:2", "warn:4", "lenient:6", "lenient:7", "lenient:9", "lenient:10"])
+    assert sorted(strictness_uses(tree)) == sorted([
+        "lenient:2", "warn:4", "lenient:6", "lenient:7", "lenient:9", "lenient:10",
+        "lenient:12", "warn:15"])
