@@ -8,10 +8,11 @@ chain, on how many threads, and under which LatencyModel, and is checked
 when it is built; ``simulate_lines`` expands it into a balanced enter/exit
 trace, line by line.
 
-Randomness is counter-based: every frame's self duration is derived by
-hashing (seed, use case, execution index, frame index), so generation
-order and host parallelism cannot change the output.  Identical specs
-produce byte-identical traces.
+Each thread compiles each chain it runs once, into tables of line
+suffixes and self times.  Randomness is counter-based: a jittered frame's
+self duration hashes (seed, use case, execution index, frame index) over
+a copy of its execution's key prefix, so generation order and host
+parallelism cannot change the output: identical specs, identical bytes.
 
 ``figure8_preset`` pins a 20-user snapshot of this portal whose analysis
 reproduces the reference hot-spot table in ``FIGURE8_TABLE`` exactly:
@@ -28,7 +29,7 @@ import json
 from hashlib import blake2b
 from typing import Iterator, Mapping, NamedTuple
 
-from .trace import ENTER, EXIT, errors_in, json_field
+from .trace import ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, errors_in, json_field
 
 SERVLET_ARGS = ("javax.servlet.http.HttpServletRequest,"
                 "javax.servlet.http.HttpServletResponse")
@@ -107,13 +108,26 @@ def frame(method: str, *children: Frame) -> Frame:
 
 def frame_count(frames: tuple[Frame, ...]) -> int:
     """The frames in ``frames`` and all their callees."""
-    count = 0
-    stack = list(frames)
+    return len(_chain_program(frames)[0])
+
+
+def _chain_program(chain: tuple[Frame, ...]) -> tuple[list[str], list[int]]:
+    """A chain's methods in preorder, and its events in order: frame ``j``
+    enters as ``j`` and exits as ``~j``."""
+    methods: list[str] = []
+    events: list[int] = []
+    # frames still to enter, and the indices of open frames still to exit
+    stack: list[Frame | int] = list(reversed(chain))
     while stack:
-        f = stack.pop()
-        count += 1
-        stack.extend(f.children)
-    return count
+        item = stack.pop()
+        if isinstance(item, int):
+            events.append(~item)
+            continue
+        events.append(len(methods))
+        stack.append(len(methods))
+        methods.append(item.method)
+        stack.extend(reversed(item.children))
+    return methods, events
 
 
 # a bean builds a fresh DAO for each call
@@ -232,10 +246,14 @@ class LatencyModel(_Latency):
         if self.jitter == 0.0 or base == 0:
             return base
         key = f"{seed}|{use_case}|{execution_index}|{frame_index}".encode()
-        word = int.from_bytes(blake2b(key, digest_size=8).digest(), "big")
-        unit = word / 2**64  # uniform in [0, 1)
-        factor = 1.0 + self.jitter * (2.0 * unit - 1.0)
-        return max(0, round(base * factor))
+        return _jittered(base, self.jitter, blake2b(key, digest_size=8).digest())
+
+
+def _jittered(base: int, jitter: float, digest: bytes) -> int:
+    """``base`` scaled by a factor in [1 - jitter, 1 + jitter) that ``digest`` picks."""
+    unit = int.from_bytes(digest, "big") / 2**64  # uniform in [0, 1)
+    factor = 1.0 + jitter * (2.0 * unit - 1.0)
+    return max(0, round(base * factor))
 
 
 class WorkloadSpec:
@@ -373,27 +391,35 @@ def _thread_lines(spec: WorkloadSpec, tid: int) -> Iterator[tuple[int, int, str]
     The thread runs every ``thread_count``-th execution, counted in
     sorted use-case order from tid 1, back to back on its own clock.
     """
-    latency, seed = spec.latency, spec.seed
+    latency, seed, jitter = spec.latency, spec.seed, spec.latency.jitter
     runs = ((use_case, i) for use_case in sorted(spec.executions)
             for i in range(spec.executions[use_case]))
-    t = 0
+    t, compiled = 0, None
     for use_case, execution_index in itertools.islice(runs, tid - 1, None, spec.thread_count):
-        frame_index = 0
-        # (open frame, its callees still to run); the chain's top-level frames sit under None
-        stack: list[tuple[Frame | None, Iterator[Frame]]] = [(None, iter(CHAINS[use_case]))]
-        while stack:
-            fr = next(stack[-1][1], None)
-            if fr is None:
-                done = stack.pop()[0]
-                if done is not None:
-                    yield t, tid, f"{t}\t{tid}\t{EXIT}\t{done.method}"
-                continue
-            yield t, tid, f"{t}\t{tid}\t{ENTER}\t{fr.method}"
-            # a frame's self time runs before its first callee
-            t += latency.self_duration_ns(fr.method, seed, use_case, execution_index,
-                                          frame_index)
-            frame_index += 1
-            stack.append((fr, iter(fr.children)))
+        if use_case != compiled:
+            compiled = use_case
+            methods, events = _chain_program(CHAINS[use_case])
+            suffixes = [f"\t{tid}\t{ENTER}\t{methods[j]}" if j >= 0
+                        else f"\t{tid}\t{EXIT}\t{methods[~j]}" for j in events]
+            # an enter moves the clock by its frame's self time, an exit by nothing
+            bases = [latency.base_ns.get(methods[j], latency.default_base_ns) if j >= 0 else 0
+                     for j in events]
+            # (event, frame index as the key's last part, base) of each jittered frame
+            hashed = [(k, str(j).encode(), bases[k]) for k, j in enumerate(events)
+                      if bases[k] and jitter]
+        steps = bases
+        if hashed:
+            steps = bases.copy()
+            prefix = blake2b(f"{seed}|{use_case}|{execution_index}|".encode(), digest_size=8)
+            for k, key, base in hashed:
+                h = prefix.copy()
+                h.update(key)
+                steps[k] = _jittered(base, jitter, h.digest())
+        if t + sum(steps) >= 2**63:
+            raise TraceStructureError(TS_RANGE_ERROR, tid=tid)
+        for suffix, step in zip(suffixes, steps):
+            yield t, tid, f"{t}{suffix}"
+            t += step
 
 
 def simulate_lines(spec: WorkloadSpec) -> Iterator[str]:
@@ -405,7 +431,10 @@ def simulate_lines(spec: WorkloadSpec) -> Iterator[str]:
     run back to back on its own timeline, so per-tid frames never
     overlap.  Events are ordered globally by (ts, tid, per-tid order).
     Pure function of the spec: identical specs give identical lines.
-    Memory is bounded by the threads and the chain depth.
+    Each thread compiles each chain once; an execution hashes one key
+    prefix, copied for each jittered frame.  A thread whose clock would
+    pass ``2**63 - 1`` ns raises ``TraceStructureError`` (a ValueError).
+    Memory is bounded by the threads and the chain length.
     """
     mix = " ".join(f"{name}={spec.executions[name]}" for name in sorted(spec.executions))
     header = [

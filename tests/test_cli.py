@@ -154,6 +154,32 @@ class TestSimulate:
         assert (code, stdout, stderr.count("\n")) == (1, "", 1)
         assert stderr.startswith(f"error: {path}: {message}")
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "-o"])
+    def test_timeline_past_64_bits_refused(self, capsys, tmp_path, to_file):
+        spec_path = tmp_path / "w.json"
+        spec_path.write_text('{"executions": {"login": 2}, "default_base_ns": %d, "jitter": 0.5}'
+                             % (2**63 - 1))
+        out = tmp_path / "t.tsv"
+        code, stdout, stderr = run(capsys, "simulate", "--spec", str(spec_path),
+                                   *(["-o", str(out)] if to_file else []))
+        assert (code, stderr) == (1, "error: tid 1: timestamp outside the signed 64-bit range\n")
+        written = out.read_text() if to_file else stdout
+        # the first execution already passes the limit: only the header is out
+        assert [line[:1] for line in written.splitlines()] == ["#"] * 3
+        if to_file:
+            assert stdout == ""
+
+    def test_timeline_reaching_64_bits_accepted(self, capsys, tmp_path):
+        spec_path = tmp_path / "w.json"
+        spec_path.write_text('{"executions": {"login_page": 1}, "default_base_ns": %d}'
+                             % (2**63 - 1))
+        out = tmp_path / "t.tsv"
+        code, _, _ = run(capsys, "simulate", "--spec", str(spec_path), "-o", str(out))
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[-1].split("\t")[0] == str(2**63 - 1)
+        cct.ingest(lines)
+
 
 class TestAnalyze:
     def test_text_report_layout(self, capsys, fig8_trace):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cct_lens import workload as wl
 from cct_lens.cct import ingest, merge_ccts
 from cct_lens.metrics import format_ms, hotspots
-from cct_lens.trace import iter_trace
+from cct_lens.trace import TraceStructureError, iter_trace
 
 
 def analyze(text: str):
@@ -192,6 +192,48 @@ class TestSimulate:
                                latency=wl.LatencyModel(base_ns={}, default_base_ns=base,
                                                        jitter=jitter))
         assert wl.simulate(spec) == simulate_by_sorting(spec)
+
+    MIXED_USE_CASES = ("register", "login", "recruit", "hrprocess_page", "container_init")
+
+    @given(
+        executions=st.dictionaries(st.sampled_from(MIXED_USE_CASES),
+                                   st.integers(min_value=0, max_value=4), max_size=5),
+        # often more threads than executions
+        threads=st.integers(min_value=1, max_value=30),
+        # methods left out take the default 0: one execution mixes hashed and unhashed frames
+        base_ns=st.dictionaries(
+            st.sampled_from(sorted({m for name in MIXED_USE_CASES
+                                    for m in chain_methods(wl.CHAINS[name])})),
+            st.one_of(st.just(0), st.integers(min_value=1, max_value=1000),
+                      st.integers(min_value=0, max_value=2**40))),
+        jitter=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(min_value=-2**64, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_text_as_sorting_per_method_bases(self, executions, threads, base_ns, jitter,
+                                                    seed):
+        spec = wl.WorkloadSpec(executions=executions, seed=seed, thread_count=threads,
+                               latency=wl.LatencyModel(base_ns=base_ns, default_base_ns=0,
+                                                       jitter=jitter))
+        assert wl.simulate(spec) == simulate_by_sorting(spec)
+
+    def test_timeline_past_64_bits_refused(self):
+        def spec(second_ns):
+            # tid 1 runs the page view, tid 2 the servlet frame and its callee
+            return wl.WorkloadSpec(
+                executions={"addcandidate_page": 1, "hrprocess_page": 1}, thread_count=2,
+                latency=wl.LatencyModel(base_ns={wl.HRPROCESS_SERVLET_DOGET: 2**62,
+                                                 wl.HRPROCESS_PROCESS_REQUEST: second_ns}))
+
+        lines = []
+        with pytest.raises(TraceStructureError,
+                           match=r"^tid 2: timestamp outside the signed 64-bit range$"):
+            lines.extend(wl.simulate_lines(spec(2**62)))
+        assert not any(line.split("\t")[1:2] == ["2"] for line in lines)
+        # one nanosecond less reaches 2**63 - 1 exactly, which a trace may hold
+        text = wl.simulate(spec(2**62 - 1))
+        assert text.endswith(f"{2**63 - 1}\t2\tX\t{wl.HRPROCESS_SERVLET_DOGET}\n")
+        ingest(text.splitlines())
 
     def test_threads_start_only_with_executions(self, monkeypatch):
         started = []
