@@ -157,6 +157,8 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
                 state = threads[str(tid)] = _ThreadState(tid, ts, shared_root)
         tid = state.tid
         if ts < state.last_ts:
+            if ts not in TS_RANGE:
+                raise TraceStructureError(TS_RANGE_ERROR, lineno, tid)
             _defect(lenient, warn, tid, lineno, "timestamp regression {} -> {}",
                     "clamped timestamp regression {} -> {}", state.last_ts, ts)
             ts = state.last_ts
@@ -231,9 +233,8 @@ def ingest(lines: Iterable[str], lenient: bool = False,
     1-based line; frames left open are reported at the last line.
 
     Both modes refuse a timestamp outside the signed 64-bit range.  A
-    thread's timestamps, clamped ones included, lie between its first one
-    and its running maximum, so only these two are checked: the first on
-    its line, the maximum at the end of the trace.
+    thread's first timestamp and each regressing one are checked on their
+    lines, its running maximum at the end; every other lies between these.
     """
     roots = {}
     for state in sorted(_ingest(lines, lenient, warn, None), key=lambda state: state.tid):
@@ -382,11 +383,10 @@ def folded_stacks(root: CctNode) -> Iterator[str]:
 
 
 def edge_lines(edges: Iterable[CallGraphEdge]) -> Iterator[str]:
-    """Call-graph edges as tab-separated rows under a comment header, one
-    line each with its newline, as they come."""
-    yield "# caller\tcallee\tcalls\tcallee_total_ns\n"
+    """Call-graph edges as tab-separated rows under a comment header, as they come."""
+    yield "# caller\tcallee\tcalls\tcallee_total_ns"
     for e in edges:
-        yield f"{e.caller}\t{e.callee}\t{e.calls}\t{e.callee_total_time}\n"
+        yield f"{e.caller}\t{e.callee}\t{e.calls}\t{e.callee_total_time}"
 
 
 def _tree_json(root: CctNode, out: list[str]) -> None:

@@ -6,7 +6,7 @@ CSV output carries one block per table, each preceded by a ``#`` section
 comment; JSON output is a single object with one key per table.  All
 emitters are deterministic for identical inputs, and yield their lines
 one row at a time (``analysis_lines``, ``diff_lines``); the ``render_*``
-functions join them into one string.
+functions join them into one string with ``trace.join_lines``.
 """
 
 from __future__ import annotations
@@ -20,19 +20,19 @@ from .metrics import HotSpotRow, format_avg_ms, format_ms, format_pct
 # AnalysisTables is also imported from here by callers that build sections
 from .snapshot import AnalysisTables, Snapshot, SnapshotDiffRow
 # the format names live with the writer, so the CLI's parser needs no report
-from .trace import CSV, JSON, REPORT_FORMATS, TEXT, json_members, json_rows
+from .trace import CSV, JSON, REPORT_FORMATS, TEXT, join_lines, json_members, json_rows
 
 
 def _text_table(headers: Sequence[str], rows: list[list[str]]) -> Iterator[str]:
-    """An aligned table's lines, each with its newline."""
+    """An aligned table's lines."""
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
     # left-align the first (name) column, right-align numbers
     template = "  ".join([f"{{:<{widths[0]}}}", *(f"{{:>{w}}}" for w in widths[1:])])
     head = template.format(*headers).rstrip()
-    yield head + "\n"
-    yield "-" * len(head) + "\n"
+    yield head
+    yield "-" * len(head)
     for row in rows:
-        yield template.format(*row).rstrip() + "\n"
+        yield template.format(*row).rstrip()
 
 
 def _text_section(tables: AnalysisTables) -> Iterator[str]:
@@ -40,11 +40,11 @@ def _text_section(tables: AnalysisTables) -> Iterator[str]:
         ["Hot Spots - Method", "Self time (%)", "Self time", "Invocations"],
         [[r.method, format_pct(r.self_pct), format_ms(r.self_time), str(r.invocations)]
          for r in tables.hot_spots])
-    yield "\n"
+    yield ""
     yield from _text_table(
         ["Method", "Total time", "Invocations"],
         [[r.method, format_ms(r.total_time), str(r.invocations)] for r in tables.total_time])
-    yield "\n"
+    yield ""
     yield from _text_table(
         ["Component", "Tier", "Utilization (%)", "Self time", "Invocations"],
         [[r.component, r.tier.label, format_pct(r.utilization_pct),
@@ -68,11 +68,12 @@ def _one_line(text: str) -> str:
 
 
 def _csv_block(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
-    yield f"# {_one_line(title)}\n"
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    yield writer.writerow(headers)
+    yield f"# {_one_line(title)}"
+    # csv quotes a cell that holds a character of the terminator: either line break
+    writer = csv.writer(_Echo(), lineterminator="\r\n")
+    yield writer.writerow(headers)[:-2]
     for row in rows:
-        yield writer.writerow(row)
+        yield writer.writerow(row)[:-2]
 
 
 # the members of each JSON row (and CSV columns where they agree), and the
@@ -102,19 +103,18 @@ def _tables_json(tables: AnalysisTables, pad: str) -> Iterator[str]:
 
 def analysis_lines(sections: Iterable[tuple[str, AnalysisTables]], fmt: str = TEXT,
                    labeled: bool = False) -> Iterator[str]:
-    """The lines of ``render_analysis``, each with its newline, one section
-    at a time: ``sections`` is ``(label, tables)`` pairs, and may make each
-    section's tables as it is read.  ``labeled`` sections carry their
-    labels, as ``render_analysis`` labels any number of sections but one;
-    unlabeled JSON takes exactly one section.
+    """The lines of ``render_analysis``, one section at a time: ``sections``
+    is ``(label, tables)`` pairs, and may make each section's tables as it
+    is read.  ``labeled`` sections carry their labels, as ``render_analysis``
+    labels any number of sections but one; unlabeled JSON takes exactly one.
     """
     if fmt == TEXT:
         for i, (label, tables) in enumerate(sections):
             if i:
-                yield "\n"
+                yield ""
             if labeled:
-                yield f"=== {label} ===\n"
-                yield "\n"
+                yield f"=== {label} ==="
+                yield ""
             yield from _text_section(tables)
     elif fmt == CSV:
         for label, tables in sections:
@@ -135,16 +135,16 @@ def analysis_lines(sections: Iterable[tuple[str, AnalysisTables]], fmt: str = TE
     elif fmt == JSON:
         if not labeled:
             for _, tables in sections:
-                yield "{\n"
+                yield "{"
                 yield from _tables_json(tables, "  ")
-                yield "}\n"
+                yield "}"
             return
         # each section's closing brace waits for the next section, or the end
-        head, tail = '{\n  "sections": {\n', '{\n  "sections": {}\n}\n'
+        head, tail = '{\n  "sections": {', '{\n  "sections": {}\n}'
         for label, tables in sections:
-            yield f"{head}    {_json_string(label)}: {{\n"
+            yield f"{head}\n    {_json_string(label)}: {{"
             yield from _tables_json(tables, "      ")
-            head, tail = "    },\n", "    }\n  }\n}\n"
+            head, tail = "    },", "    }\n  }\n}"
         yield tail
     else:
         raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
@@ -157,7 +157,7 @@ def render_analysis(sections: dict[str, AnalysisTables], fmt: str = TEXT) -> str
     single merged section collapses to a flat object; multiple sections
     nest under "sections".
     """
-    return "".join(analysis_lines(sections.items(), fmt, labeled=len(sections) != 1))
+    return join_lines(analysis_lines(sections.items(), fmt, labeled=len(sections) != 1))
 
 
 def _per(total: int, count: int) -> float | None:
@@ -192,11 +192,11 @@ def _diff_values(r: SnapshotDiffRow) -> tuple:
 
 def diff_lines(rows: Iterable[SnapshotDiffRow], a: Snapshot, b: Snapshot,
                fmt: str = TEXT) -> Iterator[str]:
-    """The lines of ``render_diff``, each with its newline."""
+    """The lines of ``render_diff``."""
     if fmt == TEXT:
         yield (f"Snapshot diff: a={_one_line(a.label)} (users={a.user_count})  "
-               f"b={_one_line(b.label)} (users={b.user_count})\n")
-        yield "\n"
+               f"b={_one_line(b.label)} (users={b.user_count})")
+        yield ""
         yield from _text_table(
             ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],
             [[_one_line(r.method),
@@ -213,9 +213,9 @@ def diff_lines(rows: Iterable[SnapshotDiffRow], a: Snapshot, b: Snapshot,
                                for method, avg_a, avg_b, ratio, inv_a, inv_b, status
                                in map(_diff_values, rows)))
     elif fmt == JSON:
-        yield f'{{\n  "a": {{\n{_side_json(a)}\n  }},\n  "b": {{\n{_side_json(b)}\n  }},\n'
+        yield f'{{\n  "a": {{\n{_side_json(a)}\n  }},\n  "b": {{\n{_side_json(b)}\n  }},'
         yield from json_rows("rows", _DIFF_NAMES, map(_diff_values, rows), "  ", last=True)
-        yield "}\n"
+        yield "}"
     else:
         raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
 
@@ -223,4 +223,4 @@ def diff_lines(rows: Iterable[SnapshotDiffRow], a: Snapshot, b: Snapshot,
 def render_diff(rows: list[SnapshotDiffRow], a: Snapshot, b: Snapshot,
                 fmt: str = TEXT) -> str:
     """Render a snapshot diff; labels tell the reader which side is which."""
-    return "".join(diff_lines(rows, a, b, fmt))
+    return join_lines(diff_lines(rows, a, b, fmt))

@@ -28,7 +28,7 @@ from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
-from .trace import errors_in, json_field, json_members, json_rows, write_lines
+from .trace import errors_in, join_lines, json_field, json_members, json_rows, write_lines
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -199,10 +199,10 @@ def _component_row_ok(component, tier, self_ns, invocations) -> bool:
 
 
 def snapshot_lines(snapshot: Snapshot) -> Iterator[str]:
-    """The lines of ``dump_snapshot``, each with its newline, one row at a time."""
+    """The lines of ``dump_snapshot``, one row at a time."""
     head = (_SNAPSHOT_FORMAT, snapshot.label, snapshot.user_count,
             snapshot.source_trace_digest)
-    yield f"{{\n{json_members(_HEAD_NAMES, head, '  ')},\n"
+    yield f"{{\n{json_members(_HEAD_NAMES, head, '  ')},"
     yield from json_rows("hot_spots", [name for name, _, _ in _HOT_FIELDS],
                          ((r.method, r.self_time, r.invocations) for r in snapshot.hotspot_table),
                          "  ", last=False)
@@ -210,12 +210,12 @@ def snapshot_lines(snapshot: Snapshot) -> Iterator[str]:
                          ((r.component, r.tier.value, r.self_time, r.invocations)
                           for r in snapshot.component_table),
                          "  ", last=True)
-    yield "}\n"
+    yield "}"
 
 
 def dump_snapshot(snapshot: Snapshot) -> str:
     """Serialize to JSON; percentages are recomputed on load, not stored."""
-    return "".join(snapshot_lines(snapshot))
+    return join_lines(snapshot_lines(snapshot))
 
 
 def _table_field(obj, key: str, kind: type, minimum: int | None = None, where: str = ""):

@@ -20,11 +20,12 @@ structural checks, nesting and per-thread timestamp order, live in
 ``ts``/``tid``/``ev``/``m``; the tab-separated form is canonical.
 ``errors_in`` names the file, and the line of a byte that is not UTF-8,
 in the errors of every file reader; ``json_field`` type-checks a field
-of the JSON documents they read.  ``write_lines`` is the one writer of
-every output, and names the output in its failed writes (``REPORT_FORMATS``
-names the formats of the reports it writes); ``json_rows``
-writes the rows of the JSON reports and snapshots one at a time, as
-``json.dumps(obj, indent=2)`` does.
+of the JSON documents they read.  ``write_lines``, the one writer of
+every output, names the output in its failed writes.  Producers yield
+lines without newlines: ``write_lines`` ends each one, and ``join_lines``
+gives the same text as one string.  ``REPORT_FORMATS`` names the report
+formats; ``json_rows`` gives the rows of the JSON reports and snapshots
+one at a time, as ``json.dumps(obj, indent=2)`` writes them.
 """
 
 from __future__ import annotations
@@ -104,10 +105,15 @@ def errors_in(path):
 WRITE_BATCH = 1 << 14
 
 
+def join_lines(lines: Iterable[str]) -> str:
+    """The text ``write_lines`` writes for ``lines``: each line and a newline."""
+    return "\n".join([*lines, ""])
+
+
 def _write_batch(out, batch: list[str], sha256) -> None:
-    text = "".join(batch)
-    batch.clear()
-    if text:
+    if batch:
+        text = join_lines(batch)
+        batch.clear()
         out.write(text)
         if sha256 is not None:
             sha256.update(text.encode("utf-8"))
@@ -115,7 +121,7 @@ def _write_batch(out, batch: list[str], sha256) -> None:
 
 def write_lines(lines: Iterable[str], path=None, sha256=None) -> None:
     """Write ``lines`` to the file ``path``, or to stdout if it is None: each
-    line, and a newline unless it ends with one.
+    line and a newline after it, as ``join_lines`` joins them.
 
     The lines are joined into batches of about ``WRITE_BATCH`` characters
     (more if one line is longer), one write each.  ``sha256``, if given,
@@ -134,8 +140,6 @@ def write_lines(lines: Iterable[str], path=None, sha256=None) -> None:
             size = 0
             try:
                 for line in lines:
-                    if not line.endswith("\n"):
-                        line += "\n"
                     batch.append(line)
                     size += len(line)
                     if size >= WRITE_BATCH:
@@ -195,20 +199,20 @@ def json_rows(key: str, names: Sequence[str], rows: Iterable[Sequence], pad: str
     ``json_members``), as ``json.dumps(obj, indent=2)`` writes it, with a
     comma after it unless it is the ``last``.
 
-    One item per row, each ending in a newline: a row is given once the
-    next one shows that it is not the last.
+    One item per row, which spans several lines but does not end with a
+    newline: a row is given once the next one shows that it is not the last.
     """
     inner = pad + "  "
     heads = [f"{inner}  {_json_string(name)}: " for name in names]
     start, end = f"{inner}{{\n", f"\n{inner}}}"
     head, row = f"{pad}{_json_string(key)}: [", None
     for values in rows:
-        yield f"{head}\n" if row is None else f"{row},\n"
+        yield head if row is None else f"{row},"
         # json_members, with the names written once
         members = ",\n".join(map(str.__add__, heads,
                                  [_JSON_SCALAR[type(value)](value) for value in values]))
         row = f"{start}{members}{end}"
-    close = "\n" if last else ",\n"
+    close = "" if last else ","
     yield f"{head}]{close}" if row is None else f"{row}\n{pad}]{close}"
 
 

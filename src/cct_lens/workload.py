@@ -29,7 +29,8 @@ import json
 from hashlib import blake2b
 from typing import Iterator, Mapping, NamedTuple
 
-from .trace import ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, errors_in, json_field
+from .trace import (ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, errors_in, join_lines,
+                    json_field)
 
 SERVLET_ARGS = ("javax.servlet.http.HttpServletRequest,"
                 "javax.servlet.http.HttpServletResponse")
@@ -452,8 +453,8 @@ def simulate_lines(spec: WorkloadSpec) -> Iterator[str]:
 
 
 def simulate(spec: WorkloadSpec) -> str:
-    """``simulate_lines`` as one text, each line ending in a newline."""
-    return "\n".join(simulate_lines(spec)) + "\n"
+    """``simulate_lines`` as one text, as ``trace.write_lines`` writes it."""
+    return join_lines(simulate_lines(spec))
 
 
 def load_workload_spec(text: str) -> WorkloadSpec:

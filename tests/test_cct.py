@@ -110,6 +110,8 @@ class TestStrictErrors:
     @pytest.mark.parametrize("first, last, where", [
         (-2**63 - 1, 0, "tid 1, line 1"),
         (2**63, 2**63, "tid 1, line 1"),
+        # a regression below the range is refused, not clamped, on its line
+        (0, -2**63 - 1, "tid 1, line 2"),
         # the running maximum is checked at the end, where its line is not known
         (0, 2**63, "tid 1"),
     ])

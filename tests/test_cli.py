@@ -879,6 +879,14 @@ class TestBadTraceNamesTheFile:
         assert stdout == ('{"ts": %d, "tid": 1, "ev": "E", "m": "a.b()"}\n' % first
                           if line == 2 else "")
 
+    def test_regression_below_64_bits(self, capsys, tmp_path):
+        # strict, lenient and jsonl export refuse it with one message
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"0\t1\tE\ta\n{-10**23}\t1\tX\ta\n", encoding="utf-8")
+        for command in [("analyze",), ("analyze", "--lenient"), ("export", "--format", "jsonl")]:
+            self.check(capsys, tmp_path, command, path,
+                       "tid 1, line 2: timestamp outside the signed 64-bit range")
+
     def check(self, capsys, tmp_path, command, path, message):
         name, *flags = command
         argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]

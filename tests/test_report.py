@@ -7,6 +7,8 @@ is the reference for every byte.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from cct_lens.report import (REPORT_FORMATS, AnalysisTables, _text_table, analys
                              diff_lines,
                              render_analysis, render_diff)
 from cct_lens.snapshot import Snapshot, SnapshotDiffRow, dump_snapshot, snapshot_lines
+from cct_lens.trace import join_lines
 
 
 def _hotspot_obj(r: HotSpotRow) -> dict:
@@ -119,11 +122,11 @@ CASES = settings(max_examples=60, deadline=None)
 
 
 def each_ends_a_line(lines) -> str:
-    """The text of ``lines``, each of which must end with its newline, as
-    the writer writes it unchanged only then."""
+    """The text the writer writes for ``lines``, each of which must leave its
+    newline to the writer: none may end with one."""
     lines = list(lines)
-    assert all(line.endswith("\n") for line in lines)
-    return "".join(lines)
+    assert not any(line.endswith("\n") for line in lines)
+    return join_lines(lines)
 
 
 @CASES
@@ -177,10 +180,10 @@ def reference_text_table(headers, rows):
         parts += [f"{c:>{widths[i]}}" for i, c in enumerate(cells) if i > 0]
         return "  ".join(parts).rstrip()
     head = fmt(headers)
-    yield head + "\n"
-    yield "-" * len(head) + "\n"
+    yield head
+    yield "-" * len(head)
     for row in rows:
-        yield fmt(row) + "\n"
+        yield fmt(row)
 
 
 # braces and format fields, combining characters, trailing whitespace
@@ -205,3 +208,25 @@ def text_tables(draw):
 def test_text_table_is_the_cell_by_cell_table(table):
     headers, rows = table
     assert list(_text_table(headers, rows)) == list(reference_text_table(headers, rows))
+
+
+def csv_rows_as_before(rows) -> str:
+    """The lines ``csv.writer`` writes with its former terminator ``"\\n"``,
+    under which a cell with a bare ``"\\r"`` was not quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@CASES
+@given(st.lists(DIFF_ROW, max_size=5), SNAPSHOT, SNAPSHOT)
+@example([SnapshotDiffRow(m, 10, 20, 2, 2, "shared") for m in ["a\rb", "a\nb", "a\r\nb", "c"]],
+         Snapshot("x", 1, (), (), ""), Snapshot("y", 2, (), (), ""))
+def test_csv_cells_read_back(rows, a, b):
+    text = render_diff(rows, a, b, "csv")
+    header, *read = csv.reader(io.StringIO(text.split("\n", 1)[1], newline=""))
+    # a line break in a cell is quoted, so every method reads back whole
+    assert [row[0] for row in read] == [r.method for r in rows]
+    if not any("\r" in r.method for r in rows):
+        # every other byte is as it was
+        assert text.split("\n", 1)[1] == csv_rows_as_before([header, *read])

@@ -31,7 +31,7 @@ from cct_lens.snapshot import (
     tabulate,
     take_snapshot,
 )
-from cct_lens.trace import TraceParseError, json_field
+from cct_lens.trace import TraceParseError, join_lines, json_field
 
 from conftest import decimal_format_avg_ms, random_trace, trace_lines
 
@@ -304,14 +304,14 @@ def reference_render(rows: list[ReferenceRow], a: Snapshot, b: Snapshot, fmt: st
     if fmt == "text":
         head = (f"Snapshot diff: a={a.label} (users={a.user_count})  "
                 f"b={b.label} (users={b.user_count})\n\n")
-        return head + "".join(report._text_table(
+        return head + join_lines(report._text_table(
             ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],
             [[r.method, "-" if r.avg_a is None else decimal_format_avg_ms(r.avg_a),
               "-" if r.avg_b is None else decimal_format_avg_ms(r.avg_b),
               num(r.ratio, ".3f", "-"),
               str(r.invocations_a), str(r.invocations_b), r.status] for r in rows]))
     if fmt == "csv":
-        return "".join(report._csv_block(
+        return join_lines(report._csv_block(
             f"diff {a.label} vs {b.label}", names,
             ([r.method, num(r.avg_a, ".1f", ""), num(r.avg_b, ".1f", ""),
               num(r.ratio, ".6f", ""), r.invocations_a, r.invocations_b, r.status]

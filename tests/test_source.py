@@ -104,6 +104,78 @@ def test_the_check_sees_writes():
         "sys.stdout:3", "print:4", "open:6", "open:8"])
 
 
+# the one module that ends lines: every other module yields them bare
+LINE_ENDER = "trace.py"
+
+
+def newline_tails(expr: ast.AST | None) -> list[ast.AST]:
+    """The str constants and f-strings that end with a newline and end the
+    text of ``expr``: the whole, the right of a ``+``, either branch of a
+    conditional, and each item of a generator, list or tuple."""
+    if isinstance(expr, ast.Constant):
+        return [expr] if isinstance(expr.value, str) and expr.value.endswith("\n") else []
+    if isinstance(expr, ast.JoinedStr):
+        return [expr] if expr.values and newline_tails(expr.values[-1]) else []
+    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
+        return newline_tails(expr.right)
+    if isinstance(expr, ast.IfExp):
+        return newline_tails(expr.body) + newline_tails(expr.orelse)
+    if isinstance(expr, ast.GeneratorExp):
+        return newline_tails(expr.elt)
+    if isinstance(expr, (ast.List, ast.Tuple)):
+        return [tail for item in expr.elts for tail in newline_tails(item)]
+    return []
+
+
+def line_endings(tree: ast.AST) -> list[str]:
+    """``what:line`` of each line ending a generator writes itself: a
+    ``yield`` (or ``yield from``) whose text ends with a newline constant,
+    and a ``name += "\\n"`` on a name the same function yields."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yielded = {node.value.id for node in ast.walk(fn)
+                   if isinstance(node, ast.Yield) and isinstance(node.value, ast.Name)}
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                found += [f"yield:{tail.lineno}" for tail in newline_tails(node.value)]
+            elif (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                  and isinstance(node.target, ast.Name) and node.target.id in yielded
+                  and newline_tails(node.value)):
+                found.append(f"+=:{node.lineno}")
+    return sorted(set(found), key=lambda f: int(f.split(":")[1]))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != LINE_ENDER],
+                         ids=lambda p: p.name)
+def test_generators_yield_bare_lines(path):
+    # a second line contract would make the writer test every line again
+    assert line_endings(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_check_sees_line_endings():
+    source = ("def f(xs, n):\n"
+              "    yield 'a\\n'\n"
+              "    yield f'{n}\\n'\n"
+              "    yield f'{n}' + '\\n'\n"
+              "    yield 'a' if n else f'b{n}\\n'\n"
+              "    yield from (x + '\\n' for x in xs)\n"
+              "    yield from ['a', 'b\\n']\n"
+              "    for x in xs:\n"
+              "        x += '\\n'\n"
+              "        yield x\n"
+              "    yield 'a\\nb'\n"
+              "    yield f'{n}\\n{n}'\n"
+              "    yield ''\n"
+              "    yield '\\n'.join(xs)\n"
+              "def g(n):\n"
+              "    n += '\\n'\n"
+              "    return n + '\\n'\n")
+    assert line_endings(ast.parse(source)) == [
+        "yield:2", "yield:3", "yield:4", "yield:5", "yield:6", "yield:7", "+=:9"]
+
+
 # the one place that switches the cyclic collector, around every command
 COLLECTOR_SWITCH = ("cli.py", "main")
 

@@ -1,25 +1,31 @@
 """Trace line grammar, structural checks in ``ingest``, JSONL export."""
 
+import hashlib
 import json
 import random
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cct_lens.cct import ingest, serialize_forest
 from cct_lens.trace import (
     ENTER,
     EXIT,
+    WRITE_BATCH,
     TraceEvent,
     TraceParseError,
     TraceStructureError,
     format_trace_line,
     iter_trace,
+    join_lines,
     jsonl_lines,
     parse_trace_line,
+    write_lines,
 )
 
 from conftest import random_trace, trace_lines
@@ -403,3 +409,29 @@ class TestJsonl:
         with pytest.raises(TraceParseError,
                            match="^line 2: method name contains whitespace: 'a b'$"):
             list(jsonl_lines(["0\t1\tE\ta", "0\t1\tE\ta b"]))
+
+
+class TestOneLineProtocol:
+    """``join_lines`` is the text ``write_lines`` writes, batch by batch."""
+
+    # no lines, one empty line, lines that span lines or hold a bare "\r",
+    # and more lines, or one longer line, than a batch holds
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(["a", "\n", "\r", "\u00e9", "\U0001f600"]),
+                            max_size=5), max_size=8))
+    @example([])
+    @example([""])
+    @example(["{\n  \"a\": 1", "}"])
+    @example(["", "\n", "x\n\ny", "\r"])
+    @example(["line %d" % i for i in range(3 * WRITE_BATCH // 6)])
+    @example(["x" * (WRITE_BATCH + 3), "", "y" * (2 * WRITE_BATCH)])
+    def test_join_lines_is_what_write_lines_writes(self, lines):
+        digest = hashlib.sha256()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out"
+            write_lines(iter(lines), path, digest)
+            written = path.read_bytes()
+        text = join_lines(iter(lines))
+        assert written == text.encode("utf-8")
+        assert digest.hexdigest() == hashlib.sha256(written).hexdigest()
+        assert text == "".join(line + "\n" for line in lines)
