@@ -13,7 +13,6 @@ import io
 import os
 import sys
 
-from . import cct
 from .filters import ATTRIBUTE_TO_PARENT, FILTER_MODES, FilterSet, apply_filter
 from .trace import REPORT_FORMATS, errors_in, jsonl_lines, write_lines
 
@@ -93,9 +92,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     # only analyze and diff tabulate and report
-    from . import report, snapshot
+    from . import cct, report, snapshot
     from .components import load_catalog_file
 
+    if args.snapshot_out and args.user_count >= snapshot._INT_LIMIT:
+        raise ValueError("--user-count must be below 2**96")
     catalog = load_catalog_file(args.catalog) if args.catalog else None
     filter_set, mode = _filter_set(args), args.filter_mode
     sha256 = None
@@ -119,7 +120,7 @@ def cmd_analyze(args) -> int:
         snap = snapshot.Snapshot(label.decode("utf-8", "replace"), args.user_count,
                                  merged_tables.hot_spots, merged_tables.components,
                                  sha256.hexdigest())
-        snapshot.save_snapshot(snap, args.snapshot_out)
+        write_lines(snapshot.snapshot_lines(snap), args.snapshot_out)
         print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
     # each thread's tables are made as its section is written
     sections = (((f"thread {tid}", snapshot.tabulate(tree, catalog, filter_set, mode))
@@ -140,6 +141,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_callgraph(args) -> int:
+    from . import cct
+
     merged = apply_filter(_ingest_file(cct.ingest_merged, args.trace, args.lenient),
                           _filter_set(args), args.filter_mode)
     if args.format == "edges":
@@ -160,6 +163,8 @@ def cmd_export(args) -> int:
         with errors_in(args.trace), open(args.trace, "r", encoding="utf-8") as fh:
             write_lines(jsonl_lines(fh), args.output)
         return 0
+    from . import cct
+
     if args.format == "forest":
         lines = [cct.serialize_forest(_ingest_file(cct.ingest, args.trace, args.lenient))]
     else:

@@ -41,6 +41,10 @@ class Tier(str, Enum):
         return self.value.capitalize()
 
 
+# every tier by its name, as catalogs (in any case) and snapshots write it
+TIERS = {t.value: t for t in Tier}
+
+
 def declaring_class(method: str) -> str:
     """Simple name of the class declaring a fully qualified method.
 
@@ -202,12 +206,12 @@ def load_catalog(lines: Iterable[str]) -> ComponentCatalog:
             if len(parts) != 3:
                 raise ValueError("expected 3 tab-separated fields")
             tier_text, component, pattern = parts
-            valid = [t.value for t in Tier]
-            if tier_text.lower() not in valid:
-                raise ValueError(f"unknown tier {tier_text!r} (expected {', '.join(valid)})")
+            tier = TIERS.get(tier_text.lower())
+            if tier is None:
+                raise ValueError(f"unknown tier {tier_text!r} (expected {', '.join(TIERS)})")
             if not component:
                 raise ValueError("empty component")
-            rules.append(ComponentRule.of(pattern, component, Tier(tier_text.lower())))
+            rules.append(ComponentRule.of(pattern, component, tier))
         except ValueError as exc:
             raise ValueError(f"catalog line {lineno}: {exc}") from None
     return ComponentCatalog(tuple(rules))

@@ -28,8 +28,6 @@ from __future__ import annotations
 import functools
 from typing import Iterable, NamedTuple
 
-from .cct import CctNode, overlay
-
 # the values of the CLI's --filter-mode
 ATTRIBUTE_TO_PARENT = "attribute"
 DROP_SUBTREE = "drop"
@@ -96,6 +94,8 @@ def apply_filter(root: CctNode, filter_set: FilterSet,
         raise ValueError(f"unknown filter mode {mode!r} (expected one of {FILTER_MODES})")
     if not filter_set.includes and not filter_set.excludes:
         return root
+    from .cct import CctNode, overlay
+
     # a verdict depends only on the method name: match each name once
     keep = functools.cache(filter_set.keeps)
     fresh = CctNode(root.method, root.invocations, root.total_time, root.truncated)

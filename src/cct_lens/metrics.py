@@ -18,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cct import CctNode
-
 
 class HotSpotRow(NamedTuple):
     method: str

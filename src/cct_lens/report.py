@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from .components import ComponentUtilizationRow
 from .metrics import HotSpotRow, format_avg_ms, format_ms, format_pct
 # AnalysisTables is also imported from here by callers that build sections
-from .snapshot import AnalysisTables, Snapshot, SnapshotDiffRow
+from .snapshot import _HEAD_FIELDS, AnalysisTables, Snapshot, SnapshotDiffRow
 # the format names live with the writer, so the CLI's parser needs no report
 from .trace import CSV, JSON, REPORT_FORMATS, TEXT, join_lines, json_members, json_rows
 
@@ -175,13 +175,14 @@ def _cell(value: float | None, spec: str, absent: str = "") -> str:
     return absent if value is None else format(value, spec)
 
 
-_SIDE_NAMES = ("label", "user_count", "source_trace_digest")
 _DIFF_NAMES = ("method", "avg_a_ns", "avg_b_ns", "ratio", "invocations_a", "invocations_b",
                "status")
 
 
 def _side_json(s: Snapshot) -> str:
-    return json_members(_SIDE_NAMES, (s.label, s.user_count, s.source_trace_digest), "    ")
+    """A snapshot's header, without its format, as the members of a side's object."""
+    names = [name for name, _, _ in _HEAD_FIELDS[1:]]
+    return json_members(names, [getattr(s, name) for name in names], "    ")
 
 
 def _diff_values(r: SnapshotDiffRow) -> tuple:

@@ -22,13 +22,12 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .cct import CctNode, ingest_merged
-from .components import (ComponentCatalog, ComponentUtilizationRow, Tier,
+from .components import (TIERS, ComponentCatalog, ComponentUtilizationRow, Tier,
                          component_utilization, default_hr_catalog)
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
-from .trace import errors_in, join_lines, json_field, json_members, json_rows, write_lines
+from .trace import errors_in, join_lines, json_field, json_members, json_rows
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -77,6 +76,8 @@ def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
     Lines split as in a file opened with ``open(path, encoding="utf-8")``.
     """
     import hashlib
+
+    from .cct import ingest_merged
 
     with io.TextIOWrapper(io.BytesIO(trace_bytes), encoding="utf-8") as text:
         root = ingest_merged(text, lenient=lenient)
@@ -168,11 +169,12 @@ def diff(a: Snapshot, b: Snapshot) -> list[SnapshotDiffRow]:
     return [k[-1] for k in keyed]
 
 
-# the members of a snapshot's header, and (field, type, minimum) per row, in
-# the order written; diff divides by hot-spot invocations
-_HEAD_NAMES = ("format", "label", "user_count", "source_trace_digest")
+# (field, type, minimum) of a snapshot's header and of each row, in the order
+# written; a Tier field is a tier's name, and diff divides by hot-spot invocations
+_HEAD_FIELDS = (("format", str, None), ("label", str, None), ("user_count", int, None),
+                ("source_trace_digest", str, None))
 _HOT_FIELDS = (("method", str, None), ("self_ns", int, 0), ("invocations", int, 1))
-_COMPONENT_FIELDS = (("component", str, None), ("tier", str, None),
+_COMPONENT_FIELDS = (("component", str, None), ("tier", Tier, None),
                      ("self_ns", int, 0), ("invocations", int, 0))
 # the integers of any trace that ``ingest`` accepts stay below this in the
 # tables (each thread's times are below 2**64), and every diff format renders them
@@ -194,15 +196,14 @@ def _hot_row_ok(method, self_ns, invocations) -> bool:
 def _component_row_ok(component, tier, self_ns, invocations) -> bool:
     """``_hot_row_ok`` for a row of ``_COMPONENT_FIELDS``."""
     return (type(component) is str and component.isascii() and type(tier) is str
-            and tier.isascii() and type(self_ns) is int and type(invocations) is int
+            and tier in TIERS and type(self_ns) is int and type(invocations) is int
             and 0 <= self_ns < _INT_LIMIT and 0 <= invocations < _INT_LIMIT)
 
 
 def snapshot_lines(snapshot: Snapshot) -> Iterator[str]:
     """The lines of ``dump_snapshot``, one row at a time."""
-    head = (_SNAPSHOT_FORMAT, snapshot.label, snapshot.user_count,
-            snapshot.source_trace_digest)
-    yield f"{{\n{json_members(_HEAD_NAMES, head, '  ')},"
+    head = [_SNAPSHOT_FORMAT, *(getattr(snapshot, name) for name, _, _ in _HEAD_FIELDS[1:])]
+    yield f"{{\n{json_members([name for name, _, _ in _HEAD_FIELDS], head, '  ')},"
     yield from json_rows("hot_spots", [name for name, _, _ in _HOT_FIELDS],
                          ((r.method, r.self_time, r.invocations) for r in snapshot.hotspot_table),
                          "  ", last=False)
@@ -219,29 +220,31 @@ def dump_snapshot(snapshot: Snapshot) -> str:
 
 
 def _table_field(obj, key: str, kind: type, minimum: int | None = None, where: str = ""):
-    """``trace.json_field``, refusing integers of ``_INT_LIMIT`` or more, and
-    text that UTF-8 cannot encode (a lone surrogate, which JSON can escape)."""
-    value = json_field(obj, key, kind, minimum, where)
+    """``trace.json_field``, refusing integers of ``_INT_LIMIT`` or more, text
+    UTF-8 cannot encode (a lone surrogate, which JSON can escape) and unknown tiers."""
+    value = json_field(obj, key, str if kind is Tier else kind, minimum, where)
     if kind is int and value >= _INT_LIMIT:
         raise ValueError(f"{where}{key!r} must be below 2**96")
-    if kind is str and not value.isascii():
+    if kind is not int and not value.isascii():
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError(f"{where}{key!r} must be UTF-8 text, got {value!r}") from None
+    if kind is Tier and value not in TIERS:
+        raise ValueError(f"{where}unknown tier {value!r} (expected {', '.join(TIERS)})")
     return value
 
 
 def _rows(doc: dict, key: str, fields, row_ok) -> list[tuple]:
-    """The rows of ``doc[key]`` as tuples of ``fields``.  The text fields name
-    a row (a method, or a component and tier), so no two rows may share them.
+    """The rows of ``doc[key]`` as tuples of ``fields``.  The fields other than
+    integers name a row (a method, or a component and tier): no two rows share them.
 
     A dict whose values pass ``row_ok`` and whose name is new is taken with
     that one check; any other row goes field by field through
     ``_table_field``, which raises the error that names its row and field.
     """
     names = [name for name, _, _ in fields]
-    texts = [i for i, (_, kind, _) in enumerate(fields) if kind is str]
+    texts = [i for i, (_, kind, _) in enumerate(fields) if kind is not int]
     name_of = itemgetter(*texts)
     rows, seen = [], set()
     for i, row in enumerate(json_field(doc, key, list)):
@@ -265,6 +268,8 @@ def load_snapshot(text: str) -> Snapshot:
         raise ValueError(f"bad snapshot document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != _SNAPSHOT_FORMAT:
         raise ValueError(f"not a {_SNAPSHOT_FORMAT} document")
+    head = {name: _table_field(doc, name, kind, minimum)
+            for name, kind, minimum in _HEAD_FIELDS[1:]}
     hot = _rows(doc, "hot_spots", _HOT_FIELDS, _hot_row_ok)
     denom = sum(self_ns for _, self_ns, _ in hot)
     hot_rows = tuple(
@@ -273,30 +278,14 @@ def load_snapshot(text: str) -> Snapshot:
         for method, self_ns, invocations in hot
     )
     comps = _rows(doc, "components", _COMPONENT_FIELDS, _component_row_ok)
-    tiers = {t.value: t for t in Tier}
-    for i, (_, tier, _, _) in enumerate(comps):
-        if tier not in tiers:
-            raise ValueError(f"components[{i}]: unknown tier {tier!r} "
-                             f"(expected {', '.join(tiers)})")
     comp_denom = sum(self_ns for _, _, self_ns, _ in comps)
     comp_rows = tuple(
-        ComponentUtilizationRow(component, tiers[tier], self_ns,
+        ComponentUtilizationRow(component, TIERS[tier], self_ns,
                                 Fraction(self_ns, comp_denom) if comp_denom else Fraction(0),
                                 invocations)
         for component, tier, self_ns, invocations in comps
     )
-    return Snapshot(
-        label=_table_field(doc, "label", str),
-        user_count=json_field(doc, "user_count", int),
-        hotspot_table=hot_rows,
-        component_table=comp_rows,
-        source_trace_digest=json_field(doc, "source_trace_digest", str),
-    )
-
-
-def save_snapshot(snapshot: Snapshot, path) -> None:
-    """Write a snapshot file with ``trace.write_lines``; a failed write names the file."""
-    write_lines(snapshot_lines(snapshot), path)
+    return Snapshot(hotspot_table=hot_rows, component_table=comp_rows, **head)
 
 
 def load_snapshot_file(path) -> Snapshot:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from cct_lens import snapshot
 from cct_lens import workload as wl
-from cct_lens.trace import iter_trace
+from cct_lens.trace import iter_trace, write_lines
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 EXCLUDE = "com.mycompany.hr.dao.*"
@@ -35,8 +35,8 @@ def test_run_round_on_figure8(tmp_path):
                             "thread_count": 2, "jitter": 0.1})
     files["spec"].write_text(spec_text, encoding="utf-8")
     base = wl.simulate(wl.load_preset(1))
-    snapshot.save_snapshot(snapshot.take_snapshot("load-a", 1, base.encode("utf-8")),
-                           files["base_snapshot"])
+    base_snapshot = snapshot.take_snapshot("load-a", 1, base.encode("utf-8"))
+    write_lines(snapshot.snapshot_lines(base_snapshot), files["base_snapshot"])
 
     spans = layers.Spans()
     out = layers.run_round(spans, files, lenient=False, exclude=EXCLUDE)

@@ -280,6 +280,15 @@ class TestAnalyze:
         assert snap.user_count == 20
         assert snap.hotspot_table[0].method == wl.GET_CONNECTION
 
+    def test_snapshot_out_refuses_a_user_count_no_snapshot_can_hold(self, capsys, tmp_path):
+        # refused before the trace is read: this one does not exist
+        snap_path = tmp_path / "s.json"
+        code, stdout, stderr = run(capsys, "analyze", str(tmp_path / "missing.tsv"),
+                                   "--snapshot-out", str(snap_path), "--user-count", str(2**96))
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: --user-count must be below 2**96\n"
+        assert not snap_path.exists()
+
     def test_snapshot_out_splits_lines_as_plain_analyze(self, capsys, tmp_path):
         # a form feed ends a line for str.splitlines(), not for a text file
         trace = tmp_path / "ff.tsv"
@@ -495,10 +504,11 @@ class TestMalformedSnapshot:
         (None, "label", _DELETE),
         ("hot_spots", "invocations", 2**96),
         ("components", "self_ns", 2**96),
+        (None, "user_count", 2**96),
     ], ids=["no-self_ns", "int-method", "str-invocations", "zero-invocations",
             "bool-self_ns", "unknown-tier", "null-self_ns", "int-hot_spots",
             "str-row", "no-components", "str-user_count", "no-label",
-            "2**96-invocations", "2**96-component-self_ns"])
+            "2**96-invocations", "2**96-component-self_ns", "2**96-user_count"])
     def test_bad_field(self, capsys, tmp_path, section, key, value):
         doc = json.loads(self.GOOD)
         target = doc if section is None else doc[section][0]
@@ -525,6 +535,19 @@ class TestMalformedSnapshot:
         stderr = self.check(capsys, tmp_path, json.dumps(doc).encode())
         assert stderr == (f"error: {tmp_path / 'bad.json'}: components[0]: unknown tier "
                           "'bogus' (expected web, business, dao, middleware, other)\n")
+
+    # a snapshot names a tier in lower case only; the tier is checked with its
+    # row, so a later row's defect is not the one reported
+    @pytest.mark.parametrize("tier, later_defect", [("Web", False), ("bogus", True)],
+                             ids=["case", "later-defect"])
+    def test_first_defective_row_is_reported(self, capsys, tmp_path, tier, later_defect):
+        doc = json.loads(self.GOOD)
+        doc["components"][0]["tier"] = tier
+        if later_defect:
+            doc["components"].append({**doc["components"][0], "tier": "web", "self_ns": -1})
+        stderr = self.check(capsys, tmp_path, json.dumps(doc).encode())
+        assert stderr == (f"error: {tmp_path / 'bad.json'}: components[0]: unknown tier "
+                          f"{tier!r} (expected web, business, dao, middleware, other)\n")
 
     @pytest.mark.parametrize("data", [b"{", b"[]", b"\xff{}"],
                              ids=["not-json", "not-an-object", "not-utf8"])
@@ -1059,7 +1082,21 @@ class TestTopLevel:
         # every run pays for what importing the CLI loads
         extra = self.loaded(", cct_lens.cli") - self.loaded("")
         assert "cct_lens.cli" in extra
-        assert extra & {"dataclasses", "inspect", "hashlib", "cct_lens.workload"} == set()
+        assert extra & {"dataclasses", "inspect", "hashlib", "cct_lens.workload",
+                        "cct_lens.cct"} == set()
+
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--preset", "figure8"), ("diff", "SNAP", "SNAP"),
+        ("export", "TRACE", "--format", "jsonl"),
+    ], ids=" ".join)
+    def test_commands_without_trees_load_no_tree_module(self, fig8_trace, tmp_path, command):
+        snap = tmp_path / "s.json"
+        snap.write_text(dump_snapshot(take_snapshot("a", 1, fig8_trace.read_bytes())),
+                        encoding="utf-8")
+        argv = [{"TRACE": str(fig8_trace), "SNAP": str(snap)}.get(arg, arg) for arg in command]
+        modules = self.loaded(f"; from cct_lens.cli import main; "
+                              f"assert main({[*argv, '-o', os.devnull]!r}) == 0")
+        assert "cct_lens.cli" in modules and "cct_lens.cct" not in modules
 
     @pytest.mark.parametrize("command", [
         ("analyze",), ("analyze", "--per-thread"), ("callgraph",),

@@ -279,6 +279,12 @@ class TestCatalogFiles:
         catalog = load_catalog(["dao\t*\tcom.example.store.*"])
         assert catalog.classify("com.example.store.Db.query()") == ("Db", Tier.DAO)
 
+    def test_tier_names_take_any_case(self):
+        # the error quotes the text as given; a snapshot takes lower case only
+        assert load_catalog(["WEB\tX\tp.*"]).classify("p.A.m()") == ("X", Tier.WEB)
+        with pytest.raises(ValueError, match="unknown tier 'Datab' "):
+            load_catalog(["Datab\tX\tp.*"])
+
     def test_bad_tier_and_field_count(self):
         with pytest.raises(ValueError, match="unknown tier"):
             load_catalog(["database\tX\tp.*"])

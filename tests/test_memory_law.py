@@ -1,0 +1,88 @@
+"""Peak memory depends on the calling contexts, never on the event count.
+
+Every command that reads a trace runs in its own interpreter on two traces
+with the same calling contexts, one with ten times the events of the other;
+their peak RSS (``ru_maxrss`` from ``os.wait4``) must agree within 1 MiB.
+
+Linux starts a new process's ``ru_maxrss`` from the peak RSS of the process
+that spawned it, which for the test process is far above a command's, so a
+small launcher interpreter spawns each command and reports its figures.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import cct_lens
+from cct_lens import workload as wl
+from cct_lens.trace import write_lines
+
+COMMANDS = [
+    ("analyze",), ("analyze", "--format", "json"), ("analyze", "--per-thread"),
+    ("analyze", "--snapshot-out", os.devnull), ("analyze", "--exclude", "com.mycompany.hr.dao.*"),
+    ("callgraph",), ("callgraph", "--format", "folded"),
+    ("export", "--format", "cct"), ("export", "--format", "forest"),
+    ("export", "--format", "folded"), ("export", "--format", "jsonl"),
+]
+# the slack between two runs of one command on one input is far below this
+TOLERANCE_MIB = 1.0
+# run each argv of the JSON list argv[1]; print its exit code and ru_maxrss in KiB
+LAUNCHER = """if 1:
+    import json, os, subprocess, sys
+    for argv in json.loads(sys.argv[1]):
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def write_portal(path: Path, n: int) -> None:
+    spec = wl.load_workload_spec(json.dumps(
+        {"executions": {"register": n, "login": n}, "thread_count": 4, "jitter": 0.1}))
+    write_lines(wl.simulate_lines(spec), path)
+
+
+def write_defective(path: Path, blocks: int) -> None:
+    # each block holds a mismatched exit and an orphan exit, which --lenient drops
+    write_lines((line for i in range(0, 4 * blocks, 4) for line in (
+        f"{i}\t1\tE\ta.B.m()", f"{i + 1}\t1\tX\ta.B.x()",
+        f"{i + 2}\t1\tX\ta.B.m()", f"{i + 3}\t1\tX\ta.B.y()")), path)
+
+
+def peak_rss_mib(argvs: list[list[str]]) -> list[tuple[int, float]]:
+    """The exit code and peak RSS in MiB of one CLI run per argv, each with
+    its output discarded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
+    runs = [[sys.executable, "-m", "cct_lens.cli", *argv, "-o", os.devnull] for argv in argvs]
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, json.dumps(runs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return [(int(code), int(kib) / 1024) for code, kib in map(str.split, out.splitlines())]
+
+
+def test_peak_rss_does_not_grow_with_the_event_count(tmp_path):
+    # about 1.2 MB and 12 MB of portal trace; 0.35 MB and 3.7 MB of defects
+    pairs = {}
+    for name, write, n, flags in (("portal", write_portal, 200, ()),
+                                  ("defective", write_defective, 5000, ("--lenient",))):
+        paths = tmp_path / f"{name}.tsv", tmp_path / f"{name}_10x.tsv"
+        write(paths[0], n)
+        write(paths[1], 10 * n)
+        pairs[name] = paths, flags
+    runs = [(name, command, [[command[0], str(path), *command[1:], *flags] for path in paths])
+            for name, (paths, flags) in pairs.items() for command in COMMANDS]
+
+    def measure(run):
+        name, command, argvs = run
+        return name, command, peak_rss_mib(argvs)
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(measure, runs))
+    assert all(code == 0 for _, _, sides in results for code, _ in sides), results
+    grown = [(name, " ".join(command), small, big)
+             for name, command, ((_, small), (_, big)) in results
+             if abs(big - small) > TOLERANCE_MIB]
+    assert grown == [], grown

@@ -17,6 +17,7 @@ from cct_lens import metrics, report, snapshot
 from cct_lens import workload as wl
 from cct_lens.cct import ingest, merge_ccts
 from cct_lens.cli import main
+from cct_lens.components import Tier
 from cct_lens.metrics import HotSpotRow
 from cct_lens.snapshot import (
     ADDED,
@@ -27,11 +28,10 @@ from cct_lens.snapshot import (
     dump_snapshot,
     load_snapshot,
     load_snapshot_file,
-    save_snapshot,
     tabulate,
     take_snapshot,
 )
-from cct_lens.trace import TraceParseError, join_lines, json_field
+from cct_lens.trace import TraceParseError, join_lines, json_field, write_lines
 
 from conftest import decimal_format_avg_ms, random_trace, trace_lines
 
@@ -218,7 +218,7 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         snap = take_snapshot("disk", 2, trace_bytes_for(8))
         path = tmp_path / "snap.json"
-        save_snapshot(snap, path)
+        write_lines(snapshot.snapshot_lines(snap), path)
         assert load_snapshot_file(path) == snap
 
     def test_diff_runs_on_reloaded_snapshots(self):
@@ -428,9 +428,9 @@ class TestDiffAverages:
         # 10000000000000.004999... ms, which the Decimal formatter printed as
         # 10000000000000.01 ms
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        save_snapshot(hot_snapshot("a", [("m", 2_000_000_000_000_000_999_999_999_999,
-                                          200_000_000)]), paths[0])
-        save_snapshot(hot_snapshot("b", [("m", 3_000_000, 2)]), paths[1])
+        write_lines(snapshot.snapshot_lines(hot_snapshot(
+            "a", [("m", 2_000_000_000_000_000_999_999_999_999, 200_000_000)])), paths[0])
+        write_lines(snapshot.snapshot_lines(hot_snapshot("b", [("m", 3_000_000, 2)])), paths[1])
         assert main(["diff", *map(str, paths)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[-1].split() == [
@@ -442,17 +442,17 @@ class TestSnapshotText:
     """Labels and names a snapshot holds are written by every diff format."""
 
     @staticmethod
-    def doc(label="a", method="m", component="C") -> str:
+    def doc(label="a", method="m", component="C", digest="") -> str:
         # json.dumps escapes a lone surrogate, as a hand-written file may
         return json.dumps({"format": snapshot._SNAPSHOT_FORMAT, "label": label, "user_count": 1,
-                           "source_trace_digest": "",
+                           "source_trace_digest": digest,
                            "hot_spots": [{"method": method, "self_ns": 5, "invocations": 1}],
                            "components": [{"component": component, "tier": "web",
                                            "self_ns": 5, "invocations": 1}]})
 
     @pytest.mark.parametrize("field, where", [
         ("label", "'label'"), ("method", "hot_spots[0]: 'method'"),
-        ("component", "components[0]: 'component'")])
+        ("component", "components[0]: 'component'"), ("digest", "'source_trace_digest'")])
     def test_refuses_text_utf8_cannot_encode(self, tmp_path, capsys, field, where):
         bad, good, out = tmp_path / "bad.json", tmp_path / "good.json", tmp_path / "out.txt"
         bad.write_text(self.doc(**{field: "\ud800bad"}), encoding="utf-8")
@@ -512,24 +512,31 @@ class TestSnapshotText:
             "ok\\r.m       0.000003 ms  0.000003 ms      1.000      1      1  shared"]
 
 
+TIER_NAMES = ("web", "business", "dao", "middleware", "other")
+
+
 def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
     """The loader's rows field by field: each field through ``json_field``,
-    then the 2**96 bound or the UTF-8 check, then the duplicate check."""
+    then the 2**96 bound or the UTF-8 check and, for a tier, its name, then
+    the duplicate check."""
     rows, seen = [], set()
     for i, row in enumerate(json_field(doc, key, list)):
         where = f"{key}[{i}]: "
         values = []
         for name, kind, minimum in fields:
-            value = json_field(row, name, kind, minimum, where)
+            value = json_field(row, name, str if kind is Tier else kind, minimum, where)
             if kind is int and value >= 2**96:
                 raise ValueError(f"{where}{name!r} must be below 2**96")
-            if kind is str:
+            if kind is not int:
                 try:
                     value.encode("utf-8")
                 except UnicodeEncodeError:
                     raise ValueError(f"{where}{name!r} must be UTF-8 text, got {value!r}")
+            if kind is Tier and value not in TIER_NAMES:
+                raise ValueError(f"{where}unknown tier {value!r} "
+                                 "(expected web, business, dao, middleware, other)")
             values.append(value)
-        name = tuple((f, v) for (f, kind, _), v in zip(fields, values) if kind is str)
+        name = tuple((f, v) for (f, kind, _), v in zip(fields, values) if kind is not int)
         if name in seen:
             raise ValueError(f"{where}duplicate " + ", ".join(f"{f} {v!r}" for f, v in name))
         seen.add(name)
@@ -540,7 +547,7 @@ def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
 TABLES = {"hot_spots": (snapshot._HOT_FIELDS, snapshot._hot_row_ok),
           "components": (snapshot._COMPONENT_FIELDS, snapshot._component_row_ok)}
 MUTATIONS = ("not a dict", "missing", "extra", "bool", "float", "str", "int", "negative",
-             "zero", "2**96", "2**96 - 1", "duplicate", "not ascii", "surrogate")
+             "zero", "2**96", "2**96 - 1", "duplicate", "not ascii", "surrogate", "case")
 
 
 @st.composite
@@ -549,7 +556,8 @@ def table_docs(draw):
     key = draw(st.sampled_from(sorted(TABLES)))
     fields = TABLES[key][0]
     valid_row = st.fixed_dictionaries({
-        name: st.text("ab", max_size=2) if kind is str else st.integers(minimum, 2**96 - 1)
+        name: (st.text("ab", max_size=2) if kind is str else st.sampled_from(TIER_NAMES)
+               if kind is Tier else st.integers(minimum, 2**96 - 1))
         for name, kind, minimum in fields})
     rows = draw(st.lists(valid_row, max_size=6))
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
@@ -569,11 +577,13 @@ def table_docs(draw):
         elif mutation == "duplicate":
             other = rows[draw(st.integers(0, len(rows) - 1))]
             if isinstance(other, dict):
-                row.update((f, other[f]) for f, kind, _ in fields if kind is str and f in other)
+                row.update((f, other[f]) for f, kind, _ in fields
+                           if kind is not int and f in other)
         else:
             row[name] = {"bool": draw(st.booleans()), "float": 1.0, "str": "1", "int": 1,
                          "negative": -1, "zero": 0, "2**96": 2**96,
-                         "2**96 - 1": 2**96 - 1, "not ascii": "é", "surrogate": "a\udc80"}[mutation]
+                         "2**96 - 1": 2**96 - 1, "not ascii": "é", "surrogate": "a\udc80",
+                         "case": "Web"}[mutation]
     return key, {key: rows}
 
 
