@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import sys
 
 from cct_lens import workload
 from cct_lens.cct import ingest_merged
 from cct_lens.report import REPORT_FORMATS, analysis_lines
 from cct_lens.snapshot import tabulate
-from cct_lens.trace import write_lines
+from cct_lens.trace import text_lines, write_lines
 
 
 def main(argv=None) -> int:
@@ -33,12 +34,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = workload.PRESETS[args.preset]()
-    text = workload.simulate(spec)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    print(f"trace: {sum(1 for l in text.splitlines() if not l.startswith('#'))} "
-          f"events, sha256={digest[:16]}...", file=sys.stderr)
+    data = workload.simulate(spec).encode("utf-8")
+    lines = list(text_lines(io.BytesIO(data)))
+    print(f"trace: {sum(1 for l in lines if not l.startswith('#'))} "
+          f"events, sha256={hashlib.sha256(data).hexdigest()[:16]}...", file=sys.stderr)
 
-    tables = tabulate(ingest_merged(text.splitlines()))
+    tables = tabulate(ingest_merged(lines))
     try:
         write_lines(analysis_lines([("merged", tables)], args.format), args.output)
     except OSError as exc:

@@ -9,33 +9,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import os
 import sys
 
 from .filters import ATTRIBUTE_TO_PARENT, FILTER_MODES, FilterSet, apply_filter
-from .trace import REPORT_FORMATS, errors_in, jsonl_lines, write_lines
+from .trace import REPORT_FORMATS, errors_in, jsonl_lines, text_lines, write_lines
 
 
 def _warn(message: str) -> None:
     # one write per warning: print writes the newline on its own
     sys.stderr.write(f"warning: {message}\n")
-
-
-class _HashingReader(io.RawIOBase):
-    """A binary stream that feeds every byte read through it to ``sha256``."""
-
-    def __init__(self, stream, sha256):
-        self._stream = stream
-        self._sha256 = sha256
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._stream.readinto(buffer)
-        self._sha256.update(memoryview(buffer)[:n])
-        return n
 
 
 def _filter_set(args) -> FilterSet:
@@ -53,13 +36,10 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _ingest_file(ingest, path: str, lenient: bool, sha256=None):
-    """``ingest`` (``cct.ingest`` or ``cct.ingest_merged``) over a trace file,
-    the one reader of every command that builds trees.  Lines split as in
-    ``open(path, encoding="utf-8")``; ``sha256``, if given, takes every byte read.
-    """
-    with errors_in(path), open(path, "rb") as raw, io.TextIOWrapper(
-            raw if sha256 is None else _HashingReader(raw, sha256), encoding="utf-8") as fh:
-        return ingest(fh, lenient=lenient, warn=_warn if lenient else None)
+    """``ingest`` (``cct.ingest`` or ``cct.ingest_merged``) over the lines
+    ``trace.text_lines`` reads from a trace file, feeding ``sha256`` if given."""
+    with errors_in(path), open(path, "rb") as fh:
+        return ingest(text_lines(fh, sha256), lenient=lenient, warn=_warn if lenient else None)
 
 
 def cmd_simulate(args) -> int:
@@ -95,8 +75,8 @@ def cmd_analyze(args) -> int:
     from . import cct, report, snapshot
     from .components import load_catalog_file
 
-    if args.snapshot_out and args.user_count >= snapshot._INT_LIMIT:
-        raise ValueError("--user-count must be below 2**96")
+    if args.snapshot_out and not 0 <= args.user_count < snapshot._INT_LIMIT:
+        raise ValueError(f"--user-count must be {'>= 0' if args.user_count < 0 else 'below 2**96'}")
     catalog = load_catalog_file(args.catalog) if args.catalog else None
     filter_set, mode = _filter_set(args), args.filter_mode
     sha256 = None
@@ -160,8 +140,8 @@ def cmd_export(args) -> int:
         if (args.output is not None and os.path.exists(args.output)
                 and os.path.samefile(args.trace, args.output)):
             raise ValueError(f"{args.output}: the output is the trace being read")
-        with errors_in(args.trace), open(args.trace, "r", encoding="utf-8") as fh:
-            write_lines(jsonl_lines(fh), args.output)
+        with errors_in(args.trace), open(args.trace, "rb") as fh:
+            write_lines(jsonl_lines(text_lines(fh)), args.output)
         return 0
     from . import cct
 

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 from .filters import FilterPattern
 from .metrics import HotSpotRow
-from .trace import errors_in
+from .trace import errors_in, text_lines
 
 DERIVE = "*"
 
@@ -219,6 +219,6 @@ def load_catalog(lines: Iterable[str]) -> ComponentCatalog:
 
 def load_catalog_file(path) -> ComponentCatalog:
     """Load a catalog file; errors name the file (``trace.errors_in``)."""
-    with errors_in(path), open(path, "r", encoding="utf-8") as fh:
-        return load_catalog(fh)
+    with errors_in(path), open(path, "rb") as fh:
+        return load_catalog(text_lines(fh))
 

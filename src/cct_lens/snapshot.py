@@ -27,7 +27,7 @@ from .components import (TIERS, ComponentCatalog, ComponentUtilizationRow, Tier,
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
-from .trace import errors_in, join_lines, json_field, json_members, json_rows
+from .trace import errors_in, join_lines, json_field, json_members, json_rows, text_lines
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -71,17 +71,13 @@ def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
 
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
                   lenient: bool = False) -> Snapshot:
-    """Run the full pipeline over trace content and freeze the tables.
-
-    Lines split as in a file opened with ``open(path, encoding="utf-8")``.
-    """
+    """Run the full pipeline over trace content, read by ``trace.text_lines``
+    as the CLI reads a trace file, and freeze the tables."""
     import hashlib
 
     from .cct import ingest_merged
 
-    with io.TextIOWrapper(io.BytesIO(trace_bytes), encoding="utf-8") as text:
-        root = ingest_merged(text, lenient=lenient)
-    tables = tabulate(root)
+    tables = tabulate(ingest_merged(text_lines(io.BytesIO(trace_bytes)), lenient=lenient))
     return Snapshot(label, user_count, tables.hot_spots, tables.components,
                     hashlib.sha256(trace_bytes).hexdigest())
 
@@ -171,7 +167,7 @@ def diff(a: Snapshot, b: Snapshot) -> list[SnapshotDiffRow]:
 
 # (field, type, minimum) of a snapshot's header and of each row, in the order
 # written; a Tier field is a tier's name, and diff divides by hot-spot invocations
-_HEAD_FIELDS = (("format", str, None), ("label", str, None), ("user_count", int, None),
+_HEAD_FIELDS = (("format", str, None), ("label", str, None), ("user_count", int, 0),
                 ("source_trace_digest", str, None))
 _HOT_FIELDS = (("method", str, None), ("self_ns", int, 0), ("invocations", int, 1))
 _COMPONENT_FIELDS = (("component", str, None), ("tier", Tier, None),

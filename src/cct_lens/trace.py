@@ -16,6 +16,8 @@ This module owns the line grammar (``parse_trace_line``).  The
 structural checks, nesting and per-thread timestamp order, live in
 ``cct.ingest``, which parses, checks and builds a tree in one pass.
 
+``text_lines`` reads every trace and catalog: a binary stream, in reads
+of ``READ_SIZE`` bytes, to lines of at most ``LINE_CAP`` characters.
 ``jsonl_lines`` streams a JSON-lines rendering with keys
 ``ts``/``tid``/``ev``/``m``; the tab-separated form is canonical.
 ``errors_in`` names the file, and the line of a byte that is not UTF-8,
@@ -30,7 +32,9 @@ one at a time, as ``json.dumps(obj, indent=2)`` writes them.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
+import io
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
@@ -98,6 +102,39 @@ def errors_in(path):
                          f"is not UTF-8 ({exc.reason})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+# bytes per read: what the text layer reads, so a byte that is not UTF-8
+# stops a command after the same lines as a text-mode read does
+READ_SIZE = 1 << 13
+# characters per line: the JVM keeps a constant-pool string, and so a
+# method name, under 65,535 bytes (JVM spec §4.4.7)
+LINE_CAP = 1 << 20
+
+
+def text_lines(stream, sha256=None) -> Iterator[str]:
+    """The lines, without their endings, of the UTF-8 text of the binary
+    ``stream``, split as ``open(path, encoding="utf-8")`` splits them.
+    ``sha256``, if given, takes every byte read.  A byte that is not UTF-8
+    raises UnicodeDecodeError as its read is decoded, and a line over
+    ``LINE_CAP`` characters ValueError before the rest of it is read."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    line, rest = 1, ""
+    while True:
+        data = stream.read(READ_SIZE)
+        if sha256 is not None:
+            sha256.update(data)
+        lines = (rest + decoder.decode(data, not data)).split("\n")
+        # only the first line can span reads: it starts with the rest of the last
+        if len(lines[0]) > LINE_CAP:
+            raise ValueError(f"line {line}: line longer than {LINE_CAP} characters")
+        rest = lines.pop()
+        yield from lines
+        line += len(lines)
+        if not data:
+            break
+    if rest:
+        yield rest
 
 
 # characters per write: enough that the system call costs little against

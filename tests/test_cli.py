@@ -19,7 +19,7 @@ from cct_lens import cct, cli, snapshot
 from cct_lens import workload as wl
 from cct_lens.cli import main
 from cct_lens.snapshot import dump_snapshot, load_snapshot_file, take_snapshot
-from cct_lens.trace import WRITE_BATCH, jsonl_lines
+from cct_lens.trace import WRITE_BATCH, jsonl_lines, text_lines
 
 from conftest import decode_cct, decode_forest
 
@@ -289,6 +289,15 @@ class TestAnalyze:
         assert stderr == "error: --user-count must be below 2**96\n"
         assert not snap_path.exists()
 
+    def test_snapshot_out_refuses_a_negative_user_count(self, capsys, tmp_path):
+        # refused before the trace is read: this one does not exist
+        snap_path = tmp_path / "s.json"
+        code, stdout, stderr = run(capsys, "analyze", str(tmp_path / "missing.tsv"),
+                                   "--snapshot-out", str(snap_path), "--user-count", "-5")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: --user-count must be >= 0\n"
+        assert not snap_path.exists()
+
     def test_snapshot_out_splits_lines_as_plain_analyze(self, capsys, tmp_path):
         # a form feed ends a line for str.splitlines(), not for a text file
         trace = tmp_path / "ff.tsv"
@@ -505,10 +514,12 @@ class TestMalformedSnapshot:
         ("hot_spots", "invocations", 2**96),
         ("components", "self_ns", 2**96),
         (None, "user_count", 2**96),
+        (None, "user_count", -1),
     ], ids=["no-self_ns", "int-method", "str-invocations", "zero-invocations",
             "bool-self_ns", "unknown-tier", "null-self_ns", "int-hot_spots",
             "str-row", "no-components", "str-user_count", "no-label",
-            "2**96-invocations", "2**96-component-self_ns", "2**96-user_count"])
+            "2**96-invocations", "2**96-component-self_ns", "2**96-user_count",
+            "negative-user_count"])
     def test_bad_field(self, capsys, tmp_path, section, key, value):
         doc = json.loads(self.GOOD)
         target = doc if section is None else doc[section][0]
@@ -723,9 +734,10 @@ MERGED_VIEW_RUNS = [
 
 class TestTraceReader:
     def test_file_digest_and_forest(self, fig8_trace):
-        # figure8's trace spans many of the text layer's 8 KiB reads
+        # figure8's trace spans many of text_lines's 8 KiB reads
         sha256 = hashlib.sha256()
-        roots = cli._ingest_file(cct.ingest, str(fig8_trace), False, sha256)
+        with open(fig8_trace, "rb") as fh:
+            roots = cct.ingest(text_lines(fh, sha256))
         assert sha256.hexdigest() == hashlib.sha256(fig8_trace.read_bytes()).hexdigest()
         with open(fig8_trace, encoding="utf-8") as fh:
             assert cct.serialize_forest(roots) == cct.serialize_forest(cct.ingest(fh))

@@ -3,6 +3,8 @@
 Every command that reads a trace runs in its own interpreter on two traces
 with the same calling contexts, one with ten times the events of the other;
 their peak RSS (``ru_maxrss`` from ``os.wait4``) must agree within 1 MiB.
+So must their peaks on two traces of one line each, one ten times as long
+as the other and both over ``trace.LINE_CAP``, which every command refuses.
 
 Linux starts a new process's ``ru_maxrss`` from the peak RSS of the process
 that spawned it, which for the test process is far above a command's, so a
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import cct_lens
 from cct_lens import workload as wl
-from cct_lens.trace import write_lines
+from cct_lens.trace import LINE_CAP, write_lines
 
 COMMANDS = [
     ("analyze",), ("analyze", "--format", "json"), ("analyze", "--per-thread"),
@@ -29,14 +31,16 @@ COMMANDS = [
 ]
 # the slack between two runs of one command on one input is far below this
 TOLERANCE_MIB = 1.0
-# run each argv of the JSON list argv[1]; print its exit code and ru_maxrss in KiB
+# run each argv of the JSON list argv[1]; print a JSON list of its exit code,
+# its ru_maxrss in KiB and the lines of its stderr that start with "error:"
 LAUNCHER = """if 1:
     import json, os, subprocess, sys
     for argv in json.loads(sys.argv[1]):
-        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                text=True)
+        errors = [line for line in proc.stderr if line.startswith("error:")]
         _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        print(proc.returncode, usage.ru_maxrss)
+        print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss, errors]))
 """
 
 
@@ -53,14 +57,14 @@ def write_defective(path: Path, blocks: int) -> None:
         f"{i + 2}\t1\tX\ta.B.m()", f"{i + 3}\t1\tX\ta.B.y()")), path)
 
 
-def peak_rss_mib(argvs: list[list[str]]) -> list[tuple[int, float]]:
-    """The exit code and peak RSS in MiB of one CLI run per argv, each with
-    its output discarded."""
+def peak_rss_mib(argvs: list[list[str]]) -> list[tuple[int, float, list[str]]]:
+    """The exit code, the peak RSS in MiB and the ``error:`` lines of one CLI
+    run per argv, each with its output discarded."""
     env = {**os.environ, "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
     runs = [[sys.executable, "-m", "cct_lens.cli", *argv, "-o", os.devnull] for argv in argvs]
     out = subprocess.run([sys.executable, "-c", LAUNCHER, json.dumps(runs)], env=env,
                          check=True, capture_output=True, text=True).stdout
-    return [(int(code), int(kib) / 1024) for code, kib in map(str.split, out.splitlines())]
+    return [(code, kib / 1024, errors) for code, kib, errors in map(json.loads, out.splitlines())]
 
 
 def test_peak_rss_does_not_grow_with_the_event_count(tmp_path):
@@ -81,8 +85,29 @@ def test_peak_rss_does_not_grow_with_the_event_count(tmp_path):
 
     with ThreadPoolExecutor(2) as pool:
         results = list(pool.map(measure, runs))
-    assert all(code == 0 for _, _, sides in results for code, _ in sides), results
+    assert all(code == 0 for _, _, sides in results for code, _, _ in sides), results
     grown = [(name, " ".join(command), small, big)
-             for name, command, ((_, small), (_, big)) in results
+             for name, command, ((_, small, _), (_, big, _)) in results
+             if abs(big - small) > TOLERANCE_MIB]
+    assert grown == [], grown
+
+
+def test_a_line_over_the_cap_is_refused_in_bounded_memory(tmp_path):
+    # one enter line whose method name is 4 MiB long, and one of 40 MiB
+    paths = tmp_path / "long.tsv", tmp_path / "long_10x.tsv"
+    for path, size in zip(paths, (4 << 20, 40 << 20)):
+        with open(path, "wb") as fh:
+            fh.write(b"0\t1\tE\t" + b"a" * size + b"\n")
+
+    def measure(command):
+        return command, peak_rss_mib([[command[0], str(path), *command[1:]] for path in paths])
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(measure, COMMANDS))
+    for command, sides in results:
+        for path, (code, _, errors) in zip(paths, sides):
+            assert (code, errors) == (
+                1, [f"error: {path}: line 1: line longer than {LINE_CAP} characters\n"]), command
+    grown = [(" ".join(command), small, big) for command, ((_, small, _), (_, big, _)) in results
              if abs(big - small) > TOLERANCE_MIB]
     assert grown == [], grown

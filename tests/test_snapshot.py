@@ -233,6 +233,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_snapshot('{"format": "other"}')
 
+    def test_rejects_a_negative_user_count(self):
+        doc = json.loads(dump_snapshot(take_snapshot("x", 0, b"")))
+        doc["user_count"] = -1
+        with pytest.raises(ValueError, match=r"^'user_count' must be a int >= 0, got -1$"):
+            load_snapshot(json.dumps(doc))
+
     def test_digest_is_sha256_hex(self):
         digest = take_snapshot("x", 1, b"# abc\n").source_trace_digest
         assert len(digest) == 64

@@ -318,3 +318,66 @@ def test_the_check_sees_strictness():
     assert sorted(strictness_uses(tree)) == sorted([
         "lenient:2", "warn:4", "lenient:6", "lenient:7", "lenient:9", "lenient:10",
         "lenient:12", "warn:15"])
+
+
+# the functions that read a file in text mode: the JSON documents, whose lines
+# may be far longer than a trace's, and the second read that finds the line of
+# a byte that is not UTF-8; every trace and catalog is read by trace.text_lines
+TEXT_READERS = {"trace.py": "errors_in", "snapshot.py": "load_snapshot_file",
+                "workload.py": "load_workload_spec_file"}
+TEXT_LAYERS = ("TextIOWrapper", "RawIOBase")
+
+
+def text_reads(tree: ast.AST, skip: str | None = None) -> list[str]:
+    """``what:line`` of each text layer built by hand, anywhere: a mention of
+    ``io.TextIOWrapper`` or ``io.RawIOBase`` and a ``from io import`` of
+    either; and of each ``open`` for reading in text mode (no mode, or a
+    constant one without ``b`` or any of ``wax+``) outside the function
+    named ``skip``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in TEXT_LAYERS
+                and isinstance(node.value, ast.Name) and node.value.id == "io"):
+            found.append(f"io.{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "io" and any(
+                alias.name in TEXT_LAYERS for alias in node.names):
+            found.append(f"from io:{node.lineno}")
+    for node in nodes_outside(tree, skip):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else {
+                k.arg: k.value for k in node.keywords}.get("mode")
+            if mode is None or (isinstance(mode, ast.Constant) and "b" not in mode.value
+                                and set(mode.value).isdisjoint("wax+")):
+                found.append(f"open:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_reader_reads_every_trace(path):
+    # a second stack of file objects would read a line without the cap
+    assert text_reads(ast.parse(path.read_text(encoding="utf-8")),
+                      TEXT_READERS.get(path.name)) == []
+
+
+def test_the_check_sees_text_reads():
+    source = ("import io\n"
+              "from io import TextIOWrapper, BytesIO\n"
+              "class R(io.RawIOBase):\n"
+              "    pass\n"
+              "def f(p):\n"
+              "    io.TextIOWrapper(open(p, 'rb'))\n"
+              "    open(p)\n"
+              "    open(p, 'r', encoding='utf-8')\n"
+              "    open(p, mode='rt')\n"
+              "    open(p, 'w')\n"
+              "    io.BytesIO(b'')\n"
+              "def g(p):\n"
+              "    open(p, encoding='utf-8')\n"
+              "    return io.TextIOWrapper\n")
+    tree = ast.parse(source)
+    assert sorted(text_reads(tree)) == sorted([
+        "from io:2", "io.RawIOBase:3", "io.TextIOWrapper:6", "open:7", "open:8", "open:9",
+        "open:13", "io.TextIOWrapper:14"])
+    assert sorted(text_reads(tree, skip="g")) == sorted([
+        "from io:2", "io.RawIOBase:3", "io.TextIOWrapper:6", "open:7", "open:8", "open:9",
+        "io.TextIOWrapper:14"])

@@ -1,6 +1,7 @@
 """Trace line grammar, structural checks in ``ingest``, JSONL export."""
 
 import hashlib
+import io
 import json
 import random
 import re
@@ -16,6 +17,8 @@ from cct_lens.cct import ingest, serialize_forest
 from cct_lens.trace import (
     ENTER,
     EXIT,
+    LINE_CAP,
+    READ_SIZE,
     WRITE_BATCH,
     TraceEvent,
     TraceParseError,
@@ -25,6 +28,7 @@ from cct_lens.trace import (
     join_lines,
     jsonl_lines,
     parse_trace_line,
+    text_lines,
     write_lines,
 )
 
@@ -409,6 +413,80 @@ class TestJsonl:
         with pytest.raises(TraceParseError,
                            match="^line 2: method name contains whitespace: 'a b'$"):
             list(jsonl_lines(["0\t1\tE\ta", "0\t1\tE\ta b"]))
+
+
+class ShortReads:
+    """A binary stream whose reads return at most the next of ``sizes``
+    bytes each, taking the sizes in turn."""
+
+    def __init__(self, data: bytes, sizes: list[int]):
+        self.data, self.sizes, self.pos, self.reads = data, sizes, 0, 0
+
+    def read(self, n: int) -> bytes:
+        size = min(n, self.sizes[self.reads % len(self.sizes)])
+        self.reads += 1
+        chunk = self.data[self.pos:self.pos + size]
+        self.pos += len(chunk)
+        return chunk
+
+
+# each line ending, characters of one to four UTF-8 bytes, and the characters
+# str.splitlines() also cuts at, which a text file keeps inside a line
+PIECES = ["\n", "\r", "\r\n", "a", "\u00e9", "\U0001f600", "\x0c", "\x1e", "\x85", "\u2028"]
+
+
+def text_file_lines(data: bytes) -> list[str]:
+    """The lines of ``data`` read as a text file, without their endings."""
+    return [line.removesuffix("\n")
+            for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")]
+
+
+class TestTextLines:
+    """``text_lines`` splits and decodes as a text file does, read by read."""
+
+    def check(self, data: bytes, sizes: list[int]) -> None:
+        sha256 = hashlib.sha256()
+        assert list(text_lines(ShortReads(data, sizes), sha256)) == text_file_lines(data)
+        assert sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES)).map("".join),
+           st.lists(st.integers(1, 9), min_size=1))
+    @example("", [1])
+    @example("a\r\nb", [2])  # a read ends between the \r and its \n
+    @example("\U0001f600\u00e9", [1, 2, 3])  # reads end inside both characters
+    def test_lines_and_digest_match_a_text_file(self, text, sizes):
+        self.check(text.encode("utf-8"), sizes)
+
+    def test_every_cut_of_one_text(self):
+        data = "".join(PIECES * 2).encode("utf-8")
+        for cut in range(len(data) + 1):
+            self.check(data, [cut or 1, len(data)])
+
+    def test_bad_byte_raises_after_the_lines_of_earlier_reads(self):
+        data = b"a\nb\n" + b"c\xffd\ne\n"
+        lines = text_lines(ShortReads(data, [4, 100]))
+        assert [next(lines), next(lines)] == ["a", "b"]
+        with pytest.raises(UnicodeDecodeError):
+            next(lines)
+        with pytest.raises(UnicodeDecodeError, match="unexpected end of data"):
+            list(text_lines(io.BytesIO(b"a\n\xe2\x82")))
+
+    def test_a_line_of_the_cap_is_read(self):
+        line = "x" * LINE_CAP
+        assert list(text_lines(io.BytesIO(f"a\r\n{line}\rb".encode()))) == ["a", line, "b"]
+
+    @pytest.mark.parametrize("data, lineno", [
+        (b"a\nb\n" + b"x" * (LINE_CAP + 1), 3),  # the line is the rest of every read
+        (b"a\n" + b"x" * (LINE_CAP + 1) + b"\nb\n", 2),  # it ends inside a read
+        (b"\xc3\xa9" * (LINE_CAP + 1), 1),  # characters, not bytes, count
+    ], ids=["held-back", "ended", "two-byte"])
+    def test_a_longer_line_is_refused_before_the_rest_is_read(self, data, lineno):
+        stream = ShortReads(data + b"y" * (4 * LINE_CAP), [READ_SIZE])
+        with pytest.raises(ValueError,
+                           match=f"^line {lineno}: line longer than {LINE_CAP} characters$"):
+            list(text_lines(stream))
+        assert stream.pos <= len(data) + READ_SIZE
 
 
 class TestOneLineProtocol:
