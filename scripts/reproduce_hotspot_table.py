@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import sys
 
 from cct_lens import workload
 from cct_lens.cct import ingest_merged
 from cct_lens.report import REPORT_FORMATS, analysis_lines
 from cct_lens.snapshot import tabulate
-from cct_lens.trace import text_lines, write_lines
+from cct_lens.trace import join_lines, write_lines
 
 
 def main(argv=None) -> int:
@@ -34,10 +33,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = workload.PRESETS[args.preset]()
-    data = workload.simulate(spec).encode("utf-8")
-    lines = list(text_lines(io.BytesIO(data)))
+    lines = list(workload.simulate_lines(spec))
+    digest = hashlib.sha256(join_lines(lines).encode("utf-8")).hexdigest()
     print(f"trace: {sum(1 for l in lines if not l.startswith('#'))} "
-          f"events, sha256={hashlib.sha256(data).hexdigest()[:16]}...", file=sys.stderr)
+          f"events, sha256={digest[:16]}...", file=sys.stderr)
 
     tables = tabulate(ingest_merged(lines))
     try:

@@ -96,7 +96,8 @@ def cmd_analyze(args) -> int:
         merged_tables = snapshot.tabulate(root, catalog, filter_set, mode)
     if args.snapshot_out:
         # argv holds a byte that is not UTF-8 as a surrogate; a snapshot has U+FFFD
-        label = (args.label or args.trace).encode("utf-8", "surrogateescape")
+        label = args.trace if args.label is None else args.label
+        label = label.encode("utf-8", "surrogateescape")
         snap = snapshot.Snapshot(label.decode("utf-8", "replace"), args.user_count,
                                  merged_tables.hot_spots, merged_tables.components,
                                  sha256.hexdigest())

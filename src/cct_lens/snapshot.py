@@ -27,7 +27,7 @@ from .components import (TIERS, ComponentCatalog, ComponentUtilizationRow, Tier,
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
-from .trace import errors_in, join_lines, json_field, json_members, json_rows, text_lines
+from .trace import decode, errors_in, join_lines, json_field, json_members, json_rows, text_lines
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -287,12 +287,10 @@ def load_snapshot(text: str) -> Snapshot:
 def load_snapshot_file(path) -> Snapshot:
     """Load a snapshot file; errors name the file (``trace.errors_in``).
 
-    A file whose first non-blank character is not ``{`` is refused before
-    the rest of it is read.
+    A file whose first read's first non-blank byte is not ``{`` is refused
+    before the rest of it is read or any of it decoded.
     """
-    with errors_in(path), open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(4096)
-        start = head.lstrip(" \t\n\r")
-        if start and start[0] != "{":
+    with errors_in(path), open(path, "rb") as fh:
+        if fh.peek().lstrip(b" \t\n\r")[:1] not in (b"{", b""):
             raise ValueError(f"not a {_SNAPSHOT_FORMAT} document")
-        return load_snapshot(head + fh.read())
+        return load_snapshot(decode(fh.read()))

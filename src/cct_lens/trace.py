@@ -20,14 +20,15 @@ structural checks, nesting and per-thread timestamp order, live in
 of ``READ_SIZE`` bytes, to lines of at most ``LINE_CAP`` characters.
 ``jsonl_lines`` streams a JSON-lines rendering with keys
 ``ts``/``tid``/``ev``/``m``; the tab-separated form is canonical.
-``errors_in`` names the file, and the line of a byte that is not UTF-8,
-in the errors of every file reader; ``json_field`` type-checks a field
-of the JSON documents they read.  ``write_lines``, the one writer of
-every output, names the output in its failed writes.  Producers yield
-lines without newlines: ``write_lines`` ends each one, and ``join_lines``
-gives the same text as one string.  ``REPORT_FORMATS`` names the report
-formats; ``json_rows`` gives the rows of the JSON reports and snapshots
-one at a time, as ``json.dumps(obj, indent=2)`` writes them.
+``decode`` decodes every input file and names the line of a byte that is
+not UTF-8; ``errors_in`` names the file in the errors of every file
+reader, and ``json_field`` type-checks a field of the JSON documents they
+read.  ``write_lines``, the one writer of every output, names the output
+in its failed writes.  Producers yield lines without newlines:
+``write_lines`` ends each one, and ``join_lines`` gives the same text as
+one string.  ``REPORT_FORMATS`` names the report formats; ``json_rows``
+gives the rows of the JSON reports and snapshots one at a time, as
+``json.dumps(obj, indent=2)`` writes them.
 """
 
 from __future__ import annotations
@@ -79,27 +80,9 @@ class TraceStructureError(TraceError):
 
 @contextlib.contextmanager
 def errors_in(path):
-    """Name ``path`` in a ValueError (a TraceError too) raised in the block.
-
-    A UTF-8 decode error also names the line of the file's first byte that
-    is not UTF-8, in place of the decoder's offset.
-    """
+    """Name ``path`` in a ValueError (a TraceError too) raised in the block."""
     try:
         yield
-    except UnicodeDecodeError as exc:
-        line = 1
-        # surrogateescape turns each such byte into a lone surrogate, which
-        # cannot be encoded; reads of fixed size bound the memory
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            while chunk := fh.read(1 << 16):
-                try:
-                    chunk.encode("utf-8")
-                except UnicodeEncodeError as bad:
-                    line += chunk.count("\n", 0, bad.start)
-                    break
-                line += chunk.count("\n")
-        raise ValueError(f"{path}: line {line}: byte 0x{exc.object[exc.start]:02x} "
-                         f"is not UTF-8 ({exc.reason})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -110,21 +93,39 @@ READ_SIZE = 1 << 13
 # characters per line: the JVM keeps a constant-pool string, and so a
 # method name, under 65,535 bytes (JVM spec §4.4.7)
 LINE_CAP = 1 << 20
+_UTF8 = codecs.getincrementaldecoder("utf-8")
+
+
+def decode(data: bytes, decoder=None, line: int = 1) -> str:
+    """The UTF-8 text of ``data``, each ``\\r\\n`` and lone ``\\r`` made ``\\n``.
+    ``data`` is a whole file, or one read, starting on ``line``, of a file
+    that ``decoder`` decodes read by read, up to an empty read.  A byte that
+    is not UTF-8 raises ValueError: ``line N: byte 0xXX is not UTF-8 (reason)``."""
+    final = decoder is None or not data
+    decoder = decoder or io.IncrementalNewlineDecoder(_UTF8(), True)
+    try:
+        return decoder.decode(data, final)
+    except UnicodeDecodeError as exc:
+        # the breaks before it: a \r held from the last read, then this read's
+        before = b"\r"[:decoder.getstate()[1] & 1] + exc.object[:exc.start]
+        line += before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise ValueError(f"line {line}: byte 0x{exc.object[exc.start]:02x} "
+                         f"is not UTF-8 ({exc.reason})") from None
 
 
 def text_lines(stream, sha256=None) -> Iterator[str]:
     """The lines, without their endings, of the UTF-8 text of the binary
     ``stream``, split as ``open(path, encoding="utf-8")`` splits them.
     ``sha256``, if given, takes every byte read.  A byte that is not UTF-8
-    raises UnicodeDecodeError as its read is decoded, and a line over
+    raises ``decode``'s ValueError as its read is decoded, and a line over
     ``LINE_CAP`` characters ValueError before the rest of it is read."""
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    decoder = io.IncrementalNewlineDecoder(_UTF8(), True)
     line, rest = 1, ""
     while True:
         data = stream.read(READ_SIZE)
         if sha256 is not None:
             sha256.update(data)
-        lines = (rest + decoder.decode(data, not data)).split("\n")
+        lines = (rest + decode(data, decoder, line)).split("\n")
         # only the first line can span reads: it starts with the rest of the last
         if len(lines[0]) > LINE_CAP:
             raise ValueError(f"line {line}: line longer than {LINE_CAP} characters")

@@ -29,8 +29,8 @@ import json
 from hashlib import blake2b
 from typing import Iterator, Mapping, NamedTuple
 
-from .trace import (ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, errors_in, join_lines,
-                    json_field)
+from .trace import (ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, decode, errors_in,
+                    join_lines, json_field)
 
 SERVLET_ARGS = ("javax.servlet.http.HttpServletRequest,"
                 "javax.servlet.http.HttpServletResponse")
@@ -497,5 +497,5 @@ def load_workload_spec(text: str) -> WorkloadSpec:
 
 def load_workload_spec_file(path) -> WorkloadSpec:
     """Load a spec file; errors name the file (``trace.errors_in``)."""
-    with errors_in(path), open(path, "r", encoding="utf-8") as fh:
-        return load_workload_spec(fh.read())
+    with errors_in(path), open(path, "rb") as fh:
+        return load_workload_spec(decode(fh.read()))

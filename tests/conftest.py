@@ -1,6 +1,7 @@
 """Shared helpers: seeded random well-formed traces, a naive replay oracle,
-a reader for the JSON trees that ``export --format cct|forest`` writes, and
-the ``Decimal`` average formatter that the integer one replaced.
+a reader for the JSON trees that ``export --format cct|forest`` writes, the
+``Decimal`` average formatter that the integer one replaced, and the second
+read that once found the line of a byte that is not UTF-8.
 
 The oracle deliberately avoids every tree abstraction from the package: it
 replays raw events against plain per-thread stacks and accumulates per-method
@@ -10,8 +11,9 @@ agree with it exactly.
 
 from __future__ import annotations
 
-import random
+import io
 import json
+import random
 from collections import defaultdict
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -186,3 +188,19 @@ def decimal_format_avg_ms(avg: Fraction) -> str:
             text = text.rstrip("0").rstrip(".")
         return f"{text} ms"
     return format_ms(round(avg))
+
+
+def rescan_bad_byte(data: bytes) -> tuple[int, int]:
+    """The line and the value of the first byte of ``data`` that is not UTF-8,
+    found as the file readers once found it, by reading the file a second
+    time: in text mode with ``surrogateescape``, which turns each such byte
+    into a lone surrogate that cannot be encoded, 64 KiB at a time."""
+    line = 1
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as fh:
+        while chunk := fh.read(1 << 16):
+            try:
+                chunk.encode("utf-8")
+            except UnicodeEncodeError as bad:
+                return line + chunk.count("\n", 0, bad.start), ord(chunk[bad.start]) - 0xDC00
+            line += chunk.count("\n")
+    raise AssertionError("every byte is UTF-8")

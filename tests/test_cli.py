@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import gzip
 import hashlib
 import io
 import json
@@ -608,6 +609,14 @@ class TestMalformedSnapshot:
         assert (code, stdout) == (1, "")
         assert stderr == f"error: {bad}: not a cct-lens/snapshot@1 document\n"
 
+    def test_gzip_is_refused_before_it_is_decoded(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "s.json.gz"
+        good.write_text(self.GOOD, encoding="utf-8")
+        bad.write_bytes(gzip.compress(self.GOOD.encode("utf-8")))
+        code, stdout, stderr = run(capsys, "diff", str(good), str(bad))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {bad}: not a cct-lens/snapshot@1 document\n"
+
 
 class TestCallgraph:
     def test_reference_edge(self, capsys, fig8_trace):
@@ -957,6 +966,47 @@ class TestUndecodableInputFile:
         assert (code, stdout) == (1, "")
         assert stderr == (f"error: {bad}: line {line}: byte 0xff is not UTF-8 "
                           "(invalid start byte)\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+class TestUndecodablePipe:
+    """A pipe is read once, so the line of a byte that is not UTF-8 is found
+    as it is read: no second read finds the pipe empty."""
+
+    TRACE = b"0\t1\tE\ta\n1\t1\tX\ta\n2\t1\tE\t\xff\n"
+
+    def check(self, capsys, data: bytes, argv):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            code, stdout, stderr = run(capsys, *(path if a == "PIPE" else a for a in argv))
+        finally:
+            os.close(read_end)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {path}: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    @pytest.mark.parametrize("command", [("analyze",), ("export", "--format", "jsonl")],
+                             ids=" ".join)
+    def test_trace(self, capsys, command):
+        self.check(capsys, self.TRACE, [command[0], "PIPE", *command[1:]])
+
+    def test_catalog(self, capsys, fig8_trace):
+        data = b"# tier\tcomponent\tpattern\ndao\tD\t*.dao.*\nweb\tW\xff\t*\n"
+        self.check(capsys, data, ["analyze", str(fig8_trace), "--catalog", "PIPE"])
+
+    def test_spec(self, capsys):
+        self.check(capsys, b'{\n"seed": 0,\n"executions": {"login\xff": 1}}\n',
+                   ["simulate", "--spec", "PIPE"])
+
+    def test_snapshot(self, capsys, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text(dump_snapshot(take_snapshot("a", 1, b"0\t1\tE\ta\n1\t1\tX\ta\n")),
+                        encoding="utf-8")
+        # the label is on line 3
+        data = good.read_bytes().replace(b'"a"', b'"a\xff"', 1)
+        self.check(capsys, data, ["diff", str(good), "PIPE"])
 
 
 class TestDeepChain:

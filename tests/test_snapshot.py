@@ -91,6 +91,11 @@ class TestTakeSnapshot:
         with pytest.raises(TraceParseError, match="^line 5: "):
             take_snapshot("s", 1, data + b"\r\nbad")
 
+    def test_a_byte_that_is_not_utf8_names_its_line(self):
+        with pytest.raises(ValueError,
+                           match=r"^line 2: byte 0xff is not UTF-8 \(invalid start byte\)$"):
+            take_snapshot("a", 1, b"0\t1\tE\ta\n\xff")
+
 
 class TestTabulate:
     def test_one_aggregate_walk_per_tabulate(self, monkeypatch):
@@ -488,6 +493,17 @@ class TestSnapshotText:
         assert load_snapshot_file(snap).label == "load\ufffd"
         assert main(["diff", str(snap), str(snap), "--format", "csv"]) == 0
         assert capsys.readouterr().out.startswith("# diff load\ufffd vs load\ufffd\n")
+
+    def test_snapshot_out_keeps_an_empty_label(self, tmp_path, capsys):
+        trace, snap = tmp_path / "t.tsv", tmp_path / "s.json"
+        trace.write_text("1\t1\tE\ta.B.m()\n2\t1\tX\ta.B.m()\n", encoding="utf-8")
+        assert main(["analyze", str(trace), "--snapshot-out", str(snap), "--label", ""]) == 0
+        capsys.readouterr()
+        assert load_snapshot_file(snap).label == ""
+        assert main(["diff", str(snap), str(snap), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("# diff  vs \n")
+        assert main(["diff", str(snap), str(snap)]) == 0
+        assert capsys.readouterr().out.startswith("Snapshot diff: a= (users=0)  b= (users=0)\n")
 
     def test_label_line_breaks_stay_on_their_line(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -320,20 +320,16 @@ def test_the_check_sees_strictness():
         "lenient:12", "warn:15"])
 
 
-# the functions that read a file in text mode: the JSON documents, whose lines
-# may be far longer than a trace's, and the second read that finds the line of
-# a byte that is not UTF-8; every trace and catalog is read by trace.text_lines
-TEXT_READERS = {"trace.py": "errors_in", "snapshot.py": "load_snapshot_file",
-                "workload.py": "load_workload_spec_file"}
+# every input file is read in binary and decoded by trace.decode, every trace
+# and catalog through trace.text_lines
 TEXT_LAYERS = ("TextIOWrapper", "RawIOBase")
 
 
-def text_reads(tree: ast.AST, skip: str | None = None) -> list[str]:
+def text_reads(tree: ast.AST) -> list[str]:
     """``what:line`` of each text layer built by hand, anywhere: a mention of
     ``io.TextIOWrapper`` or ``io.RawIOBase`` and a ``from io import`` of
     either; and of each ``open`` for reading in text mode (no mode, or a
-    constant one without ``b`` or any of ``wax+``) outside the function
-    named ``skip``."""
+    constant one without ``b`` or any of ``wax+``)."""
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in TEXT_LAYERS
@@ -342,8 +338,7 @@ def text_reads(tree: ast.AST, skip: str | None = None) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module == "io" and any(
                 alias.name in TEXT_LAYERS for alias in node.names):
             found.append(f"from io:{node.lineno}")
-    for node in nodes_outside(tree, skip):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
             mode = node.args[1] if len(node.args) > 1 else {
                 k.arg: k.value for k in node.keywords}.get("mode")
             if mode is None or (isinstance(mode, ast.Constant) and "b" not in mode.value
@@ -355,8 +350,27 @@ def text_reads(tree: ast.AST, skip: str | None = None) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_one_reader_reads_every_trace(path):
     # a second stack of file objects would read a line without the cap
-    assert text_reads(ast.parse(path.read_text(encoding="utf-8")),
-                      TEXT_READERS.get(path.name)) == []
+    assert text_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def decode_handlers(tree: ast.AST) -> list[str]:
+    """``function:line`` of each ``except`` clause that names
+    UnicodeDecodeError, in each function around it."""
+    return [f"{fn.name}:{node.lineno}" for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "UnicodeDecodeError" in ast.unparse(node.type)]
+
+
+def test_one_function_decodes_every_input():
+    # trace.decode names a bad byte's line as it reads, so no reader reads
+    # a file again to find it
+    found = [f"{path.name}:{where.split(':')[0]}" for path in SOURCES
+             for where in decode_handlers(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["trace.py:decode"]
+    source = ("def f():\n    try:\n        pass\n    except (OSError, UnicodeDecodeError):\n"
+              "        pass\n    except ValueError:\n        pass\n")
+    assert decode_handlers(ast.parse(source)) == ["f:4"]
 
 
 def test_the_check_sees_text_reads():
@@ -374,10 +388,6 @@ def test_the_check_sees_text_reads():
               "def g(p):\n"
               "    open(p, encoding='utf-8')\n"
               "    return io.TextIOWrapper\n")
-    tree = ast.parse(source)
-    assert sorted(text_reads(tree)) == sorted([
+    assert sorted(text_reads(ast.parse(source))) == sorted([
         "from io:2", "io.RawIOBase:3", "io.TextIOWrapper:6", "open:7", "open:8", "open:9",
         "open:13", "io.TextIOWrapper:14"])
-    assert sorted(text_reads(tree, skip="g")) == sorted([
-        "from io:2", "io.RawIOBase:3", "io.TextIOWrapper:6", "open:7", "open:8", "open:9",
-        "io.TextIOWrapper:14"])

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cct_lens.cct import ingest, serialize_forest
+from cct_lens.snapshot import load_snapshot_file
 from cct_lens.trace import (
     ENTER,
     EXIT,
@@ -31,8 +32,9 @@ from cct_lens.trace import (
     text_lines,
     write_lines,
 )
+from cct_lens.workload import load_workload_spec_file
 
-from conftest import random_trace, trace_lines
+from conftest import random_trace, rescan_bad_byte, trace_lines
 
 
 class TestParseTraceLine:
@@ -467,9 +469,9 @@ class TestTextLines:
         data = b"a\nb\n" + b"c\xffd\ne\n"
         lines = text_lines(ShortReads(data, [4, 100]))
         assert [next(lines), next(lines)] == ["a", "b"]
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValueError, match="^line 3: byte 0xff is not UTF-8"):
             next(lines)
-        with pytest.raises(UnicodeDecodeError, match="unexpected end of data"):
+        with pytest.raises(ValueError, match=r"^line 2: .*\(unexpected end of data\)$"):
             list(text_lines(io.BytesIO(b"a\n\xe2\x82")))
 
     def test_a_line_of_the_cap_is_read(self):
@@ -487,6 +489,47 @@ class TestTextLines:
                            match=f"^line {lineno}: line longer than {LINE_CAP} characters$"):
             list(text_lines(stream))
         assert stream.pos <= len(data) + READ_SIZE
+
+
+# line endings and characters of one to four bytes, then a byte that starts
+# no character, a lone continuation byte, sequences cut short (at the end of
+# the data, they end it early) and a surrogate, which UTF-8 does not encode
+BYTE_PIECES = [piece.encode() for piece in ["\n", "\r", "\r\n", "a", "\u00e9", "\u20ac",
+                                            "\U0001f600"]]
+BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80"]
+
+
+@pytest.fixture(scope="class")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs") / "doc.json"
+
+
+class TestBadByteLine:
+    """Every reader names the line that a second read of the file names,
+    wherever the reads fall."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(BYTE_PIECES)).map(b"".join), st.sampled_from(BAD_BYTES),
+           st.lists(st.sampled_from(BYTE_PIECES)).map(b"".join),
+           st.lists(st.integers(1, 9), min_size=1))
+    @example(b"a\r", b"\xff", b"", [2])  # the decoder holds the \r as the byte comes
+    @example(b"a\r\n", b"\xff", b"", [2])  # a read ends between the \r and its \n
+    @example(b"\r\xe2", b"\xff", b"", [2])  # a \r, then a character the read cut
+    @example("\u00e9\U0001f600".encode(), b"\xff", b"\n", [1, 2, 3])  # reads cut characters
+    @example(b"\r", b"\xe2\x82", b"", [1])  # cut short at the end, after a held \r
+    def test_the_line_of_a_rescan(self, doc_path, before, bad, after, sizes):
+        data = before + bad + after
+        line, byte = rescan_bad_byte(data)
+        with pytest.raises(ValueError, match=f"^line {line}: byte 0x{byte:02x} is not UTF-8 "):
+            list(text_lines(ShortReads(data, sizes)))
+        # the JSON loaders decode the whole file; a snapshot must start with {
+        doc_path.write_bytes(b"{" + data)
+        line, byte = rescan_bad_byte(b"{" + data)
+        message = f"{doc_path}: line {line}: byte 0x{byte:02x} is not UTF-8 ("
+        for load in (load_snapshot_file, load_workload_spec_file):
+            with pytest.raises(ValueError) as caught:
+                load(doc_path)
+            assert str(caught.value).startswith(message)
 
 
 class TestOneLineProtocol:
