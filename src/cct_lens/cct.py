@@ -23,8 +23,8 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, Iterator, NamedTuple, Reversible
 
-from .trace import (ENTER, EXIT, TS_RANGE, TS_RANGE_ERROR, TraceEvent, TraceStructureError,
-                    format_trace_line, parse_trace_line)
+from .trace import (ENTER, EXIT, TraceEvent, TraceStructureError, format_trace_line,
+                    parse_trace_line)
 
 MERGED_ROOT = "<root>"
 
@@ -64,8 +64,10 @@ class CctNode:
         while stack:
             node = stack.pop()
             yield node
-            # reversed so children come off the stack in encounter order
-            stack.extend(reversed(node.children.values()))
+            # most nodes are leaves; reversed so children come off the stack
+            # in encounter order
+            if node.children:
+                stack += reversed(node.children.values())
 
     def node_count(self) -> int:
         return sum(1 for _ in self.walk())
@@ -141,7 +143,9 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
             raw_ts, raw_tid, kind, method = line.split("\t")
             ts = int(raw_ts)
             state = threads[raw_tid]
-            known = method in checked and (kind == ENTER or kind == EXIT)
+            # the range parse_trace_line checks, as two compares
+            known = (method in checked and (kind == ENTER or kind == EXIT)
+                     and -2**63 <= ts < 2**63)
         except (ValueError, KeyError):
             known = False
         if not known:
@@ -152,13 +156,9 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
                 checked.add(method)
             state = threads.get(str(tid))
             if state is None:
-                if ts not in TS_RANGE:
-                    raise TraceStructureError(TS_RANGE_ERROR, tid=tid, lineno=lineno)
                 state = threads[str(tid)] = _ThreadState(tid, ts, shared_root)
         tid = state.tid
         if ts < state.last_ts:
-            if ts not in TS_RANGE:
-                raise TraceStructureError(TS_RANGE_ERROR, lineno, tid)
             _defect(lenient, warn, tid, lineno, "timestamp regression {} -> {}",
                     "clamped timestamp regression {} -> {}", state.last_ts, ts)
             ts = state.last_ts
@@ -192,9 +192,6 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
             node.total_time += ts - enter_ts
     for state in threads.values():
         stack, last_ts = state.stack, state.last_ts
-        # the thread's first timestamp was checked when it was read
-        if last_ts not in TS_RANGE:
-            raise TraceStructureError(TS_RANGE_ERROR, tid=state.tid)
         if stack:
             _defect(lenient, warn, state.tid, lineno,
                     "{0} frame(s) still open at end of trace (innermost: {1})",
@@ -218,10 +215,11 @@ def ingest(lines: Iterable[str], lenient: bool = False,
     contexts plus open stack depth, not to the event count.
 
     Every line passes the grammar of ``parse_trace_line`` and fails with
-    its ``line N: ...`` message: the first line of each thread, the first
+    its message, on its line: the first line of each thread, the first
     enter of each method name, every exit of a name that never entered,
     and any line the loop's quick checks refuse go through
-    ``parse_trace_line`` itself.
+    ``parse_trace_line`` itself.  So both modes refuse a timestamp outside
+    the signed 64-bit range at its line.
 
     Strict mode raises TraceStructureError on orphan exits, mismatched
     exits, frames left open at end of input, or per-thread timestamp
@@ -231,10 +229,6 @@ def ingest(lines: Iterable[str], lenient: bool = False,
     it passes ``warn`` one ``tid T, line N: <repair>`` per repair.  An
     error and a warning for the same defect name the same thread and
     1-based line; frames left open are reported at the last line.
-
-    Both modes refuse a timestamp outside the signed 64-bit range.  A
-    thread's first timestamp and each regressing one are checked on their
-    lines, its running maximum at the end; every other lies between these.
     """
     roots = {}
     for state in sorted(_ingest(lines, lenient, warn, None), key=lambda state: state.tid):
@@ -255,19 +249,17 @@ def ingest_merged(lines: Iterable[str], lenient: bool = False,
     root = CctNode(MERGED_ROOT, invocations=1)
     _ingest(lines, lenient, warn, root)
     # children were made in order of first enter; merge_ccts orders them by
-    # the lowest tid that has them, then by that tid's first enter
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        kids = list(node.children.values())
+    # the lowest tid that has them, then by that tid's first enter; walk
+    # reads a node's children once it is resumed, so it sees the new dict
+    for node in root.walk():
+        kids = node.children
         if len(kids) > 1:
-            keys = [kid._order for kid in kids]
+            keys = [kid._order for kid in kids.values()]
             if keys != sorted(keys):
                 # keys are distinct: no two children share a first enter line
-                node.children = {kid.method: kid for _, kid in sorted(zip(keys, kids))}
-        for kid in kids:
+                node.children = {kid.method: kid for _, kid in sorted(zip(keys, kids.values()))}
+        for kid in kids.values():
             del kid._order
-        stack += kids
     _set_busy_time(root)
     return root
 
@@ -279,8 +271,8 @@ def build_forest(events: Iterable[TraceEvent], lenient: bool = False,
     Events must be in file order (per-thread subsequences ordered).  Each
     is rendered with ``format_trace_line``, so it must meet the line
     grammar (kind ``E`` or ``X``, tid >= 0, a non-empty method without
-    whitespace) or TraceParseError is raised.  Messages count the events
-    from 1 as lines.
+    whitespace, a signed 64-bit timestamp) or its error is raised.
+    Messages count the events from 1 as lines.
     """
     return ingest(map(format_trace_line, events), lenient=lenient, warn=warn)
 
@@ -342,12 +334,9 @@ def project_call_graph(root: CctNode) -> list[CallGraphEdge]:
     """
     acc: dict[tuple[str, str], list[int]] = {}
     # any visiting order will do: the sort below is total
-    stack = [root]
-    while stack:
-        node = stack.pop()
+    for node in root.walk():
         caller = node.method
-        children = node.children.values()
-        for child in children:
+        for child in node.children.values():
             key = (caller, child.method)
             cell = acc.get(key)
             if cell is None:
@@ -355,7 +344,6 @@ def project_call_graph(root: CctNode) -> list[CallGraphEdge]:
             else:
                 cell[0] += child.invocations
                 cell[1] += child.total_time
-        stack.extend(children)
     # each (caller, callee) pair is one edge, so the sort compares no further
     order = sorted((-calls, caller, callee, total)
                    for (caller, callee), (calls, total) in acc.items())

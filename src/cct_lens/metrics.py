@@ -46,16 +46,13 @@ def aggregate_methods(root: CctNode) -> dict[str, MethodTotals]:
     preorder, which makes downstream tie-breaking deterministic.
     """
     acc: dict[str, list[int]] = {}
-    # preorder: reversed so children come off the stack in encounter order
-    stack = list(reversed(root.children.values()))
-    while stack:
-        node = stack.pop()
+    nodes = root.walk()
+    next(nodes)  # the root
+    for node in nodes:
         total = node.total_time
         self_ns = total
-        children = node.children.values()
-        for child in children:
+        for child in node.children.values():
             self_ns -= child.total_time
-        stack.extend(reversed(children))
         cell = acc.get(node.method)
         if cell is None:
             acc[node.method] = [self_ns, total, node.invocations]

@@ -72,14 +72,16 @@ def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
                   lenient: bool = False) -> Snapshot:
     """Run the full pipeline over trace content, read by ``trace.text_lines``
-    as the CLI reads a trace file, and freeze the tables."""
+    as the CLI reads a trace file, and freeze the tables.  A label or user
+    count that ``load_snapshot`` would refuse raises its ValueError first."""
     import hashlib
 
     from .cct import ingest_merged
 
+    head = _head({"label": label, "user_count": user_count,
+                  "source_trace_digest": hashlib.sha256(trace_bytes).hexdigest()})
     tables = tabulate(ingest_merged(text_lines(io.BytesIO(trace_bytes)), lenient=lenient))
-    return Snapshot(label, user_count, tables.hot_spots, tables.components,
-                    hashlib.sha256(trace_bytes).hexdigest())
+    return Snapshot(hotspot_table=tables.hot_spots, component_table=tables.components, **head)
 
 
 class SnapshotDiffRow(NamedTuple):
@@ -231,6 +233,12 @@ def _table_field(obj, key: str, kind: type, minimum: int | None = None, where: s
     return value
 
 
+def _head(doc: dict) -> dict:
+    """The fields of ``_HEAD_FIELDS`` after the format, from ``doc``, checked."""
+    return {name: _table_field(doc, name, kind, minimum)
+            for name, kind, minimum in _HEAD_FIELDS[1:]}
+
+
 def _rows(doc: dict, key: str, fields, row_ok) -> list[tuple]:
     """The rows of ``doc[key]`` as tuples of ``fields``.  The fields other than
     integers name a row (a method, or a component and tier): no two rows share them.
@@ -264,8 +272,7 @@ def load_snapshot(text: str) -> Snapshot:
         raise ValueError(f"bad snapshot document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != _SNAPSHOT_FORMAT:
         raise ValueError(f"not a {_SNAPSHOT_FORMAT} document")
-    head = {name: _table_field(doc, name, kind, minimum)
-            for name, kind, minimum in _HEAD_FIELDS[1:]}
+    head = _head(doc)
     hot = _rows(doc, "hot_spots", _HOT_FIELDS, _hot_row_ok)
     denom = sum(self_ns for _, self_ns, _ in hot)
     hot_rows = tuple(

@@ -4,17 +4,18 @@ The on-disk format is UTF-8 text, tab separated, four fields per line::
 
     <ts> TAB <tid> TAB <E|X> TAB <method>
 
-``ts`` is integer nanoseconds on a monotonic clock with an arbitrary
-per-run origin, ``tid`` is a non-negative thread id, ``E``/``X`` marks
-method enter/exit, and ``method`` is a fully qualified method name that
-contains no whitespace: no character for which ``str.isspace()`` holds.
-Lines starting with ``#`` are comments; blank lines are ignored.  Per
-thread, timestamps must be non-decreasing and enters/exits must nest
+``ts`` is signed 64-bit integer nanoseconds on a monotonic clock with an
+arbitrary per-run origin, ``tid`` is a non-negative thread id, ``E``/``X``
+marks method enter/exit, and ``method`` is a fully qualified method name
+that contains no whitespace: no character for which ``str.isspace()``
+holds.  Lines starting with ``#`` are comments; blank lines are ignored.
+Per thread, timestamps must be non-decreasing and enters/exits must nest
 like a stack.
 
-This module owns the line grammar (``parse_trace_line``).  The
-structural checks, nesting and per-thread timestamp order, live in
-``cct.ingest``, which parses, checks and builds a tree in one pass.
+This module owns the line grammar (``parse_trace_line``), the timestamp
+range included, so every reader refuses a timestamp out of range on its
+line.  The structural checks, nesting and per-thread timestamp order,
+live in ``cct.ingest``, which parses, checks and builds a tree in one pass.
 
 ``text_lines`` reads every trace and catalog: a binary stream, in reads
 of ``READ_SIZE`` bytes, to lines of at most ``LINE_CAP`` characters.
@@ -265,7 +266,9 @@ def parse_trace_line(line: str, lineno: int | None = None) -> TraceEvent | None:
     """Parse one line of canonical trace text.
 
     Returns None for blank lines and ``#`` comments.  Raises
-    TraceParseError on malformed input, naming the offending line.
+    TraceParseError on malformed input, naming the offending line, and
+    then TraceStructureError, naming the thread and the line, on a
+    timestamp outside the signed 64-bit range.
     """
     line = line.rstrip()
     if not line or line.startswith("#"):
@@ -291,6 +294,8 @@ def parse_trace_line(line: str, lineno: int | None = None) -> TraceEvent | None:
     # str.split() cuts at exactly the characters for which str.isspace() holds
     if method.split() != [method]:
         raise TraceParseError(f"method name contains whitespace: {method!r}", lineno)
+    if ts not in TS_RANGE:
+        raise TraceStructureError(TS_RANGE_ERROR, lineno, tid)
     return TraceEvent(ts, tid, kind, method)
 
 
@@ -318,10 +323,10 @@ def jsonl_lines(lines: Iterable[str]) -> Iterator[str]:
     ``json.dumps`` writes them.  The line checks are those of
     ``cct.ingest``: a line whose thread id text or method name has not
     been seen, or that any quick check refuses, goes through
-    ``parse_trace_line``, which raises its ``line N: ...`` error.  A
-    timestamp outside the signed 64-bit range raises TraceStructureError
-    naming the thread and the line.  Memory is bounded by the threads and
-    the method names entered, not by the number of lines.
+    ``parse_trace_line``, which raises its ``line N: ...`` error, or its
+    ``tid T, line N: ...`` one for a timestamp out of range.  Memory is
+    bounded by the threads and the method names entered, not by the
+    number of lines.
     """
     # canonical thread id texts, and the JSON text of each method name
     # that passed the grammar check on an enter
@@ -335,7 +340,8 @@ def jsonl_lines(lines: Iterable[str]) -> Iterator[str]:
             raw_ts, tid, kind, method = line.split("\t")
             ts = int(raw_ts)
             name = names[method]
-            # ts in TS_RANGE, as two compares: a range test costs three times as much
+            # the range parse_trace_line checks, as two compares: a range
+            # test costs three times as much
             known = (tid in tids and (kind == ENTER or kind == EXIT)
                      and -2**63 <= ts < 2**63)
         except (ValueError, KeyError):
@@ -343,8 +349,6 @@ def jsonl_lines(lines: Iterable[str]) -> Iterator[str]:
         if not known:
             # raises the grammar error, or admits a new thread or method name
             event = parse_trace_line(line, lineno)
-            if event.ts not in TS_RANGE:
-                raise TraceStructureError(TS_RANGE_ERROR, tid=event.tid, lineno=lineno)
             ts, tid, kind, method = event.ts, str(event.tid), event.kind, event.method
             tids.add(tid)
             name = names.get(method) or _json_string(method)
@@ -356,7 +360,7 @@ def jsonl_lines(lines: Iterable[str]) -> Iterator[str]:
 def events_to_jsonl(events: Iterable[TraceEvent]) -> Iterator[str]:
     """Render events as JSON-lines text, one object per line: ``jsonl_lines`` on their lines.
 
-    Each event must meet the line grammar, or TraceParseError is raised
-    with the events counted from 1 as lines.
+    Each event must meet the line grammar, or its error is raised with
+    the events counted from 1 as lines.
     """
     return jsonl_lines(map(format_trace_line, events))

@@ -241,14 +241,6 @@ class LatencyModel(_Latency):
                 raise ValueError(f"base duration for {method} must be below 2**63")
         return self
 
-    def self_duration_ns(self, method: str, seed: int, use_case: str,
-                         execution_index: int, frame_index: int) -> int:
-        base = self.base_ns.get(method, self.default_base_ns)
-        if self.jitter == 0.0 or base == 0:
-            return base
-        key = f"{seed}|{use_case}|{execution_index}|{frame_index}".encode()
-        return _jittered(base, self.jitter, blake2b(key, digest_size=8).digest())
-
 
 def _jittered(base: int, jitter: float, digest: bytes) -> int:
     """``base`` scaled by a factor in [1 - jitter, 1 + jitter) that ``digest`` picks."""

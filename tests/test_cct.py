@@ -112,8 +112,7 @@ class TestStrictErrors:
         (2**63, 2**63, "tid 1, line 1"),
         # a regression below the range is refused, not clamped, on its line
         (0, -2**63 - 1, "tid 1, line 2"),
-        # the running maximum is checked at the end, where its line is not known
-        (0, 2**63, "tid 1"),
+        (0, 2**63, "tid 1, line 2"),
     ])
     def test_timestamp_outside_64_bits(self, lenient, first, last, where):
         with pytest.raises(TraceStructureError,

@@ -902,26 +902,35 @@ class TestBadTraceNamesTheFile:
         self.check(capsys, tmp_path, command, path,
                    "tid 1, line 2: mismatched exit: got b, innermost open frame is a")
 
-    # timestamps must fit in signed 64 bits; jsonl export names the line (below)
-    @pytest.mark.parametrize("command", UNDECODABLE_RUNS[:-1] + [
+    # timestamps must fit in signed 64 bits: every command, strict or lenient,
+    # names the line, and jsonl export writes the events before it
+    @pytest.mark.parametrize("command", UNDECODABLE_RUNS + [
         ("analyze", "--format", "csv"), ("analyze", "--format", "json")], ids=" ".join)
     def test_timestamp_outside_64_bits(self, capsys, tmp_path, command):
         path = tmp_path / "bad.tsv"
-        path.write_text(f"0\t1\tE\ta.b()\n{10**400}\t1\tX\ta.b()\n", encoding="utf-8")
-        self.check(capsys, tmp_path, command, path,
-                   "tid 1: timestamp outside the signed 64-bit range")
+        name, *flags = command
+        argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]
+        for first, second, line in [(0, 10**400, 2), (-2**63 - 1, 0, 1), (0, 2**63, 2)]:
+            path.write_text(f"{first}\t1\tE\ta.b()\n{second}\t1\tX\ta.b()\n",
+                            encoding="utf-8")
+            for lenient in [[], ["--lenient"]]:
+                code, stdout, stderr = run(capsys, name, str(path), *argv, *lenient)
+                assert (code, stderr) == (1, f"error: {path}: tid 1, line {line}: "
+                                             "timestamp outside the signed 64-bit range\n")
+                assert stdout == ('{"ts": %d, "tid": 1, "ev": "E", "m": "a.b()"}\n' % first
+                                  if "jsonl" in flags and line == 2 else "")
+                assert not (tmp_path / "s.json").exists()
 
-    @pytest.mark.parametrize("first, second, line", [
-        (0, 10**400, 2), (-2**63 - 1, 0, 1), (0, 2**63, 2),
-    ], ids=["10**400-on-line-2", "-2**63-1-on-line-1", "2**63-on-line-2"])
-    def test_jsonl_timestamp_outside_64_bits(self, capsys, tmp_path, first, second, line):
+    @pytest.mark.parametrize("command", [
+        ("analyze",), ("analyze", "--lenient"), ("callgraph", "--lenient"),
+        ("export", "--format", "forest", "--lenient")], ids=" ".join)
+    def test_timestamp_outside_64_bits_before_a_defect(self, capsys, tmp_path, command):
+        # refused on its line, before the mismatched exit after it: no warning
         path = tmp_path / "bad.tsv"
-        path.write_text(f"{first}\t1\tE\ta.b()\n{second}\t1\tX\ta.b()\n", encoding="utf-8")
-        code, stdout, stderr = run(capsys, "export", str(path), "--format", "jsonl")
-        assert (code, stderr) == (
-            1, f"error: {path}: tid 1, line {line}: timestamp outside the signed 64-bit range\n")
-        assert stdout == ('{"ts": %d, "tid": 1, "ev": "E", "m": "a.b()"}\n' % first
-                          if line == 2 else "")
+        path.write_text(f"0\t1\tE\ta\n{2**63}\t1\tE\tb\n{2**63}\t1\tX\ta\n",
+                        encoding="utf-8")
+        self.check(capsys, tmp_path, command, path,
+                   "tid 1, line 2: timestamp outside the signed 64-bit range")
 
     def test_regression_below_64_bits(self, capsys, tmp_path):
         # strict, lenient and jsonl export refuse it with one message

@@ -1,6 +1,8 @@
-"""The scripts under ``scripts/``, run as their users run them."""
+"""The scripts under ``scripts/`` and the examples of README.md, run as their
+users run them."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +15,14 @@ from cct_lens.cli import main
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+def run_python(*argv: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    return subprocess.run([sys.executable, str(REPO / "scripts" / name), *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120, cwd=cwd)
+
+
+def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+    return run_python(str(REPO / "scripts" / name), *argv)
 
 
 def test_reproduce_hotspot_table_matches_analyze(capsys, tmp_path):
@@ -47,3 +53,20 @@ def test_unwritable_output_is_one_error_line(name, tmp_path):
     errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(path) in errors[0], result.stderr
     assert result.stdout == ""
+
+
+def test_readme_examples_run(capsys, tmp_path):
+    # each python block runs where the figure8 trace is portal.tsv
+    trace = str(tmp_path / "portal.tsv")
+    assert main(["simulate", "--preset", "figure8", "-o", trace]) == 0
+    capsys.readouterr()
+    assert main(["analyze", trace, "--exclude", "com.sun.*"]) == 0
+    report = capsys.readouterr().out
+    blocks = re.findall(r"^```python\n(.*?)^```$", (REPO / "README.md").read_text("utf-8"),
+                        re.M | re.S)
+    outputs = []
+    for block in blocks:
+        result = run_python("-c", block, cwd=tmp_path)
+        assert (result.returncode, result.stderr) == (0, ""), block
+        outputs.append(result.stdout)
+    assert all(outputs) and report in outputs

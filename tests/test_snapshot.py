@@ -96,6 +96,21 @@ class TestTakeSnapshot:
                            match=r"^line 2: byte 0xff is not UTF-8 \(invalid start byte\)$"):
             take_snapshot("a", 1, b"0\t1\tE\ta\n\xff")
 
+    # a snapshot that load_snapshot refuses is refused before the trace is read
+    def test_refuses_a_negative_user_count(self):
+        with pytest.raises(ValueError, match=r"^'user_count' must be a int >= 0, got -1$"):
+            take_snapshot("a", -1, b"not a trace line\n")
+
+    def test_refuses_a_user_count_of_96_bits(self):
+        with pytest.raises(ValueError, match=r"^'user_count' must be below 2\*\*96$"):
+            take_snapshot("a", 2**96, b"not a trace line\n")
+        snap = take_snapshot("a", 2**96 - 1, b"")
+        assert load_snapshot(dump_snapshot(snap)) == snap
+
+    def test_refuses_a_label_that_is_not_utf8(self):
+        with pytest.raises(ValueError, match=r"^'label' must be UTF-8 text, got '\\udcff'$"):
+            take_snapshot("\udcff", 1, b"not a trace line\n")
+
 
 class TestTabulate:
     def test_one_aggregate_walk_per_tabulate(self, monkeypatch):

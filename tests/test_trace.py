@@ -87,6 +87,17 @@ class TestParseTraceLine:
         # clock origin is arbitrary
         assert parse_trace_line("-5\t1\tE\ta").ts == -5
 
+    def test_timestamp_outside_64_bits(self):
+        assert parse_trace_line(f"{-2**63}\t1\tE\ta").ts == -2**63
+        assert parse_trace_line(f"{2**63 - 1}\t1\tE\ta").ts == 2**63 - 1
+        for ts in [-2**63 - 1, 2**63, 10**400]:
+            with pytest.raises(TraceStructureError, match="^tid 3, line 7: timestamp outside "
+                                                          "the signed 64-bit range$"):
+                parse_trace_line(f"{ts}\t3\tE\ta", lineno=7)
+        # the grammar is checked first
+        with pytest.raises(TraceParseError, match="^line 7: bad event kind"):
+            parse_trace_line(f"{2**63}\t3\tQ\ta", lineno=7)
+
     def test_method_with_signature(self):
         line = "0\t1\tE\tgetConnection(java.lang.String,java.lang.String,java.lang.String)"
         event = parse_trace_line(line)
