@@ -283,9 +283,12 @@ def overlay(dst: CctNode, nodes: Reversible[CctNode],
     sharing nothing.  A node whose parent copy has a callee of its method
     collapses into it: counts and times add, ``truncated`` is OR-ed.  A
     node ``keep`` refuses is not copied; its callees go under its parent
-    with ``splice``, or are skipped."""
+    with ``splice``.  Without it they are skipped, and each total, ``dst``'s
+    too, is the self time it had or was copied with plus its copied callees'
+    totals, so a skipped callee's time leaves every total above it."""
     # (parent copy, source node), popped in order
     stack = [(dst, node) for node in reversed(nodes)]
+    made = []  # without splice, (parent copy, copy): each caller before its callees
     while stack:
         parent, node = stack.pop()
         method = node.method
@@ -294,6 +297,8 @@ def overlay(dst: CctNode, nodes: Reversible[CctNode],
             if copy is None:
                 copy = parent.children[method] = CctNode(method, node.invocations,
                                                          node.total_time, node.truncated)
+                if not splice:
+                    made.append((parent, copy))
             else:
                 copy.invocations += node.invocations
                 copy.total_time += node.total_time
@@ -302,7 +307,12 @@ def overlay(dst: CctNode, nodes: Reversible[CctNode],
         elif not splice:
             continue
         for child in reversed(node.children.values()):
+            if not splice:
+                parent.total_time -= child.total_time
             stack.append((parent, child))
+    # callees first, so each copy's total is final when its caller's grows
+    for parent, copy in reversed(made):
+        parent.total_time += copy.total_time
 
 
 def merge_ccts(roots: dict[int, CctNode]) -> CctNode:

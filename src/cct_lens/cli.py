@@ -61,7 +61,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         spec.seed = args.seed
     sha256 = hashlib.sha256()
-    write_lines(workload.simulate_lines(spec), args.output, sha256)
+    # a timeline past 2**63 - 1 ns is an error of the spec
+    with errors_in(args.spec or args.preset):
+        write_lines(workload.simulate_lines(spec), args.output, sha256)
     summary = f"events={spec.event_count()} sha256={sha256.hexdigest()}"
     if args.output is None:
         print(summary, file=sys.stderr)

@@ -17,10 +17,10 @@ had the rejected methods never been instrumented:
   their whole subtree, and the removed time is subtracted from every
   ancestor.
 
-``apply_filter`` copies the tree with ``cct.overlay``, the one loop that
-copies tree nodes: spliced callees collapse into same-method siblings as
-they are copied.  Drop mode then sets each copy's total in one pass,
-callees first.
+``apply_filter`` copies the tree with one call of ``cct.overlay``, the
+one loop that copies tree nodes: spliced callees collapse into
+same-method siblings as they are copied, and in drop mode each copy's
+total leaves out the dropped time when the call returns.
 """
 
 from __future__ import annotations
@@ -98,24 +98,9 @@ def apply_filter(root: CctNode, filter_set: FilterSet,
 
     # a verdict depends only on the method name: match each name once
     keep = functools.cache(filter_set.keeps)
-    fresh = CctNode(root.method, root.invocations, root.total_time, root.truncated)
     splice = mode == ATTRIBUTE_TO_PARENT
+    # without splice, overlay adds the kept callees' totals to the root's self time
+    fresh = CctNode(root.method, root.invocations,
+                    root.total_time if splice else root.self_time(), root.truncated)
     overlay(fresh, root.children.values(), keep, splice)
-    if not splice:
-        # no two kept siblings share a method, so each copy has one source;
-        # callees first, a copy's total becomes its source's self time plus
-        # its kept callees' totals, which leaves out exactly the dropped time
-        stack: list[tuple[CctNode, CctNode | None]] = [(fresh, root)]
-        while stack:
-            copy, node = stack.pop()
-            if node is None:
-                # the copy's callees are done
-                for callee in copy.children.values():
-                    copy.total_time += callee.total_time
-            elif node.children:
-                for callee in node.children.values():
-                    copy.total_time -= callee.total_time
-                stack.append((copy, None))
-                for method, callee in copy.children.items():
-                    stack.append((callee, node.children[method]))
     return fresh

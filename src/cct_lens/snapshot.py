@@ -27,7 +27,7 @@ from .components import (TIERS, ComponentCatalog, ComponentUtilizationRow, Tier,
 from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
                       total_time_rows)
-from .trace import decode, errors_in, join_lines, json_field, json_members, json_rows, text_lines
+from .trace import join_lines, json_field, json_members, json_rows, load_json_file, text_lines
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -292,12 +292,5 @@ def load_snapshot(text: str) -> Snapshot:
 
 
 def load_snapshot_file(path) -> Snapshot:
-    """Load a snapshot file; errors name the file (``trace.errors_in``).
-
-    A file whose first read's first non-blank byte is not ``{`` is refused
-    before the rest of it is read or any of it decoded.
-    """
-    with errors_in(path), open(path, "rb") as fh:
-        if fh.peek().lstrip(b" \t\n\r")[:1] not in (b"{", b""):
-            raise ValueError(f"not a {_SNAPSHOT_FORMAT} document")
-        return load_snapshot(decode(fh.read()))
+    """Load a snapshot file, as ``trace.load_json_file`` loads one."""
+    return load_json_file(path, load_snapshot, f"not a {_SNAPSHOT_FORMAT} document")

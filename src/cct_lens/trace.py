@@ -23,13 +23,13 @@ of ``READ_SIZE`` bytes, to lines of at most ``LINE_CAP`` characters.
 ``ts``/``tid``/``ev``/``m``; the tab-separated form is canonical.
 ``decode`` decodes every input file and names the line of a byte that is
 not UTF-8; ``errors_in`` names the file in the errors of every file
-reader, and ``json_field`` type-checks a field of the JSON documents they
-read.  ``write_lines``, the one writer of every output, names the output
-in its failed writes.  Producers yield lines without newlines:
-``write_lines`` ends each one, and ``join_lines`` gives the same text as
-one string.  ``REPORT_FORMATS`` names the report formats; ``json_rows``
-gives the rows of the JSON reports and snapshots one at a time, as
-``json.dumps(obj, indent=2)`` writes them.
+reader, ``load_json_file`` reads snapshots and specs, and ``json_field``
+type-checks their fields.  ``write_lines``, the one writer of every
+output, names the output in its failed writes.  Producers yield lines
+without newlines: ``write_lines`` ends each one, and ``join_lines``
+gives the same text as one string.  ``REPORT_FORMATS`` names the report
+formats; ``json_rows`` gives the rows of the JSON reports and snapshots
+one at a time, as ``json.dumps(obj, indent=2)`` writes them.
 """
 
 from __future__ import annotations
@@ -112,6 +112,16 @@ def decode(data: bytes, decoder=None, line: int = 1) -> str:
         line += before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         raise ValueError(f"line {line}: byte 0x{exc.object[exc.start]:02x} "
                          f"is not UTF-8 ({exc.reason})") from None
+
+
+def load_json_file(path, load, refusal: str):
+    """``load`` of the text of the file ``path``, a JSON object; errors name
+    the file.  A file whose first read's first non-blank byte is not ``{``
+    raises ValueError(``refusal``) before the rest is read or decoded."""
+    with errors_in(path), open(path, "rb") as fh:
+        if fh.peek().lstrip(b" \t\n\r")[:1] not in (b"{", b""):
+            raise ValueError(refusal)
+        return load(decode(fh.read()))
 
 
 def text_lines(stream, sha256=None) -> Iterator[str]:

@@ -29,8 +29,8 @@ import json
 from hashlib import blake2b
 from typing import Iterator, Mapping, NamedTuple
 
-from .trace import (ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, decode, errors_in,
-                    join_lines, json_field)
+from .trace import (ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, join_lines, json_field,
+                    load_json_file)
 
 SERVLET_ARGS = ("javax.servlet.http.HttpServletRequest,"
                 "javax.servlet.http.HttpServletResponse")
@@ -476,18 +476,17 @@ def load_workload_spec(text: str) -> WorkloadSpec:
     latency = LatencyModel(
         base_ns={m: json_field(base_ns, m, int, where="base_ns: ") for m in base_ns},
         default_base_ns=json_field(doc, "default_base_ns", int),
-        # a float, so trace headers read the same for 0 and 0.0
-        jitter=float(json_field(doc, "jitter", (int, float))),
+        jitter=json_field(doc, "jitter", (int, float)),
     )
     return WorkloadSpec(
         executions=dict(executions),
         seed=json_field(doc, "seed", int),
-        latency=latency,
+        # a float once checked, so trace headers read the same for 0 and 0.0
+        latency=latency._replace(jitter=float(latency.jitter)),
         thread_count=json_field(doc, "thread_count", int),
     )
 
 
 def load_workload_spec_file(path) -> WorkloadSpec:
-    """Load a spec file; errors name the file (``trace.errors_in``)."""
-    with errors_in(path), open(path, "rb") as fh:
-        return load_workload_spec(decode(fh.read()))
+    """Load a spec file, as ``trace.load_json_file`` loads one."""
+    return load_json_file(path, load_workload_spec, "workload spec must be a JSON object")

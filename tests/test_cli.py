@@ -147,7 +147,10 @@ class TestSimulate:
          f"base duration for {wl.GET_CONNECTION} must be below 2**63\n"),
         ('{"executions": {"login": 2}, "thread_count": %d}' % 10**20,
          "thread_count must be below 2**63\n"),
-    ], ids=["nested-1e5-deep", "huge-default_base_ns", "huge-base_ns", "huge-thread_count"])
+        ('{"executions": {"login": 1}, "jitter": %d}' % 10**400,
+         "jitter must be in [0, 1), got %d\n" % 10**400),
+    ], ids=["nested-1e5-deep", "huge-default_base_ns", "huge-base_ns", "huge-thread_count",
+            "huge-jitter"])
     def test_hostile_spec(self, capsys, tmp_path, text, message):
         path = tmp_path / "spec.json"
         path.write_text(text, encoding="utf-8")
@@ -163,12 +166,32 @@ class TestSimulate:
         out = tmp_path / "t.tsv"
         code, stdout, stderr = run(capsys, "simulate", "--spec", str(spec_path),
                                    *(["-o", str(out)] if to_file else []))
-        assert (code, stderr) == (1, "error: tid 1: timestamp outside the signed 64-bit range\n")
+        assert (code, stderr) == (
+            1, f"error: {spec_path}: tid 1: timestamp outside the signed 64-bit range\n")
         written = out.read_text() if to_file else stdout
         # the first execution already passes the limit: only the header is out
         assert [line[:1] for line in written.splitlines()] == ["#"] * 3
         if to_file:
             assert stdout == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--spec"], "workload spec must be a JSON object"),
+        (["diff", "/dev/zero"], "not a cct-lens/snapshot@1 document"),
+    ], ids=["spec", "snapshot"])
+    def test_endless_file_is_refused_after_one_read(self, argv, message):
+        import resource
+
+        def cap_memory():
+            # a loader that reads the whole file fails here, not the machine
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "cct_lens.cli", *argv, "/dev/zero"],
+                              capture_output=True, env=env, text=True, timeout=60,
+                              preexec_fn=cap_memory)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: /dev/zero: {message}\n"
 
     def test_timeline_reaching_64_bits_accepted(self, capsys, tmp_path):
         spec_path = tmp_path / "w.json"

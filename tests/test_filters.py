@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cct_lens.cct import MERGED_ROOT, CctNode, build_forest, ingest, merge_ccts, serialize_cct
+from cct_lens.cct import (MERGED_ROOT, CctNode, build_forest, ingest, merge_ccts, overlay,
+                          serialize_cct)
 from cct_lens.filters import (
     ATTRIBUTE_TO_PARENT,
     DROP_SUBTREE,
@@ -18,7 +19,7 @@ from cct_lens.filters import (
 from cct_lens.metrics import MethodTotals, aggregate_methods
 from cct_lens.trace import ENTER as E, EXIT as X, TraceEvent
 
-from conftest import events_1tid, random_trace, replay_totals
+from conftest import decode_tree, events_1tid, random_trace, replay_totals
 
 
 class TestPatterns:
@@ -204,6 +205,48 @@ class TestDropSubtree:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             apply_filter(tree_a40_b20(), FilterSet.from_patterns(), mode="vanish")
+
+
+def tree(method: str, invocations: int, total: int, *callees: dict) -> dict:
+    """A node's ``decode_tree`` object."""
+    obj = {"m": method, "inv": invocations, "ns": total}
+    if callees:
+        obj["ch"] = list(callees)
+    return obj
+
+
+class TestOverlayWithoutSplice:
+    """Without splice, ``overlay`` sets every total as it copies: a copy's
+    kept sources' self times plus its copied callees' totals."""
+
+    # two sources of ``a`` collapse into one copy; ``x`` is dropped, and
+    # under the second source it has a ``b`` of its own that goes with it
+    SOURCES = [
+        tree("a", 1, 10, tree("b", 1, 4, tree("c", 1, 1)), tree("x", 1, 3)),
+        tree("a", 2, 7, tree("b", 1, 2), tree("x", 1, 1, tree("b", 1, 1))),
+    ]
+
+    def test_collapsed_sources_keep_their_self_times(self):
+        sources = [decode_tree(obj) for obj in self.SOURCES]
+        before = [serialize_cct(node) for node in sources]
+        dst = CctNode("r", 1, 5)
+        overlay(dst, sources, lambda method: method != "x", splice=False)
+        # a: self 3 + 4, b: self 3 + 2, c: 1; the root starts at its self time 5
+        expected = tree("r", 1, 18, tree("a", 3, 13, tree("b", 2, 6, tree("c", 1, 1))))
+        assert serialize_cct(dst) == serialize_cct(decode_tree(expected))
+        for copy in dst.walk():
+            callees = sum(callee.total_time for callee in copy.children.values())
+            assert copy.total_time == {"r": 5, "a": 7, "b": 5, "c": 1}[copy.method] + callees
+        assert [serialize_cct(node) for node in sources] == before
+
+    def test_drop_from_a_root_with_self_time(self):
+        # the root's own 13 ns stay; x goes, and the b under it too
+        root = decode_tree(tree("r", 1, 20, self.SOURCES[1]))
+        fs = FilterSet.from_patterns(excludes=["x"])
+        out = serialize_cct(apply_filter(root, fs, DROP_SUBTREE))
+        expected = tree("r", 1, 19, tree("a", 2, 6, tree("b", 1, 2)))
+        assert out == serialize_cct(decode_tree(expected))
+        assert out == serialize_cct(ref_apply_filter(root, fs, DROP_SUBTREE))
 
 
 def random_filter(rng: random.Random, methods: list[str]) -> FilterSet:

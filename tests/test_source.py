@@ -222,28 +222,32 @@ def test_the_check_sees_the_collector():
 
 # the one module that builds and rewrites trees; the others read them
 TREE_WRITER = "cct.py"
+NODE_FIELDS = frozenset({"children", "invocations", "total_time", "truncated", "method",
+                         "_order"})
 
 
-def children_writes(tree: ast.AST) -> list[str]:
-    """``line`` of each assignment to, or deletion from, a node's
-    ``children``: ``x.children = ...``, ``x.children[k] = ...`` and
-    ``del x.children[k]``, in any target position."""
+def node_writes(tree: ast.AST) -> list[str]:
+    """``line:field`` of each assignment to, or deletion from, a field a
+    ``CctNode`` has: ``x.total_time += ...``, ``x.children = ...``,
+    ``x.children[k] = ...``, ``del x.children[k]`` and the like, in any
+    target position."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
             node = node.value
         elif not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
             continue
-        if isinstance(node, ast.Attribute) and node.attr == "children":
-            found.append(str(node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr in NODE_FIELDS:
+            found.append(f"{node.lineno}:{node.attr}")
     return found
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != TREE_WRITER],
                          ids=lambda p: p.name)
 def test_only_the_tree_module_writes_children(path):
-    # a second tree-copying loop would fork the overlay cct.overlay keeps
-    assert children_writes(ast.parse(path.read_text(encoding="utf-8"))) == []
+    # a second tree-copying or tree-fixing loop would fork the overlay
+    # cct.overlay keeps, and leave a copy that is valid only after it
+    assert node_writes(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_the_check_sees_children_writes():
@@ -258,8 +262,16 @@ def test_the_check_sees_children_writes():
               "    x = n.children[k]\n"
               "    n.children.get(k)\n"
               "    children = {}\n"
-              "    children[k] = v\n")
-    assert sorted(children_writes(ast.parse(source))) == ["2", "3", "4", "5", "6", "7"]
+              "    children[k] = v\n"
+              "    n.total_time += n.total_time\n"
+              "    n.invocations, n.truncated = 1, n.truncated\n"
+              "    n.method = v.method\n"
+              "    del n._order\n"
+              "    n.self_time = v\n"
+              "    total_time = n.total_time\n")
+    assert sorted(node_writes(ast.parse(source))) == sorted([
+        "2:children", "3:children", "4:children", "5:children", "6:children", "7:children",
+        "13:total_time", "14:invocations", "14:truncated", "15:method", "16:_order"])
 
 
 # the one function of cct.py that decides between a strict error and a

@@ -28,6 +28,7 @@ from cct_lens.trace import (
     iter_trace,
     join_lines,
     jsonl_lines,
+    load_json_file,
     parse_trace_line,
     text_lines,
     write_lines,
@@ -541,6 +542,22 @@ class TestBadByteLine:
             with pytest.raises(ValueError) as caught:
                 load(doc_path)
             assert str(caught.value).startswith(message)
+
+
+class TestLoadJsonFile:
+    @pytest.mark.parametrize("data", [b"", b" \t\r\n", b"\n {}", b"{\xc3\xa9\r\n"])
+    def test_object_or_blank_is_read_whole(self, tmp_path, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        text = load_json_file(path, lambda text: text, "refused")
+        assert text == data.decode("utf-8").replace("\r\n", "\n")
+
+    @pytest.mark.parametrize("data", [b"[1]", b" \n\xff{}", b"\x1f\x8b" + bytes(10**5)])
+    def test_non_object_is_refused_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: refused$"):
+            load_json_file(path, lambda text: pytest.fail("loaded"), "refused")
 
 
 class TestOneLineProtocol:
