@@ -18,9 +18,8 @@ import hashlib
 import sys
 
 from cct_lens import workload
-from cct_lens.cct import ingest_merged
 from cct_lens.report import REPORT_FORMATS, analysis_lines
-from cct_lens.snapshot import tabulate
+from cct_lens.snapshot import ingest_totals, tabulate
 from cct_lens.trace import join_lines, write_lines
 
 
@@ -38,7 +37,7 @@ def main(argv=None) -> int:
     print(f"trace: {sum(1 for l in lines if not l.startswith('#'))} "
           f"events, sha256={digest[:16]}...", file=sys.stderr)
 
-    tables = tabulate(ingest_merged(lines))
+    tables = tabulate(ingest_totals(lines))
     try:
         write_lines(analysis_lines([("merged", tables)], args.format), args.output)
     except OSError as exc:

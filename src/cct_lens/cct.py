@@ -10,7 +10,8 @@ method-by-method under a single ``<root>``.  Trees are plain values:
 ``merge_ccts`` overlays such a dict; ``ingest_merged`` builds the merged
 view in the same pass, with no per-thread trees, and orders its children
 as ``merge_ccts`` does.  ``overlay`` is the one loop that copies nodes,
-for the merge and the filters.
+for the merge and the filters.  ``_ingest`` is the one loop that reads a
+trace, for the trees and for ``snapshot.ingest_totals``'s per-method sums.
 
 Node times are inclusive nanoseconds.  Self time is derived, never
 stored: ``total_time`` minus the children's ``total_time``.  Root nodes
@@ -23,7 +24,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, Iterator, NamedTuple, Reversible
 
-from .trace import (ENTER, EXIT, TraceEvent, TraceStructureError, format_trace_line,
+from .trace import (ENTER, EXIT, TraceEvent, TraceStructureError, clip, format_trace_line,
                     parse_trace_line)
 
 MERGED_ROOT = "<root>"
@@ -93,22 +94,26 @@ class CctNode:
 
 
 class _ThreadState:
-    __slots__ = ("tid", "root", "stack", "last_ts")
+    __slots__ = ("tid", "root", "stack", "last_ts", "dropped")
 
-    def __init__(self, tid: int, ts: int, root: CctNode | None):
+    def __init__(self, tid: int, ts: int, root: CctNode | dict, base: tuple):
         self.tid = tid
-        self.root = CctNode(root_label(tid), invocations=1) if root is None else root
-        # frames as (node, enter_ts); root is not on the stack
-        self.stack: list[tuple[CctNode, int]] = []
+        self.root = root  # a tree, or sums {method: [total, invocations, callee ns]}
+        # frames (method, enter_ts, node), or for sums (method, enter_ts, cell,
+        # cell of the nearest kept caller), over ``base``, the root's, of no method
+        self.stack: list[tuple] = [base]
         # running maximum of the thread's timestamps; origins may be negative
         self.last_ts = ts
+        # drop mode: the time of the dropped frames closed, left out of each timestamp
+        self.dropped = 0
 
 
 def _defect(lenient: bool, warn: Callable[[str], None] | None, tid: int, lineno: int,
             error: str, repair: str, *values) -> None:
     """Raise ``error`` as thread ``tid``'s TraceStructureError at line ``lineno``,
     or, lenient, warn ``tid T, line N: <repair>``: ``str.format`` templates
-    over ``values``, of which only the one used is built."""
+    over ``values``, of which only the one used is built.  Callers cut each
+    name it quotes with ``trace.clip``."""
     if not lenient:
         raise TraceStructureError(error.format(*values), lineno, tid)
     if warn is not None:
@@ -120,20 +125,30 @@ def _set_busy_time(root: CctNode) -> None:
 
 
 def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | None,
-            shared_root: CctNode | None) -> Iterable[_ThreadState]:
-    """The one loop of ``ingest`` and ``ingest_merged``: the threads in order
-    of their first line, each with its frames closed.
+            shared: CctNode | dict | None, sums: bool = False,
+            keep: Callable[[str], bool] | None = None, drop: bool = False
+            ) -> Iterable[_ThreadState]:
+    """The one loop of ``ingest``, ``ingest_merged`` and ``snapshot.ingest_totals``:
+    the threads in order of their first line, each with its frames closed.
 
-    With ``shared_root`` every thread builds into that one tree, and each
-    node's ``_order`` holds its ``merge_ccts`` order key: the lowest tid
-    that entered it and the line of that tid's first enter.
+    Each thread builds its tree, or with ``sums`` adds up the sums of its
+    frames of methods ``keep`` keeps, into ``shared`` or a root of its own: a
+    refused frame's callees are its caller's, or with ``drop`` are dropped
+    with its time.  A shared tree's nodes keep their ``merge_ccts`` order key
+    in ``_order``: the lowest tid that entered one and the line of that
+    tid's first enter.
     """
-    keyed = shared_root is not None
+    keyed = shared is not None and not sums
     # threads by the canonical text of their id, and method names that
-    # passed the grammar check on an enter: every such name labels a
-    # context, so both are bounded by the trees built
+    # passed the grammar check on an enter, each with its shared cell or
+    # True, None if keep refuses it: every such name labels a context or a
+    # sum, so both are bounded by the trees or tables made
     threads: dict[str, _ThreadState] = {}
-    checked: set[str] = set()
+    checked = shared if sums and shared is not None else {}
+    # the caller cell of outermost frames, which no table reads, and the base
+    # frame of every thread that builds into a shared root or adds up sums
+    outside = [0, 0, 0]
+    base = (None, 0, outside if sums else shared)
     lineno = 0
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip()
@@ -143,65 +158,105 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
             raw_ts, raw_tid, kind, method = line.split("\t")
             ts = int(raw_ts)
             state = threads[raw_tid]
+            kept = checked[method]
             # the range parse_trace_line checks, as two compares
-            known = (method in checked and (kind == ENTER or kind == EXIT)
-                     and -2**63 <= ts < 2**63)
+            known = (kind == ENTER or kind == EXIT) and -2**63 <= ts < 2**63
         except (ValueError, KeyError):
             known = False
         if not known:
             # raises the grammar error, or admits a new thread or method name
             ts, tid, kind, method = parse_trace_line(line, lineno)
-            if kind == ENTER:
+            if kind == ENTER and method not in checked:
                 # an exit whose name never entered cannot match a frame
-                checked.add(method)
+                checked[method] = (None if keep is not None and not keep(method)
+                                   else [0, 0, 0] if checked is shared else True)
+            kept = checked.get(method)
             state = threads.get(str(tid))
             if state is None:
-                state = threads[str(tid)] = _ThreadState(tid, ts, shared_root)
-        tid = state.tid
+                root = (shared if shared is not None else {} if sums
+                        else CctNode(root_label(tid), invocations=1))
+                state = threads[str(tid)] = _ThreadState(
+                    tid, ts, root, base if base[2] is not None else (None, 0, root))
         if ts < state.last_ts:
-            _defect(lenient, warn, tid, lineno, "timestamp regression {} -> {}",
+            _defect(lenient, warn, state.tid, lineno, "timestamp regression {} -> {}",
                     "clamped timestamp regression {} -> {}", state.last_ts, ts)
             ts = state.last_ts
         else:
             state.last_ts = ts
         stack = state.stack
         if kind == ENTER:
-            parent = stack[-1][0] if stack else state.root
-            node = parent.children.get(method)
-            if node is None:
-                node = parent.children[method] = CctNode(method)
-                if keyed:
-                    node._order = (tid, lineno)
-            elif keyed and tid < node._order[0]:
-                node._order = (tid, lineno)
-            node.invocations += 1
-            stack.append((node, ts))
-        else:
-            if not stack:
-                _defect(lenient, warn, tid, lineno, "orphan exit for {} (empty stack)",
-                        "dropped orphan exit for {}", method)
+            if not sums:
+                parent = stack[-1][2]
+                node = parent.children.get(method)
+                if node is None:
+                    node = parent.children[method] = CctNode(method)
+                    if keyed:
+                        node._order = (state.tid, lineno)
+                elif keyed and state.tid < node._order[0]:
+                    node._order = (state.tid, lineno)
+                node.invocations += 1
+                stack.append((method, ts, node))
                 continue
-            node, enter_ts = stack[-1]
-            if node.method != method:
-                _defect(lenient, warn, tid, lineno,
+            top = stack[-1]
+            # a refused frame passes its caller on; under a dropped frame, None
+            caller = top[2] or top[3]
+            if drop:
+                ts -= state.dropped
+                if caller is None:
+                    kept = None
+                elif not kept:
+                    # the outermost dropped frame, whose time its callers leave out
+                    kept, caller = False, None
+            if kept is True:
+                kept = state.root.get(method) or state.root.setdefault(method, [0, 0, 0])
+            stack.append((method, ts, kept, caller))
+            continue
+        frame = stack[-1]
+        if frame[0] != method:
+            if frame[0] is None:
+                _defect(lenient, warn, state.tid, lineno, "orphan exit for {} (empty stack)",
+                        "dropped orphan exit for {}", clip(method))
+            else:
+                _defect(lenient, warn, state.tid, lineno,
                         "mismatched exit: got {}, innermost open frame is {}",
                         "dropped mismatched exit for {} (innermost open frame: {})",
-                        method, node.method)
-                continue
-            stack.pop()
-            node.total_time += ts - enter_ts
+                        clip(method), clip(frame[0]))
+            continue
+        stack.pop()
+        if not sums:
+            frame[2].total_time += ts - frame[1]
+            continue
+        if drop:
+            ts -= state.dropped
+        cell, ns = frame[2], ts - frame[1]
+        if cell:
+            cell[0] += ns
+            cell[1] += 1
+            frame[3][2] += ns
+        elif cell is False:
+            state.dropped += ns
     for state in threads.values():
         stack, last_ts = state.stack, state.last_ts
-        if stack:
+        if len(stack) > 1:
             _defect(lenient, warn, state.tid, lineno,
                     "{0} frame(s) still open at end of trace (innermost: {1})",
                     "closed {0} frame(s) left open at end of trace (ts {2})",
-                    len(stack), stack[-1][0].method, last_ts)
-            # close open frames at the last observed timestamp, innermost first
-            for node, enter_ts in reversed(stack):
-                node.total_time += last_ts - enter_ts
-                node.truncated = True
-            stack.clear()
+                    len(stack) - 1, clip(stack[-1][0]), last_ts)
+        # close open frames at the last observed timestamp, innermost first
+        while len(stack) > 1:
+            frame = stack.pop()
+            ns = last_ts - state.dropped - frame[1]
+            if not sums:
+                frame[2].total_time += ns
+                frame[2].truncated = True
+                continue
+            cell = frame[2]
+            if cell:
+                cell[0] += ns
+                cell[1] += 1
+                frame[3][2] += ns
+            elif cell is False:
+                state.dropped += ns
     return threads.values()
 
 

@@ -35,11 +35,13 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
                    help="attribute: splice filtered frames into parents; drop: remove subtrees")
 
 
-def _ingest_file(ingest, path: str, lenient: bool, sha256=None):
-    """``ingest`` (``cct.ingest`` or ``cct.ingest_merged``) over the lines
-    ``trace.text_lines`` reads from a trace file, feeding ``sha256`` if given."""
+def _ingest_file(ingest, path: str, lenient: bool, sha256=None, **options):
+    """``ingest`` (``cct.ingest``, ``cct.ingest_merged`` or ``snapshot.ingest_totals``,
+    with ``options``) over the lines ``trace.text_lines`` reads from a trace
+    file, feeding ``sha256`` if given."""
     with errors_in(path), open(path, "rb") as fh:
-        return ingest(text_lines(fh, sha256), lenient=lenient, warn=_warn if lenient else None)
+        return ingest(text_lines(fh, sha256), lenient=lenient, warn=_warn if lenient else None,
+                      **options)
 
 
 def cmd_simulate(args) -> int:
@@ -73,29 +75,29 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # only analyze and diff tabulate and report
-    from . import cct, report, snapshot
+    # only analyze and diff tabulate and report; cct, whose loop
+    # ingest_totals runs, is the largest module to compile: loaded first,
+    # it peaks before the others are held
+    from . import cct, metrics, report, snapshot
     from .components import load_catalog_file
 
     if args.snapshot_out and not 0 <= args.user_count < snapshot._INT_LIMIT:
         raise ValueError(f"--user-count must be {'>= 0' if args.user_count < 0 else 'below 2**96'}")
     catalog = load_catalog_file(args.catalog) if args.catalog else None
-    filter_set, mode = _filter_set(args), args.filter_mode
     sha256 = None
     if args.snapshot_out:
         # the snapshot records the sha256 of the bytes the tables came from
         import hashlib
         sha256 = hashlib.sha256()
-    # only --per-thread needs the per-thread trees
-    if args.per_thread:
-        roots = _ingest_file(cct.ingest, args.trace, args.lenient, sha256)
-        # a snapshot holds the merged view whatever the report shows, and a
-        # trace without threads gets the merged view even with --per-thread
-        root = cct.merge_ccts(roots) if args.snapshot_out or not roots else None
-    else:
-        roots, root = {}, _ingest_file(cct.ingest_merged, args.trace, args.lenient, sha256)
-    if root is not None:
-        merged_tables = snapshot.tabulate(root, catalog, filter_set, mode)
+    totals = _ingest_file(snapshot.ingest_totals, args.trace, args.lenient, sha256,
+                          filter_set=_filter_set(args), filter_mode=args.filter_mode,
+                          per_thread=args.per_thread)
+    threads = totals if args.per_thread else {}
+    # a snapshot holds the merged view whatever the report shows, and a
+    # trace without threads gets the merged view even with --per-thread
+    if args.snapshot_out or not threads:
+        merged = metrics.add_totals(threads.values()) if args.per_thread else totals
+        merged_tables = snapshot.tabulate(merged, catalog)
     if args.snapshot_out:
         # argv holds a byte that is not UTF-8 as a surrogate; a snapshot has U+FFFD
         label = args.trace if args.label is None else args.label
@@ -106,9 +108,9 @@ def cmd_analyze(args) -> int:
         write_lines(snapshot.snapshot_lines(snap), args.snapshot_out)
         print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
     # each thread's tables are made as its section is written
-    sections = (((f"thread {tid}", snapshot.tabulate(tree, catalog, filter_set, mode))
-                 for tid, tree in roots.items()) if roots else [("merged", merged_tables)])
-    write_lines(report.analysis_lines(sections, args.format, labeled=len(roots) > 1),
+    sections = (((f"thread {tid}", snapshot.tabulate(table, catalog))
+                 for tid, table in threads.items()) if threads else [("merged", merged_tables)])
+    write_lines(report.analysis_lines(sections, args.format, labeled=len(threads) > 1),
                 args.output)
     return 0
 

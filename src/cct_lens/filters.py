@@ -20,7 +20,8 @@ had the rejected methods never been instrumented:
 ``apply_filter`` copies the tree with one call of ``cct.overlay``, the
 one loop that copies tree nodes: spliced callees collapse into
 same-method siblings as they are copied, and in drop mode each copy's
-total leaves out the dropped time when the call returns.
+total leaves out the dropped time when the call returns.  It serves
+``callgraph``: ``snapshot.ingest_totals`` filters as frames close, with no tree.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ class FilterSet(NamedTuple):
         return not any(p.matches(method) for p in self.excludes)
 
 
+def keeper(filter_set: FilterSet, mode: str):
+    """``filter_set.keeps``, None if it keeps all; ValueError for an unknown ``mode``."""
+    if mode not in FILTER_MODES:
+        raise ValueError(f"unknown filter mode {mode!r} (expected one of {FILTER_MODES})")
+    return filter_set.keeps if filter_set.includes or filter_set.excludes else None
+
+
 def apply_filter(root: CctNode, filter_set: FilterSet,
                  mode: str = ATTRIBUTE_TO_PARENT) -> CctNode:
     """Rewrite a tree as if filtered methods had never been instrumented.
@@ -90,14 +98,13 @@ def apply_filter(root: CctNode, filter_set: FilterSet,
     shrinks by exactly the removed time.  Applying the same filter twice
     gives the same tree as applying it once.  Works at any tree depth.
     """
-    if mode not in FILTER_MODES:
-        raise ValueError(f"unknown filter mode {mode!r} (expected one of {FILTER_MODES})")
-    if not filter_set.includes and not filter_set.excludes:
+    keep = keeper(filter_set, mode)
+    if keep is None:
         return root
     from .cct import CctNode, overlay
 
     # a verdict depends only on the method name: match each name once
-    keep = functools.cache(filter_set.keeps)
+    keep = functools.cache(keep)
     splice = mode == ATTRIBUTE_TO_PARENT
     # without splice, overlay adds the kept callees' totals to the root's self time
     fresh = CctNode(root.method, root.invocations,

@@ -16,7 +16,8 @@ two decimals, rounded half up, from 1 ms up.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from operator import add
+from typing import Iterable, NamedTuple
 
 
 class HotSpotRow(NamedTuple):
@@ -61,6 +62,15 @@ def aggregate_methods(root: CctNode) -> dict[str, MethodTotals]:
             cell[1] += total
             cell[2] += node.invocations
     return {m: MethodTotals(s, t, i) for m, (s, t, i) in acc.items()}
+
+
+def add_totals(tables: Iterable[dict[str, MethodTotals]]) -> dict[str, MethodTotals]:
+    """Tables of per-method sums (of threads) added up, method by method."""
+    acc: dict[str, MethodTotals] = {}
+    for totals in tables:
+        for method, row in totals.items():
+            acc[method] = MethodTotals(*map(add, acc.get(method, (0, 0, 0)), row))
+    return acc
 
 
 def hotspots(root: CctNode) -> list[HotSpotRow]:

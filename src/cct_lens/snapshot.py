@@ -1,12 +1,12 @@
 """The analysis pipeline, labeled snapshots and load-level diffs.
 
-``cct.ingest_merged`` reads a trace once into its merged tree (or
-``cct.ingest`` into its per-thread trees, for a per-thread report);
-``tabulate`` filters a tree and builds its tables.  Every report and
-snapshot comes from these two steps.  A snapshot freezes the
-hot-spot and component tables with a label (e.g. "20-user") and the
-trace digest, and persists as JSON so two load levels can be compared
-without keeping the traces.
+``ingest_totals`` reads a trace once, in ``cct``'s ingest loop, into the
+filtered per-method sums of its merged view (or of each thread, for a
+per-thread report); ``tabulate`` builds their tables.  Every report and
+snapshot comes from these two steps, and neither builds a tree.  A
+snapshot freezes the hot-spot and component tables with a label (e.g.
+"20-user") and the trace digest, and persists as JSON so two load levels
+can be compared without keeping the traces.
 
 The diff joins two snapshots per method and compares average self time
 per invocation as a ratio b/a.  Methods with zero average on both sides
@@ -20,13 +20,12 @@ import io
 import json
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .components import (TIERS, ComponentCatalog, ComponentUtilizationRow, Tier,
                          component_utilization, default_hr_catalog)
-from .filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
-from .metrics import (HotSpotRow, TotalTimeRow, aggregate_methods, hotspot_rows,
-                      total_time_rows)
+from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, keeper
+from .metrics import HotSpotRow, MethodTotals, TotalTimeRow, hotspot_rows, total_time_rows
 from .trace import join_lines, json_field, json_members, json_rows, load_json_file, text_lines
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
@@ -52,21 +51,40 @@ class Snapshot(NamedTuple):
     source_trace_digest: str
 
 
-def tabulate(root: CctNode, catalog: ComponentCatalog | None = None,
-             filter_set: FilterSet = FilterSet(),
-             filter_mode: str = ATTRIBUTE_TO_PARENT) -> AnalysisTables:
-    """Filter a tree, then build its hot-spot, total-time and component tables.
-
-    The tables come from one walk of the tree; the catalog defaults to the
-    built-in HR one.
-    """
-    totals = aggregate_methods(apply_filter(root, filter_set, filter_mode))
+def tabulate(totals: dict[str, MethodTotals],
+             catalog: ComponentCatalog | None = None) -> AnalysisTables:
+    """The hot-spot, total-time and component tables of per-method sums, as
+    ``ingest_totals`` adds them up; the catalog defaults to the built-in HR one."""
     hot = hotspot_rows(totals)
     return AnalysisTables(
         hot_spots=tuple(hot),
         total_time=tuple(total_time_rows(totals)),
         components=tuple(component_utilization(hot, catalog or default_hr_catalog())),
     )
+
+
+def ingest_totals(lines: Iterable[str], lenient: bool = False,
+                  warn: Callable[[str], None] | None = None,
+                  filter_set: FilterSet = FilterSet(), filter_mode: str = ATTRIBUTE_TO_PARENT,
+                  per_thread: bool = False) -> dict:
+    """``metrics.aggregate_methods(filters.apply_filter(root, filter_set,
+    filter_mode))`` of ``ingest_merged``'s tree, ``{method: MethodTotals}``,
+    or with ``per_thread`` of each ``ingest`` tree, ``{tid: {method:
+    MethodTotals}}`` in ascending tid order, added up as frames close, with
+    the checks of ``ingest``: memory follows the methods, not the contexts."""
+    from .cct import _ingest
+
+    def table(cells: dict) -> dict[str, MethodTotals]:
+        # a refused method, or one entered only under dropped frames, has no row
+        return {method: MethodTotals(cell[0] - cell[2], cell[0], cell[1])
+                for method, cell in cells.items() if cell and cell[1]}
+
+    shared = None if per_thread else {}
+    states = _ingest(lines, lenient, warn, shared, True, keeper(filter_set, filter_mode),
+                     filter_mode == DROP_SUBTREE)
+    if per_thread:
+        return {state.tid: table(state.root) for state in sorted(states, key=lambda s: s.tid)}
+    return table(shared)
 
 
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
@@ -76,11 +94,9 @@ def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
     count that ``load_snapshot`` would refuse raises its ValueError first."""
     import hashlib
 
-    from .cct import ingest_merged
-
     head = _head({"label": label, "user_count": user_count,
                   "source_trace_digest": hashlib.sha256(trace_bytes).hexdigest()})
-    tables = tabulate(ingest_merged(text_lines(io.BytesIO(trace_bytes)), lenient=lenient))
+    tables = tabulate(ingest_totals(text_lines(io.BytesIO(trace_bytes)), lenient=lenient))
     return Snapshot(hotspot_table=tables.hot_spots, component_table=tables.components, **head)
 
 

@@ -95,6 +95,15 @@ READ_SIZE = 1 << 13
 # method name, under 65,535 bytes (JVM spec §4.4.7)
 LINE_CAP = 1 << 20
 _UTF8 = codecs.getincrementaldecoder("utf-8")
+# characters of a name or value that an error or warning quotes
+ECHO_CAP = 200
+
+
+def clip(text: str, form=str) -> str:
+    """``form(text)``; of a text over ``ECHO_CAP`` characters, ``form`` of its
+    first ``ECHO_CAP``, an ellipsis and its length."""
+    cut = len(text) > ECHO_CAP
+    return f"{form(text[:ECHO_CAP])}... ({len(text)} characters)" if cut else form(text)
 
 
 def decode(data: bytes, decoder=None, line: int = 1) -> str:
@@ -290,20 +299,20 @@ def parse_trace_line(line: str, lineno: int | None = None) -> TraceEvent | None:
     try:
         ts = int(raw_ts)
     except ValueError:
-        raise TraceParseError(f"bad timestamp {raw_ts!r}", lineno) from None
+        raise TraceParseError(f"bad timestamp {clip(raw_ts, repr)}", lineno) from None
     try:
         tid = int(raw_tid)
     except ValueError:
-        raise TraceParseError(f"bad thread id {raw_tid!r}", lineno) from None
+        raise TraceParseError(f"bad thread id {clip(raw_tid, repr)}", lineno) from None
     if tid < 0:
-        raise TraceParseError(f"negative thread id {tid}", lineno)
+        raise TraceParseError(f"negative thread id {clip(str(tid))}", lineno)
     if kind != ENTER and kind != EXIT:
-        raise TraceParseError(f"bad event kind {kind!r} (expected E or X)", lineno)
+        raise TraceParseError(f"bad event kind {clip(kind, repr)} (expected E or X)", lineno)
     if not method:
         raise TraceParseError("empty method name", lineno)
     # str.split() cuts at exactly the characters for which str.isspace() holds
     if method.split() != [method]:
-        raise TraceParseError(f"method name contains whitespace: {method!r}", lineno)
+        raise TraceParseError(f"method name contains whitespace: {clip(method, repr)}", lineno)
     if ts not in TS_RANGE:
         raise TraceStructureError(TS_RANGE_ERROR, lineno, tid)
     return TraceEvent(ts, tid, kind, method)

@@ -1,5 +1,6 @@
 """Shared helpers: seeded random well-formed traces, a naive replay oracle,
-a reader for the JSON trees that ``export --format cct|forest`` writes, the
+the tree path that ``snapshot.ingest_totals`` replaced in ``analyze``, a reader
+for the JSON trees that ``export --format cct|forest`` writes, the
 ``Decimal`` average formatter that the integer one replaced, and the second
 read that once found the line of a byte that is not UTF-8.
 
@@ -18,9 +19,9 @@ from collections import defaultdict
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from cct_lens.cct import CctNode
-from cct_lens.filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE
-from cct_lens.metrics import format_ms
+from cct_lens.cct import CctNode, ingest, ingest_merged
+from cct_lens.filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, apply_filter
+from cct_lens.metrics import aggregate_methods, format_ms
 from cct_lens.trace import ENTER, EXIT, TraceEvent
 
 
@@ -131,6 +132,18 @@ def replay_totals(events, keep=None, mode=ATTRIBUTE_TO_PARENT):
             outer[4] += duration
     assert all(not s for s in stacks.values()), "oracle requires balanced input"
     return dict(self_ns), dict(total_ns), dict(calls)
+
+
+def tree_totals(lines, lenient=False, warn=None, filter_set=FilterSet(),
+                filter_mode=ATTRIBUTE_TO_PARENT, per_thread=False):
+    """The reference for ``snapshot.ingest_totals``: ``aggregate_methods`` of the
+    filtered tree of ``ingest_merged``, or with ``per_thread`` of each tree of
+    ``ingest``, as ``analyze`` once made its tables."""
+    if per_thread:
+        return {tid: aggregate_methods(apply_filter(root, filter_set, filter_mode))
+                for tid, root in ingest(lines, lenient, warn).items()}
+    return aggregate_methods(apply_filter(ingest_merged(lines, lenient, warn), filter_set,
+                                          filter_mode))
 
 
 def events_1tid(*steps, tid: int = 1) -> list[TraceEvent]:

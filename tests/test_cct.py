@@ -20,10 +20,13 @@ from cct_lens.cct import (
     serialize_cct,
     serialize_forest,
 )
-from cct_lens.trace import ENTER, EXIT, TraceEvent, TraceParseError, TraceStructureError
+from cct_lens.filters import FILTER_MODES, FilterSet
+from cct_lens.snapshot import ingest_totals
+from cct_lens.trace import (ECHO_CAP, ENTER, EXIT, LINE_CAP, TraceEvent, TraceParseError,
+                             TraceStructureError)
 
 from conftest import (decode_cct, decode_forest, events_1tid, random_trace, replay_totals,
-                      trace_lines)
+                      trace_lines, tree_totals)
 
 E, X = ENTER, EXIT
 
@@ -199,7 +202,11 @@ class TestLenientRecovery:
         assert child(root, "b").truncated
 
 
-@pytest.mark.parametrize("read", [ingest, ingest_merged], ids=["ingest", "ingest_merged"])
+READERS = pytest.mark.parametrize("read", [ingest, ingest_merged, ingest_totals],
+                                  ids=["ingest", "ingest_merged", "ingest_totals"])
+
+
+@READERS
 def test_defect_wording(read):
     # each defect, word for word: a strict error and a lenient warning for
     # the same defect name the same thread and line
@@ -224,6 +231,29 @@ def test_defect_wording(read):
         "tid 1, line 5: dropped mismatched exit for c (innermost open frame: a)",
         "tid 1, line 6: closed 1 frame(s) left open at end of trace (ts 3)",
         "tid 2, line 6: closed 1 frame(s) left open at end of trace (ts 4)",
+    ]
+
+
+@READERS
+def test_defect_echoes_are_cut(read):
+    # a name of ECHO_CAP characters is quoted whole, a longer one cut
+    whole, long = "w" * ECHO_CAP, "n" * (LINE_CAP - 10)
+    cut = f"{long[:ECHO_CAP]}... ({len(long)} characters)"
+    with pytest.raises(TraceStructureError) as info:
+        read([f"0\t1\tE\t{whole}", f"1\t1\tX\t{long}"])
+    assert str(info.value) == (f"tid 1, line 2: mismatched exit: got {cut}, "
+                               f"innermost open frame is {whole}")
+    with pytest.raises(TraceStructureError) as info:
+        read([f"0\t1\tE\t{long}"])
+    assert str(info.value) == (f"tid 1, line 1: 1 frame(s) still open at end of trace "
+                               f"(innermost: {cut})")
+    warnings: list[str] = []
+    read([f"0\t1\tX\t{long}", f"1\t1\tE\ta", f"2\t1\tX\t{whole}"],
+         lenient=True, warn=warnings.append)
+    assert warnings == [
+        f"tid 1, line 1: dropped orphan exit for {cut}",
+        f"tid 1, line 3: dropped mismatched exit for {whole} (innermost open frame: a)",
+        "tid 1, line 3: closed 1 frame(s) left open at end of trace (ts 2)",
     ]
 
 
@@ -388,6 +418,61 @@ class TestIngestMerged:
         assert (root.method, root.invocations, root.total_time) == (MERGED_ROOT, 1, 0)
         assert not root.children
         assert serialize_cct(root) == serialize_cct(merge_ccts({}))
+
+
+# patterns over the names of _random_lines: m0() to m3() and the ghost of an orphan exit
+_PATTERNS = ("m0()", "m1()", "m2*", "m*", "ghost", "x*")
+
+
+def _totals_view(read, lines: list[str], lenient: bool, filter_set: FilterSet, mode: str,
+                 per_thread: bool):
+    """The per-method sums ``read`` gives, in tid order per thread, or its
+    error, and its warnings."""
+    warnings: list[str] = []
+    try:
+        totals = read(lines, lenient, warnings.append, filter_set, mode, per_thread)
+    except TraceStructureError as exc:
+        return ("error", str(exc)), warnings
+    if per_thread:
+        return [(tid, sorted(table.items())) for tid, table in totals.items()], warnings
+    return sorted(totals.items()), warnings
+
+
+class TestIngestTotals:
+    """``ingest_totals`` must give the sums of the filtered trees exactly, with
+    the same error or the same warnings, in order."""
+
+    @given(st.integers(min_value=0, max_value=10**9), st.booleans(), st.booleans(),
+           st.lists(st.sampled_from(_PATTERNS), max_size=2),
+           st.lists(st.sampled_from(_PATTERNS), max_size=2),
+           st.sampled_from(FILTER_MODES), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_same_as_the_filtered_trees(self, seed, lenient, defects, includes, excludes,
+                                        mode, per_thread):
+        lines = _random_lines(random.Random(seed), defects)
+        filter_set = FilterSet.from_patterns(includes, excludes)
+        want = _totals_view(tree_totals, lines, lenient, filter_set, mode, per_thread)
+        assert _totals_view(ingest_totals, lines, lenient, filter_set, mode, per_thread) == want
+
+    @pytest.mark.parametrize("mode, expected", [
+        # the refused b's 25 ns of self time are a's, and c under it is a's callee
+        ("attribute", {"a": (35, 40, 1), "c": (5, 5, 1)}),
+        # b's 30 ns leave a's total, and c under b has no row
+        ("drop", {"a": (10, 10, 1)}),
+    ])
+    def test_a_refused_frame(self, mode, expected):
+        lines = ["0\t1\tE\ta", "5\t1\tE\tb", "10\t1\tE\tc", "15\t1\tX\tc",
+                 "35\t1\tX\tb", "40\t1\tX\ta"]
+        filter_set = FilterSet.from_patterns(excludes=["b"])
+        totals = ingest_totals(lines, filter_set=filter_set, filter_mode=mode)
+        assert {method: tuple(row) for method, row in totals.items()} == expected
+        assert totals == tree_totals(lines, filter_set=filter_set, filter_mode=mode)
+
+    def test_per_thread_in_tid_order(self):
+        lines = ["0\t7\tE\ta", "0\t2\tE\tb", "3\t2\tX\tb", "4\t7\tX\ta"]
+        totals = ingest_totals(lines, per_thread=True)
+        assert list(totals) == [2, 7]
+        assert totals == {2: {"b": (3, 3, 1)}, 7: {"a": (4, 4, 1)}}
 
 
 class TestSelfTime:

@@ -359,14 +359,28 @@ class TestAnalyze:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # either reader counts as the one read
-        for reader in ("ingest", "ingest_merged"):
-            monkeypatch.setattr(cct, reader, counted("ingest", getattr(cct, reader)))
+        # any reader counts as the one read
+        for module, reader in ((cct, "ingest"), (cct, "ingest_merged"),
+                               (snapshot, "ingest_totals")):
+            monkeypatch.setattr(module, reader, counted("ingest", getattr(module, reader)))
         monkeypatch.setattr(snapshot, "tabulate", counted("tabulate", snapshot.tabulate))
         argv = [str(tmp_path / "s.json") if f == "SNAP" else f for f in flags]
         code, _, _ = run(capsys, "analyze", str(fig8_trace), *argv)
         assert code == 0
         assert calls == {"ingest": 1, "tabulate": tables}
+
+    @pytest.mark.parametrize("flags", [(), ("--lenient",)], ids=["strict", "lenient"])
+    def test_a_name_near_the_line_cap_gives_short_messages(self, capsys, tmp_path, flags):
+        # an enter, then a mismatched exit whose name is 1,000,000 characters long
+        trace = tmp_path / "long.tsv"
+        trace.write_text(f"0\t1\tE\tm\n1\t1\tX\t{'a' * 1_000_000}\n", encoding="utf-8")
+        code, _, stderr = run(capsys, "analyze", str(trace), *flags)
+        lines = stderr.splitlines()
+        # lenient: the dropped exit, then the frame left open
+        assert (code, len(lines)) == ((0, 2) if flags else (1, 1))
+        assert lines[0].startswith("warning: " if flags else "error: ")
+        assert "a" * 200 + "... (1000000 characters)" in lines[0]
+        assert all(len(line.encode("utf-8")) < 1024 for line in lines)
 
     def test_output_file_matches_stdout(self, capsys, fig8_trace, tmp_path):
         out = tmp_path / "report.txt"

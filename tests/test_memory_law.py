@@ -1,10 +1,15 @@
-"""Peak memory depends on the calling contexts, never on the event count.
+"""Peak memory depends on the calling contexts, never on the event count,
+and that of ``analyze`` not even on the contexts.
 
 Every command that reads a trace runs in its own interpreter on two traces
 with the same calling contexts, one with ten times the events of the other;
 their peak RSS (``ru_maxrss`` from ``os.wait4``) must agree within 1 MiB.
 So must their peaks on two traces of one line each, one ten times as long
 as the other and both over ``trace.LINE_CAP``, which every command refuses.
+Every ``analyze`` variant adds up per-method sums as frames close, so its
+peaks on two traces with the same method names and events, one with ten
+times the distinct contexts of the other, must agree within 1 MiB too.
+``callgraph`` and ``export`` still build trees, so they are left out there.
 
 Linux starts a new process's ``ru_maxrss`` from the peak RSS of the process
 that spawned it, which for the test process is far above a command's, so a
@@ -55,6 +60,21 @@ def write_defective(path: Path, blocks: int) -> None:
     write_lines((line for i in range(0, 4 * blocks, 4) for line in (
         f"{i}\t1\tE\ta.B.m()", f"{i + 1}\t1\tX\ta.B.x()",
         f"{i + 2}\t1\tX\ta.B.m()", f"{i + 3}\t1\tX\ta.B.y()")), path)
+
+
+def write_contexts(path: Path, contexts: int) -> None:
+    # 20,000 paths of three calls over the same 30 method names, a third of
+    # them DAO methods, on four threads: each of the first ``contexts``
+    # paths taken 20,000 // contexts times
+    names = [f"com.mycompany.hr.{'dao' if i % 3 == 0 else 'svc'}.C{i}.m()" for i in range(30)]
+    lines = []
+    for k in range(20_000):
+        context = k % contexts
+        stack = [names[context // 900 % 30], names[context // 30 % 30], names[context % 30]]
+        ts, tid = 10 * k, k % 4
+        lines += [f"{ts + i}\t{tid}\tE\t{name}" for i, name in enumerate(stack)]
+        lines += [f"{ts + 5 + i}\t{tid}\tX\t{name}" for i, name in enumerate(reversed(stack))]
+    write_lines(lines, path)
 
 
 def peak_rss_mib(argvs: list[list[str]]) -> list[tuple[int, float, list[str]]]:
@@ -108,6 +128,24 @@ def test_a_line_over_the_cap_is_refused_in_bounded_memory(tmp_path):
         for path, (code, _, errors) in zip(paths, sides):
             assert (code, errors) == (
                 1, [f"error: {path}: line 1: line longer than {LINE_CAP} characters\n"]), command
+    grown = [(" ".join(command), small, big) for command, ((_, small, _), (_, big, _)) in results
+             if abs(big - small) > TOLERANCE_MIB]
+    assert grown == [], grown
+
+
+def test_analyze_peak_rss_does_not_grow_with_the_contexts(tmp_path):
+    # about 2,000 and 20,000 distinct contexts, each trace 120,000 lines (4.7 MB)
+    paths = tmp_path / "contexts.tsv", tmp_path / "contexts_10x.tsv"
+    write_contexts(paths[0], 2_000)
+    write_contexts(paths[1], 20_000)
+    commands = [command for command in COMMANDS if command[0] == "analyze"]
+
+    def measure(command):
+        return command, peak_rss_mib([[command[0], str(path), *command[1:]] for path in paths])
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(measure, commands))
+    assert all(code == 0 for _, sides in results for code, _, _ in sides), results
     grown = [(" ".join(command), small, big) for command, ((_, small, _), (_, big, _)) in results
              if abs(big - small) > TOLERANCE_MIB]
     assert grown == [], grown

@@ -26,6 +26,7 @@ from cct_lens.snapshot import (
     Snapshot,
     diff,
     dump_snapshot,
+    ingest_totals,
     load_snapshot,
     load_snapshot_file,
     tabulate,
@@ -113,7 +114,8 @@ class TestTakeSnapshot:
 
 
 class TestTabulate:
-    def test_one_aggregate_walk_per_tabulate(self, monkeypatch):
+    def test_no_aggregate_walk_per_tabulate(self, monkeypatch):
+        # the tables come from the sums of the ingest pass, not from a tree
         trace = wl.simulate(wl.figure8_preset())
         root = merge_ccts(ingest(trace.splitlines()))
         expected = (metrics.hotspots(root), metrics.total_time_table(root))
@@ -124,10 +126,9 @@ class TestTabulate:
             calls.append(tree)
             return aggregate(tree)
 
-        monkeypatch.setattr(snapshot, "aggregate_methods", counted)
         monkeypatch.setattr(metrics, "aggregate_methods", counted)
-        tables = tabulate(root)
-        assert len(calls) == 1
+        tables = tabulate(ingest_totals(trace.splitlines()))
+        assert calls == []
         assert (list(tables.hot_spots), list(tables.total_time)) == expected
 
 

@@ -403,3 +403,50 @@ def test_the_check_sees_text_reads():
     assert sorted(text_reads(ast.parse(source))) == sorted([
         "from io:2", "io.RawIOBase:3", "io.TextIOWrapper:6", "open:7", "open:8", "open:9",
         "open:13", "io.TextIOWrapper:14"])
+
+
+# the one loop that parses and checks every trace line a tree or a table is made of
+INGEST = ("cct.py", "_ingest")
+CHECKS = ("parse_trace_line", "_defect")
+
+
+def check_callers(tree: ast.AST, names=CHECKS) -> dict[str, set[str]]:
+    """For each of ``names``, the functions that call it by name: ``function``
+    for a call inside a ``for`` or ``while`` loop of it, ``function:no loop``
+    for one outside them."""
+    found: dict[str, set[str]] = {name: set() for name in names}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        in_loop = {id(node) for loop in ast.walk(fn)
+                   if isinstance(loop, (ast.For, ast.While, ast.AsyncFor))
+                   for node in ast.walk(loop)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in found):
+                found[node.func.id].add(fn.name if id(node) in in_loop else f"{fn.name}:no loop")
+    return found
+
+
+def test_one_loop_parses_and_checks_every_line():
+    # a second loop over trace lines would fork the grammar quick path, the
+    # four repairs and their wording, or pay a call per line to share them
+    path = next(p for p in SOURCES if p.name == INGEST[0])
+    assert check_callers(ast.parse(path.read_text(encoding="utf-8"))) == {
+        name: {INGEST[1]} for name in CHECKS}
+
+
+def test_the_check_sees_a_second_loop():
+    source = ("def _ingest(lines):\n"
+              "    for line in lines:\n"
+              "        parse_trace_line(line)\n"
+              "        _defect(line)\n"
+              "    while lines:\n"
+              "        _defect(lines.pop())\n"
+              "def _sums(lines):\n"
+              "    for line in lines:\n"
+              "        parse_trace_line(line)\n"
+              "def _check(line):\n"
+              "    return [_defect(line)]\n")
+    assert check_callers(ast.parse(source)) == {
+        "parse_trace_line": {"_ingest", "_sums"}, "_defect": {"_ingest", "_check:no loop"}}

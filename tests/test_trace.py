@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from cct_lens.cct import ingest, serialize_forest
 from cct_lens.snapshot import load_snapshot_file
 from cct_lens.trace import (
+    ECHO_CAP,
     ENTER,
     EXIT,
     LINE_CAP,
@@ -98,6 +99,33 @@ class TestParseTraceLine:
         # the grammar is checked first
         with pytest.raises(TraceParseError, match="^line 7: bad event kind"):
             parse_trace_line(f"{2**63}\t3\tQ\ta", lineno=7)
+
+    @pytest.mark.parametrize("fields, message", [
+        (("T", "1", "E", "a"), "bad timestamp {}"),
+        (("0", "T", "E", "a"), "bad thread id {}"),
+        (("0", "1", "T", "a"), "bad event kind {} (expected E or X)"),
+        (("0", "1", "E", "T b"), "method name contains whitespace: {}"),
+    ])
+    def test_echoes_are_cut(self, fields, message):
+        # a field of ECHO_CAP characters is quoted whole, a longer one cut
+        for size in (ECHO_CAP - 2, ECHO_CAP + 1, LINE_CAP - 20):
+            text = "x" * size
+            line = "\t".join(field.replace("T", text) for field in fields)
+            echo = [field for field in fields if "T" in field][0].replace("T", text)
+            if len(echo) > ECHO_CAP:
+                echo = f"{echo[:ECHO_CAP]!r}... ({len(echo)} characters)"
+            else:
+                echo = repr(echo)
+            with pytest.raises(TraceParseError) as info:
+                parse_trace_line(line, 2)
+            assert str(info.value) == "line 2: " + message.format(echo)
+            assert len(str(info.value)) < 300
+
+    def test_negative_tid_echo_is_cut(self):
+        with pytest.raises(TraceParseError) as info:
+            parse_trace_line("0\t-" + "9" * 4000 + "\tE\ta")
+        cut = "-" + "9" * (ECHO_CAP - 1)
+        assert str(info.value) == f"negative thread id {cut}... (4001 characters)"
 
     def test_method_with_signature(self):
         line = "0\t1\tE\tgetConnection(java.lang.String,java.lang.String,java.lang.String)"
