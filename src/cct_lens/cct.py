@@ -11,7 +11,8 @@ method-by-method under a single ``<root>``.  Trees are plain values:
 view in the same pass, with no per-thread trees, and orders its children
 as ``merge_ccts`` does.  ``overlay`` is the one loop that copies nodes,
 for the merge and the filters.  ``_ingest`` is the one loop that reads a
-trace, for the trees and for ``snapshot.ingest_totals``'s per-method sums.
+trace, for the trees, for ``snapshot.ingest_totals``'s per-method sums and
+for ``ingest_call_graph``'s per-edge sums, which need no tree.
 
 Node times are inclusive nanoseconds.  Self time is derived, never
 stored: ``total_time`` minus the children's ``total_time``.  Root nodes
@@ -22,8 +23,10 @@ time conservation holds exactly on every tree.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Reversible
 
+from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, keeper
 from .trace import (ENTER, EXIT, TraceEvent, TraceStructureError, clip, format_trace_line,
                     parse_trace_line)
 
@@ -126,17 +129,20 @@ def _set_busy_time(root: CctNode) -> None:
 
 def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | None,
             shared: CctNode | dict | None, sums: bool = False,
-            keep: Callable[[str], bool] | None = None, drop: bool = False
+            keep: Callable[[str], bool] | None = None, drop: bool = False, edges: bool = False
             ) -> Iterable[_ThreadState]:
-    """The one loop of ``ingest``, ``ingest_merged`` and ``snapshot.ingest_totals``:
-    the threads in order of their first line, each with its frames closed.
+    """The one loop of ``ingest``, ``ingest_merged``, ``ingest_call_graph`` and
+    ``snapshot.ingest_totals``: the threads in order of their first line,
+    each with its frames closed.
 
     Each thread builds its tree, or with ``sums`` adds up the sums of its
     frames of methods ``keep`` keeps, into ``shared`` or a root of its own: a
     refused frame's callees are its caller's, or with ``drop`` are dropped
-    with its time.  A shared tree's nodes keep their ``merge_ccts`` order key
-    in ``_order``: the lowest tid that entered one and the line of that
-    tid's first enter.
+    with its time.  The sums are per method, or with ``edges`` per nearest
+    kept caller and method, ``{caller: {method: [total, calls, callee ns,
+    the method's own dict of callees]}}``.  A shared tree's nodes keep
+    their ``merge_ccts`` order key in ``_order``: the lowest tid that
+    entered one and the line of that tid's first enter.
     """
     keyed = shared is not None and not sums
     # threads by the canonical text of their id, and method names that
@@ -144,10 +150,11 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
     # True, None if keep refuses it: every such name labels a context or a
     # sum, so both are bounded by the trees or tables made
     threads: dict[str, _ThreadState] = {}
-    checked = shared if sums and shared is not None else {}
-    # the caller cell of outermost frames, which no table reads, and the base
-    # frame of every thread that builds into a shared root or adds up sums
-    outside = [0, 0, 0]
+    checked = shared if sums and shared is not None and not edges else {}
+    # the caller cell of outermost frames, whose sums no table reads (with
+    # edges, it holds the callees of <root>), and the base frame of every
+    # thread that builds into a shared root or adds up sums
+    outside = [0, 0, 0, shared.setdefault(MERGED_ROOT, {})] if edges else [0, 0, 0]
     base = (None, 0, outside if sums else shared)
     lineno = 0
     for lineno, line in enumerate(lines, 1):
@@ -208,7 +215,9 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
                     # the outermost dropped frame, whose time its callers leave out
                     kept, caller = False, None
             if kept is True:
-                kept = state.root.get(method) or state.root.setdefault(method, [0, 0, 0])
+                cells = caller[3] if edges else state.root
+                kept = cells.get(method) or cells.setdefault(
+                    method, [0, 0, 0, state.root.setdefault(method, {})] if edges else [0, 0, 0])
             stack.append((method, ts, kept, caller))
             continue
         frame = stack[-1]
@@ -397,22 +406,37 @@ def project_call_graph(root: CctNode) -> list[CallGraphEdge]:
     The synthetic root appears as caller for top-level methods.  Edges are
     sorted by descending call count, then caller, then callee.
     """
-    acc: dict[tuple[str, str], list[int]] = {}
+    acc: dict[str, dict[str, list[int]]] = {}
     # any visiting order will do: the sort below is total
     for node in root.walk():
-        caller = node.method
+        cells = acc.get(node.method) or acc.setdefault(node.method, {})
         for child in node.children.values():
-            key = (caller, child.method)
-            cell = acc.get(key)
-            if cell is None:
-                acc[key] = [child.invocations, child.total_time]
-            else:
-                cell[0] += child.invocations
-                cell[1] += child.total_time
-    # each (caller, callee) pair is one edge, so the sort compares no further
-    order = sorted((-calls, caller, callee, total)
-                   for (caller, callee), (calls, total) in acc.items())
-    return [CallGraphEdge(caller, callee, -neg, total) for neg, caller, callee, total in order]
+            cell = cells.get(child.method) or cells.setdefault(child.method, [0, 0])
+            cell[0] += child.total_time
+            cell[1] += child.invocations
+    return _sorted_edges(acc)
+
+
+def ingest_call_graph(lines: Iterable[str], lenient: bool = False,
+                      warn: Callable[[str], None] | None = None,
+                      filter_set: FilterSet = FilterSet(), filter_mode: str = ATTRIBUTE_TO_PARENT
+                      ) -> list[CallGraphEdge]:
+    """``project_call_graph(filters.apply_filter(ingest_merged(lines), filter_set,
+    filter_mode))``, added up as frames close, with the checks of ``ingest``:
+    memory follows the caller/callee pairs, not the contexts."""
+    acc: dict[str, dict[str, list]] = {}
+    _ingest(lines, lenient, warn, acc, True, keeper(filter_set, filter_mode),
+            filter_mode == DROP_SUBTREE, True)
+    return _sorted_edges(acc)
+
+
+def _sorted_edges(acc: dict[str, dict[str, list]]) -> list[CallGraphEdge]:
+    """The edges ``{caller: {callee: [callee total ns, calls, ...]}}``, sorted."""
+    edges = [CallGraphEdge(caller, callee, cell[1], cell[0])
+             for caller in sorted(acc) for callee, cell in sorted(acc[caller].items())]
+    # stable: edges of equal counts stay in (caller, callee) order
+    edges.sort(key=attrgetter("calls"), reverse=True)
+    return edges
 
 
 def folded_stacks(root: CctNode) -> Iterator[str]:

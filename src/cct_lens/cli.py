@@ -36,9 +36,9 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _ingest_file(ingest, path: str, lenient: bool, sha256=None, **options):
-    """``ingest`` (``cct.ingest``, ``cct.ingest_merged`` or ``snapshot.ingest_totals``,
-    with ``options``) over the lines ``trace.text_lines`` reads from a trace
-    file, feeding ``sha256`` if given."""
+    """``ingest`` (``cct.ingest``, ``cct.ingest_merged``, ``cct.ingest_call_graph`` or
+    ``snapshot.ingest_totals``, with ``options``) over the lines ``trace.text_lines``
+    reads from a trace file, feeding ``sha256`` if given."""
     with errors_in(path), open(path, "rb") as fh:
         return ingest(text_lines(fh, sha256), lenient=lenient, warn=_warn if lenient else None,
                       **options)
@@ -128,12 +128,13 @@ def cmd_diff(args) -> int:
 def cmd_callgraph(args) -> int:
     from . import cct
 
-    merged = apply_filter(_ingest_file(cct.ingest_merged, args.trace, args.lenient),
-                          _filter_set(args), args.filter_mode)
     if args.format == "edges":
-        lines = cct.edge_lines(cct.project_call_graph(merged))
+        edges = _ingest_file(cct.ingest_call_graph, args.trace, args.lenient,
+                             filter_set=_filter_set(args), filter_mode=args.filter_mode)
+        lines = cct.edge_lines(edges)
     else:
-        lines = cct.folded_stacks(merged)
+        merged = _ingest_file(cct.ingest_merged, args.trace, args.lenient)
+        lines = cct.folded_stacks(apply_filter(merged, _filter_set(args), args.filter_mode))
     write_lines(lines, args.output)
     return 0
 

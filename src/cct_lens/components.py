@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 from .filters import FilterPattern
 from .metrics import HotSpotRow
-from .trace import errors_in, text_lines
+from .trace import clip, errors_in, text_lines
 
 DERIVE = "*"
 
@@ -208,7 +208,8 @@ def load_catalog(lines: Iterable[str]) -> ComponentCatalog:
             tier_text, component, pattern = parts
             tier = TIERS.get(tier_text.lower())
             if tier is None:
-                raise ValueError(f"unknown tier {tier_text!r} (expected {', '.join(TIERS)})")
+                raise ValueError(f"unknown tier {clip(tier_text, repr)} "
+                                 f"(expected {', '.join(TIERS)})")
             if not component:
                 raise ValueError("empty component")
             rules.append(ComponentRule.of(pattern, component, tier))

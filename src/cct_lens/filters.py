@@ -21,13 +21,16 @@ had the rejected methods never been instrumented:
 one loop that copies tree nodes: spliced callees collapse into
 same-method siblings as they are copied, and in drop mode each copy's
 total leaves out the dropped time when the call returns.  It serves
-``callgraph``: ``snapshot.ingest_totals`` filters as frames close, with no tree.
+``callgraph --format folded``: ``snapshot.ingest_totals`` and
+``cct.ingest_call_graph`` filter as frames close, with no tree.
 """
 
 from __future__ import annotations
 
 import functools
 from typing import Iterable, NamedTuple
+
+from .trace import clip
 
 # the values of the CLI's --filter-mode
 ATTRIBUTE_TO_PARENT = "attribute"
@@ -47,7 +50,7 @@ class FilterPattern(_Pattern):
     def __new__(cls, text: str):
         star = text.find("*")
         if star != -1 and star != len(text) - 1:
-            raise ValueError(f"'*' only allowed as the final character: {text!r}")
+            raise ValueError(f"'*' only allowed as the final character: {clip(text, repr)}")
         if not text:
             raise ValueError("empty filter pattern")
         return super().__new__(cls, text)

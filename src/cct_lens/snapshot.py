@@ -26,7 +26,8 @@ from .components import (TIERS, ComponentCatalog, ComponentUtilizationRow, Tier,
                          component_utilization, default_hr_catalog)
 from .filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, keeper
 from .metrics import HotSpotRow, MethodTotals, TotalTimeRow, hotspot_rows, total_time_rows
-from .trace import join_lines, json_field, json_members, json_rows, load_json_file, text_lines
+from .trace import (clip, join_lines, json_field, json_members, json_rows, load_json_file,
+                    text_lines)
 
 _SNAPSHOT_FORMAT = "cct-lens/snapshot@1"
 
@@ -82,9 +83,13 @@ def ingest_totals(lines: Iterable[str], lenient: bool = False,
     shared = None if per_thread else {}
     states = _ingest(lines, lenient, warn, shared, True, keeper(filter_set, filter_mode),
                      filter_mode == DROP_SUBTREE)
-    if per_thread:
-        return {state.tid: table(state.root) for state in sorted(states, key=lambda s: s.tid)}
-    return table(shared)
+    if not per_thread:
+        return table(shared)
+    tables = {}
+    for state in sorted(states, key=lambda s: s.tid):
+        # each thread's cells go as its table is made
+        tables[state.tid], state.root = table(state.root), None
+    return tables
 
 
 def take_snapshot(label: str, user_count: int, trace_bytes: bytes,
@@ -243,9 +248,11 @@ def _table_field(obj, key: str, kind: type, minimum: int | None = None, where: s
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
-            raise ValueError(f"{where}{key!r} must be UTF-8 text, got {value!r}") from None
+            raise ValueError(f"{where}{key!r} must be UTF-8 text, "
+                             f"got {clip(value, repr)}") from None
     if kind is Tier and value not in TIERS:
-        raise ValueError(f"{where}unknown tier {value!r} (expected {', '.join(TIERS)})")
+        raise ValueError(f"{where}unknown tier {clip(value, repr)} "
+                         f"(expected {', '.join(TIERS)})")
     return value
 
 
@@ -274,7 +281,7 @@ def _rows(doc: dict, key: str, fields, row_ok) -> list[tuple]:
             values = tuple(_table_field(row, *field, where=where) for field in fields)
             if name_of(values) in seen:
                 raise ValueError(f"{where}duplicate "
-                                 + ", ".join(f"{names[j]} {values[j]!r}" for j in texts))
+                                 + ", ".join(f"{names[j]} {clip(values[j], repr)}" for j in texts))
         seen.add(name_of(values))
         rows.append(values)
     return rows

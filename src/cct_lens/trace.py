@@ -228,7 +228,8 @@ def json_field(obj, key: str, kind: type | tuple, minimum: int | None = None,
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise ValueError(f"{where}{key!r} must be a {names}{bound}, got {value!r}")
+        got = clip(value, repr) if isinstance(value, str) else clip(repr(value))
+        raise ValueError(f"{where}{clip(key, repr)} must be a {names}{bound}, got {got}")
     return value
 
 

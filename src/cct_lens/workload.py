@@ -29,8 +29,8 @@ import json
 from hashlib import blake2b
 from typing import Iterator, Mapping, NamedTuple
 
-from .trace import (ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, join_lines, json_field,
-                    load_json_file)
+from .trace import (ENTER, EXIT, TS_RANGE_ERROR, TraceStructureError, clip, join_lines,
+                    json_field, load_json_file)
 
 SERVLET_ARGS = ("javax.servlet.http.HttpServletRequest,"
                 "javax.servlet.http.HttpServletResponse")
@@ -262,9 +262,9 @@ class WorkloadSpec:
         for name, count in executions.items():
             if name not in CHAINS:
                 known = ", ".join(sorted(CHAINS))
-                raise ValueError(f"unknown use case {name!r} (known: {known})")
+                raise ValueError(f"unknown use case {clip(name, repr)} (known: {known})")
             if count < 0:
-                raise ValueError(f"negative execution count for {name!r}: {count}")
+                raise ValueError(f"negative execution count for {clip(name, repr)}: {count}")
         self.executions = executions
         self.seed = seed
         self.latency = LatencyModel(base_ns={}) if latency is None else latency
@@ -470,7 +470,7 @@ def load_workload_spec(text: str) -> WorkloadSpec:
     executions = json_field(doc, "executions", dict)
     for name, count in executions.items():
         if not isinstance(count, int) or isinstance(count, bool):
-            raise ValueError(f"execution count for {name!r} must be an integer")
+            raise ValueError(f"execution count for {clip(name, repr)} must be an integer")
     doc = {**defaults, **doc}
     base_ns = json_field(doc, "base_ns", dict)
     latency = LatencyModel(

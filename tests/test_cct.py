@@ -13,6 +13,7 @@ from cct_lens.cct import (
     build_forest,
     folded_stacks,
     ingest,
+    ingest_call_graph,
     ingest_merged,
     merge_ccts,
     project_call_graph,
@@ -20,7 +21,7 @@ from cct_lens.cct import (
     serialize_cct,
     serialize_forest,
 )
-from cct_lens.filters import FILTER_MODES, FilterSet
+from cct_lens.filters import FILTER_MODES, FilterSet, apply_filter
 from cct_lens.snapshot import ingest_totals
 from cct_lens.trace import (ECHO_CAP, ENTER, EXIT, LINE_CAP, TraceEvent, TraceParseError,
                              TraceStructureError)
@@ -473,6 +474,61 @@ class TestIngestTotals:
         totals = ingest_totals(lines, per_thread=True)
         assert list(totals) == [2, 7]
         assert totals == {2: {"b": (3, 3, 1)}, 7: {"a": (4, 4, 1)}}
+
+
+def _tree_edges(lines, lenient=False, warn=None, filter_set=FilterSet(), mode="attribute"):
+    """The reference for ``ingest_call_graph``: the edges of the filtered tree."""
+    return project_call_graph(apply_filter(ingest_merged(lines, lenient, warn), filter_set, mode))
+
+
+def _edges_view(read, lines: list[str], lenient: bool, filter_set: FilterSet, mode: str):
+    """The edges ``read`` gives, or its error, and its warnings."""
+    warnings: list[str] = []
+    try:
+        return read(lines, lenient, warnings.append, filter_set, mode), warnings
+    except TraceStructureError as exc:
+        return ("error", str(exc)), warnings
+
+
+class TestIngestCallGraph:
+    """``ingest_call_graph`` must give the edges of the filtered tree exactly,
+    with the same error or the same warnings, in order."""
+
+    @given(st.integers(min_value=0, max_value=10**9), st.booleans(), st.booleans(),
+           st.lists(st.sampled_from(_PATTERNS), max_size=2),
+           st.lists(st.sampled_from(_PATTERNS), max_size=2),
+           st.sampled_from(FILTER_MODES))
+    @settings(max_examples=500, deadline=None)
+    def test_same_as_the_filtered_tree(self, seed, lenient, defects, includes, excludes, mode):
+        lines = _random_lines(random.Random(seed), defects)
+        filter_set = FilterSet.from_patterns(includes, excludes)
+        want = _edges_view(_tree_edges, lines, lenient, filter_set, mode)
+        assert _edges_view(ingest_call_graph, lines, lenient, filter_set, mode) == want
+
+    @pytest.mark.parametrize("mode, expected", [
+        # c under the refused b is a's callee; a calls itself
+        ("attribute", [(MERGED_ROOT, "a", 1, 40), ("a", "a", 1, 2), ("a", "c", 1, 5)]),
+        # b's 30 ns leave a's total, and c under b has no edge
+        ("drop", [(MERGED_ROOT, "a", 1, 10), ("a", "a", 1, 2)]),
+    ])
+    def test_a_refused_frame_and_recursion(self, mode, expected):
+        lines = ["0\t1\tE\ta", "5\t1\tE\tb", "10\t1\tE\tc", "15\t1\tX\tc",
+                 "35\t1\tX\tb", "36\t1\tE\ta", "38\t1\tX\ta", "40\t1\tX\ta"]
+        filter_set = FilterSet.from_patterns(excludes=["b"])
+        edges = ingest_call_graph(lines, filter_set=filter_set, filter_mode=mode)
+        assert [tuple(edge) for edge in edges] == expected
+        assert edges == _tree_edges(lines, filter_set=filter_set, mode=mode)
+
+    def test_threads_share_edges(self):
+        # both threads call b from a; thread 2's a and c close at its last line
+        lines = ["0\t2\tE\ta", "0\t1\tE\ta", "1\t1\tE\tb", "2\t2\tE\tb", "4\t1\tX\tb",
+                 "5\t2\tX\tb", "6\t1\tX\ta", "9\t2\tE\tc"]
+        warnings: list[str] = []
+        edges = ingest_call_graph(lines, lenient=True, warn=warnings.append)
+        assert [tuple(edge) for edge in edges] == [
+            (MERGED_ROOT, "a", 2, 15), ("a", "b", 2, 6), ("a", "c", 1, 0)]
+        assert warnings == ["tid 2, line 8: closed 2 frame(s) left open at end of trace (ts 9)"]
+        assert edges == _tree_edges(lines, lenient=True)
 
 
 class TestSelfTime:

@@ -19,6 +19,7 @@ import cct_lens
 from cct_lens import cct, cli, snapshot
 from cct_lens import workload as wl
 from cct_lens.cli import main
+from cct_lens.filters import FilterSet, apply_filter
 from cct_lens.snapshot import dump_snapshot, load_snapshot_file, take_snapshot
 from cct_lens.trace import WRITE_BATCH, jsonl_lines, text_lines
 
@@ -690,6 +691,91 @@ class TestCallgraph:
         )
         assert code == 0
         assert ".dao." not in stdout
+
+    @pytest.mark.parametrize("fmt, excludes, mode, built", [
+        ("edges", [], "attribute", {"ingest_call_graph": 1}),
+        ("edges", ["com.mycompany.hr.dao.*"], "attribute", {"ingest_call_graph": 1}),
+        ("edges", ["com.mycompany.hr.dao.*"], "drop", {"ingest_call_graph": 1}),
+        ("folded", ["com.mycompany.hr.dao.*"], "drop", {"ingest_merged": 1, "apply_filter": 1}),
+    ], ids=["edges", "edges-attribute", "edges-drop", "folded-drop"])
+    def test_reads_once_and_builds_a_tree_only_for_folded(self, capsys, fig8_trace, monkeypatch,
+                                                          fmt, excludes, mode, built):
+        # the output of the tree path
+        with open(fig8_trace, "rb") as fh:
+            tree = apply_filter(cct.ingest_merged(text_lines(fh)),
+                                FilterSet.from_patterns(excludes=excludes), mode)
+        lines = (cct.edge_lines(cct.project_call_graph(tree)) if fmt == "edges"
+                 else cct.folded_stacks(tree))
+        want = "".join(f"{line}\n" for line in lines)
+        flags = [arg for pattern in excludes for arg in ("--exclude", pattern)]
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every reader, and each step of the tree path
+        for module, name in ((cct, "ingest"), (cct, "ingest_merged"), (cct, "ingest_call_graph"),
+                             (snapshot, "ingest_totals"), (cli, "apply_filter"),
+                             (cct, "project_call_graph")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        code, stdout, _ = run(capsys, "callgraph", str(fig8_trace), "--format", fmt, *flags,
+                              "--filter-mode", mode)
+        assert (code, stdout) == (0, want)
+        assert calls == built
+
+
+def _spec(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+def _snapshot_with(section: str, key: str, value, rows: int = 1) -> bytes:
+    # a snapshot of one method, its one row of ``section`` repeated with ``key`` set
+    doc = json.loads(dump_snapshot(take_snapshot("a", 1, b"0\t1\tE\tm\n5\t1\tX\tm\n")))
+    doc[section] = [{**doc[section][0], key: value}] * rows
+    return json.dumps(doc).encode()
+
+
+LONG = "x" * 500_000
+# the command with IN for the file of the given bytes, and the start of its quoted echo
+ECHO_RUNS = {
+    "spec-string-jitter": (("simulate", "--spec", "IN"),
+                           _spec({"executions": {"login": 1}, "jitter": LONG}), "got 'x"),
+    "spec-base_ns-key": (("simulate", "--spec", "IN"),
+                         _spec({"executions": {"login": 1}, "base_ns": {LONG: "1"}}), "'x"),
+    "spec-unknown-use-case": (("simulate", "--spec", "IN"),
+                              _spec({"executions": {LONG: 1}}), "unknown use case 'x"),
+    "spec-string-count": (("simulate", "--spec", "IN"),
+                          _spec({"executions": {LONG: "1"}}), "execution count for 'x"),
+    "catalog-unknown-tier": (("analyze", "TRACE", "--catalog", "IN"),
+                             f"{LONG}\tC\tcom.*\n".encode(), "unknown tier 'x"),
+    "catalog-star": (("analyze", "TRACE", "--catalog", "IN"),
+                     f"dao\tC\tcom*{LONG}\n".encode(), "character: 'com*x"),
+    "filter-star": (("analyze", "TRACE", "--exclude", f"a*{LONG}"), b"", "character: 'a*x"),
+    "snapshot-tier": (("diff", "IN", "IN"), _snapshot_with("components", "tier", LONG),
+                      "unknown tier 'x"),
+    "snapshot-not-utf8": (("diff", "IN", "IN"),
+                          _snapshot_with("hot_spots", "method", "\ud800" + LONG),
+                          "got '\\ud800x"),
+    "snapshot-duplicate-row": (("diff", "IN", "IN"),
+                               _snapshot_with("hot_spots", "method", LONG, rows=2),
+                               "duplicate method 'x"),
+}
+
+
+@pytest.mark.parametrize("name", ECHO_RUNS)
+def test_quoted_inputs_are_cut(capsys, fig8_trace, tmp_path, name):
+    # each error quotes a 500,000-character text of its input
+    command, data, echo = ECHO_RUNS[name]
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv = [{"IN": str(path), "TRACE": str(fig8_trace)}.get(arg, arg) for arg in command]
+    code, _, stderr = run(capsys, *argv, "-o", os.devnull)
+    assert code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1, stderr[:300]
+    assert echo in stderr and "... (500" in stderr, stderr
+    assert len(stderr.encode("utf-8")) < 1024
 
 
 class TestExport:

@@ -6,10 +6,11 @@ with the same calling contexts, one with ten times the events of the other;
 their peak RSS (``ru_maxrss`` from ``os.wait4``) must agree within 1 MiB.
 So must their peaks on two traces of one line each, one ten times as long
 as the other and both over ``trace.LINE_CAP``, which every command refuses.
-Every ``analyze`` variant adds up per-method sums as frames close, so its
-peaks on two traces with the same method names and events, one with ten
-times the distinct contexts of the other, must agree within 1 MiB too.
-``callgraph`` and ``export`` still build trees, so they are left out there.
+Every ``analyze`` variant adds up per-method sums, and ``callgraph`` (its
+``edges``) per-edge sums, as frames close, so their peaks on two traces
+with the same method names and events, one with ten times the distinct
+contexts of the other, must agree within 1 MiB too.  ``callgraph --format
+folded`` and ``export`` still build trees, so they are left out there.
 
 Linux starts a new process's ``ru_maxrss`` from the peak RSS of the process
 that spawned it, which for the test process is far above a command's, so a
@@ -134,11 +135,12 @@ def test_a_line_over_the_cap_is_refused_in_bounded_memory(tmp_path):
 
 
 def test_analyze_peak_rss_does_not_grow_with_the_contexts(tmp_path):
-    # about 2,000 and 20,000 distinct contexts, each trace 120,000 lines (4.7 MB)
+    # about 2,000 and 20,000 distinct contexts, each trace 120,000 lines (4.7 MB);
+    # 30 names give at most 900 edges
     paths = tmp_path / "contexts.tsv", tmp_path / "contexts_10x.tsv"
     write_contexts(paths[0], 2_000)
     write_contexts(paths[1], 20_000)
-    commands = [command for command in COMMANDS if command[0] == "analyze"]
+    commands = [command for command in COMMANDS if command[0] == "analyze"] + [("callgraph",)]
 
     def measure(command):
         return command, peak_rss_mib([[command[0], str(path), *command[1:]] for path in paths])
