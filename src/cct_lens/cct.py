@@ -13,6 +13,7 @@ as ``merge_ccts`` does.  ``overlay`` is the one loop that copies nodes,
 for the merge and the filters.  ``_ingest`` is the one loop that reads a
 trace, for the trees, for ``snapshot.ingest_totals``'s per-method sums and
 for ``ingest_call_graph``'s per-edge sums, which need no tree.
+``cct_json`` and ``forest_json`` give a tree's JSON in chunks as they walk it.
 
 Node times are inclusive nanoseconds.  Self time is derived, never
 stored: ``total_time`` minus the children's ``total_time``.  Root nodes
@@ -31,9 +32,8 @@ from .trace import (ENTER, EXIT, TraceEvent, TraceStructureError, clip, format_t
                     parse_trace_line)
 
 MERGED_ROOT = "<root>"
-
-_CCT_FORMAT = "cct-lens/cct@1"
-_FOREST_FORMAT = "cct-lens/forest@1"
+# fragments per chunk of tree JSON: some 100 KB of text at Java method names
+_CHUNK = 1 << 12
 
 
 def root_label(tid: int) -> str:
@@ -466,44 +466,55 @@ def edge_lines(edges: Iterable[CallGraphEdge]) -> Iterator[str]:
         yield f"{e.caller}\t{e.callee}\t{e.calls}\t{e.callee_total_time}"
 
 
-def _tree_json(root: CctNode, out: list[str]) -> None:
-    """Append a tree's JSON object ``{"m","inv","ns"[,"trunc"][,"ch"]}`` to ``out``
-    iteratively, as ``json.dumps`` with ``separators=(",", ":")`` writes it."""
-    # nodes still to write, and the text that separates or closes them
-    stack: list[CctNode | str] = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-            continue
-        out.append(f'{{"m":{_json_string(node.method)},"inv":{node.invocations},'
-                   f'"ns":{node.total_time}')
-        if node.truncated:
-            out.append(',"trunc":true')
-        if node.children:
-            out.append(',"ch":[')
-            text = "]}"
-            for child in reversed(node.children.values()):
-                stack += (text, child)
-                text = ","
-        else:
-            out.append("}")
+def _tree_json(head: str, trees: Iterable[tuple[str, CctNode]], tail: str) -> Iterator[str]:
+    """``head``, each ``prefix`` and its tree ``{"m","inv","ns"[,"trunc"][,"ch"]}`` as
+    ``json.dumps`` with ``separators=(",", ":")`` writes it, and ``tail``, walked
+    iteratively: the text in chunks of about ``_CHUNK`` fragments."""
+    out = [head]
+    for prefix, root in trees:
+        out.append(prefix)
+        # nodes still to write, and the text that separates or closes them
+        stack: list[CctNode | str] = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            if len(out) > _CHUNK:
+                yield "".join(out)
+                out.clear()
+            out.append(f'{{"m":{_json_string(node.method)},"inv":{node.invocations},'
+                       f'"ns":{node.total_time}')
+            if node.truncated:
+                out.append(',"trunc":true')
+            if node.children:
+                out.append(',"ch":[')
+                text = "]}"
+                for child in reversed(node.children.values()):
+                    stack += (text, child)
+                    text = ","
+            else:
+                out.append("}")
+    out.append(tail)
+    yield "".join(out)
+
+
+def cct_json(root: CctNode) -> Iterator[str]:
+    """Lossless JSON form of one tree (structure, counts, times, flags), in chunks."""
+    return _tree_json('{"format":"cct-lens/cct@1","tree":', [("", root)], "}")
+
+
+def forest_json(roots: dict[int, CctNode]) -> Iterator[str]:
+    """Every thread's tree ``{tid: root}`` under its tid, in ascending tid order, in chunks."""
+    return _tree_json('{"format":"cct-lens/forest@1","threads":{', (
+        (f'{"," if i else ""}"{tid}":', roots[tid]) for i, tid in enumerate(sorted(roots))), "}}")
 
 
 def serialize_cct(root: CctNode) -> str:
-    """Lossless JSON form of one tree (structure, counts, times, flags)."""
-    out = [f'{{"format":"{_CCT_FORMAT}","tree":']
-    _tree_json(root, out)
-    out.append("}")
-    return "".join(out)
+    """``cct_json(root)`` as one string."""
+    return "".join(cct_json(root))
 
 
 def serialize_forest(roots: dict[int, CctNode]) -> str:
-    """Every thread's tree ``{tid: root}`` under its tid, in ascending tid order;
-    see ``serialize_cct``."""
-    out = [f'{{"format":"{_FOREST_FORMAT}","threads":{{']
-    for i, tid in enumerate(sorted(roots)):
-        out.append(f'{"," if i else ""}"{tid}":')
-        _tree_json(roots[tid], out)
-    out.append("}}")
-    return "".join(out)
+    """``forest_json(roots)`` as one string."""
+    return "".join(forest_json(roots))

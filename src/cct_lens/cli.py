@@ -151,12 +151,13 @@ def cmd_export(args) -> int:
         return 0
     from . import cct
 
+    # the trace is read whole before the output is opened, so it may be the output
     if args.format == "forest":
-        lines = [cct.serialize_forest(_ingest_file(cct.ingest, args.trace, args.lenient))]
+        lines = cct.forest_json(_ingest_file(cct.ingest, args.trace, args.lenient))
     else:
         root = _ingest_file(cct.ingest_merged, args.trace, args.lenient)
-        lines = [cct.serialize_cct(root)] if args.format == "cct" else cct.folded_stacks(root)
-    write_lines(lines, args.output)
+        lines = cct.cct_json(root) if args.format == "cct" else cct.folded_stacks(root)
+    write_lines(lines, args.output, pieces=args.format != "folded")
     return 0
 
 

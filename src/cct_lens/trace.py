@@ -26,10 +26,10 @@ not UTF-8; ``errors_in`` names the file in the errors of every file
 reader, ``load_json_file`` reads snapshots and specs, and ``json_field``
 type-checks their fields.  ``write_lines``, the one writer of every
 output, names the output in its failed writes.  Producers yield lines
-without newlines: ``write_lines`` ends each one, and ``join_lines``
-gives the same text as one string.  ``REPORT_FORMATS`` names the report
-formats; ``json_rows`` gives the rows of the JSON reports and snapshots
-one at a time, as ``json.dumps(obj, indent=2)`` writes them.
+without newlines: ``write_lines`` ends each, or with ``pieces`` the one
+line they make; ``join_lines`` gives the same text as one string.
+``REPORT_FORMATS`` names the report formats; ``json_rows`` gives the rows
+of the JSON reports and snapshots, as ``json.dumps(obj, indent=2)`` does.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import contextlib
 import io
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -168,18 +169,19 @@ def join_lines(lines: Iterable[str]) -> str:
     return "\n".join([*lines, ""])
 
 
-def _write_batch(out, batch: list[str], sha256) -> None:
+def _write_batch(out, batch: list[str], sha256, join) -> None:
     if batch:
-        text = join_lines(batch)
+        text = join(batch)
         batch.clear()
         out.write(text)
         if sha256 is not None:
             sha256.update(text.encode("utf-8"))
 
 
-def write_lines(lines: Iterable[str], path=None, sha256=None) -> None:
+def write_lines(lines: Iterable[str], path=None, sha256=None, *, pieces: bool = False) -> None:
     """Write ``lines`` to the file ``path``, or to stdout if it is None: each
-    line and a newline after it, as ``join_lines`` joins them.
+    line and a newline after it, as ``join_lines`` joins them; with ``pieces``,
+    the pieces of one line ``lines`` gives, and one newline.
 
     The lines are joined into batches of about ``WRITE_BATCH`` characters
     (more if one line is longer), one write each.  ``sha256``, if given,
@@ -190,6 +192,7 @@ def write_lines(lines: Iterable[str], path=None, sha256=None) -> None:
     stdout, the stdout descriptor points at ``os.devnull``, so what stdout
     still buffers does not fail again at exit.
     """
+    join, lines = ("".join, chain(lines, ["\n"])) if pieces else (join_lines, lines)
     to_stdout = path is None
     try:
         with (contextlib.nullcontext(sys.stdout) if to_stdout
@@ -201,10 +204,10 @@ def write_lines(lines: Iterable[str], path=None, sha256=None) -> None:
                     batch.append(line)
                     size += len(line)
                     if size >= WRITE_BATCH:
-                        _write_batch(out, batch, sha256)
+                        _write_batch(out, batch, sha256, join)
                         size = 0
             finally:
-                _write_batch(out, batch, sha256)
+                _write_batch(out, batch, sha256, join)
             out.flush()
     except OSError as exc:
         if exc.filename is None:

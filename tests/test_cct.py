@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cct_lens import cct
 from cct_lens.cct import (
     CctNode,
     MERGED_ROOT,
     build_forest,
+    cct_json,
+    forest_json,
     folded_stacks,
     ingest,
     ingest_call_graph,
@@ -690,6 +693,106 @@ class TestSerializedText:
         assert _chain(10**4) == _chain(10**4)
         assert _chain(10**4) != _chain(10**4, leaf_ns=2)
         assert _chain(10**4) != _chain(10**4 - 1)
+
+
+def _reference_tree(root: CctNode, out: list[str]) -> None:
+    """The tree JSON the serializers wrote as one list of fragments, kept as the
+    reference for the chunked text."""
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        out.append(f'{{"m":{json.dumps(node.method)},"inv":{node.invocations},'
+                   f'"ns":{node.total_time}')
+        if node.truncated:
+            out.append(',"trunc":true')
+        if node.children:
+            out.append(',"ch":[')
+            text = "]}"
+            for kid in reversed(node.children.values()):
+                stack += (text, kid)
+                text = ","
+        else:
+            out.append("}")
+
+
+def _reference_cct(root: CctNode) -> str:
+    out = ['{"format":"cct-lens/cct@1","tree":']
+    _reference_tree(root, out)
+    return "".join(out) + "}"
+
+
+def _reference_forest(roots: dict[int, CctNode]) -> str:
+    out = ['{"format":"cct-lens/forest@1","threads":{']
+    for i, tid in enumerate(sorted(roots)):
+        out.append(f'{"," if i else ""}"{tid}":')
+        _reference_tree(roots[tid], out)
+    return "".join(out) + "}}"
+
+
+def _wide(n: int, method=lambda i: f"m{i}", truncated=False) -> CctNode:
+    """A root over ``n`` leaves, each a fragment of its own and a separator."""
+    root = CctNode("<root>", 1, n)
+    for i in range(n):
+        root.children[method(i)] = CctNode(method(i), 1, 1, truncated and i % 2 == 0)
+    return root
+
+
+class TestChunkedText:
+    """The chunks of ``cct_json`` and ``forest_json`` join to the text of one
+    list of fragments, wherever a chunk ends."""
+
+    def check(self, root: CctNode, forest: dict[int, CctNode]) -> list[list[str]]:
+        chunks = [list(cct_json(root)), list(forest_json(forest))]
+        assert "".join(chunks[0]) == serialize_cct(root) == _reference_cct(root)
+        assert "".join(chunks[1]) == serialize_forest(forest) == _reference_forest(forest)
+        return chunks
+
+    def test_no_threads_and_a_root_without_children(self):
+        root = CctNode("<root>", 1)
+        assert self.check(root, {}) == [
+            ['{"format":"cct-lens/cct@1","tree":{"m":"<root>","inv":1,"ns":0}}'],
+            ['{"format":"cct-lens/forest@1","threads":{}}']]
+        self.check(root, {0: CctNode("<root:0>", 1)})
+
+    @pytest.mark.parametrize("n", [cct._CHUNK // 2 - 1, cct._CHUNK // 2, cct._CHUNK // 2 + 1,
+                                   3 * cct._CHUNK])
+    def test_truncated_frames_at_chunk_ends(self, n):
+        # a truncated leaf is three fragments, the others two, each with its separator
+        root = _wide(n, truncated=True)
+        self.check(root, {1: root, 7: _wide(n // 3)})
+
+    def test_names_that_need_escapes(self):
+        names = ['q"t', "b\\s", "t\tab", "\x00", "é", "日本", "\u2028", "\U0001f600"]
+        root = _wide(2 * cct._CHUNK, lambda i: f"{names[i % len(names)]}{i}")
+        chunks = self.check(root, {3: root})
+        assert len(chunks[0]) > 2
+        assert json.loads("".join(chunks[0]))["tree"]["ch"][1]["m"] == "b\\s1"
+
+    def test_a_tree_of_many_chunks(self):
+        # 3 * _CHUNK nodes, each under a random one made before it
+        rng = random.Random(5)
+        forest = {tid: CctNode(f"<root:{tid}>", 1) for tid in (0, 2, 10)}
+        nodes = list(forest.values())
+        for i in range(3 * cct._CHUNK):
+            parent = rng.choice(nodes)
+            node = parent.children[f"m{i}"] = CctNode(f"m{i}", 1, i, rng.random() < 0.2)
+            nodes.append(node)
+        merged = merge_ccts(forest)
+        fragments = []
+        _reference_tree(merged, fragments)
+        chunks = self.check(merged, forest)
+        # a chunk is made once the fragments pass the count
+        count = len(fragments) // cct._CHUNK
+        assert count // 2 < len(chunks[0]) <= count + 1
+        assert len(chunks[0]) > 3 and len(chunks[1]) > 3
+
+    def test_a_chain_1e5_deep(self):
+        root = _chain(10**5)
+        chunks = self.check(root, {1: root, 2: _chain(10)})
+        assert len(chunks[0]) > 10
 
 
 class TestFoldedStacks:

@@ -21,7 +21,7 @@ from cct_lens import workload as wl
 from cct_lens.cli import main
 from cct_lens.filters import FilterSet, apply_filter
 from cct_lens.snapshot import dump_snapshot, load_snapshot_file, take_snapshot
-from cct_lens.trace import WRITE_BATCH, jsonl_lines, text_lines
+from cct_lens.trace import WRITE_BATCH, jsonl_lines, text_lines, write_lines
 
 from conftest import decode_cct, decode_forest
 
@@ -60,6 +60,20 @@ class CountingStream:
 def fig8_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "fig8.tsv"
     path.write_text(wl.simulate(wl.figure8_preset()), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def wide_trace(tmp_path_factory):
+    """A trace whose tree JSON spans several chunks: 3 * ``cct._CHUNK`` methods,
+    each entered and left once, on two threads."""
+    path = tmp_path_factory.mktemp("traces") / "wide.tsv"
+    write_lines((f"{2 * i + end}\t{i % 2}\t{kind}\tcom.example.C{i}.m()"
+                 for i in range(3 * cct._CHUNK) for end, kind in ((0, "E"), (1, "X"))), path)
+    with open(path, "rb") as fh:
+        roots = cct.ingest(text_lines(fh))
+    assert len(list(cct.cct_json(cct.merge_ccts(roots)))) > 2
+    assert len(list(cct.forest_json(roots))) > 2
     return path
 
 
@@ -884,9 +898,13 @@ class TestWriteErrorNamesTheOutput:
         ("analyze", "TRACE", "--snapshot-out", "/dev/full", "-o", os.devnull),
         ("simulate", "--preset", "figure8", "-o", "/dev/full"),
         ("export", "TRACE", "--format", "jsonl", "-o", "/dev/full"),
+        # the tree JSON is written chunk by chunk
+        ("export", "WIDE", "--format", "cct", "-o", "/dev/full"),
+        ("export", "WIDE", "--format", "forest", "-o", "/dev/full"),
     ], ids=" ".join)
-    def test_output_file(self, capsys, fig8_trace, argv):
-        argv = [str(fig8_trace) if a == "TRACE" else a for a in argv]
+    def test_output_file(self, capsys, fig8_trace, wide_trace, argv):
+        names = {"TRACE": fig8_trace, "WIDE": wide_trace}
+        argv = [str(names.get(a, a)) for a in argv]
         code, _, stderr = run(capsys, *argv)
         assert (code, stderr) == (1, f"error: {self.FULL}: '/dev/full'\n")
 
@@ -897,11 +915,14 @@ class TestWriteErrorNamesTheOutput:
         ("export", "SHORT", "--format", "jsonl"),
         ("export", "TRACE", "--format", "jsonl"),
         ("simulate", "--preset", "figure8", "-o", "OUT"),  # the summary line
+        ("export", "WIDE", "--format", "cct"),
+        ("export", "WIDE", "--format", "forest"),
     ], ids=" ".join)
-    def test_stdout(self, fig8_trace, tmp_path, unbuffered, argv):
+    def test_stdout(self, fig8_trace, wide_trace, tmp_path, unbuffered, argv):
         short = tmp_path / "short.tsv"
         short.write_text("0\t1\tE\ta\n5\t1\tX\ta\n", encoding="utf-8")
-        names = {"SHORT": short, "TRACE": fig8_trace, "OUT": tmp_path / "out.tsv"}
+        names = {"SHORT": short, "TRACE": fig8_trace, "OUT": tmp_path / "out.tsv",
+                 "WIDE": wide_trace}
         env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
                "PYTHONPATH": str(Path(cct_lens.__file__).resolve().parents[1])}
         if not unbuffered:
@@ -940,6 +961,49 @@ class TestWriteErrorNamesTheOutput:
         proc.stderr.close()
         assert (proc.wait(timeout=60), stderr) == (
             1, "error: [Errno 32] Broken pipe: '<stdout>'\n")
+
+
+class TestOutputOverItsTrace:
+    """Commands that read the whole trace before they open the output."""
+
+    @pytest.fixture
+    def defective(self, wide_trace, tmp_path):
+        # an orphan exit on the last line: strict runs fail there, lenient ones warn
+        path = tmp_path / "defective.tsv"
+        path.write_bytes(wide_trace.read_bytes() + b"999999\t1\tX\tcom.example.C0.m()\n")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ("export", "--format", "cct"), ("export", "--format", "forest"),
+        ("export", "--format", "folded"), ("callgraph", "--format", "folded"),
+    ], ids=" ".join)
+    def test_writes_over_it_what_another_output_gets(self, capsys, defective, tmp_path, argv):
+        elsewhere = tmp_path / "elsewhere"
+        name, *flags = argv
+        code, stdout, stderr = run(capsys, name, str(defective), *flags, "--lenient",
+                                   "-o", str(elsewhere))
+        assert (code, stdout) == (0, "") and stderr.startswith("warning: tid 1, line ")
+        assert run(capsys, name, str(defective), *flags, "--lenient",
+                   "-o", str(defective)) == (0, "", stderr)
+        assert defective.read_bytes() == elsewhere.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ("export", "--format", "cct"), ("export", "--format", "forest"),
+        ("export", "--format", "folded"), ("callgraph", "--format", "folded"),
+        ("callgraph", "--format", "edges"), ("analyze",),
+    ], ids=" ".join)
+    def test_a_strict_trace_error_leaves_the_output_alone(self, capsys, defective, tmp_path,
+                                                          argv):
+        existing, missing = tmp_path / "existing", tmp_path / "missing"
+        existing.write_bytes(b"kept\n")
+        trace = defective.read_bytes()
+        name, *flags = argv
+        for out in (existing, missing, defective):
+            code, stdout, stderr = run(capsys, name, str(defective), *flags, "-o", str(out))
+            assert (code, stdout) == (1, "")
+            assert stderr.startswith(f"error: {defective}: tid 1, line {6 * cct._CHUNK + 1}: ")
+        assert existing.read_bytes() == b"kept\n" and not missing.exists()
+        assert defective.read_bytes() == trace
 
 
 class TestMergedViewBuildsNoPerThreadTrees:

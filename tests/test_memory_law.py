@@ -10,7 +10,11 @@ Every ``analyze`` variant adds up per-method sums, and ``callgraph`` (its
 ``edges``) per-edge sums, as frames close, so their peaks on two traces
 with the same method names and events, one with ten times the distinct
 contexts of the other, must agree within 1 MiB too.  ``callgraph --format
-folded`` and ``export`` still build trees, so they are left out there.
+folded`` and ``export`` still build trees, so they are left out there.  But
+``export --format cct`` and ``forest`` write a tree's JSON in chunks as they
+walk it, so on one thread's tree of some 20,000 contexts each must peak
+within 1 MiB of ``export --format folded``, which streams the same tree's
+lines.
 
 Linux starts a new process's ``ru_maxrss`` from the peak RSS of the process
 that spawned it, which for the test process is far above a command's, so a
@@ -63,16 +67,16 @@ def write_defective(path: Path, blocks: int) -> None:
         f"{i + 2}\t1\tX\ta.B.m()", f"{i + 3}\t1\tX\ta.B.y()")), path)
 
 
-def write_contexts(path: Path, contexts: int) -> None:
+def write_contexts(path: Path, contexts: int, threads: int = 4) -> None:
     # 20,000 paths of three calls over the same 30 method names, a third of
-    # them DAO methods, on four threads: each of the first ``contexts``
+    # them DAO methods, on ``threads`` threads: each of the first ``contexts``
     # paths taken 20,000 // contexts times
     names = [f"com.mycompany.hr.{'dao' if i % 3 == 0 else 'svc'}.C{i}.m()" for i in range(30)]
     lines = []
     for k in range(20_000):
         context = k % contexts
         stack = [names[context // 900 % 30], names[context // 30 % 30], names[context % 30]]
-        ts, tid = 10 * k, k % 4
+        ts, tid = 10 * k, k % threads
         lines += [f"{ts + i}\t{tid}\tE\t{name}" for i, name in enumerate(stack)]
         lines += [f"{ts + 5 + i}\t{tid}\tX\t{name}" for i, name in enumerate(reversed(stack))]
     write_lines(lines, path)
@@ -151,3 +155,16 @@ def test_analyze_peak_rss_does_not_grow_with_the_contexts(tmp_path):
     grown = [(" ".join(command), small, big) for command, ((_, small, _), (_, big, _)) in results
              if abs(big - small) > TOLERANCE_MIB]
     assert grown == [], grown
+
+
+def test_tree_json_peaks_as_the_folded_lines(tmp_path):
+    # about 20,900 contexts on one thread: the same tree for all three exports
+    path = tmp_path / "contexts.tsv"
+    write_contexts(path, 20_000, threads=1)
+    formats = ("folded", "cct", "forest")
+    runs = peak_rss_mib([["export", str(path), "--format", fmt] for fmt in formats])
+    assert all(code == 0 for code, _, _ in runs), runs
+    folded, *trees = (peak for _, peak, _ in runs)
+    over = [(fmt, folded, peak) for fmt, peak in zip(formats[1:], trees)
+            if peak - folded > TOLERANCE_MIB]
+    assert over == [], over

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -612,3 +613,41 @@ class TestOneLineProtocol:
         assert written == text.encode("utf-8")
         assert digest.hexdigest() == hashlib.sha256(written).hexdigest()
         assert text == "".join(line + "\n" for line in lines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(["a", "\n", "\u00e9", "\U0001f600"]), max_size=5),
+                    max_size=8))
+    @example([])
+    @example([""])
+    @example(["piece %d" % i for i in range(3 * WRITE_BATCH // 7)])
+    @example(["x" * (WRITE_BATCH + 3), "", "y" * (2 * WRITE_BATCH)])
+    def test_pieces_make_one_line(self, pieces):
+        digest = hashlib.sha256()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out"
+            write_lines(iter(pieces), path, digest, pieces=True)
+            written = path.read_bytes()
+        assert written == join_lines(["".join(pieces)]).encode("utf-8")
+        assert digest.hexdigest() == hashlib.sha256(written).hexdigest()
+
+    def test_the_pieces_before_a_raising_producer_are_written(self, tmp_path):
+        def produce():
+            yield from ("x" * 100 for _ in range(WRITE_BATCH // 50))
+            raise ValueError("stop")
+
+        with pytest.raises(ValueError, match="^stop$"):
+            write_lines(produce(), tmp_path / "out", pieces=True)
+        assert (tmp_path / "out").read_text() == "x" * 100 * (WRITE_BATCH // 50)
+
+    def test_pieces_are_written_in_batches(self, monkeypatch):
+        writes = []
+
+        class Counting(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Counting())
+        write_lines(("ab" for _ in range(WRITE_BATCH)), pieces=True)
+        assert "".join(writes) == "ab" * WRITE_BATCH + "\n"
+        assert len(writes) == 3 and len(writes[0]) == WRITE_BATCH
