@@ -46,7 +46,7 @@ class CctNode:
     ``children`` maps method name to child node in first-encounter order.
     ``truncated`` marks frames that were force-closed by lenient recovery
     rather than by an observed exit.  ``ingest_merged`` keeps each node's
-    order key in ``_order`` while it builds, and deletes it when done.
+    order key, one int, in ``_order`` while it builds, and deletes it when done.
     """
 
     __slots__ = ("method", "invocations", "total_time", "truncated", "children", "_order")
@@ -97,10 +97,12 @@ class CctNode:
 
 
 class _ThreadState:
-    __slots__ = ("tid", "root", "stack", "last_ts", "dropped")
+    __slots__ = ("tid", "key", "top", "root", "stack", "last_ts", "dropped")
 
     def __init__(self, tid: int, ts: int, root: CctNode | dict, base: tuple):
         self.tid = tid
+        # the order keys of the thread's lines, ``key + lineno``, are at most ``top``
+        self.key, self.top = tid << 64, ((tid + 1) << 64) - 1
         self.root = root  # a tree, or sums {method: [total, invocations, callee ns]}
         # frames (method, enter_ts, node), or for sums (method, enter_ts, cell,
         # cell of the nearest kept caller), over ``base``, the root's, of no method
@@ -141,13 +143,16 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
     with its time.  The sums are per method, or with ``edges`` per nearest
     kept caller and method, ``{caller: {method: [total, calls, callee ns,
     the method's own dict of callees]}}``.  A shared tree's nodes keep
-    their ``merge_ccts`` order key in ``_order``: the lowest tid that
-    entered one and the line of that tid's first enter.
+    their ``merge_ccts`` order key in ``_order``: ``(tid << 64) + lineno``
+    for the lowest tid that entered one and the line of that tid's first
+    enter.  Trees, the sums but the shared per-method ones, and their
+    frames hold the one string per method name that ``checked`` keeps:
+    that of the name's first admitted enter.
     """
     keyed = shared is not None and not sums
     # threads by the canonical text of their id, and method names that
     # passed the grammar check on an enter, each with its shared cell or
-    # True, None if keep refuses it: every such name labels a context or a
+    # itself, None if keep refuses it: every such name labels a context or a
     # sum, so both are bounded by the trees or tables made
     threads: dict[str, _ThreadState] = {}
     checked = shared if sums and shared is not None and not edges else {}
@@ -176,7 +181,7 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
             if kind == ENTER and method not in checked:
                 # an exit whose name never entered cannot match a frame
                 checked[method] = (None if keep is not None and not keep(method)
-                                   else [0, 0, 0] if checked is shared else True)
+                                   else [0, 0, 0] if checked is shared else method)
             kept = checked.get(method)
             state = threads.get(str(tid))
             if state is None:
@@ -193,14 +198,15 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
         stack = state.stack
         if kind == ENTER:
             if not sums:
+                method = kept
                 parent = stack[-1][2]
                 node = parent.children.get(method)
                 if node is None:
                     node = parent.children[method] = CctNode(method)
                     if keyed:
-                        node._order = (state.tid, lineno)
-                elif keyed and state.tid < node._order[0]:
-                    node._order = (state.tid, lineno)
+                        node._order = state.key + lineno
+                elif keyed and node._order > state.top:
+                    node._order = state.key + lineno
                 node.invocations += 1
                 stack.append((method, ts, node))
                 continue
@@ -214,7 +220,8 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
                 elif not kept:
                     # the outermost dropped frame, whose time its callers leave out
                     kept, caller = False, None
-            if kept is True:
+            if type(kept) is str:
+                method = kept
                 cells = caller[3] if edges else state.root
                 kept = cells.get(method) or cells.setdefault(
                     method, [0, 0, 0, state.root.setdefault(method, {})] if edges else [0, 0, 0])
@@ -313,9 +320,10 @@ def ingest_merged(lines: Iterable[str], lenient: bool = False,
     root = CctNode(MERGED_ROOT, invocations=1)
     _ingest(lines, lenient, warn, root)
     # children were made in order of first enter; merge_ccts orders them by
-    # the lowest tid that has them, then by that tid's first enter; walk
-    # reads a node's children once it is resumed, so it sees the new dict
-    for node in root.walk():
+    # the lowest tid that has them, then by that tid's first enter
+    stack = [root]
+    while stack:
+        node = stack.pop()
         kids = node.children
         if len(kids) > 1:
             keys = [kid._order for kid in kids.values()]
@@ -324,6 +332,8 @@ def ingest_merged(lines: Iterable[str], lenient: bool = False,
                 node.children = {kid.method: kid for _, kid in sorted(zip(keys, kids.values()))}
         for kid in kids.values():
             del kid._order
+            if kid.children:
+                stack.append(kid)
     _set_busy_time(root)
     return root
 

@@ -140,6 +140,11 @@ def text_lines(stream, sha256=None) -> Iterator[str]:
     ``sha256``, if given, takes every byte read.  A byte that is not UTF-8
     raises ``decode``'s ValueError as its read is decoded, and a line over
     ``LINE_CAP`` characters ValueError before the rest of it is read."""
+    return chain.from_iterable(_read_lines(stream, sha256))
+
+
+def _read_lines(stream, sha256) -> Iterator[list[str]]:
+    """``text_lines`` read by read: the list of the lines each read ends."""
     decoder = io.IncrementalNewlineDecoder(_UTF8(), True)
     line, rest = 1, ""
     while True:
@@ -151,12 +156,12 @@ def text_lines(stream, sha256=None) -> Iterator[str]:
         if len(lines[0]) > LINE_CAP:
             raise ValueError(f"line {line}: line longer than {LINE_CAP} characters")
         rest = lines.pop()
-        yield from lines
+        yield lines
         line += len(lines)
         if not data:
             break
     if rest:
-        yield rest
+        yield [rest]
 
 
 # characters per write: enough that the system call costs little against

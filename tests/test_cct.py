@@ -341,14 +341,18 @@ class TestMergeCcts:
         assert child(merged, "a").truncated
 
 
-def _random_lines(rng: random.Random, defects: bool) -> list[str]:
-    """A random interleaved trace on up to five distinct tids from 0..39, so a
-    higher tid often enters a shared context first.  With ``defects``, some
+# tids of 2**64 and above, some of them alike in their low 64 bits
+_WIDE_TIDS = [low + (high << 64) for low in range(8) for high in range(5)]
+
+
+def _random_lines(rng: random.Random, defects: bool, pool=range(40)) -> list[str]:
+    """A random interleaved trace on up to five distinct tids from ``pool``, so
+    a higher tid often enters a shared context first.  With ``defects``, some
     events are dropped (leaving frames open or exits unmatched), and orphan
     exits, mismatched exits and timestamp regressions are put in."""
     events = random_trace(rng, max_events=160, max_methods=4, max_tids=5)
     old = sorted({e.tid for e in events})
-    tids = dict(zip(old, rng.sample(range(40), len(old))))
+    tids = dict(zip(old, rng.sample(pool, len(old))))
     events = [TraceEvent(e.ts, tids[e.tid], e.kind, e.method) for e in events]
     if defects:
         mutated = []
@@ -388,7 +392,7 @@ class TestIngestMerged:
     @given(st.integers(min_value=0, max_value=10**9), st.booleans(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_same_as_ingest_then_merge(self, seed, lenient, defects):
-        lines = _random_lines(random.Random(seed), defects)
+        lines = _random_lines(random.Random(seed), defects, _WIDE_TIDS)
         want = _merged_view(_ingest_then_merge, lines, lenient)
         assert _merged_view(ingest_merged, lines, lenient) == want
         if not defects:
@@ -410,6 +414,21 @@ class TestIngestMerged:
         lines = ["0\t10\tE\tb", "1\t10\tX\tb", "2\t9\tE\ta", "3\t9\tX\ta"]
         assert list(ingest_merged(lines).children) == ["a", "b"]
 
+    @pytest.mark.parametrize("low, high", [
+        (2**64, 2**64 + 1), (2**64 - 1, 2**64), (1, 1 + 2**64), (5, 5 + 2**65), (3, 2**70),
+        (2**64, 2**64 + 2**65), (7 + 2**66, 7 + 2**66 + 2**67)])
+    def test_wide_tids_keep_the_merge_order(self, low, high):
+        # as test_higher_tid_first_is_reordered, with tids of 2**64 and above
+        # or alike in their low 64 bits: the higher tid makes b, a and a.y first
+        lines = [f"{i}\t{tid}\t{kind}\t{m}" for i, (tid, kind, m) in enumerate([
+            (high, E, "b"), (high, X, "b"), (high, E, "a"), (high, E, "y"), (high, X, "y"),
+            (high, X, "a"), (low, E, "a"), (low, E, "x"), (low, X, "x"), (low, E, "y"),
+            (low, X, "y"), (low, X, "a")])]
+        root = ingest_merged(lines)
+        assert list(root.children) == ["a", "b"]
+        assert list(root.children["a"].children) == ["x", "y"]
+        assert serialize_cct(root) == serialize_cct(merge_ccts(ingest(lines)))
+
     def test_root_counts(self):
         lines = ["0\t1\tE\ta", "4\t1\tX\ta", "0\t2\tE\ta", "3\t2\tX\ta",
                  "5\t2\tE\tb", "6\t2\tX\tb"]
@@ -422,6 +441,34 @@ class TestIngestMerged:
         assert (root.method, root.invocations, root.total_time) == (MERGED_ROOT, 1, 0)
         assert not root.children
         assert serialize_cct(root) == serialize_cct(merge_ccts({}))
+
+
+class TestOneStringPerName:
+    """Every node, child key and call-graph edge of one read holds the one
+    string of its method name; only the ``<root...>`` labels differ."""
+
+    @given(st.integers(min_value=0, max_value=10**9), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_names_are_shared(self, seed, defects):
+        lines = _random_lines(random.Random(seed), defects)
+        for roots in (ingest(lines, lenient=True).values(), [ingest_merged(lines, lenient=True)]):
+            names: dict[str, str] = {}
+            for root in roots:
+                for node in root.walk():
+                    for key, kid in node.children.items():
+                        assert key is kid.method
+                        assert names.setdefault(key, key) is key
+        names = {MERGED_ROOT: MERGED_ROOT}
+        for edge in ingest_call_graph(lines, lenient=True):
+            assert names.setdefault(edge.caller, edge.caller) is edge.caller
+            assert names.setdefault(edge.callee, edge.callee) is edge.callee
+
+    def test_a_recursive_name(self):
+        # each line's split makes a string of its own
+        lines = [f"{ts}\t1\t{kind}\tab" for ts, kind in enumerate("EEXX")]
+        for root in (ingest(lines)[1], ingest_merged(lines)):
+            outer = root.children["ab"]
+            assert outer.children["ab"].method is outer.method
 
 
 # patterns over the names of _random_lines: m0() to m3() and the ghost of an orphan exit

@@ -16,6 +16,12 @@ walk it, so on one thread's tree of some 20,000 contexts each must peak
 within 1 MiB of ``export --format folded``, which streams the same tree's
 lines.
 
+A tree, and the call graph's sums, hold one string per method name, so in
+process, under ``tracemalloc``, the peaks of ``ingest``, ``ingest_merged`` and
+``ingest_call_graph`` on two traces with the same 20,482 contexts over 30
+names, one with names of 10 characters and one of 2,000, must agree within
+1 MiB too.  When each context copied its name they were some 40 MB apart.
+
 Linux starts a new process's ``ru_maxrss`` from the peak RSS of the process
 that spawned it, which for the test process is far above a command's, so a
 small launcher interpreter spawns each command and reports its figures.
@@ -25,10 +31,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Iterator
 
 import cct_lens
+from cct_lens import cct
 from cct_lens import workload as wl
 from cct_lens.trace import LINE_CAP, write_lines
 
@@ -80,6 +89,26 @@ def write_contexts(path: Path, contexts: int, threads: int = 4) -> None:
         lines += [f"{ts + i}\t{tid}\tE\t{name}" for i, name in enumerate(stack)]
         lines += [f"{ts + 5 + i}\t{tid}\tX\t{name}" for i, name in enumerate(reversed(stack))]
     write_lines(lines, path)
+
+
+def name_lines(length: int) -> Iterator[str]:
+    # 30 names of ``length`` characters; each of the first 22, on thread
+    # 1 to 4, calls every name once, which calls every name once: 20,482
+    # contexts in 40,964 lines, a third of write_contexts's, since
+    # tracemalloc slows every allocation; each line made as it is read
+    names = [f"C{i:02d}".ljust(length, "x") for i in range(30)]
+    ts = 0
+    for i, top in enumerate(names[:22]):
+        tid = 1 + i % 4
+        yield f"{ts}\t{tid}\tE\t{top}"
+        for caller in names:
+            yield f"{ts}\t{tid}\tE\t{caller}"
+            for name in names:
+                ts += 1
+                yield f"{ts}\t{tid}\tE\t{name}"
+                yield f"{ts}\t{tid}\tX\t{name}"
+            yield f"{ts}\t{tid}\tX\t{caller}"
+        yield f"{ts}\t{tid}\tX\t{top}"
 
 
 def peak_rss_mib(argvs: list[list[str]]) -> list[tuple[int, float, list[str]]]:
@@ -167,4 +196,23 @@ def test_tree_json_peaks_as_the_folded_lines(tmp_path):
     folded, *trees = (peak for _, peak, _ in runs)
     over = [(fmt, folded, peak) for fmt, peak in zip(formats[1:], trees)
             if peak - folded > TOLERANCE_MIB]
+    assert over == [], over
+
+
+def test_a_method_name_is_held_once():
+    # a context that copied its name would hold some 40 MB more at 2,000
+    peaks = {}
+    for length in (10, 2_000):
+        for read in (cct.ingest, cct.ingest_merged, cct.ingest_call_graph):
+            tracemalloc.start()
+            try:
+                result = read(name_lines(length))
+                peaks[read.__name__, length] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            assert result
+            del result
+    over = [(name, peaks[name, 10], peaks[name, 2_000])
+            for name in ("ingest", "ingest_merged", "ingest_call_graph")
+            if abs(peaks[name, 2_000] - peaks[name, 10]) > TOLERANCE_MIB]
     assert over == [], over
