@@ -40,11 +40,11 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", help="report file (default: stdout)")
     args = parser.parse_args(argv)
 
-    snap_a = snapshot_for(args.users_a, args.jitter, args.seed)
-    snap_b = snapshot_for(args.users_b, args.jitter, args.seed)
     try:
+        snap_a = snapshot_for(args.users_a, args.jitter, args.seed)
+        snap_b = snapshot_for(args.users_b, args.jitter, args.seed)
         write_lines(diff_lines(diff(snap_a, snap_b), snap_a, snap_b, args.format), args.output)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

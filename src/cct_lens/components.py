@@ -17,7 +17,6 @@ grouped under a Middleware pseudo-component.
 from __future__ import annotations
 
 import functools
-import re
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -68,31 +67,26 @@ class ComponentRule(NamedTuple):
 
 
 class ComponentCatalog:
-    """An ordered rule list, compiled once into one regex alternation of
-    ``prefix`` or ``name\\Z`` per rule, in rule order.
-
-    The alternatives hold no groups (``re`` saves every group at each failed
-    alternative, which made a match quadratic in the rule count), so the
-    matched text names the rule: the first prefix rule with that prefix, or,
-    when it is the whole name, the first rule of either kind with that text.
+    """An ordered rule list, kept as dicts from rule text to its first rule's
+    index: ``_prefix`` for prefix rules (text without the ``*``, so a lone
+    ``*`` is ``""``), ``_exact`` for the others.  A name is looked up whole
+    and once per distinct prefix length (``_lengths``); the lowest index
+    wins.  So, as with the per-length hash tables of Waldvogel et al.
+    (SIGCOMM 1997), a classification costs the same at any rule count.
     """
 
-    __slots__ = ("rules", "_match", "_prefix", "_whole")
+    __slots__ = ("rules", "_prefix", "_exact", "_lengths")
 
     def __init__(self, rules: Iterable[ComponentRule]):
         self.rules = tuple(rules)
-        alternatives, self._prefix, self._whole = [], {}, {}
-        for rule in self.rules:
+        self._prefix, self._exact = {}, {}
+        for i, rule in enumerate(self.rules):
             text = rule.pattern.text
             if text.endswith("*"):
-                text = text[:-1]
-                alternatives.append(re.escape(text))
-                self._prefix.setdefault(text, rule)
+                self._prefix.setdefault(text[:-1], i)
             else:
-                alternatives.append(re.escape(text) + "\\Z")
-            self._whole.setdefault(text, rule)
-        # "(?!)" never matches; a lone "*" rule joins to "", which matches all
-        self._match = re.compile("|".join(alternatives) if alternatives else "(?!)").match
+                self._exact.setdefault(text, i)
+        self._lengths = sorted({len(text) for text in self._prefix})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComponentCatalog):
@@ -110,11 +104,15 @@ class ComponentCatalog:
 
         Unmatched methods map to (declaring class, Other).
         """
-        match = self._match(method)
-        if match is None:
+        prefix, first = self._prefix, self._exact.get(method, len(self.rules))
+        # past the name's end, method[:n] is the name: a hit there is a real match
+        for n in self._lengths:
+            i = prefix.get(method[:n], first)
+            if i < first:
+                first = i
+        if first == len(self.rules):
             return declaring_class(method), Tier.OTHER
-        text = match.group()
-        rule = (self._whole if len(text) == len(method) else self._prefix)[text]
+        rule = self.rules[first]
         component = rule.component
         if component == DERIVE:
             component = declaring_class(method)

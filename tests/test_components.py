@@ -1,5 +1,6 @@
 """Method-to-component classification and per-component utilization."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -324,9 +325,18 @@ def rule_loop(catalog: ComponentCatalog, method: str) -> tuple[str, Tier]:
 
 # a few letters, so that patterns overlap, and the characters regexes treat specially
 TEXT = st.text(st.sampled_from("ab.()$[\\+?|\n"), max_size=4)
-# (pattern text without "*", kind, component, tier)
-RULES = st.lists(st.tuples(TEXT, st.sampled_from(["prefix", "exact", "bare"]),
-                           st.sampled_from(["C", DERIVE]), st.sampled_from(Tier)), max_size=6)
+KINDS = st.sampled_from(["prefix", "exact", "bare"])
+COMPONENTS = st.sampled_from(["C", DERIVE])
+
+
+@st.composite
+def rule_specs(draw):
+    """Up to 30 (pattern text without "*", kind, component, tier): short texts,
+    and cuts of one spine, so that rules nest at many distinct lengths."""
+    spine = draw(st.text(st.sampled_from("ab.$\n"), min_size=20, max_size=40))
+    texts = st.one_of(TEXT, st.integers(0, len(spine)).map(lambda n: spine[:n]))
+    return draw(st.lists(st.tuples(texts, KINDS, COMPONENTS, st.sampled_from(Tier)),
+                         max_size=30))
 
 
 def catalog_of(spec) -> ComponentCatalog:
@@ -340,36 +350,52 @@ def catalog_of(spec) -> ComponentCatalog:
     return ComponentCatalog(rules)
 
 
+def svc_names(count: int, suffix: str) -> list[str]:
+    return [f"com.mycompany.hr.svc{i}.Klass{i}.{suffix}" for i in range(count)]
+
+
 class TestCompiledCatalog:
     @settings(max_examples=300, deadline=None)
-    @given(RULES, st.lists(TEXT, max_size=4), st.lists(TEXT, max_size=4))
+    @given(rule_specs(), st.lists(TEXT, max_size=4), st.lists(TEXT, max_size=4))
     @example([], [], ["a.B.m()", ""])  # no rules: every name falls through
     @example([("a.", "exact", "C", Tier.WEB), ("a", "prefix", "D", Tier.DAO)], [""], [])
     # one text, exact rule first: "a" takes it, "aa" the prefix rule
     @example([("a", "exact", "C", Tier.WEB), ("a", "prefix", "D", Tier.DAO)], ["a"], [])
     @example([("a$", "exact", DERIVE, Tier.WEB), ("", "bare", "C", Tier.DAO)], ["\n"], ["a"])
+    # a prefix rule with an earlier exact rule's text, then a lone "*"
+    @example([("ab", "exact", "C", Tier.WEB), ("ab", "prefix", DERIVE, Tier.DAO),
+              ("", "bare", "E", Tier.BUSINESS)], ["c"], ["a", "", "b"])
     def test_same_as_the_rule_loop(self, spec, suffixes, names):
         catalog = catalog_of(spec)
+        stems = [rule.pattern.text.rstrip("*") for rule in catalog.rules]
+        # longer than every rule
+        pad = "a" * (1 + max(map(len, stems), default=0))
         # each pattern's text itself, one character longer and one shorter,
-        # and with each suffix; then names that need not come near any rule
+        # with each suffix and past every rule's end; then names that need
+        # not come near any rule
         probes = list(names)
-        for rule in catalog.rules:
-            stem = rule.pattern.text.rstrip("*")
-            probes += [stem, stem + "a", stem + "\n", stem[:-1]]
+        for stem in stems:
+            probes += [stem, stem + "a", stem + "\n", stem[:-1], stem + pad]
             probes += [stem + suffix for suffix in suffixes]
         for method in probes:
             assert catalog.classify(method) == rule_loop(catalog, method), method
 
-    def test_pattern_has_no_groups(self):
-        # re saves and restores every group mark at each failed alternative,
-        # so one group per rule made a match quadratic in the rule count
-        rules = [ComponentRule.of(f"p{i}.*", "X", Tier.WEB) for i in range(100)]
-        for catalog in ComponentCatalog(rules), default_hr_catalog():
-            assert catalog._match.__self__.groups == 0
+    def test_cost_does_not_grow_with_the_rules(self):
+        # 2,000 names against 200 and 2,000 prefix rules that share their
+        # first 17 characters: a match that tries the rules one by one takes
+        # about 5x as long with the larger catalog
+        names = svc_names(2000, "method()")
 
-    def test_compiled_once(self, monkeypatch):
-        catalog = ComponentCatalog((ComponentRule.of("a.*", "X", Tier.WEB),))
-        # classifying uses what the catalog compiled when it was made
-        monkeypatch.setattr(components, "re", None)
-        assert catalog.classify("a.B.m()") == ("X", Tier.WEB)
-        assert component_utilization([row("a.B.m()", 5)], catalog)[0].component == "X"
+        def best_time(count: int) -> float:
+            rules = [ComponentRule.of(text, "C", Tier.DAO) for text in svc_names(count, "*")]
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                catalog = ComponentCatalog(rules)
+                for name in names:
+                    catalog.classify(name)
+                times.append(time.perf_counter() - start)
+            assert catalog.classify(names[count - 1]) == ("C", Tier.DAO)
+            return min(times)
+
+        assert best_time(2000) < 4 * best_time(200)

@@ -55,6 +55,13 @@ def test_unwritable_output_is_one_error_line(name, tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [["--users-a", "0"], ["--users-b", "-3"], ["--jitter", "1.5"]])
+def test_bad_load_level_is_one_error_line(argv):
+    result = run_script("load_level_comparison.py", *argv)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
 def test_readme_examples_run(capsys, tmp_path):
     # each python block runs where the figure8 trace is portal.tsv
     trace = str(tmp_path / "portal.tsv")
