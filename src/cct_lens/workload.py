@@ -8,8 +8,8 @@ chain, on how many threads, and under which LatencyModel, and is checked
 when it is built; ``simulate_lines`` expands it into a balanced enter/exit
 trace, line by line.
 
-Each thread compiles each chain it runs once, into tables of line
-suffixes and self times.  Randomness is counter-based: a jittered frame's
+Each chain a spec runs compiles once, into tables of line tails and
+self times.  Randomness is counter-based: a jittered frame's
 self duration hashes (seed, use case, execution index, frame index) over
 a copy of its execution's key prefix, so generation order and host
 parallelism cannot change the output: identical specs, identical bytes.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+from bisect import bisect_left
 from hashlib import blake2b
 from typing import Iterator, Mapping, NamedTuple
 
@@ -109,26 +110,30 @@ def frame(method: str, *children: Frame) -> Frame:
 
 def frame_count(frames: tuple[Frame, ...]) -> int:
     """The frames in ``frames`` and all their callees."""
-    return len(_chain_program(frames)[0])
+    return len(_chain_program(frames, LatencyModel({}))[0]) // 2
 
 
-def _chain_program(chain: tuple[Frame, ...]) -> tuple[list[str], list[int]]:
-    """A chain's methods in preorder, and its events in order: frame ``j``
-    enters as ``j`` and exits as ``~j``."""
-    methods: list[str] = []
-    events: list[int] = []
-    # frames still to enter, and the indices of open frames still to exit
-    stack: list[Frame | int] = list(reversed(chain))
+def _chain_program(chain, latency):
+    """A chain's events in order, as line tails and clock steps (an enter moves
+    the clock by its frame's self time, an exit by nothing), and (event, key,
+    base) of each jittered frame, whose key is its index in preorder."""
+    tails, steps, hashed, frames = [], [], [], 0
+    # frames still to enter, and the methods of open frames still to exit
+    stack = list(reversed(chain))
     while stack:
         item = stack.pop()
-        if isinstance(item, int):
-            events.append(~item)
+        if isinstance(item, str):
+            tails.append(f"\t{EXIT}\t{item}")
+            steps.append(0)
             continue
-        events.append(len(methods))
-        stack.append(len(methods))
-        methods.append(item.method)
-        stack.extend(reversed(item.children))
-    return methods, events
+        base = latency.base_ns.get(item.method, latency.default_base_ns)
+        if base and latency.jitter:
+            hashed.append((len(steps), str(frames).encode(), base))
+        tails.append(f"\t{ENTER}\t{item.method}")
+        steps.append(base)
+        frames += 1
+        stack += item.method, *reversed(item.children)
+    return tails, steps, hashed
 
 
 # a bean builds a fresh DAO for each call
@@ -242,13 +247,6 @@ class LatencyModel(_Latency):
         return self
 
 
-def _jittered(base: int, jitter: float, digest: bytes) -> int:
-    """``base`` scaled by a factor in [1 - jitter, 1 + jitter) that ``digest`` picks."""
-    unit = int.from_bytes(digest, "big") / 2**64  # uniform in [0, 1)
-    factor = 1.0 + jitter * (2.0 * unit - 1.0)
-    return max(0, round(base * factor))
-
-
 class WorkloadSpec:
     """Declarative scenario, checked when built: which chains run how often, on which threads."""
 
@@ -256,7 +254,7 @@ class WorkloadSpec:
                  latency: LatencyModel | None = None, thread_count: int = 1):
         if thread_count < 1:
             raise ValueError(f"thread_count must be >= 1, got {thread_count}")
-        # the simulator slices the executions with a step of thread_count
+        # thread ids stay within the signed 64-bit range
         if thread_count >= 2**63:
             raise ValueError("thread_count must be below 2**63")
         for name, count in executions.items():
@@ -378,70 +376,69 @@ def load_preset(user_count: int, jitter: float = 0.0, seed: int = 11) -> Workloa
 PRESETS = {"figure8": figure8_preset}
 
 
-def _thread_lines(spec: WorkloadSpec, tid: int) -> Iterator[tuple[int, int, str]]:
-    """One thread's events in time order, as (ts, tid, line).
-
-    The thread runs every ``thread_count``-th execution, counted in
-    sorted use-case order from tid 1, back to back on its own clock.
-    """
-    latency, seed, jitter = spec.latency, spec.seed, spec.latency.jitter
-    runs = ((use_case, i) for use_case in sorted(spec.executions)
-            for i in range(spec.executions[use_case]))
-    t, compiled = 0, None
-    for use_case, execution_index in itertools.islice(runs, tid - 1, None, spec.thread_count):
-        if use_case != compiled:
-            compiled = use_case
-            methods, events = _chain_program(CHAINS[use_case])
-            suffixes = [f"\t{tid}\t{ENTER}\t{methods[j]}" if j >= 0
-                        else f"\t{tid}\t{EXIT}\t{methods[~j]}" for j in events]
-            # an enter moves the clock by its frame's self time, an exit by nothing
-            bases = [latency.base_ns.get(methods[j], latency.default_base_ns) if j >= 0 else 0
-                     for j in events]
-            # (event, frame index as the key's last part, base) of each jittered frame
-            hashed = [(k, str(j).encode(), bases[k]) for k, j in enumerate(events)
-                      if bases[k] and jitter]
-        steps = bases
-        if hashed:
+def _thread_runs(spec, programs, tid):
+    """One thread's lines in time order, a run at a time: it yields the ts of its
+    next line, is sent a bound, and yields its next lines stamped below it."""
+    t, step, jitter, tab = 0, spec.thread_count, spec.latency.jitter, f"\t{tid}"
+    for use_case, offset, count, tails, bases, hashed in programs:
+        for i in range((tid - 1 - offset) % step, count, step):
             steps = bases.copy()
-            prefix = blake2b(f"{seed}|{use_case}|{execution_index}|".encode(), digest_size=8)
+            prefix = blake2b(f"{spec.seed}|{use_case}|{i}|".encode(), digest_size=8)
             for k, key, base in hashed:
                 h = prefix.copy()
                 h.update(key)
-                steps[k] = _jittered(base, jitter, h.digest())
-        if t + sum(steps) >= 2**63:
-            raise TraceStructureError(TS_RANGE_ERROR, tid=tid)
-        for suffix, step in zip(suffixes, steps):
-            yield t, tid, f"{t}{suffix}"
-            t += step
+                # the factor 1 + jitter * (2 * digest / 2**64 - 1), to the last bit
+                steps[k] = round(base * (1.0 + jitter * (
+                    int.from_bytes(h.digest(), "big") * 2.0**-63 - 1.0)))
+            stamps = list(itertools.accumulate(steps, initial=t))
+            t, k = stamps[-1], 0
+            if t >= 2**63:
+                raise TraceStructureError(TS_RANGE_ERROR, tid=tid)
+            lines = [f"{ts}{tab}{tail}" for ts, tail in zip(stamps, tails)]
+            while k < len(lines):
+                cut = bisect_left(stamps, (yield stamps[k]), k, len(lines))
+                yield lines[k:cut]
+                k = cut
 
 
 def simulate_lines(spec: WorkloadSpec) -> Iterator[str]:
     """Expand a workload spec into canonical trace lines (no newlines), as they come.
 
-    Use cases expand in sorted-name order, so the output depends only on
-    spec content, never on mapping insertion order.  Executions are
-    assigned round-robin to tids 1..thread_count; each tid's executions
-    run back to back on its own timeline, so per-tid frames never
-    overlap.  Events are ordered globally by (ts, tid, per-tid order).
-    Pure function of the spec: identical specs give identical lines.
-    Each thread compiles each chain once; an execution hashes one key
-    prefix, copied for each jittered frame.  A thread whose clock would
-    pass ``2**63 - 1`` ns raises ``TraceStructureError`` (a ValueError).
-    Memory is bounded by the threads and the chain length.
+    Use cases expand in sorted-name order, and executions go round-robin to
+    tids 1..thread_count, each tid's back to back on its own clock; lines are
+    ordered by (ts, tid, per-tid order).  A thread whose clock would pass
+    ``2**63 - 1`` ns raises ``TraceStructureError`` (a ValueError) before any
+    line of that execution.  Time follows the lines written plus the threads
+    times the use cases; memory follows the busy threads, each holding one
+    execution's lines, plus the length of a chain.
     """
-    mix = " ".join(f"{name}={spec.executions[name]}" for name in sorted(spec.executions))
-    header = [
-        "# synthetic enter/exit trace",
-        f"# workload: {mix if mix else '(empty)'}",
-        f"# seed={spec.seed} jitter={spec.latency.jitter} threads={spec.thread_count} "
-        f"events={spec.event_count()}",
-    ]
-    # each thread is in time order and has its own tid, so a merge on
-    # (ts, tid) never compares two lines and keeps each thread's order
-    # threads past the last execution would run nothing
-    busy = min(spec.thread_count, sum(spec.executions.values()))
-    threads = [_thread_lines(spec, tid) for tid in range(1, busy + 1)]
-    return itertools.chain(header, (line for _, _, line in heapq.merge(*threads)))
+    return itertools.chain.from_iterable(_runs(spec))
+
+
+def _runs(spec):
+    """The header, then the threads' lines merged on (ts, tid), a run of one thread
+    at a time.  Each use case compiles once.  A heap holds each thread as (next ts,
+    tid, runs); the head gives the lines that sort before the smaller of
+    ``heap[1]`` and ``heap[2]``, which at an equal ts is the one of lower tid."""
+    cases = sorted(spec.executions.items())
+    mix = " ".join(f"{use_case}={count}" for use_case, count in cases)
+    yield ["# synthetic enter/exit trace", f"# workload: {mix or '(empty)'}",
+           f"# seed={spec.seed} jitter={spec.latency.jitter} threads={spec.thread_count} "
+           f"events={spec.event_count()}"]
+    programs, offset = [], 0
+    for use_case, count in cases:
+        programs.append((use_case, offset, count,
+                         *_chain_program(CHAINS[use_case], spec.latency)))
+        offset += count
+    # threads past the last execution would run nothing; all start at ts 0, in heap
+    # order.  A finished thread, like the last two entries, sorts after every line.
+    heap = [(next(runs), tid, runs) for tid in range(1, min(spec.thread_count, offset) + 1)
+            for runs in [_thread_runs(spec, programs, tid)]] + [(2**63, 0)] * 2
+    while heap[0][0] < 2**63:
+        _, tid, runs = heap[0]
+        other = min(heap[1], heap[2])
+        yield runs.send(other[0] + (tid < other[1]))
+        heapq.heapreplace(heap, (next(runs, 2**63), tid, runs))
 
 
 def simulate(spec: WorkloadSpec) -> str:

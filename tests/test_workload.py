@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cct_lens import workload as wl
@@ -101,7 +101,14 @@ def self_duration_ns(model: wl.LatencyModel, method: str, seed: int, use_case: s
     if model.jitter == 0.0 or base == 0:
         return base
     key = f"{seed}|{use_case}|{execution_index}|{frame_index}".encode()
-    return wl._jittered(base, model.jitter, hashlib.blake2b(key, digest_size=8).digest())
+    return jittered(base, model.jitter, hashlib.blake2b(key, digest_size=8).digest())
+
+
+def jittered(base: int, jitter: float, digest: bytes) -> int:
+    """``base`` scaled by a factor in [1 - jitter, 1 + jitter) that ``digest`` picks."""
+    unit = int.from_bytes(digest, "big") / 2**64  # uniform in [0, 1)
+    factor = 1.0 + jitter * (2.0 * unit - 1.0)
+    return max(0, round(base * factor))
 
 
 class TestLatencyModel:
@@ -145,6 +152,18 @@ class TestLatencyModel:
             wl.LatencyModel(base_ns={"a": 10**400}, jitter=0.1)
         model = wl.LatencyModel(base_ns={"a": 2**63 - 1}, jitter=0.5)
         assert 0 < self_duration_ns(model, "a", 0, "login", 0, 0) < 2**64
+
+    @given(x=st.integers(min_value=0, max_value=2**64 - 1),
+           base=st.integers(min_value=0, max_value=2**63 - 1),
+           jitter=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(x=0, base=2**63 - 1, jitter=0.9999999)
+    @example(x=2**64 - 1, base=2**63 - 1, jitter=0.9999999)
+    @example(x=0, base=1, jitter=0.9999999)
+    @settings(max_examples=500, deadline=None)
+    def test_simulator_formula_is_the_reference_to_the_bit(self, x, base, jitter):
+        # the simulator's form: no big-int division, no clamp at 0
+        fast = round(base * (1.0 + jitter * (x * 2.0**-63 - 1.0)))
+        assert fast == jittered(base, jitter, x.to_bytes(8, "big"))
 
 
 def simulate_by_sorting(spec: wl.WorkloadSpec) -> str:
@@ -248,9 +267,9 @@ class TestSimulate:
 
     def test_threads_start_only_with_executions(self, monkeypatch):
         started = []
-        thread_lines = wl._thread_lines
-        monkeypatch.setattr(wl, "_thread_lines",
-                            lambda spec, tid: started.append(tid) or thread_lines(spec, tid))
+        thread_runs = wl._thread_runs
+        monkeypatch.setattr(wl, "_thread_runs", lambda spec, programs, tid: (
+            started.append(tid) or thread_runs(spec, programs, tid)))
         spec = wl.WorkloadSpec(executions={"login": 3}, thread_count=1000)
         text = wl.simulate(spec)
         assert started == [1, 2, 3]
@@ -270,6 +289,20 @@ class TestSimulate:
                 tracemalloc.stop()
 
         assert peak(8) <= 1.5 * peak(1)
+
+    def test_memory_per_busy_thread(self):
+        # each busy thread holds one execution's stamps and lines, never a copy
+        # of a chain's program
+        threads = 2000
+        spec = wl.WorkloadSpec(executions={"login_page": threads}, thread_count=threads)
+        tracemalloc.start()
+        try:
+            lines = sum(1 for _ in wl.simulate_lines(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lines == 3 + 2 * threads
+        assert peak < 3000 * threads
 
     def test_reference_invocation_counts(self):
         spec = wl.WorkloadSpec(
