@@ -17,9 +17,9 @@ import argparse
 import sys
 
 from cct_lens import workload
-from cct_lens.report import REPORT_FORMATS, diff_lines
-from cct_lens.snapshot import diff, take_snapshot
-from cct_lens.trace import write_lines
+from cct_lens.compare import diff, diff_lines
+from cct_lens.snapshot import take_snapshot
+from cct_lens.trace import REPORT_FORMATS, write_lines
 
 
 def snapshot_for(users: int, jitter: float, seed: int):

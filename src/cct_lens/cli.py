@@ -12,8 +12,8 @@ import gc
 import os
 import sys
 
-from .filters import ATTRIBUTE_TO_PARENT, FILTER_MODES, FilterSet, apply_filter
-from .trace import REPORT_FORMATS, errors_in, jsonl_lines, text_lines, write_lines
+from .trace import (ATTRIBUTE_TO_PARENT, FILTER_MODES, REPORT_FORMATS, errors_in, jsonl_lines,
+                    text_lines, write_lines)
 
 
 def _warn(message: str) -> None:
@@ -22,6 +22,8 @@ def _warn(message: str) -> None:
 
 
 def _filter_set(args) -> FilterSet:
+    from .filters import FilterSet
+
     return FilterSet.from_patterns(includes=args.include or (),
                                    excludes=args.exclude or ())
 
@@ -75,13 +77,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # only analyze and diff tabulate and report; cct, whose loop
-    # ingest_totals runs, is the largest module to compile: loaded first,
-    # it peaks before the others are held
-    from . import cct, metrics, report, snapshot
+    # only analyze tabulates and reports
+    from . import metrics, report, snapshot
+    from .compare import _INT_LIMIT, Snapshot
     from .components import load_catalog_file
 
-    if args.snapshot_out and not 0 <= args.user_count < snapshot._INT_LIMIT:
+    if args.snapshot_out and not 0 <= args.user_count < _INT_LIMIT:
         raise ValueError(f"--user-count must be {'>= 0' if args.user_count < 0 else 'below 2**96'}")
     catalog = load_catalog_file(args.catalog) if args.catalog else None
     sha256 = None
@@ -102,9 +103,8 @@ def cmd_analyze(args) -> int:
         # argv holds a byte that is not UTF-8 as a surrogate; a snapshot has U+FFFD
         label = args.trace if args.label is None else args.label
         label = label.encode("utf-8", "surrogateescape")
-        snap = snapshot.Snapshot(label.decode("utf-8", "replace"), args.user_count,
-                                 merged_tables.hot_spots, merged_tables.components,
-                                 sha256.hexdigest())
+        snap = Snapshot(label.decode("utf-8", "replace"), args.user_count,
+                        merged_tables.hot_spots, merged_tables.components, sha256.hexdigest())
         write_lines(snapshot.snapshot_lines(snap), args.snapshot_out)
         print(f"snapshot written to {args.snapshot_out}", file=sys.stderr)
     # each thread's tables are made as its section is written
@@ -116,17 +116,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    from . import report, snapshot
+    # the checked rows are all a diff reads: no typed rows, no analysis modules
+    from .compare import check_snapshot, diff, diff_lines, load_snapshot_file
 
-    snap_a = snapshot.load_snapshot_file(args.snapshot_a)
-    snap_b = snapshot.load_snapshot_file(args.snapshot_b)
-    rows = snapshot.diff(snap_a, snap_b)
-    write_lines(report.diff_lines(rows, snap_a, snap_b, args.format), args.output)
+    snap_a = load_snapshot_file(args.snapshot_a, check_snapshot)
+    snap_b = load_snapshot_file(args.snapshot_b, check_snapshot)
+    write_lines(diff_lines(diff(snap_a, snap_b), snap_a, snap_b, args.format), args.output)
     return 0
 
 
 def cmd_callgraph(args) -> int:
-    from . import cct
+    from . import cct, filters
 
     if args.format == "edges":
         edges = _ingest_file(cct.ingest_call_graph, args.trace, args.lenient,
@@ -134,7 +134,7 @@ def cmd_callgraph(args) -> int:
         lines = cct.edge_lines(edges)
     else:
         merged = _ingest_file(cct.ingest_merged, args.trace, args.lenient)
-        lines = cct.folded_stacks(apply_filter(merged, _filter_set(args), args.filter_mode))
+        lines = cct.folded_stacks(filters.apply_filter(merged, _filter_set(args), args.filter_mode))
     write_lines(lines, args.output)
     return 0
 

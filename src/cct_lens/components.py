@@ -21,6 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+from .compare import TIER_NAMES
 from .filters import FilterPattern
 from .metrics import HotSpotRow
 from .trace import clip, errors_in, text_lines
@@ -29,11 +30,7 @@ DERIVE = "*"
 
 
 class Tier(str, Enum):
-    WEB = "web"
-    BUSINESS = "business"
-    DAO = "dao"
-    MIDDLEWARE = "middleware"
-    OTHER = "other"
+    WEB, BUSINESS, DAO, MIDDLEWARE, OTHER = TIER_NAMES
 
     @property
     def label(self) -> str:

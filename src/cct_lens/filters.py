@@ -30,12 +30,8 @@ from __future__ import annotations
 import functools
 from typing import Iterable, NamedTuple
 
-from .trace import clip
-
-# the values of the CLI's --filter-mode
-ATTRIBUTE_TO_PARENT = "attribute"
-DROP_SUBTREE = "drop"
-FILTER_MODES = (ATTRIBUTE_TO_PARENT, DROP_SUBTREE)
+from .trace import ATTRIBUTE_TO_PARENT, FILTER_MODES, clip
+from .trace import DROP_SUBTREE  # bench/layers.py imports it here, where it was
 
 
 class _Pattern(NamedTuple):
@@ -104,7 +100,8 @@ def apply_filter(root: CctNode, filter_set: FilterSet,
     keep = keeper(filter_set, mode)
     if keep is None:
         return root
-    from .cct import CctNode, overlay
+    from .cct import overlay
+    from .loop import CctNode
 
     # a verdict depends only on the method name: match each name once
     keep = functools.cache(keep)

@@ -1,16 +1,10 @@
-"""Per-method aggregate tables over a CCT, plus display formatting.
+"""Per-method aggregate tables over a CCT.
 
 Hot-spot rows aggregate self time and invocation counts per method over
 all calling contexts, excluding synthetic roots.  Percentages are exact
 rationals so conservation properties hold without rounding error; a
-per-invocation average is never stored, but printed from its row's two
-integers with exact rounding.  Formatting to display strings happens only
-at the edge.
-
-Display conventions follow desktop profiler output: self and total time
-in milliseconds with three significant digits (whole milliseconds from
-1000 ms up), percentages with one decimal, per-invocation averages with
-two decimals, rounded half up, from 1 ms up.
+per-invocation average is never stored.  ``compare`` formats the numbers
+of the tables for display, only at the edge.
 """
 
 from __future__ import annotations
@@ -102,42 +96,3 @@ def total_time_rows(totals: dict[str, MethodTotals]) -> list[TotalTimeRow]:
     """Inclusive-time table, sorted by descending total time then name."""
     order = sorted((-t.total_time, m, t.invocations) for m, t in totals.items())
     return [TotalTimeRow(m, -neg, inv) for neg, m, inv in order]
-
-
-def format_ms(ns: int) -> str:
-    """Nanoseconds as a profiler-style millisecond string.
-
-    Three significant digits below one second ("85.8 ms", "0.068 ms"),
-    whole milliseconds from there up ("1267 ms").
-    """
-    if ns == 0:
-        return "0 ms"
-    sign = "-" if ns < 0 else ""
-    ns = abs(ns)
-    if ns >= 999_500_000:
-        return f"{sign}{(ns + 500_000) // 1_000_000} ms"
-    ms = ns / 1e6
-    if ns < 100:
-        # below 0.0001 ms the %g form would go scientific; spell it out
-        text = f"{ms:.7f}".rstrip("0").rstrip(".")
-    else:
-        text = format(ms, ".3g")
-    return f"{sign}{text} ms"
-
-
-def format_avg_ms(total_ns: int, count: int) -> str:
-    """The average ``total_ns / count`` in ms, exactly rounded: two decimals,
-    half up, from 1 ms up, else ``format_ms`` of the nearest integer ns,
-    half to even."""
-    if total_ns >= count * 1_000_000:
-        unit = count * 10_000
-        cents, rest = divmod(total_ns, unit)
-        ms, cents = divmod(cents + (2 * rest >= unit), 100)
-        return f"{ms} ms" if not cents else f"{ms}.{cents:02d}".rstrip("0") + " ms"
-    ns, rest = divmod(total_ns, count)
-    return format_ms(ns + (2 * rest > count or (2 * rest == count and ns & 1)))
-
-
-def format_pct(fraction: Fraction) -> str:
-    """A fraction as a percentage with one decimal, e.g. "41.4%"."""
-    return f"{float(fraction) * 100:.1f}%"

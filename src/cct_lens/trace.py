@@ -15,7 +15,7 @@ like a stack.
 This module owns the line grammar (``parse_trace_line``), the timestamp
 range included, so every reader refuses a timestamp out of range on its
 line.  The structural checks, nesting and per-thread timestamp order,
-live in ``cct.ingest``, which parses, checks and builds a tree in one pass.
+live in ``loop._ingest``, which parses, checks and builds in one pass.
 
 ``text_lines`` reads every trace and catalog: a binary stream, in reads
 of ``READ_SIZE`` bytes, to lines of at most ``LINE_CAP`` characters.
@@ -28,7 +28,8 @@ type-checks their fields.  ``write_lines``, the one writer of every
 output, names the output in its failed writes.  Producers yield lines
 without newlines: ``write_lines`` ends each, or with ``pieces`` the one
 line they make; ``join_lines`` gives the same text as one string.
-``REPORT_FORMATS`` names the report formats; ``json_rows`` gives the rows
+``REPORT_FORMATS`` and ``FILTER_MODES`` name the report formats and the
+filter modes for the CLI's parser; ``json_rows`` gives the rows
 of the JSON reports and snapshots, as ``json.dumps(obj, indent=2)`` does.
 """
 
@@ -244,6 +245,9 @@ def json_field(obj, key: str, kind: type | tuple, minimum: int | None = None,
 # the formats of the analysis and diff reports
 TEXT, CSV, JSON = "text", "csv", "json"
 REPORT_FORMATS = (TEXT, CSV, JSON)
+# the values of the CLI's --filter-mode
+ATTRIBUTE_TO_PARENT, DROP_SUBTREE = "attribute", "drop"
+FILTER_MODES = (ATTRIBUTE_TO_PARENT, DROP_SUBTREE)
 
 
 # the text json.dumps writes for each type of value in a report or snapshot

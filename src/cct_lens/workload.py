@@ -455,8 +455,9 @@ def load_workload_spec(text: str) -> WorkloadSpec:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"bad workload spec: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # past Python's digit limit the reason ends in advice for Python code
+        raise ValueError(f"bad workload spec: {str(exc).partition('; use sys.')[0]}") from None
     if not isinstance(doc, dict):
         raise ValueError("workload spec must be a JSON object")
     defaults = {"seed": 0, "thread_count": 1, "jitter": 0.0, "default_base_ns": 1_000_000,

@@ -20,9 +20,10 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from cct_lens.cct import CctNode, ingest, ingest_merged
-from cct_lens.filters import ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet, apply_filter
-from cct_lens.metrics import aggregate_methods, format_ms
-from cct_lens.trace import ENTER, EXIT, TraceEvent
+from cct_lens.compare import format_ms
+from cct_lens.filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
+from cct_lens.metrics import aggregate_methods
+from cct_lens.trace import DROP_SUBTREE, ENTER, EXIT, TraceEvent
 
 
 def random_balanced_events(
@@ -189,7 +190,7 @@ def decode_forest(text: str) -> dict[int, CctNode]:
 
 
 def decimal_format_avg_ms(avg: Fraction) -> str:
-    """The average formatter that ``metrics.format_avg_ms`` replaced: a
+    """The average formatter that ``compare.format_avg_ms`` replaced: a
     ``Decimal`` quotient, quantized half up.  It rounds to 28 digits first, so
     it is exact only for self times below 2*10**27 ns."""
     if avg == 0:

@@ -19,14 +19,13 @@ import pytest
 from conftest import random_trace, replay_totals
 from cct_lens import workload as wl
 from cct_lens.cct import CctNode, build_forest, ingest, merge_ccts
+from cct_lens.compare import SHARED, diff, format_avg_ms, format_ms, format_pct
 from cct_lens.components import component_utilization, default_hr_catalog
-from cct_lens.filters import (ATTRIBUTE_TO_PARENT, DROP_SUBTREE, FilterSet,
-                              apply_filter)
-from cct_lens.metrics import (HotSpotRow, format_avg_ms, format_ms, format_pct,
-                              hotspots)
+from cct_lens.filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
+from cct_lens.metrics import HotSpotRow, hotspots
 from cct_lens.report import AnalysisTables, render_analysis
-from cct_lens.snapshot import SHARED, diff, take_snapshot
-from cct_lens.trace import TraceEvent
+from cct_lens.snapshot import take_snapshot
+from cct_lens.trace import DROP_SUBTREE, TraceEvent
 from test_filters import random_filter
 
 

@@ -20,11 +20,11 @@ from cct_lens.cct import (
     ingest_merged,
     merge_ccts,
     project_call_graph,
-    root_label,
     serialize_cct,
     serialize_forest,
 )
 from cct_lens.filters import FILTER_MODES, FilterSet, apply_filter
+from cct_lens.loop import root_label
 from cct_lens.snapshot import ingest_totals
 from cct_lens.trace import (ECHO_CAP, ENTER, EXIT, LINE_CAP, TraceEvent, TraceParseError,
                              TraceStructureError)

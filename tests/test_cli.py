@@ -16,11 +16,12 @@ from pathlib import Path
 import pytest
 
 import cct_lens
-from cct_lens import cct, cli, snapshot
+from cct_lens import cct, cli, filters, snapshot
 from cct_lens import workload as wl
 from cct_lens.cli import main
+from cct_lens.compare import load_snapshot_file
 from cct_lens.filters import FilterSet, apply_filter
-from cct_lens.snapshot import dump_snapshot, load_snapshot_file, take_snapshot
+from cct_lens.snapshot import dump_snapshot, take_snapshot
 from cct_lens.trace import WRITE_BATCH, jsonl_lines, text_lines, write_lines
 
 from conftest import decode_cct, decode_forest
@@ -172,6 +173,14 @@ class TestSimulate:
         code, stdout, stderr = run(capsys, "simulate", "--spec", str(path))
         assert (code, stdout, stderr.count("\n")) == (1, "", 1)
         assert stderr.startswith(f"error: {path}: {message}")
+
+    def test_spec_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"executions": {"login": %s}}' % ("1" * 4301), encoding="utf-8")
+        code, stdout, stderr = run(capsys, "simulate", "--spec", str(path))
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: {path}: bad workload spec: Exceeds the limit (4300 digits) "
+                          "for integer string conversion: value has 4301 digits\n")
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "-o"])
     def test_timeline_past_64_bits_refused(self, capsys, tmp_path, to_file):
@@ -623,6 +632,15 @@ class TestMalformedSnapshot:
                             b'{"hot_spots": ' + b"[" * 10**5 + b"]" * 10**5 + b"}")
         assert stderr.startswith(f"error: {tmp_path / 'bad.json'}: bad snapshot document: ")
 
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # json.loads refuses it with a plain ValueError, whose advice is for Python code
+        assert self.GOOD.count('"self_ns": 5,') == 2
+        data = self.GOOD.replace('"self_ns": 5,', f'"self_ns": 1{"0" * 5000},', 1).encode()
+        stderr = self.check(capsys, tmp_path, data)
+        assert stderr == (f"error: {tmp_path / 'bad.json'}: bad snapshot document: Exceeds the "
+                          "limit (4300 digits) for integer string conversion: value has 5001 "
+                          "digits\n")
+
     def test_integer_of_2_96_names_the_row(self, capsys, tmp_path):
         doc = json.loads(self.GOOD)
         doc["hot_spots"][0]["self_ns"] = 10**400
@@ -732,7 +750,7 @@ class TestCallgraph:
 
         # every reader, and each step of the tree path
         for module, name in ((cct, "ingest"), (cct, "ingest_merged"), (cct, "ingest_call_graph"),
-                             (snapshot, "ingest_totals"), (cli, "apply_filter"),
+                             (snapshot, "ingest_totals"), (filters, "apply_filter"),
                              (cct, "project_call_graph")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         code, stdout, _ = run(capsys, "callgraph", str(fig8_trace), "--format", fmt, *flags,
@@ -1394,6 +1412,37 @@ class TestTopLevel:
         assert "cct_lens.cli" in modules
         assert modules & {"cct_lens.report", "cct_lens.snapshot", "cct_lens.components",
                           "cct_lens.metrics", "fractions", "decimal", "csv"} == set()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_diff_loads_only_the_snapshot_reader(self, fig8_trace, tmp_path, fmt):
+        # diff reads checked integers: no trees, filters, typed rows or fractions
+        snap = tmp_path / "s.json"
+        snap.write_text(dump_snapshot(take_snapshot("a", 1, fig8_trace.read_bytes())),
+                        encoding="utf-8")
+        argv = ["diff", str(snap), str(snap), "--format", fmt, "-o", os.devnull]
+        modules = self.loaded(f"; from cct_lens.cli import main; assert main({argv!r}) == 0")
+        assert "cct_lens.compare" in modules
+        assert modules & {"cct_lens.cct", "cct_lens.loop", "cct_lens.filters",
+                          "cct_lens.components", "cct_lens.report", "cct_lens.snapshot",
+                          "cct_lens.metrics", "fractions", "decimal"} == set()
+        assert ("csv" in modules) == (fmt == "csv")
+
+    @pytest.mark.parametrize("command", [
+        (), ("simulate", "--preset", "figure8"), ("export", "TRACE", "--format", "jsonl"),
+    ], ids=lambda command: " ".join(command) or "import")
+    def test_commands_without_filters_load_no_filter_module(self, fig8_trace, command):
+        # the parser needs only the filter-mode names, which live in trace
+        argv = [str(fig8_trace) if arg == "TRACE" else arg for arg in command]
+        run = f"; assert main({[*argv, '-o', os.devnull]!r}) == 0" if command else ""
+        modules = self.loaded(f"; from cct_lens.cli import main{run}")
+        assert "cct_lens.cli" in modules and "cct_lens.filters" not in modules
+
+    def test_analyze_loads_no_tree_module_and_no_csv(self, fig8_trace):
+        # analyze runs the ingest loop, which lives apart from the trees
+        argv = ["analyze", str(fig8_trace), "-o", os.devnull]
+        modules = self.loaded(f"; from cct_lens.cli import main; assert main({argv!r}) == 0")
+        assert "cct_lens.loop" in modules
+        assert modules & {"cct_lens.cct", "csv"} == set()
 
     def test_workload_import_loads_no_analysis_module(self):
         # simulate and both scripts load the simulator; none of it analyzes

@@ -10,14 +10,13 @@ from cct_lens.cct import (MERGED_ROOT, CctNode, build_forest, ingest, merge_ccts
                           serialize_cct)
 from cct_lens.filters import (
     ATTRIBUTE_TO_PARENT,
-    DROP_SUBTREE,
     FILTER_MODES,
     FilterPattern,
     FilterSet,
     apply_filter,
 )
 from cct_lens.metrics import MethodTotals, aggregate_methods
-from cct_lens.trace import ENTER as E, EXIT as X, TraceEvent
+from cct_lens.trace import DROP_SUBTREE, ENTER as E, EXIT as X, TraceEvent
 
 from conftest import decode_tree, events_1tid, random_trace, replay_totals
 

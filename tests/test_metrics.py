@@ -10,20 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cct_lens.cct import build_forest, merge_ccts
+from cct_lens.compare import format_avg_ms, format_ms, format_pct, load_snapshot
 from cct_lens.filters import FilterSet, apply_filter
 from cct_lens.metrics import (
     HotSpotRow,
     MethodTotals,
     TotalTimeRow,
-    format_avg_ms,
-    format_ms,
-    format_pct,
     hotspot_rows,
     hotspots,
     total_time_rows,
     total_time_table,
 )
-from cct_lens.snapshot import load_snapshot
 from cct_lens.trace import ENTER as E, EXIT as X
 
 from conftest import decimal_format_avg_ms, events_1tid, random_trace, replay_totals

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from cct_lens.components import ComponentUtilizationRow, Tier
 from cct_lens.metrics import HotSpotRow, TotalTimeRow
-from cct_lens.report import (REPORT_FORMATS, AnalysisTables, _text_table, analysis_lines,
-                             diff_lines,
-                             render_analysis, render_diff)
-from cct_lens.snapshot import Snapshot, SnapshotDiffRow, dump_snapshot, snapshot_lines
+from cct_lens.compare import Snapshot, SnapshotDiffRow, _text_table, diff_lines, render_diff
+from cct_lens.report import REPORT_FORMATS, AnalysisTables, analysis_lines, render_analysis
+from cct_lens.snapshot import dump_snapshot, snapshot_lines
 from cct_lens.trace import join_lines
 
 

@@ -13,25 +13,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cct_lens import metrics, report, snapshot
+from cct_lens import compare, metrics, snapshot
 from cct_lens import workload as wl
 from cct_lens.cct import ingest, merge_ccts
 from cct_lens.cli import main
-from cct_lens.components import Tier
-from cct_lens.metrics import HotSpotRow
-from cct_lens.snapshot import (
+from cct_lens.compare import (
     ADDED,
     REMOVED,
     SHARED,
     Snapshot,
     diff,
-    dump_snapshot,
-    ingest_totals,
     load_snapshot,
     load_snapshot_file,
-    tabulate,
-    take_snapshot,
 )
+from cct_lens.metrics import HotSpotRow
+from cct_lens.snapshot import dump_snapshot, ingest_totals, tabulate, take_snapshot
 from cct_lens.trace import TraceParseError, join_lines, json_field, write_lines
 
 from conftest import decimal_format_avg_ms, random_trace, trace_lines
@@ -322,7 +318,7 @@ def reference_diff(a: Snapshot, b: Snapshot) -> list[ReferenceRow]:
 
 
 def reference_render(rows: list[ReferenceRow], a: Snapshot, b: Snapshot, fmt: str) -> str:
-    """``report.render_diff`` with every float made by ``float`` of a ``Fraction``."""
+    """``compare.render_diff`` with every float made by ``float`` of a ``Fraction``."""
     def num(value, spec, absent):
         return absent if value is None else format(float(value), spec)
 
@@ -331,14 +327,14 @@ def reference_render(rows: list[ReferenceRow], a: Snapshot, b: Snapshot, fmt: st
     if fmt == "text":
         head = (f"Snapshot diff: a={a.label} (users={a.user_count})  "
                 f"b={b.label} (users={b.user_count})\n\n")
-        return head + join_lines(report._text_table(
+        return head + join_lines(compare._text_table(
             ["Method", "Avg a", "Avg b", "Ratio b/a", "Inv a", "Inv b", "Status"],
             [[r.method, "-" if r.avg_a is None else decimal_format_avg_ms(r.avg_a),
               "-" if r.avg_b is None else decimal_format_avg_ms(r.avg_b),
               num(r.ratio, ".3f", "-"),
               str(r.invocations_a), str(r.invocations_b), r.status] for r in rows]))
     if fmt == "csv":
-        return join_lines(report._csv_block(
+        return join_lines(compare._csv_block(
             f"diff {a.label} vs {b.label}", names,
             ([r.method, num(r.avg_a, ".1f", ""), num(r.avg_b, ".1f", ""),
               num(r.ratio, ".6f", ""), r.invocations_a, r.invocations_b, r.status]
@@ -418,8 +414,8 @@ class TestDiffMatchesFractionReference:
             assert diff_values(rows) == expected
             assert [r.deviation for r in rows] == [
                 None if r.ratio is None else abs(r.ratio - 1) for r in expected]
-            for fmt in report.REPORT_FORMATS:
-                assert (report.render_diff(rows, first, second, fmt)
+            for fmt in compare.REPORT_FORMATS:
+                assert (compare.render_diff(rows, first, second, fmt)
                         == reference_render(expected, first, second, fmt))
 
     def test_makes_no_fraction_comparisons(self, monkeypatch):
@@ -471,7 +467,7 @@ class TestSnapshotText:
     @staticmethod
     def doc(label="a", method="m", component="C", digest="") -> str:
         # json.dumps escapes a lone surrogate, as a hand-written file may
-        return json.dumps({"format": snapshot._SNAPSHOT_FORMAT, "label": label, "user_count": 1,
+        return json.dumps({"format": compare._SNAPSHOT_FORMAT, "label": label, "user_count": 1,
                            "source_trace_digest": digest,
                            "hot_spots": [{"method": method, "self_ns": 5, "invocations": 1}],
                            "components": [{"component": component, "tier": "web",
@@ -484,7 +480,7 @@ class TestSnapshotText:
         bad, good, out = tmp_path / "bad.json", tmp_path / "good.json", tmp_path / "out.txt"
         bad.write_text(self.doc(**{field: "\ud800bad"}), encoding="utf-8")
         good.write_text(self.doc(), encoding="utf-8")
-        for fmt in report.REPORT_FORMATS:
+        for fmt in compare.REPORT_FORMATS:
             assert main(["diff", str(good), str(bad), "--format", fmt, "-o", str(out)]) == 1
             assert capsys.readouterr().err == (
                 f"error: {bad}: {where} must be UTF-8 text, got '\\ud800bad'\n")
@@ -527,7 +523,7 @@ class TestSnapshotText:
         b.write_text(self.doc("20\nusers\r"), encoding="utf-8")
         assert main(["diff", str(a), str(b), "--format", "csv"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows[:2] == [["# diff 1\\ruser vs 20\\nusers\\r"], list(report._DIFF_NAMES)]
+        assert rows[:2] == [["# diff 1\\ruser vs 20\\nusers\\r"], list(compare._DIFF_NAMES)]
         assert len(rows) == 3
         assert main(["diff", str(a), str(b)]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == [
@@ -562,7 +558,8 @@ def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
         where = f"{key}[{i}]: "
         values = []
         for name, kind, minimum in fields:
-            value = json_field(row, name, str if kind is Tier else kind, minimum, where)
+            value = json_field(row, name, str if kind is compare.TIER_NAMES else kind,
+                               minimum, where)
             if kind is int and value >= 2**96:
                 raise ValueError(f"{where}{name!r} must be below 2**96")
             if kind is not int:
@@ -570,7 +567,7 @@ def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
                     value.encode("utf-8")
                 except UnicodeEncodeError:
                     raise ValueError(f"{where}{name!r} must be UTF-8 text, got {value!r}")
-            if kind is Tier and value not in TIER_NAMES:
+            if kind is compare.TIER_NAMES and value not in TIER_NAMES:
                 raise ValueError(f"{where}unknown tier {value!r} "
                                  "(expected web, business, dao, middleware, other)")
             values.append(value)
@@ -582,8 +579,8 @@ def reference_rows(doc: dict, key: str, fields) -> list[tuple]:
     return rows
 
 
-TABLES = {"hot_spots": (snapshot._HOT_FIELDS, snapshot._hot_row_ok),
-          "components": (snapshot._COMPONENT_FIELDS, snapshot._component_row_ok)}
+TABLES = {"hot_spots": (compare._HOT_FIELDS, compare._hot_row_ok),
+          "components": (compare._COMPONENT_FIELDS, compare._component_row_ok)}
 MUTATIONS = ("not a dict", "missing", "extra", "bool", "float", "str", "int", "negative",
              "zero", "2**96", "2**96 - 1", "duplicate", "not ascii", "surrogate", "case")
 
@@ -595,7 +592,7 @@ def table_docs(draw):
     fields = TABLES[key][0]
     valid_row = st.fixed_dictionaries({
         name: (st.text("ab", max_size=2) if kind is str else st.sampled_from(TIER_NAMES)
-               if kind is Tier else st.integers(minimum, 2**96 - 1))
+               if kind is compare.TIER_NAMES else st.integers(minimum, 2**96 - 1))
         for name, kind, minimum in fields})
     rows = draw(st.lists(valid_row, max_size=6))
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
@@ -632,7 +629,7 @@ def test_loader_rows_match_the_field_by_field_reference(table):
     fields, row_ok = TABLES[key]
     outcomes = []
     for load in (lambda: reference_rows(doc, key, fields),
-                 lambda: snapshot._rows(doc, key, fields, row_ok)):
+                 lambda: compare._rows(doc, key, fields, row_ok)):
         try:
             outcomes.append(repr(load()))
         except ValueError as exc:

@@ -220,8 +220,9 @@ def test_the_check_sees_the_collector():
         "gc.disable:3", "from gc:7", "import gc as:8"])
 
 
-# the one module that builds and rewrites trees; the others read them
-TREE_WRITER = "cct.py"
+# the modules that build and rewrite trees: the ingest loop and the tree
+# module; the others read them
+TREE_WRITERS = ("loop.py", "cct.py")
 NODE_FIELDS = frozenset({"children", "invocations", "total_time", "truncated", "method",
                          "_order"})
 
@@ -242,7 +243,7 @@ def node_writes(tree: ast.AST) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != TREE_WRITER],
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in TREE_WRITERS],
                          ids=lambda p: p.name)
 def test_only_the_tree_module_writes_children(path):
     # a second tree-copying or tree-fixing loop would fork the overlay
@@ -274,9 +275,9 @@ def test_the_check_sees_children_writes():
         "13:total_time", "14:invocations", "14:truncated", "15:method", "16:_order"])
 
 
-# the one function of cct.py that decides between a strict error and a
+# the one function of loop.py that decides between a strict error and a
 # lenient repair's warning
-DEFECT = ("cct.py", "_defect")
+DEFECT = ("loop.py", "_defect")
 
 
 def strictness_uses(tree: ast.AST, skip: str | None = None) -> list[str]:
@@ -303,9 +304,11 @@ def strictness_uses(tree: ast.AST, skip: str | None = None) -> list[str]:
 
 def test_one_place_decides_strict_or_lenient():
     # a second strict-or-lenient pair would fork the wording and the
-    # handling that _defect keeps for every structural defect
-    path = next(p for p in SOURCES if p.name == DEFECT[0])
-    assert strictness_uses(ast.parse(path.read_text(encoding="utf-8")), DEFECT[1]) == []
+    # handling that _defect keeps for every structural defect, in either
+    # module that reads traces into trees
+    for path in (p for p in SOURCES if p.name in TREE_WRITERS):
+        skip = DEFECT[1] if path.name == DEFECT[0] else None
+        assert strictness_uses(ast.parse(path.read_text(encoding="utf-8")), skip) == []
 
 
 def test_the_check_sees_strictness():
@@ -406,7 +409,7 @@ def test_the_check_sees_text_reads():
 
 
 # the one loop that parses and checks every trace line a tree or a table is made of
-INGEST = ("cct.py", "_ingest")
+INGEST = ("loop.py", "_ingest")
 CHECKS = ("parse_trace_line", "_defect")
 
 
@@ -430,10 +433,11 @@ def check_callers(tree: ast.AST, names=CHECKS) -> dict[str, set[str]]:
 
 def test_one_loop_parses_and_checks_every_line():
     # a second loop over trace lines would fork the grammar quick path, the
-    # four repairs and their wording, or pay a call per line to share them
-    path = next(p for p in SOURCES if p.name == INGEST[0])
-    assert check_callers(ast.parse(path.read_text(encoding="utf-8"))) == {
-        name: {INGEST[1]} for name in CHECKS}
+    # four repairs and their wording, or pay a call per line to share them;
+    # the tree module that calls the loop calls neither check
+    for path in (p for p in SOURCES if p.name in TREE_WRITERS):
+        assert check_callers(ast.parse(path.read_text(encoding="utf-8"))) == {
+            name: {INGEST[1]} if path.name == INGEST[0] else set() for name in CHECKS}
 
 
 def test_the_check_sees_a_second_loop():

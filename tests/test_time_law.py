@@ -4,34 +4,44 @@ Each law times an in-process call at sizes n and 10n, best of three, and
 asserts a ratio under 20: linear work gives about 10 and quadratic work
 about 100, so the noise of a shared machine does not decide the result.
 The collector is off while a call runs, as ``cli.main`` runs commands.
-The dimensions covered so far are those of ``workload.simulate_lines``: a
-spec's threads and its executions.
+The dimensions covered so far are those of ``workload.simulate_lines``, a
+spec's threads and its executions, and a snapshot's rows, which ``diff``
+checks and joins.
 """
 
 import gc
+import json
 import time
 
 from cct_lens import workload as wl
+from cct_lens.compare import check_snapshot, diff
 
 RATIO = 20
 
 
-def best_time(spec: wl.WorkloadSpec) -> float:
-    """The best of three runs of ``simulate_lines`` on ``spec``, each checked
-    to give every line."""
+def best_of_three(run) -> float:
+    """The best time of three calls of ``run``, each with the collector off."""
     times = []
     for _ in range(3):
         collecting = gc.isenabled()
         gc.disable()
         try:
             start = time.perf_counter()
-            lines = sum(1 for _ in wl.simulate_lines(spec))
+            run()
             times.append(time.perf_counter() - start)
         finally:
             if collecting:
                 gc.enable()
-        assert lines == 3 + spec.event_count()
     return min(times)
+
+
+def best_time(spec: wl.WorkloadSpec) -> float:
+    """The best of three runs of ``simulate_lines`` on ``spec``, each checked
+    to give every line."""
+    def run():
+        assert sum(1 for _ in wl.simulate_lines(spec)) == 3 + spec.event_count()
+
+    return best_of_three(run)
 
 
 def test_simulate_threads():
@@ -49,3 +59,28 @@ def test_simulate_executions():
                                latency=wl.calibrated_latency(0.1))
 
     assert best_time(spec(3000)) < RATIO * best_time(spec(300))
+
+
+def snapshot_text(rows: int, scale: int) -> str:
+    """A snapshot document of ``rows`` hot-spot rows and one component row."""
+    return json.dumps({
+        "format": "cct-lens/snapshot@1", "label": f"x{scale}", "user_count": scale,
+        "source_trace_digest": "0" * 64,
+        "hot_spots": [{"method": f"com.example.Klass{i}.method{i}", "self_ns": scale * i,
+                       "invocations": 1 + i % 7} for i in range(rows)],
+        "components": [{"component": "Klass", "tier": "other", "self_ns": 0,
+                        "invocations": 0}]})
+
+
+def test_diff_rows():
+    # every row passes the checker, then the join; a list of seen names in
+    # place of _rows's set makes the ratio about 100
+    def load_and_diff(n: int) -> float:
+        a, b = snapshot_text(n, 1), snapshot_text(n, 3)
+
+        def run():
+            assert len(diff(check_snapshot(a), check_snapshot(b))) == n
+
+        return best_of_three(run)
+
+    assert load_and_diff(20_000) < RATIO * load_and_diff(2_000)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cct_lens.cct import ingest, serialize_forest
-from cct_lens.snapshot import load_snapshot_file
+from cct_lens.compare import load_snapshot_file
 from cct_lens.trace import (
     ECHO_CAP,
     ENTER,

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from cct_lens import workload as wl
 from cct_lens.cct import ingest, merge_ccts
-from cct_lens.metrics import format_ms, hotspots
+from cct_lens.compare import format_ms
+from cct_lens.metrics import hotspots
 from cct_lens.trace import TraceStructureError, iter_trace
 
 
