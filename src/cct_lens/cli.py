@@ -24,8 +24,7 @@ def _warn(message: str) -> None:
 def _filter_set(args) -> FilterSet:
     from .filters import FilterSet
 
-    return FilterSet.from_patterns(includes=args.include or (),
-                                   excludes=args.exclude or ())
+    return FilterSet.from_patterns(args.include or (), args.exclude or ())
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
@@ -128,13 +127,14 @@ def cmd_diff(args) -> int:
 def cmd_callgraph(args) -> int:
     from . import cct, filters
 
+    filter_set = _filter_set(args)  # either format checks it before it reads the trace
     if args.format == "edges":
         edges = _ingest_file(cct.ingest_call_graph, args.trace, args.lenient,
-                             filter_set=_filter_set(args), filter_mode=args.filter_mode)
+                             filter_set=filter_set, filter_mode=args.filter_mode)
         lines = cct.edge_lines(edges)
     else:
         merged = _ingest_file(cct.ingest_merged, args.trace, args.lenient)
-        lines = cct.folded_stacks(filters.apply_filter(merged, _filter_set(args), args.filter_mode))
+        lines = cct.folded_stacks(filters.apply_filter(merged, filter_set, args.filter_mode))
     write_lines(lines, args.output)
     return 0
 

@@ -1,11 +1,11 @@
 """Map method names to architectural components and tiers.
 
-A catalog is an ordered rule list; the first matching rule wins.  Rules
-pair a method-name pattern (same prefix grammar as instrumentation
-filters) with a component name and a tier.  A component of ``*`` means
-"derive from the method": use the simple name of the declaring class.
-Methods no rule matches fall back to their declaring class in the Other
-tier, so classification is total.
+A catalog is an ordered rule list; the first matching rule wins, found
+by the ``PatternMatcher`` that instrumentation filters use.  Rules pair
+a method-name pattern with a component name and a tier.  A component
+of ``*`` means "derive from the method": use the simple name of the
+declaring class.  Methods no rule matches fall back to their declaring
+class in the Other tier, so classification is total.
 
 The built-in catalog describes a three-tier HR web application fronted
 by JSP pages and servlets, with stateless session beans in the middle
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .compare import TIER_NAMES
-from .filters import FilterPattern
+from .filters import FilterPattern, PatternMatcher
 from .metrics import HotSpotRow
 from .trace import clip, errors_in, text_lines
 
@@ -64,26 +64,14 @@ class ComponentRule(NamedTuple):
 
 
 class ComponentCatalog:
-    """An ordered rule list, kept as dicts from rule text to its first rule's
-    index: ``_prefix`` for prefix rules (text without the ``*``, so a lone
-    ``*`` is ``""``), ``_exact`` for the others.  A name is looked up whole
-    and once per distinct prefix length (``_lengths``); the lowest index
-    wins.  So, as with the per-length hash tables of Waldvogel et al.
-    (SIGCOMM 1997), a classification costs the same at any rule count.
-    """
+    """An ordered rule list, with a ``filters.PatternMatcher`` of the rules'
+    patterns: a classification costs the same at any rule count."""
 
-    __slots__ = ("rules", "_prefix", "_exact", "_lengths")
+    __slots__ = ("rules", "_matcher")
 
     def __init__(self, rules: Iterable[ComponentRule]):
         self.rules = tuple(rules)
-        self._prefix, self._exact = {}, {}
-        for i, rule in enumerate(self.rules):
-            text = rule.pattern.text
-            if text.endswith("*"):
-                self._prefix.setdefault(text[:-1], i)
-            else:
-                self._exact.setdefault(text, i)
-        self._lengths = sorted({len(text) for text in self._prefix})
+        self._matcher = PatternMatcher(rule.pattern.text for rule in self.rules)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComponentCatalog):
@@ -101,19 +89,11 @@ class ComponentCatalog:
 
         Unmatched methods map to (declaring class, Other).
         """
-        prefix, first = self._prefix, self._exact.get(method, len(self.rules))
-        # past the name's end, method[:n] is the name: a hit there is a real match
-        for n in self._lengths:
-            i = prefix.get(method[:n], first)
-            if i < first:
-                first = i
-        if first == len(self.rules):
+        first = self._matcher.first(method)
+        if first is None:
             return declaring_class(method), Tier.OTHER
-        rule = self.rules[first]
-        component = rule.component
-        if component == DERIVE:
-            component = declaring_class(method)
-        return component, rule.tier
+        _, component, tier = self.rules[first]
+        return (declaring_class(method) if component == DERIVE else component), tier
 
 
 class ComponentUtilizationRow(NamedTuple):

@@ -4,7 +4,8 @@ Patterns are method-name prefixes with an optional single trailing ``*``
 wildcard; no other wildcard position is allowed.  A pattern without ``*``
 matches exactly.  A FilterSet combines include and exclude pattern lists:
 a method is kept when it matches an include pattern, or the include list
-is empty, and it matches no exclude pattern.
+is empty, and it matches no exclude pattern.  Filters and component
+catalogs match through one ``PatternMatcher``.
 
 Applying a filter to a CCT models what the profiler would have produced
 had the rejected methods never been instrumented:
@@ -44,21 +45,44 @@ class FilterPattern(_Pattern):
     __slots__ = ()
 
     def __new__(cls, text: str):
-        star = text.find("*")
-        if star != -1 and star != len(text) - 1:
+        if "*" in text[:-1]:
             raise ValueError(f"'*' only allowed as the final character: {clip(text, repr)}")
         if not text:
             raise ValueError("empty filter pattern")
         return super().__new__(cls, text)
 
-    def matches(self, method: str) -> bool:
-        if self.text.endswith("*"):
-            return method.startswith(self.text[:-1])
-        return method == self.text
+
+class PatternMatcher:
+    """Dicts from pattern text to its first pattern's index: ``prefix`` for prefix
+    patterns (text without the ``*``, so a lone ``*`` is ``""``), ``exact`` for the
+    others.  ``first`` looks a name up whole and once per distinct prefix length up to
+    its own, as the per-length hash tables of Waldvogel et al. (SIGCOMM 1997) do."""
+
+    __slots__ = ("prefix", "exact", "lengths", "count")
+
+    def __init__(self, texts: Iterable[str]):
+        self.prefix, self.exact, i = {}, {}, -1
+        for i, text in enumerate(texts):
+            if text.endswith("*"):
+                self.prefix.setdefault(text[:-1], i)
+            else:
+                self.exact.setdefault(text, i)
+        self.count = i + 1
+        self.lengths = sorted({len(text) for text in self.prefix})
+
+    def first(self, name: str) -> int | None:
+        """The lowest index of a pattern that matches ``name``, or None."""
+        prefix, first = self.prefix, self.exact.get(name, self.count)
+        for n in self.lengths:
+            if n > len(name):
+                break
+            if (i := prefix.get(name[:n], first)) < first:
+                first = i
+        return None if first == self.count else first
 
 
 class FilterSet(NamedTuple):
-    """Include and exclude pattern lists; see ``keeps``."""
+    """Include and exclude pattern lists; see ``keeper``."""
 
     includes: tuple[FilterPattern, ...] = ()
     excludes: tuple[FilterPattern, ...] = ()
@@ -66,24 +90,20 @@ class FilterSet(NamedTuple):
     @classmethod
     def from_patterns(cls, includes: Iterable[str] = (),
                       excludes: Iterable[str] = ()) -> "FilterSet":
-        return cls(
-            includes=tuple(FilterPattern(p) for p in includes),
-            excludes=tuple(FilterPattern(p) for p in excludes),
-        )
-
-    def keeps(self, method: str) -> bool:
-        """True when the method matches an include pattern, or there are
-        none, and matches no exclude pattern."""
-        if self.includes and not any(p.matches(method) for p in self.includes):
-            return False
-        return not any(p.matches(method) for p in self.excludes)
+        return cls(tuple(map(FilterPattern, includes)), tuple(map(FilterPattern, excludes)))
 
 
 def keeper(filter_set: FilterSet, mode: str):
-    """``filter_set.keeps``, None if it keeps all; ValueError for an unknown ``mode``."""
+    """The predicate ``filter_set`` keeps a method by, None if it keeps all;
+    ValueError for an unknown ``mode``."""
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r} (expected one of {FILTER_MODES})")
-    return filter_set.keeps if filter_set.includes or filter_set.excludes else None
+    if not filter_set.includes and not filter_set.excludes:
+        return None
+    # no include pattern keeps every method, as a lone "*" does
+    includes = PatternMatcher([p.text for p in filter_set.includes] or ["*"])
+    excludes = PatternMatcher(p.text for p in filter_set.excludes)
+    return lambda method: includes.first(method) is not None and excludes.first(method) is None
 
 
 def apply_filter(root: CctNode, filter_set: FilterSet,

@@ -1,8 +1,10 @@
 """Shared helpers: seeded random well-formed traces, a naive replay oracle,
 the tree path that ``snapshot.ingest_totals`` replaced in ``analyze``, a reader
 for the JSON trees that ``export --format cct|forest`` writes, the
-``Decimal`` average formatter that the integer one replaced, and the second
-read that once found the line of a byte that is not UTF-8.
+``Decimal`` average formatter that the integer one replaced, the second
+read that once found the line of a byte that is not UTF-8, and the
+pattern-by-pattern loop that ``filters.PatternMatcher`` replaced, with
+Hypothesis strategies for pattern lists.
 
 The oracle deliberately avoids every tree abstraction from the package: it
 replays raw events against plain per-thread stacks and accumulates per-method
@@ -19,8 +21,11 @@ from collections import defaultdict
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from cct_lens.cct import CctNode, ingest, ingest_merged
 from cct_lens.compare import format_ms
+from cct_lens.components import DERIVE, Tier
 from cct_lens.filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from cct_lens.metrics import aggregate_methods
 from cct_lens.trace import DROP_SUBTREE, ENTER, EXIT, TraceEvent
@@ -218,3 +223,60 @@ def rescan_bad_byte(data: bytes) -> tuple[int, int]:
                 return line + chunk.count("\n", 0, bad.start), ord(chunk[bad.start]) - 0xDC00
             line += chunk.count("\n")
     raise AssertionError("every byte is UTF-8")
+
+
+def pattern_matches(text: str, method: str) -> bool:
+    """Whether the pattern ``text`` matches ``method``, as ``FilterPattern.matches``
+    once decided it: a trailing ``*`` makes a prefix test, anything else an
+    equality test."""
+    if text.endswith("*"):
+        return method.startswith(text[:-1])
+    return method == text
+
+
+def loop_keeps(filter_set: FilterSet, method: str) -> bool:
+    """``FilterSet.keeps`` as it was before ``filters.keeper`` matched through
+    one ``PatternMatcher``: each pattern in turn, for each name.  True when
+    the method matches an include pattern, or there are none, and matches no
+    exclude pattern."""
+    if filter_set.includes and not any(pattern_matches(p.text, method)
+                                       for p in filter_set.includes):
+        return False
+    return not any(pattern_matches(p.text, method) for p in filter_set.excludes)
+
+
+# a few letters, so that patterns overlap, and the characters regexes treat specially
+TEXT = st.text(st.sampled_from("ab.()$[\\+?|\n"), max_size=4)
+KINDS = st.sampled_from(["prefix", "exact", "bare"])
+COMPONENTS = st.sampled_from(["C", DERIVE])
+
+
+@st.composite
+def rule_specs(draw):
+    """Up to 30 (pattern text without "*", kind, component, tier): short texts,
+    and cuts of one spine, so that rules nest at many distinct lengths."""
+    spine = draw(st.text(st.sampled_from("ab.$\n"), min_size=20, max_size=40))
+    texts = st.one_of(TEXT, st.integers(0, len(spine)).map(lambda n: spine[:n]))
+    return draw(st.lists(st.tuples(texts, KINDS, COMPONENTS, st.sampled_from(Tier)),
+                         max_size=30))
+
+
+def pattern_text(text: str, kind: str) -> str:
+    """The pattern of a spec's text and kind: a prefix pattern, an exact one,
+    or a lone ``*`` (for the kind "bare", and for an empty exact text)."""
+    if kind == "prefix":
+        return text + "*"
+    return "*" if kind == "bare" or not text else text
+
+
+def probe_names(texts, suffixes=(), names=()) -> list[str]:
+    """``names``, then each pattern text without its ``*``: itself, one
+    character longer and one shorter, with each suffix and past every
+    pattern's end."""
+    stems = [text.rstrip("*") for text in texts]
+    pad = "a" * (1 + max(map(len, stems), default=0))
+    probes = list(names)
+    for stem in stems:
+        probes += [stem, stem + "a", stem + "\n", stem[:-1], stem + pad]
+        probes += [stem + suffix for suffix in suffixes]
+    return probes

@@ -758,6 +758,16 @@ class TestCallgraph:
         assert (code, stdout) == (0, want)
         assert calls == built
 
+    @pytest.mark.parametrize("fmt", ["edges", "folded"])
+    def test_bad_pattern_is_found_before_the_trace_is_read(self, capsys, tmp_path, fmt):
+        # the trace leaves a frame open, an error of its own once it is read
+        trace = tmp_path / "open.tsv"
+        trace.write_text("0\t1\tE\ta\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "callgraph", str(trace), "--format", fmt,
+                                   "--exclude", "a*b")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: '*' only allowed as the final character: 'a*b'\n"
+
 
 def _spec(doc) -> bytes:
     return json.dumps(doc).encode()

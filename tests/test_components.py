@@ -22,6 +22,8 @@ from cct_lens.components import (
 from cct_lens.metrics import HotSpotRow
 from cct_lens.workload import FIGURE8_TABLE
 
+from conftest import TEXT, pattern_matches, pattern_text, probe_names, rule_specs
+
 
 # the built-in catalog in the file form that ``analyze --catalog`` reads
 DEFAULT_CATALOG_TEXT = """\
@@ -315,7 +317,7 @@ class TestCatalogFiles:
 def rule_loop(catalog: ComponentCatalog, method: str) -> tuple[str, Tier]:
     """``classify`` as a loop over the rules: the first whose pattern matches wins."""
     for rule in catalog.rules:
-        if rule.pattern.matches(method):
+        if pattern_matches(rule.pattern.text, method):
             component = rule.component
             if component == DERIVE:
                 component = declaring_class(method)
@@ -323,31 +325,9 @@ def rule_loop(catalog: ComponentCatalog, method: str) -> tuple[str, Tier]:
     return declaring_class(method), Tier.OTHER
 
 
-# a few letters, so that patterns overlap, and the characters regexes treat specially
-TEXT = st.text(st.sampled_from("ab.()$[\\+?|\n"), max_size=4)
-KINDS = st.sampled_from(["prefix", "exact", "bare"])
-COMPONENTS = st.sampled_from(["C", DERIVE])
-
-
-@st.composite
-def rule_specs(draw):
-    """Up to 30 (pattern text without "*", kind, component, tier): short texts,
-    and cuts of one spine, so that rules nest at many distinct lengths."""
-    spine = draw(st.text(st.sampled_from("ab.$\n"), min_size=20, max_size=40))
-    texts = st.one_of(TEXT, st.integers(0, len(spine)).map(lambda n: spine[:n]))
-    return draw(st.lists(st.tuples(texts, KINDS, COMPONENTS, st.sampled_from(Tier)),
-                         max_size=30))
-
-
 def catalog_of(spec) -> ComponentCatalog:
-    rules = []
-    for text, kind, component, tier in spec:
-        if kind == "prefix":
-            text += "*"
-        elif kind == "bare" or not text:
-            text = "*"
-        rules.append(ComponentRule.of(text, component, tier))
-    return ComponentCatalog(rules)
+    return ComponentCatalog(ComponentRule.of(pattern_text(text, kind), component, tier)
+                            for text, kind, component, tier in spec)
 
 
 def svc_names(count: int, suffix: str) -> list[str]:
@@ -367,17 +347,8 @@ class TestCompiledCatalog:
               ("", "bare", "E", Tier.BUSINESS)], ["c"], ["a", "", "b"])
     def test_same_as_the_rule_loop(self, spec, suffixes, names):
         catalog = catalog_of(spec)
-        stems = [rule.pattern.text.rstrip("*") for rule in catalog.rules]
-        # longer than every rule
-        pad = "a" * (1 + max(map(len, stems), default=0))
-        # each pattern's text itself, one character longer and one shorter,
-        # with each suffix and past every rule's end; then names that need
-        # not come near any rule
-        probes = list(names)
-        for stem in stems:
-            probes += [stem, stem + "a", stem + "\n", stem[:-1], stem + pad]
-            probes += [stem + suffix for suffix in suffixes]
-        for method in probes:
+        texts = [rule.pattern.text for rule in catalog.rules]
+        for method in probe_names(texts, suffixes, names):
             assert catalog.classify(method) == rule_loop(catalog, method), method
 
     def test_cost_does_not_grow_with_the_rules(self):

@@ -1,40 +1,57 @@
 """Prefix filter patterns and the two tree-rewrite modes."""
 
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cct_lens.cct import (MERGED_ROOT, CctNode, build_forest, ingest, merge_ccts, overlay,
                           serialize_cct)
+from cct_lens.components import Tier
 from cct_lens.filters import (
     ATTRIBUTE_TO_PARENT,
     FILTER_MODES,
     FilterPattern,
     FilterSet,
     apply_filter,
+    keeper,
 )
 from cct_lens.metrics import MethodTotals, aggregate_methods
 from cct_lens.trace import DROP_SUBTREE, ENTER as E, EXIT as X, TraceEvent
 
-from conftest import decode_tree, events_1tid, random_trace, replay_totals
+from conftest import (TEXT, decode_tree, events_1tid, loop_keeps, pattern_text,
+                      probe_names, random_trace, replay_totals, rule_specs)
+
+
+def keeps(filter_set: FilterSet, method: str) -> bool:
+    """Whether ``keeper``'s predicate keeps ``method`` (None keeps every method),
+    checked to agree with the pattern-by-pattern reference."""
+    keep = keeper(filter_set, ATTRIBUTE_TO_PARENT)
+    kept = keep is None or keep(method)
+    assert kept == loop_keeps(filter_set, method)
+    return kept
+
+
+def matches(text: str, method: str) -> bool:
+    """Whether an include list of the one pattern ``text`` keeps ``method``."""
+    return keeps(FilterSet.from_patterns(includes=[text]), method)
 
 
 class TestPatterns:
     def test_prefix_match(self):
-        assert FilterPattern("com.sun.ejb.*").matches("com.sun.ejb.Container.invoke()")
+        assert matches("com.sun.ejb.*", "com.sun.ejb.Container.invoke()")
 
     def test_prefix_non_match(self):
-        pattern = FilterPattern("com.sun.ejb.*")
-        assert not pattern.matches("com.mycompany.hr.dao.BaseDAO.getConnection()")
+        assert not matches("com.sun.ejb.*", "com.mycompany.hr.dao.BaseDAO.getConnection()")
 
     def test_exact_match(self):
-        assert FilterPattern("a.B.m()").matches("a.B.m()")
-        assert not FilterPattern("a.B.m()").matches("a.B.m()x")
+        assert matches("a.B.m()", "a.B.m()")
+        assert not matches("a.B.m()", "a.B.m()x")
 
     def test_lone_star_matches_everything(self):
-        assert FilterPattern("*").matches("anything.at.all()")
+        assert matches("*", "anything.at.all()")
 
     def test_star_only_final(self):
         with pytest.raises(ValueError, match="final"):
@@ -45,23 +62,41 @@ class TestPatterns:
             FilterPattern("")
 
     def test_empty_prefix_from_lone_star(self):
-        assert FilterPattern("*").matches("x")
+        assert matches("*", "x")
 
 
 class TestFilterSet:
     def test_default_include_keeps_all(self):
         fs = FilterSet.from_patterns()
-        assert fs.keeps("whatever()")
+        assert keeper(fs, ATTRIBUTE_TO_PARENT) is None
+        assert keeps(fs, "whatever()")
 
     def test_includes_restrict(self):
         fs = FilterSet.from_patterns(includes=["com.mycompany.*"])
-        assert fs.keeps("com.mycompany.hr.X.y()")
-        assert not fs.keeps("org.apache.Z.q()")
+        assert keeps(fs, "com.mycompany.hr.X.y()")
+        assert not keeps(fs, "org.apache.Z.q()")
 
     def test_excludes_win_over_includes(self):
         fs = FilterSet.from_patterns(includes=["com.*"], excludes=["com.sun.*"])
-        assert fs.keeps("com.mycompany.A.b()")
-        assert not fs.keeps("com.sun.ejb.C.d()")
+        assert keeps(fs, "com.mycompany.A.b()")
+        assert not keeps(fs, "com.sun.ejb.C.d()")
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule_specs(), rule_specs(), st.lists(TEXT, max_size=4), st.lists(TEXT, max_size=4))
+    @example([], [("", "bare", "C", Tier.WEB)], [], ["a", ""])  # exclude everything
+    @example([("", "bare", "C", Tier.WEB)], [], [], ["a", ""])  # include everything
+    # one text as an exact and a prefix pattern, in either list, and twice
+    @example([("a", "exact", "C", Tier.WEB), ("a", "prefix", "C", Tier.WEB)],
+             [("ab", "exact", "C", Tier.WEB), ("ab", "exact", "C", Tier.WEB)], ["b", ""], [])
+    @example([("a.", "prefix", "C", Tier.WEB)] * 2, [("a", "prefix", "C", Tier.WEB),
+                                                     ("a.b", "exact", "C", Tier.WEB)],
+             ["", "b", "a"], ["a"])
+    def test_keeper_is_the_pattern_loop(self, include_spec, exclude_spec, suffixes, names):
+        includes = [pattern_text(text, kind) for text, kind, _, _ in include_spec]
+        excludes = [pattern_text(text, kind) for text, kind, _, _ in exclude_spec]
+        fs = FilterSet.from_patterns(includes, excludes)
+        for method in probe_names(includes + excludes, suffixes, names):
+            keeps(fs, method)
 
 
 def tree_a40_b20():
@@ -273,7 +308,8 @@ class TestFilterProperties:
             methods = sorted({n.method for n in merged.walk() if n is not merged})
             fs = random_filter(rng, methods or ["m0()"])
             for mode in (ATTRIBUTE_TO_PARENT, DROP_SUBTREE):
-                self_ns, total_ns, calls = replay_totals(events, fs.keeps, mode)
+                keep = functools.partial(loop_keeps, fs)
+                self_ns, total_ns, calls = replay_totals(events, keep, mode)
                 expected = {m: MethodTotals(self_ns[m], total_ns[m], calls[m]) for m in calls}
                 assert aggregate_methods(apply_filter(merged, fs, mode)) == expected
 
@@ -313,7 +349,7 @@ class TestFilterProperties:
             out = apply_filter(merged, fs, mode=mode)
             for node in out.walk():
                 if node is not out:
-                    assert fs.keeps(node.method)
+                    assert loop_keeps(fs, node.method)
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
@@ -375,7 +411,7 @@ def ref_merge_ccts(roots: dict[int, CctNode]) -> CctNode:
 def ref_apply_filter(root: CctNode, filter_set: FilterSet, mode: str) -> CctNode:
     if not filter_set.includes and not filter_set.excludes:
         return root
-    keep = filter_set.keeps
+    keep = functools.partial(loop_keeps, filter_set)
     splice = mode == ATTRIBUTE_TO_PARENT
     order = []
     stack = [(root, True)]

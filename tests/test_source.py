@@ -454,3 +454,56 @@ def test_the_check_sees_a_second_loop():
               "    return [_defect(line)]\n")
     assert check_callers(ast.parse(source)) == {
         "parse_trace_line": {"_ingest", "_sums"}, "_defect": {"_ingest", "_check:no loop"}}
+
+
+# the one matcher, which filters and component catalogs share
+MATCHER = "filters.py"
+
+
+def pattern_tests(tree: ast.AST) -> list[str]:
+    """``what:line`` of each place that matches a name against a pattern or
+    reads a pattern's ``*``: a call of an attribute named ``matches``, a
+    ``startswith`` or ``endswith`` whose argument is not a constant (a name
+    tried against a pattern's prefix), and a call or comparison with the
+    constant ``"*"`` (a pattern sorted into prefix or exact)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            if attr == "matches" or (attr in ("startswith", "endswith") and not all(
+                    isinstance(arg, ast.Constant) for arg in node.args)):
+                found.append(f"{attr}:{node.lineno}")
+                continue
+        if isinstance(node, (ast.Call, ast.Compare)) and any(
+                isinstance(arg, ast.Constant) and arg.value == "*"
+                for arg in (node.args if isinstance(node, ast.Call)
+                            else [node.left, *node.comparators])):
+            found.append(f"'*':{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_matcher_matches_every_pattern(path):
+    # a second matcher, or a loop over the patterns, would fork the grammar
+    # and cost a test per pattern for each name
+    found = pattern_tests(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == MATCHER:
+        # FilterPattern's check of a pattern's text, and the matcher's sort
+        assert [what.split(":")[0] for what in found] == ["'*'", "'*'"]
+    else:
+        assert found == []
+
+
+def test_the_check_sees_pattern_tests():
+    source = ("def f(ps, m, t, prefix):\n"
+              "    if any(p.matches(m) for p in ps):\n"
+              "        return m.startswith(prefix)\n"
+              "    if t.endswith('*'):\n"
+              "        return m.startswith(t[:-1])\n"
+              "    star = t.find('*')\n"
+              "    if '*' in t[:-1] or t[-1] == '*':\n"
+              "        return m.endswith(('a', t))\n"
+              "    return m.startswith('#') or m.endswith('x') or t == 'a'\n")
+    assert sorted(pattern_tests(ast.parse(source))) == sorted([
+        "matches:2", "startswith:3", "'*':4", "startswith:5", "'*':6", "'*':7", "'*':7",
+        "endswith:8"])

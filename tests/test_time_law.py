@@ -5,16 +5,21 @@ asserts a ratio under 20: linear work gives about 10 and quadratic work
 about 100, so the noise of a shared machine does not decide the result.
 The collector is off while a call runs, as ``cli.main`` runs commands.
 The dimensions covered so far are those of ``workload.simulate_lines``, a
-spec's threads and its executions, and a snapshot's rows, which ``diff``
-checks and joins.
+spec's threads and its executions, a snapshot's rows, which ``diff``
+checks and joins, and the distinct methods and filter patterns of
+``snapshot.ingest_totals``, at few pattern lengths and at one length each.
 """
 
 import gc
 import json
 import time
 
+import pytest
+
 from cct_lens import workload as wl
 from cct_lens.compare import check_snapshot, diff
+from cct_lens.filters import FilterSet
+from cct_lens.snapshot import ingest_totals
 
 RATIO = 20
 
@@ -84,3 +89,26 @@ def test_diff_rows():
         return best_of_three(run)
 
     assert load_and_diff(20_000) < RATIO * load_and_diff(2_000)
+
+
+# exclude patterns that match none of the methods: few distinct lengths, and
+# a length of their own each, up to past every method name's end
+PATTERNS = {"few lengths": lambda i: f"org.none{i}.*", "a length each": lambda i: "x" * i + "*"}
+
+
+@pytest.mark.parametrize("pattern", PATTERNS.values(), ids=PATTERNS)
+def test_filter_patterns(pattern):
+    # n methods, each entered and left once, against n exclude patterns;
+    # trying every pattern on every name makes the ratio about 100, and
+    # trying every length past a name's end about 50
+    def ingest(n: int) -> float:
+        lines = [f"{ts}\t1\t{kind}\tcom.example.Klass{i}.method{i}()"
+                 for i in range(n) for ts, kind in ((2 * i, "E"), (2 * i + 1, "X"))]
+        filter_set = FilterSet.from_patterns(excludes=[pattern(i) for i in range(1, n + 1)])
+
+        def run():
+            assert len(ingest_totals(lines, filter_set=filter_set)) == n
+
+        return best_of_three(run)
+
+    assert ingest(3000) < RATIO * ingest(300)
