@@ -25,7 +25,8 @@ SHARED = "shared"
 ADDED = "added"
 REMOVED = "removed"
 
-# the values of ``components.Tier``, in order
+# every tier a component is in, by the name catalogs (in any case), reports
+# and snapshots write; the one list of them
 TIER_NAMES = ("web", "business", "dao", "middleware", "other")
 
 
@@ -140,7 +141,7 @@ def load_snapshot(text: str) -> Snapshot:
     table's self time (0 in a table of none)."""
     from fractions import Fraction
 
-    from .components import TIERS, ComponentUtilizationRow
+    from .components import ComponentUtilizationRow
     from .metrics import HotSpotRow
 
     snap = check_snapshot(text)
@@ -148,7 +149,7 @@ def load_snapshot(text: str) -> Snapshot:
     hot_rows = tuple(HotSpotRow(method, self_ns, Fraction(self_ns, denom), invocations)
                      for method, self_ns, invocations in snap.hotspot_table)
     denom = sum(self_ns for _, _, self_ns, _ in snap.component_table) or 1
-    comp_rows = tuple(ComponentUtilizationRow(component, TIERS[tier], self_ns,
+    comp_rows = tuple(ComponentUtilizationRow(component, tier, self_ns,
                                               Fraction(self_ns, denom), invocations)
                       for component, tier, self_ns, invocations in snap.component_table)
     return snap._replace(hotspot_table=hot_rows, component_table=comp_rows)

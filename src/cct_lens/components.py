@@ -1,11 +1,13 @@
 """Map method names to architectural components and tiers.
 
 A catalog is an ordered rule list; the first matching rule wins, found
-by the ``PatternMatcher`` that instrumentation filters use.  Rules pair
-a method-name pattern with a component name and a tier.  A component
-of ``*`` means "derive from the method": use the simple name of the
-declaring class.  Methods no rule matches fall back to their declaring
-class in the Other tier, so classification is total.
+by the ``PatternMatcher`` that instrumentation filters use.  A rule is
+three plain strings: a method-name pattern, a component name and a tier,
+one of ``compare.TIER_NAMES``.  A component of ``*`` means "derive from
+the method": use the simple name of the declaring class.  Methods no rule
+matches fall back to their declaring class in the Other tier, so
+classification is total.  ``load_catalog`` checks the patterns and tiers
+of a catalog file; a catalog built in code is taken as it is.
 
 The built-in catalog describes a three-tier HR web application fronted
 by JSP pages and servlets, with stateless session beans in the middle
@@ -17,28 +19,17 @@ grouped under a Middleware pseudo-component.
 from __future__ import annotations
 
 import functools
-from enum import Enum
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .compare import TIER_NAMES
-from .filters import FilterPattern, PatternMatcher
+from .filters import PatternMatcher, check_pattern
 from .metrics import HotSpotRow
 from .trace import clip, errors_in, text_lines
 
 DERIVE = "*"
-
-
-class Tier(str, Enum):
-    WEB, BUSINESS, DAO, MIDDLEWARE, OTHER = TIER_NAMES
-
-    @property
-    def label(self) -> str:
-        return self.value.capitalize()
-
-
-# every tier by its name, as catalogs (in any case) and snapshots write it
-TIERS = {t.value: t for t in Tier}
+WEB, BUSINESS, DAO, MIDDLEWARE, OTHER = TIER_NAMES
 
 
 def declaring_class(method: str) -> str:
@@ -54,13 +45,9 @@ def declaring_class(method: str) -> str:
 
 
 class ComponentRule(NamedTuple):
-    pattern: FilterPattern
+    pattern: str
     component: str  # DERIVE means: use the declaring class simple name
-    tier: Tier
-
-    @classmethod
-    def of(cls, pattern: str, component: str, tier: Tier) -> "ComponentRule":
-        return cls(FilterPattern(pattern), component, tier)
+    tier: str
 
 
 class ComponentCatalog:
@@ -71,7 +58,7 @@ class ComponentCatalog:
 
     def __init__(self, rules: Iterable[ComponentRule]):
         self.rules = tuple(rules)
-        self._matcher = PatternMatcher(rule.pattern.text for rule in self.rules)
+        self._matcher = PatternMatcher(rule.pattern for rule in self.rules)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComponentCatalog):
@@ -84,21 +71,21 @@ class ComponentCatalog:
     def __repr__(self) -> str:
         return f"ComponentCatalog(rules={self.rules!r})"
 
-    def classify(self, method: str) -> tuple[str, Tier]:
+    def classify(self, method: str) -> tuple[str, str]:
         """Component and tier for a method; first matching rule wins.
 
         Unmatched methods map to (declaring class, Other).
         """
         first = self._matcher.first(method)
         if first is None:
-            return declaring_class(method), Tier.OTHER
+            return declaring_class(method), OTHER
         _, component, tier = self.rules[first]
         return (declaring_class(method) if component == DERIVE else component), tier
 
 
 class ComponentUtilizationRow(NamedTuple):
     component: str
-    tier: Tier
+    tier: str
     self_time: int
     utilization_pct: Fraction
     invocations: int
@@ -112,7 +99,7 @@ def component_utilization(rows: Iterable[HotSpotRow],
     same total self time the hot-spot rows used, so component rows sum to
     100% exactly.  Sorted by descending self time, then component name.
     """
-    acc: dict[tuple[str, Tier], list[int]] = {}
+    acc: dict[tuple[str, str], list[int]] = {}
     denom = 0
     for row in rows:
         denom += row.self_time
@@ -141,27 +128,24 @@ def default_hr_catalog() -> ComponentCatalog:
     """
     rules = (
         # middleware first: stub/wrapper classes share the beans' package
-        ComponentRule.of("com.sun.ejb.*", "EJBContainer", Tier.MIDDLEWARE),
-        ComponentRule.of("javax.ejb.*", "EJBContainer", Tier.MIDDLEWARE),
-        ComponentRule.of("com.mycompany.hr.process._EmployeeBeanRemoteRemote_DynamicStub.*",
-                         "EJBContainer", Tier.MIDDLEWARE),
-        ComponentRule.of("com.mycompany.hr.process._EmployeeBeanRemoteRemoteWrapper.*",
-                         "EJBContainer", Tier.MIDDLEWARE),
+        ComponentRule("com.sun.ejb.*", "EJBContainer", MIDDLEWARE),
+        ComponentRule("javax.ejb.*", "EJBContainer", MIDDLEWARE),
+        ComponentRule("com.mycompany.hr.process._EmployeeBeanRemoteRemote_DynamicStub.*",
+                      "EJBContainer", MIDDLEWARE),
+        ComponentRule("com.mycompany.hr.process._EmployeeBeanRemoteRemoteWrapper.*",
+                      "EJBContainer", MIDDLEWARE),
         # data access classes, one component per DAO class
-        ComponentRule.of("com.mycompany.hr.dao.*", DERIVE, Tier.DAO),
+        ComponentRule("com.mycompany.hr.dao.*", DERIVE, DAO),
         # stateless session beans; Bean* also covers generated *BeanBean impls
-        ComponentRule.of("com.mycompany.hr.process.EmployeeBeanBean*",
-                         "EmployeeBean", Tier.BUSINESS),
-        ComponentRule.of("com.mycompany.hr.process.InterviewResultsBean*",
-                         "InterviewResultsBean", Tier.BUSINESS),
-        ComponentRule.of("com.mycompany.hr.process.HRProcessBean*",
-                         "HRProcessBean", Tier.BUSINESS),
+        ComponentRule("com.mycompany.hr.process.EmployeeBeanBean*", "EmployeeBean", BUSINESS),
+        ComponentRule("com.mycompany.hr.process.InterviewResultsBean*",
+                      "InterviewResultsBean", BUSINESS),
+        ComponentRule("com.mycompany.hr.process.HRProcessBean*", "HRProcessBean", BUSINESS),
         # web tier: compiled JSP pages and the servlet package
-        ComponentRule.of("org.apache.jsp.*", DERIVE, Tier.WEB),
-        ComponentRule.of("com.mycompany.hr.servlet.*", DERIVE, Tier.WEB),
+        ComponentRule("org.apache.jsp.*", DERIVE, WEB),
+        ComponentRule("com.mycompany.hr.servlet.*", DERIVE, WEB),
         # one servlet class is deployed under the process package
-        ComponentRule.of("com.mycompany.hr.process.HRProcessServlet.*",
-                         "HRProcessServlet", Tier.WEB),
+        ComponentRule("com.mycompany.hr.process.HRProcessServlet.*", "HRProcessServlet", WEB),
     )
     return ComponentCatalog(rules)
 
@@ -181,13 +165,14 @@ def load_catalog(lines: Iterable[str]) -> ComponentCatalog:
             if len(parts) != 3:
                 raise ValueError("expected 3 tab-separated fields")
             tier_text, component, pattern = parts
-            tier = TIERS.get(tier_text.lower())
-            if tier is None:
+            tier = tier_text.lower()
+            if tier not in TIER_NAMES:
                 raise ValueError(f"unknown tier {clip(tier_text, repr)} "
-                                 f"(expected {', '.join(TIERS)})")
+                                 f"(expected {', '.join(TIER_NAMES)})")
             if not component:
                 raise ValueError("empty component")
-            rules.append(ComponentRule.of(pattern, component, tier))
+            # every rule of a tier shares one string
+            rules.append(ComponentRule(check_pattern(pattern), component, sys.intern(tier)))
         except ValueError as exc:
             raise ValueError(f"catalog line {lineno}: {exc}") from None
     return ComponentCatalog(tuple(rules))

@@ -1,11 +1,12 @@
 """Instrumentation filters: decide which methods a profiler would record.
 
-Patterns are method-name prefixes with an optional single trailing ``*``
-wildcard; no other wildcard position is allowed.  A pattern without ``*``
-matches exactly.  A FilterSet combines include and exclude pattern lists:
-a method is kept when it matches an include pattern, or the include list
-is empty, and it matches no exclude pattern.  Filters and component
-catalogs match through one ``PatternMatcher``.
+A pattern is a plain string: a method-name prefix with an optional single
+trailing ``*`` wildcard; no other wildcard position is allowed.  A pattern
+without ``*`` matches exactly.  ``check_pattern`` checks a pattern's text
+where it comes in, from argv or a catalog file.  A FilterSet combines
+include and exclude pattern lists: a method is kept when it matches an
+include pattern, or the include list is empty, and it matches no exclude
+pattern.  Filters and component catalogs match through one ``PatternMatcher``.
 
 Applying a filter to a CCT models what the profiler would have produced
 had the rejected methods never been instrumented:
@@ -35,21 +36,14 @@ from .trace import ATTRIBUTE_TO_PARENT, FILTER_MODES, clip
 from .trace import DROP_SUBTREE  # bench/layers.py imports it here, where it was
 
 
-class _Pattern(NamedTuple):
-    text: str
-
-
-class FilterPattern(_Pattern):
-    """A method-name prefix pattern, e.g. ``com.sun.ejb.*`` or an exact name."""
-
-    __slots__ = ()
-
-    def __new__(cls, text: str):
-        if "*" in text[:-1]:
-            raise ValueError(f"'*' only allowed as the final character: {clip(text, repr)}")
-        if not text:
-            raise ValueError("empty filter pattern")
-        return super().__new__(cls, text)
+def check_pattern(text: str) -> str:
+    """``text`` if it is a pattern: a method-name prefix such as ``com.sun.ejb.*``,
+    or an exact name; ValueError otherwise."""
+    if "*" in text[:-1]:
+        raise ValueError(f"'*' only allowed as the final character: {clip(text, repr)}")
+    if not text:
+        raise ValueError("empty filter pattern")
+    return text
 
 
 class PatternMatcher:
@@ -84,13 +78,13 @@ class PatternMatcher:
 class FilterSet(NamedTuple):
     """Include and exclude pattern lists; see ``keeper``."""
 
-    includes: tuple[FilterPattern, ...] = ()
-    excludes: tuple[FilterPattern, ...] = ()
+    includes: tuple[str, ...] = ()
+    excludes: tuple[str, ...] = ()
 
     @classmethod
     def from_patterns(cls, includes: Iterable[str] = (),
                       excludes: Iterable[str] = ()) -> "FilterSet":
-        return cls(tuple(map(FilterPattern, includes)), tuple(map(FilterPattern, excludes)))
+        return cls(tuple(map(check_pattern, includes)), tuple(map(check_pattern, excludes)))
 
 
 def keeper(filter_set: FilterSet, mode: str):
@@ -101,8 +95,8 @@ def keeper(filter_set: FilterSet, mode: str):
     if not filter_set.includes and not filter_set.excludes:
         return None
     # no include pattern keeps every method, as a lone "*" does
-    includes = PatternMatcher([p.text for p in filter_set.includes] or ["*"])
-    excludes = PatternMatcher(p.text for p in filter_set.excludes)
+    includes = PatternMatcher(filter_set.includes or ["*"])
+    excludes = PatternMatcher(filter_set.excludes)
     return lambda method: includes.first(method) is not None and excludes.first(method) is None
 
 

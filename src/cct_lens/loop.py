@@ -120,17 +120,16 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
     the method's own dict of callees]}}``.  A shared tree's nodes keep
     their ``cct.merge_ccts`` order key in ``_order``: ``(tid << 64) + lineno``
     for the lowest tid that entered one and the line of that tid's first
-    enter.  Trees, the sums but the shared per-method ones, and their
-    frames hold the one string per method name that ``checked`` keeps:
-    that of the name's first admitted enter.
+    enter.  Trees, the sums and their frames hold the one string per method
+    name that ``checked`` keeps: that of the name's first admitted enter.
     """
     keyed = shared is not None and not sums
     # threads by the canonical text of their id, and method names that
-    # passed the grammar check on an enter, each with its shared cell or
-    # itself, None if keep refuses it: every such name labels a context or a
-    # sum, so both are bounded by the trees or tables made
+    # passed the grammar check on an enter, each with itself, None if keep
+    # refuses it: every such name labels a context or a sum, so both are
+    # bounded by the trees or tables made
     threads: dict[str, _ThreadState] = {}
-    checked = shared if sums and shared is not None and not edges else {}
+    checked: dict[str, str | None] = {}
     # the caller cell of outermost frames, whose sums no table reads (with
     # edges, it holds the callees of <root>), and the base frame of every
     # thread that builds into a shared root or adds up sums
@@ -155,8 +154,7 @@ def _ingest(lines: Iterable[str], lenient: bool, warn: Callable[[str], None] | N
             ts, tid, kind, method = parse_trace_line(line, lineno)
             if kind == ENTER and method not in checked:
                 # an exit whose name never entered cannot match a frame
-                checked[method] = (None if keep is not None and not keep(method)
-                                   else [0, 0, 0] if checked is shared else method)
+                checked[method] = None if keep is not None and not keep(method) else method
             kept = checked.get(method)
             state = threads.get(str(tid))
             if state is None:

@@ -36,7 +36,7 @@ def _text_section(tables: AnalysisTables) -> Iterator[str]:
     yield ""
     yield from _text_table(
         ["Component", "Tier", "Utilization (%)", "Self time", "Invocations"],
-        [[r.component, r.tier.label, format_pct(r.utilization_pct),
+        [[r.component, r.tier.capitalize(), format_pct(r.utilization_pct),
           format_ms(r.self_time), str(r.invocations)]
          for r in tables.components])
 
@@ -54,7 +54,7 @@ def _hotspot_values(r: HotSpotRow) -> tuple:
 
 
 def _component_values(r: ComponentUtilizationRow) -> tuple:
-    return (r.component, r.tier.value, r.self_time, float(r.utilization_pct), r.invocations)
+    return (r.component, r.tier, r.self_time, float(r.utilization_pct), r.invocations)
 
 
 def _tables_json(tables: AnalysisTables, pad: str) -> Iterator[str]:
@@ -93,9 +93,8 @@ def analysis_lines(sections: Iterable[tuple[str, AnalysisTables]], fmt: str = TE
             yield from _csv_block(f"{prefix}components",
                                   ["component", "tier", "utilization_pct", "self_ns",
                                    "invocations"],
-                                  ([r.component, r.tier.value,
-                                    f"{float(r.utilization_pct):.6f}", r.self_time,
-                                    r.invocations]
+                                  ([r.component, r.tier, f"{float(r.utilization_pct):.6f}",
+                                    r.self_time, r.invocations]
                                    for r in tables.components))
     elif fmt == JSON:
         if not labeled:

@@ -93,7 +93,7 @@ def snapshot_lines(snapshot: Snapshot) -> Iterator[str]:
                          ((r.method, r.self_time, r.invocations) for r in snapshot.hotspot_table),
                          "  ", last=False)
     yield from json_rows("components", [name for name, _, _ in _COMPONENT_FIELDS],
-                         ((r.component, r.tier.value, r.self_time, r.invocations)
+                         ((r.component, r.tier, r.self_time, r.invocations)
                           for r in snapshot.component_table),
                          "  ", last=True)
     yield "}"

@@ -24,8 +24,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from cct_lens.cct import CctNode, ingest, ingest_merged
-from cct_lens.compare import format_ms
-from cct_lens.components import DERIVE, Tier
+from cct_lens.compare import TIER_NAMES, format_ms
+from cct_lens.components import DERIVE
 from cct_lens.filters import ATTRIBUTE_TO_PARENT, FilterSet, apply_filter
 from cct_lens.metrics import aggregate_methods
 from cct_lens.trace import DROP_SUBTREE, ENTER, EXIT, TraceEvent
@@ -226,8 +226,8 @@ def rescan_bad_byte(data: bytes) -> tuple[int, int]:
 
 
 def pattern_matches(text: str, method: str) -> bool:
-    """Whether the pattern ``text`` matches ``method``, as ``FilterPattern.matches``
-    once decided it: a trailing ``*`` makes a prefix test, anything else an
+    """Whether the pattern ``text`` matches ``method``, as the pattern-by-pattern
+    filters once decided it: a trailing ``*`` makes a prefix test, anything else an
     equality test."""
     if text.endswith("*"):
         return method.startswith(text[:-1])
@@ -239,10 +239,10 @@ def loop_keeps(filter_set: FilterSet, method: str) -> bool:
     one ``PatternMatcher``: each pattern in turn, for each name.  True when
     the method matches an include pattern, or there are none, and matches no
     exclude pattern."""
-    if filter_set.includes and not any(pattern_matches(p.text, method)
+    if filter_set.includes and not any(pattern_matches(p, method)
                                        for p in filter_set.includes):
         return False
-    return not any(pattern_matches(p.text, method) for p in filter_set.excludes)
+    return not any(pattern_matches(p, method) for p in filter_set.excludes)
 
 
 # a few letters, so that patterns overlap, and the characters regexes treat specially
@@ -257,7 +257,7 @@ def rule_specs(draw):
     and cuts of one spine, so that rules nest at many distinct lengths."""
     spine = draw(st.text(st.sampled_from("ab.$\n"), min_size=20, max_size=40))
     texts = st.one_of(TEXT, st.integers(0, len(spine)).map(lambda n: spine[:n]))
-    return draw(st.lists(st.tuples(texts, KINDS, COMPONENTS, st.sampled_from(Tier)),
+    return draw(st.lists(st.tuples(texts, KINDS, COMPONENTS, st.sampled_from(TIER_NAMES)),
                          max_size=30))
 
 

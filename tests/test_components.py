@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cct_lens import components
+from cct_lens.compare import TIER_NAMES
 from cct_lens.components import (
     DERIVE,
     ComponentCatalog,
     ComponentRule,
-    Tier,
     component_utilization,
     declaring_class,
     default_hr_catalog,
@@ -20,6 +20,8 @@ from cct_lens.components import (
     load_catalog_file,
 )
 from cct_lens.metrics import HotSpotRow
+from cct_lens.report import render_analysis
+from cct_lens.snapshot import AnalysisTables
 from cct_lens.workload import FIGURE8_TABLE
 
 from conftest import TEXT, pattern_matches, pattern_text, probe_names, rule_specs
@@ -68,68 +70,70 @@ class TestClassify:
 
     def test_dao_method(self):
         got = self.catalog.classify("com.mycompany.hr.dao.BaseDAO.getConnection()")
-        assert got == ("BaseDAO", Tier.DAO)
+        assert got == ("BaseDAO", "dao")
 
     def test_jsp_page(self):
         got = self.catalog.classify(
             "org.apache.jsp.Login_jsp._jspService(javax.servlet.http.HttpServletRequest,javax.servlet.http.HttpServletResponse)"
         )
-        assert got == ("Login_jsp", Tier.WEB)
+        assert got == ("Login_jsp", "web")
 
     def test_dynamic_stub_is_middleware(self):
         got = self.catalog.classify(
             "com.mycompany.hr.process._EmployeeBeanRemoteRemote_DynamicStub.authenticate(com.mycompany.hr.vo.EmployeeCredentials)"
         )
-        assert got == ("EJBContainer", Tier.MIDDLEWARE)
+        assert got == ("EJBContainer", "middleware")
 
     def test_remote_wrapper_is_middleware(self):
         got = self.catalog.classify(
             "com.mycompany.hr.process._EmployeeBeanRemoteRemoteWrapper.authenticate(com.mycompany.hr.vo.EmployeeCredentials)"
         )
-        assert got == ("EJBContainer", Tier.MIDDLEWARE)
+        assert got == ("EJBContainer", "middleware")
 
     def test_container_packages_are_middleware(self):
-        assert self.catalog.classify("com.sun.ejb.Container.invoke()")[1] is Tier.MIDDLEWARE
-        assert self.catalog.classify("javax.ejb.Handle.get()")[1] is Tier.MIDDLEWARE
+        assert self.catalog.classify("com.sun.ejb.Container.invoke()")[1] == "middleware"
+        assert self.catalog.classify("javax.ejb.Handle.get()")[1] == "middleware"
 
     def test_bean_impl_is_business(self):
         got = self.catalog.classify(
             "com.mycompany.hr.process.EmployeeBeanBean.authenticateEmployee(com.mycompany.hr.vo.EmployeeCredentials)"
         )
-        assert got == ("EmployeeBean", Tier.BUSINESS)
+        assert got == ("EmployeeBean", "business")
 
     def test_middleware_wins_over_business_package(self):
         # stub lives in the bean package; rule order decides
         method = "com.mycompany.hr.process._EmployeeBeanRemoteRemote_DynamicStub.addCandidateProfile(com.mycompany.hr.vo.CandidateProfile)"
-        assert self.catalog.classify(method)[1] is Tier.MIDDLEWARE
+        assert self.catalog.classify(method)[1] == "middleware"
 
     def test_servlet_package_is_web(self):
         got = self.catalog.classify("com.mycompany.hr.servlet.LoginServlet.doPost(...)".replace(" ", ""))
-        assert got == ("LoginServlet", Tier.WEB)
+        assert got == ("LoginServlet", "web")
 
     def test_fallback_to_other(self):
         got = self.catalog.classify("com.mycompany.hr.vo.CandidateProfile.<init>()")
-        assert got == ("CandidateProfile", Tier.OTHER)
+        assert got == ("CandidateProfile", "other")
 
     def test_classify_is_total_on_arbitrary_names(self):
         for name in ("x", "a.b()", "java.lang.String.valueOf(int)"):
             component, tier = self.catalog.classify(name)
-            assert component and isinstance(tier, Tier)
+            assert component and tier in TIER_NAMES
 
     def test_rule_order_matters(self):
         first_dao = ComponentCatalog(
             (
-                ComponentRule.of("com.mycompany.*", "App", Tier.BUSINESS),
-                ComponentRule.of("com.mycompany.hr.dao.*", "BaseDAO", Tier.DAO),
+                ComponentRule("com.mycompany.*", "App", "business"),
+                ComponentRule("com.mycompany.hr.dao.*", "BaseDAO", "dao"),
             )
         )
         got = first_dao.classify("com.mycompany.hr.dao.BaseDAO.getConnection()")
-        assert got == ("App", Tier.BUSINESS)
+        assert got == ("App", "business")
 
     def test_tier_labels(self):
-        assert Tier.DAO.label == "Dao"
-        assert Tier.WEB.label == "Web"
-        assert Tier.MIDDLEWARE.label == "Middleware"
+        # the text report prints a tier's name capitalized
+        rows = tuple(components.ComponentUtilizationRow("C", tier, 1, Fraction(1, 3), 1)
+                     for tier in ("dao", "web", "middleware"))
+        text = render_analysis({"merged": AnalysisTables((), (), rows)})
+        assert [line.split()[1] for line in text.splitlines()[-3:]] == ["Dao", "Web", "Middleware"]
 
 
 class TestDefaultCatalogCoverage:
@@ -142,9 +146,9 @@ class TestDefaultCatalogCoverage:
         for method, _ms, _inv in FIGURE8_TABLE:
             component, tier = catalog.classify(method)
             if method in value_objects:
-                assert tier is Tier.OTHER
+                assert tier == "other"
             else:
-                assert tier is not Tier.OTHER, method
+                assert tier != "other", method
 
     def test_dao_components_enumerate_exactly(self):
         catalog = default_hr_catalog()
@@ -156,7 +160,7 @@ class TestDefaultCatalogCoverage:
             "ProcessDAO": "com.mycompany.hr.dao.ProcessDAO.run()",
         }
         got = {catalog.classify(m) for m in probes.values()}
-        assert got == {(name, Tier.DAO) for name in probes}
+        assert got == {(name, "dao") for name in probes}
 
     def test_business_beans_enumerate_exactly(self):
         catalog = default_hr_catalog()
@@ -167,9 +171,9 @@ class TestDefaultCatalogCoverage:
         ]
         got = {catalog.classify(m) for m in probes}
         assert got == {
-            ("EmployeeBean", Tier.BUSINESS),
-            ("InterviewResultsBean", Tier.BUSINESS),
-            ("HRProcessBean", Tier.BUSINESS),
+            ("EmployeeBean", "business"),
+            ("InterviewResultsBean", "business"),
+            ("HRProcessBean", "business"),
         }
 
 
@@ -186,7 +190,7 @@ class TestComponentUtilization:
         assert by_name["BaseDAO"].self_time == 150
         assert by_name["BaseDAO"].invocations == 10
         assert by_name["BaseDAO"].utilization_pct == Fraction(150, 200)
-        assert by_name["Login_jsp"].tier is Tier.WEB
+        assert by_name["Login_jsp"].tier == "web"
 
     def test_single_component_is_100pct(self):
         catalog = default_hr_catalog()
@@ -275,16 +279,16 @@ class TestCatalogFiles:
             "dao\tStore\tcom.example.store.Db.query()",
         ]
         catalog = load_catalog(lines)
-        assert catalog.classify("org.example.front.Index.render()") == ("FrontPage", Tier.WEB)
-        assert catalog.classify("com.example.store.Db.query()") == ("Store", Tier.DAO)
+        assert catalog.classify("org.example.front.Index.render()") == ("FrontPage", "web")
+        assert catalog.classify("com.example.store.Db.query()") == ("Store", "dao")
 
     def test_derive_component_in_file(self):
         catalog = load_catalog(["dao\t*\tcom.example.store.*"])
-        assert catalog.classify("com.example.store.Db.query()") == ("Db", Tier.DAO)
+        assert catalog.classify("com.example.store.Db.query()") == ("Db", "dao")
 
     def test_tier_names_take_any_case(self):
         # the error quotes the text as given; a snapshot takes lower case only
-        assert load_catalog(["WEB\tX\tp.*"]).classify("p.A.m()") == ("X", Tier.WEB)
+        assert load_catalog(["WEB\tX\tp.*"]).classify("p.A.m()") == ("X", "web")
         with pytest.raises(ValueError, match="unknown tier 'Datab' "):
             load_catalog(["Datab\tX\tp.*"])
 
@@ -308,25 +312,41 @@ class TestCatalogFiles:
         assert str(excinfo.value) == (
             f"{path}: catalog line 3: '*' only allowed as the final character: 'a*b'")
 
+    def test_a_catalog_built_in_code_is_the_loaded_one(self):
+        # rules of plain strings: an exact and a prefix rule, a derived
+        # component, a tier in upper case in the file, and a lone "*"
+        lines = ["web\tFront\ta.*", "DAO\t*\ta*", "business\tB\tq.R.s()", "other\tO\t*"]
+        built = ComponentCatalog([ComponentRule("a.*", "Front", "web"),
+                                  ComponentRule("a*", DERIVE, "dao"),
+                                  ComponentRule("q.R.s()", "B", "business"),
+                                  ComponentRule("*", "O", "other")])
+        loaded = load_catalog(lines)
+        assert built == loaded
+        names = ["a.b.C.m()", "ab.Z.q()", "q.R.s()", "q.R.s()x", ""]
+        assert [built.classify(name) for name in names] == [
+            ("Front", "web"), ("Z", "dao"), ("B", "business"), ("O", "other"), ("O", "other")]
+        assert [loaded.classify(name) for name in names] == [
+            built.classify(name) for name in names]
+
     def test_file_loader(self, tmp_path):
         path = tmp_path / "catalog.tsv"
         path.write_text(DEFAULT_CATALOG_TEXT, encoding="utf-8")
         assert load_catalog_file(path) == default_hr_catalog()
 
 
-def rule_loop(catalog: ComponentCatalog, method: str) -> tuple[str, Tier]:
+def rule_loop(catalog: ComponentCatalog, method: str) -> tuple[str, str]:
     """``classify`` as a loop over the rules: the first whose pattern matches wins."""
     for rule in catalog.rules:
-        if pattern_matches(rule.pattern.text, method):
+        if pattern_matches(rule.pattern, method):
             component = rule.component
             if component == DERIVE:
                 component = declaring_class(method)
             return component, rule.tier
-    return declaring_class(method), Tier.OTHER
+    return declaring_class(method), "other"
 
 
 def catalog_of(spec) -> ComponentCatalog:
-    return ComponentCatalog(ComponentRule.of(pattern_text(text, kind), component, tier)
+    return ComponentCatalog(ComponentRule(pattern_text(text, kind), component, tier)
                             for text, kind, component, tier in spec)
 
 
@@ -338,16 +358,16 @@ class TestCompiledCatalog:
     @settings(max_examples=300, deadline=None)
     @given(rule_specs(), st.lists(TEXT, max_size=4), st.lists(TEXT, max_size=4))
     @example([], [], ["a.B.m()", ""])  # no rules: every name falls through
-    @example([("a.", "exact", "C", Tier.WEB), ("a", "prefix", "D", Tier.DAO)], [""], [])
+    @example([("a.", "exact", "C", "web"), ("a", "prefix", "D", "dao")], [""], [])
     # one text, exact rule first: "a" takes it, "aa" the prefix rule
-    @example([("a", "exact", "C", Tier.WEB), ("a", "prefix", "D", Tier.DAO)], ["a"], [])
-    @example([("a$", "exact", DERIVE, Tier.WEB), ("", "bare", "C", Tier.DAO)], ["\n"], ["a"])
+    @example([("a", "exact", "C", "web"), ("a", "prefix", "D", "dao")], ["a"], [])
+    @example([("a$", "exact", DERIVE, "web"), ("", "bare", "C", "dao")], ["\n"], ["a"])
     # a prefix rule with an earlier exact rule's text, then a lone "*"
-    @example([("ab", "exact", "C", Tier.WEB), ("ab", "prefix", DERIVE, Tier.DAO),
-              ("", "bare", "E", Tier.BUSINESS)], ["c"], ["a", "", "b"])
+    @example([("ab", "exact", "C", "web"), ("ab", "prefix", DERIVE, "dao"),
+              ("", "bare", "E", "business")], ["c"], ["a", "", "b"])
     def test_same_as_the_rule_loop(self, spec, suffixes, names):
         catalog = catalog_of(spec)
-        texts = [rule.pattern.text for rule in catalog.rules]
+        texts = [rule.pattern for rule in catalog.rules]
         for method in probe_names(texts, suffixes, names):
             assert catalog.classify(method) == rule_loop(catalog, method), method
 
@@ -358,7 +378,7 @@ class TestCompiledCatalog:
         names = svc_names(2000, "method()")
 
         def best_time(count: int) -> float:
-            rules = [ComponentRule.of(text, "C", Tier.DAO) for text in svc_names(count, "*")]
+            rules = [ComponentRule(text, "C", "dao") for text in svc_names(count, "*")]
             times = []
             for _ in range(7):
                 start = time.perf_counter()
@@ -366,7 +386,7 @@ class TestCompiledCatalog:
                 for name in names:
                     catalog.classify(name)
                 times.append(time.perf_counter() - start)
-            assert catalog.classify(names[count - 1]) == ("C", Tier.DAO)
+            assert catalog.classify(names[count - 1]) == ("C", "dao")
             return min(times)
 
         assert best_time(2000) < 4 * best_time(200)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from cct_lens.cct import (MERGED_ROOT, CctNode, build_forest, ingest, merge_ccts, overlay,
                           serialize_cct)
-from cct_lens.components import Tier
 from cct_lens.filters import (
     ATTRIBUTE_TO_PARENT,
     FILTER_MODES,
-    FilterPattern,
     FilterSet,
     apply_filter,
+    check_pattern,
     keeper,
 )
 from cct_lens.metrics import MethodTotals, aggregate_methods
@@ -55,11 +54,13 @@ class TestPatterns:
 
     def test_star_only_final(self):
         with pytest.raises(ValueError, match="final"):
-            FilterPattern("a*b")
+            check_pattern("a*b")
         with pytest.raises(ValueError, match="final"):
-            FilterPattern("*a*")
-        with pytest.raises(ValueError):
-            FilterPattern("")
+            check_pattern("*a*")
+        with pytest.raises(ValueError, match="empty filter pattern"):
+            check_pattern("")
+        with pytest.raises(ValueError, match="final"):
+            FilterSet.from_patterns(excludes=["a", "a*b"])
 
     def test_empty_prefix_from_lone_star(self):
         assert matches("*", "x")
@@ -83,13 +84,13 @@ class TestFilterSet:
 
     @settings(max_examples=300, deadline=None)
     @given(rule_specs(), rule_specs(), st.lists(TEXT, max_size=4), st.lists(TEXT, max_size=4))
-    @example([], [("", "bare", "C", Tier.WEB)], [], ["a", ""])  # exclude everything
-    @example([("", "bare", "C", Tier.WEB)], [], [], ["a", ""])  # include everything
+    @example([], [("", "bare", "C", "web")], [], ["a", ""])  # exclude everything
+    @example([("", "bare", "C", "web")], [], [], ["a", ""])  # include everything
     # one text as an exact and a prefix pattern, in either list, and twice
-    @example([("a", "exact", "C", Tier.WEB), ("a", "prefix", "C", Tier.WEB)],
-             [("ab", "exact", "C", Tier.WEB), ("ab", "exact", "C", Tier.WEB)], ["b", ""], [])
-    @example([("a.", "prefix", "C", Tier.WEB)] * 2, [("a", "prefix", "C", Tier.WEB),
-                                                     ("a.b", "exact", "C", Tier.WEB)],
+    @example([("a", "exact", "C", "web"), ("a", "prefix", "C", "web")],
+             [("ab", "exact", "C", "web"), ("ab", "exact", "C", "web")], ["b", ""], [])
+    @example([("a.", "prefix", "C", "web")] * 2, [("a", "prefix", "C", "web"),
+                                                  ("a.b", "exact", "C", "web")],
              ["", "b", "a"], ["a"])
     def test_keeper_is_the_pattern_loop(self, include_spec, exclude_spec, suffixes, names):
         includes = [pattern_text(text, kind) for text, kind, _, _ in include_spec]

@@ -16,11 +16,14 @@ walk it, so on one thread's tree of some 20,000 contexts each must peak
 within 1 MiB of ``export --format folded``, which streams the same tree's
 lines.
 
-A tree, and the call graph's sums, hold one string per method name, so in
-process, under ``tracemalloc``, the peaks of ``ingest``, ``ingest_merged`` and
-``ingest_call_graph`` on two traces with the same 20,482 contexts over 30
-names, one with names of 10 characters and one of 2,000, must agree within
-1 MiB too.  When each context copied its name they were some 40 MB apart.
+A tree, the call graph's sums, the per-method sums and their open frames
+hold one string per method name, so in process, under ``tracemalloc``, the
+peaks of ``ingest``, ``ingest_merged`` and ``ingest_call_graph`` on two
+traces with the same 20,482 contexts over 30 names, one with names of 10
+characters and one of 2,000, must agree within 1 MiB too, and so must those
+of ``snapshot.ingest_totals`` on two 3,000-deep chains of 3 names.  When each
+context copied its name they were some 40 MB apart, and when each of
+``ingest_totals``'s frames held its own line's name, some 6 MB.
 
 Linux starts a new process's ``ru_maxrss`` from the peak RSS of the process
 that spawned it, which for the test process is far above a command's, so a
@@ -38,6 +41,7 @@ from typing import Iterator
 
 import cct_lens
 from cct_lens import cct
+from cct_lens.snapshot import ingest_totals
 from cct_lens import workload as wl
 from cct_lens.trace import LINE_CAP, write_lines
 
@@ -109,6 +113,16 @@ def name_lines(length: int) -> Iterator[str]:
                 yield f"{ts}\t{tid}\tX\t{name}"
             yield f"{ts}\t{tid}\tX\t{caller}"
         yield f"{ts}\t{tid}\tX\t{top}"
+
+
+def chain_lines(length: int, depth: int = 3_000) -> Iterator[str]:
+    # one thread's chain of ``depth`` nested calls through 3 names of
+    # ``length`` characters, all open at once; each line made as it is read
+    names = [f"m{i}".ljust(length, "x") for i in range(3)]
+    for ts in range(depth):
+        yield f"{ts}\t1\tE\t{names[ts % 3]}"
+    for ts in range(depth, 2 * depth):
+        yield f"{ts}\t1\tX\t{names[(2 * depth - 1 - ts) % 3]}"
 
 
 def peak_rss_mib(argvs: list[list[str]]) -> list[tuple[int, float, list[str]]]:
@@ -200,19 +214,22 @@ def test_tree_json_peaks_as_the_folded_lines(tmp_path):
 
 
 def test_a_method_name_is_held_once():
-    # a context that copied its name would hold some 40 MB more at 2,000
+    # a context that copied its name would hold some 40 MB more at 2,000,
+    # and a frame that held its line's name some 6 MB more
+    readers = [(cct.ingest, name_lines), (cct.ingest_merged, name_lines),
+               (cct.ingest_call_graph, name_lines), (ingest_totals, chain_lines)]
     peaks = {}
     for length in (10, 2_000):
-        for read in (cct.ingest, cct.ingest_merged, cct.ingest_call_graph):
+        for read, lines in readers:
             tracemalloc.start()
             try:
-                result = read(name_lines(length))
+                result = read(lines(length))
                 peaks[read.__name__, length] = tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()
             assert result
             del result
-    over = [(name, peaks[name, 10], peaks[name, 2_000])
-            for name in ("ingest", "ingest_merged", "ingest_call_graph")
-            if abs(peaks[name, 2_000] - peaks[name, 10]) > TOLERANCE_MIB]
+    over = [(read.__name__, peaks[read.__name__, 10], peaks[read.__name__, 2_000])
+            for read, _ in readers
+            if abs(peaks[read.__name__, 2_000] - peaks[read.__name__, 10]) > TOLERANCE_MIB]
     assert over == [], over

@@ -15,9 +15,10 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cct_lens.components import ComponentUtilizationRow, Tier
+from cct_lens.components import ComponentUtilizationRow
 from cct_lens.metrics import HotSpotRow, TotalTimeRow
-from cct_lens.compare import Snapshot, SnapshotDiffRow, _text_table, diff_lines, render_diff
+from cct_lens.compare import (TIER_NAMES, Snapshot, SnapshotDiffRow, _text_table, diff_lines,
+                              render_diff)
 from cct_lens.report import REPORT_FORMATS, AnalysisTables, analysis_lines, render_analysis
 from cct_lens.snapshot import dump_snapshot, snapshot_lines
 from cct_lens.trace import join_lines
@@ -40,7 +41,7 @@ def _total_obj(r: TotalTimeRow) -> dict:
 def _component_obj(r: ComponentUtilizationRow) -> dict:
     return {
         "component": r.component,
-        "tier": r.tier.value,
+        "tier": r.tier,
         "self_ns": r.self_time,
         "utilization_pct": float(r.utilization_pct),
         "invocations": r.invocations,
@@ -90,7 +91,7 @@ def snapshot_doc(snapshot: Snapshot) -> dict:
         "source_trace_digest": snapshot.source_trace_digest,
         "hot_spots": [{"method": r.method, "self_ns": r.self_time,
                        "invocations": r.invocations} for r in snapshot.hotspot_table],
-        "components": [{"component": r.component, "tier": r.tier.value,
+        "components": [{"component": r.component, "tier": r.tier,
                         "self_ns": r.self_time, "invocations": r.invocations}
                        for r in snapshot.component_table],
     }
@@ -106,7 +107,8 @@ INTS = st.integers(0, 2**96 - 1)
 SHARES = st.builds(Fraction, st.integers(0, 2**70), st.integers(1, 2**70))
 HOT = st.builds(HotSpotRow, NAMES, INTS, SHARES, st.integers(1, 2**64))
 TOTAL = st.builds(TotalTimeRow, NAMES, INTS, INTS)
-COMPONENT = st.builds(ComponentUtilizationRow, NAMES, st.sampled_from(Tier), INTS, SHARES, INTS)
+COMPONENT = st.builds(ComponentUtilizationRow, NAMES, st.sampled_from(TIER_NAMES), INTS, SHARES,
+                      INTS)
 TABLES = st.builds(AnalysisTables, st.lists(HOT, max_size=4).map(tuple),
                    st.lists(TOTAL, max_size=4).map(tuple),
                    st.lists(COMPONENT, max_size=4).map(tuple))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from cct_lens.compare import TIER_NAMES
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cct_lens").glob("*.py"))
 
 
@@ -488,7 +490,7 @@ def test_one_matcher_matches_every_pattern(path):
     # and cost a test per pattern for each name
     found = pattern_tests(ast.parse(path.read_text(encoding="utf-8")))
     if path.name == MATCHER:
-        # FilterPattern's check of a pattern's text, and the matcher's sort
+        # check_pattern's check of a pattern's text, and the matcher's sort
         assert [what.split(":")[0] for what in found] == ["'*'", "'*'"]
     else:
         assert found == []
@@ -507,3 +509,49 @@ def test_the_check_sees_pattern_tests():
     assert sorted(pattern_tests(ast.parse(source))) == sorted([
         "matches:2", "startswith:3", "'*':4", "startswith:5", "'*':6", "'*':7", "'*':7",
         "endswith:8"])
+
+
+# the one module that lists the tiers, in compare.TIER_NAMES
+TIER_LIST = "compare.py"
+ENUMS = frozenset({"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"})
+
+
+def tier_spellings(tree: ast.AST, names=TIER_NAMES) -> list[str]:
+    """``what:line`` of each class that subclasses an ``enum`` class, and of
+    each str constant that is one of ``names`` in any case."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found += [f"enum:{node.lineno}" for base in node.bases
+                      if (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None))
+                      in ENUMS]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.lower() in names):
+            found.append(f"{node.value}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_tier_names_are_spelled_once(path):
+    # a second list of the tiers, or a type that wraps their names, is a
+    # second place to keep in step with the names that snapshots and
+    # catalogs are checked against
+    found = tier_spellings(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == TIER_LIST:
+        assert sorted(what.split(":")[0] for what in found) == sorted(TIER_NAMES)
+    else:
+        assert found == []
+
+
+def test_the_check_sees_tier_spellings():
+    source = ("import enum\n"
+              "class Tier(str, Enum):\n"
+              "    WEB = 'web'\n"
+              "class Kind(enum.IntEnum):\n"
+              "    A = 1\n"
+              "class Row(NamedTuple):\n"
+              "    tier: str = 'Other'\n"
+              "def f(t):\n"
+              "    return t == 'dao' or t in ('webs', 'Tier', 'middle')\n")
+    assert sorted(tier_spellings(ast.parse(source))) == sorted([
+        "enum:2", "web:3", "enum:4", "Other:7", "dao:9"])

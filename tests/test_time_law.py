@@ -6,8 +6,10 @@ about 100, so the noise of a shared machine does not decide the result.
 The collector is off while a call runs, as ``cli.main`` runs commands.
 The dimensions covered so far are those of ``workload.simulate_lines``, a
 spec's threads and its executions, a snapshot's rows, which ``diff``
-checks and joins, and the distinct methods and filter patterns of
-``snapshot.ingest_totals``, at few pattern lengths and at one length each.
+checks and joins, the distinct methods and filter patterns of
+``snapshot.ingest_totals``, at few pattern lengths and at one length each,
+the stack depth of ``ingest_totals``, and a catalog file's rules, which
+``components.load_catalog`` reads and each name is classified against.
 """
 
 import gc
@@ -18,6 +20,7 @@ import pytest
 
 from cct_lens import workload as wl
 from cct_lens.compare import check_snapshot, diff
+from cct_lens.components import load_catalog
 from cct_lens.filters import FilterSet
 from cct_lens.snapshot import ingest_totals
 
@@ -112,3 +115,35 @@ def test_filter_patterns(pattern):
         return best_of_three(run)
 
     assert ingest(3000) < RATIO * ingest(300)
+
+
+def test_stack_depth():
+    # one thread's chain of n nested calls through 3 names, all open at
+    # once; a scan of the open frames on each line makes the ratio about 100
+    def ingest(n: int) -> float:
+        lines = [f"{ts}\t1\tE\tm{ts % 3}" for ts in range(n)]
+        lines += [f"{ts}\t1\tX\tm{(2 * n - 1 - ts) % 3}" for ts in range(n, 2 * n)]
+
+        def run():
+            assert ingest_totals(lines)["m0"].invocations == (n + 2) // 3
+
+        return best_of_three(run)
+
+    assert ingest(50_000) < RATIO * ingest(5_000)
+
+
+def test_catalog_rules():
+    # n prefix rules that share their first 17 characters, read, then n
+    # names classified, each by the rule of its own index; trying the rules
+    # one by one for each name makes the ratio about 100
+    def load_and_classify(n: int) -> float:
+        lines = [f"dao\tC{i}\tcom.mycompany.hr.svc{i}.Klass{i}.*" for i in range(n)]
+        names = [f"com.mycompany.hr.svc{i}.Klass{i}.method{i}()" for i in range(n)]
+
+        def run():
+            classify = load_catalog(lines).classify
+            assert [classify(name)[0] for name in names] == [f"C{i}" for i in range(n)]
+
+        return best_of_three(run)
+
+    assert load_and_classify(10_000) < RATIO * load_and_classify(1_000)
